@@ -277,10 +277,6 @@ class Polynomial:
             total += acc
         return total
 
-    def eval_float(self, assignment: dict[str, float]) -> float:
-        value = self.eval_complex(assignment)
-        return value.real
-
     # -- printing -----------------------------------------------------
 
     def _monomial_str(self, e: tuple[int, ...]) -> str:

@@ -54,15 +54,9 @@ class VarUniverse:
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def is_param(self, name: str) -> bool:
-        return name in self.params
-
     def with_params(self, params, exceptional=None) -> "VarUniverse":
         exc = self.exceptional if exceptional is None else frozenset(exceptional)
         return VarUniverse(tuple(params), self.fibers, exc & set(params))
-
-    def with_fibers(self, fibers) -> "VarUniverse":
-        return VarUniverse(self.params, tuple(fibers), self.exceptional)
 
     def with_extra_param(self, name: str) -> "VarUniverse":
         return VarUniverse(self.params + (name,), self.fibers, self.exceptional)

@@ -86,9 +86,6 @@ class MatrixFamily:
     def eval_scalar_matrix(self, point: dict) -> list[list[Scalar]]:
         return [[p.eval_scalar(point) for p in row] for row in self.entries]
 
-    def eval_float_matrix(self, point: dict) -> list[list[complex]]:
-        return [[p.eval_complex(point) for p in row] for row in self.entries]
-
 
 def default_fiber_names(n: int) -> list[str]:
     return [f"V{k + 1}" for k in range(n)]

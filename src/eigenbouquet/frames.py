@@ -7,9 +7,11 @@ subspace of quadratics extends across the exceptional set; its zero set
 there is the unique limit of the nearby eigenspace bouquets.
 
 Extraction at a point therefore has two routes that check each other:
-off the discriminant a plain numeric eigendecomposition, on it Richardson
+off the discriminant the package's Jacobi eigendecomposition, on it Richardson
 extrapolation of eigenspaces along a transversal curve, always validated
-against the symbolically recovered quadratics.
+against the symbolically recovered quadratics. Each bouquet carries its family
+matrix, and off the discriminant the labeled frames are checked against its
+LAPACK eigendecomposition, a solver independent of the one that built them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .bouquet import FittingIdeal, QuadSystem
 from .family import MatrixFamily
 from .oracle import (
     ExtrapolationError,
+    SpectralSample,
+    cluster_and_multiplicities,
     embed_hermitian,
     extrapolate_along_curve,
     procrustes_align,
@@ -79,9 +83,6 @@ class PluckerSection:
         return all(abs(g.eval_complex(cpt)) <= 1e-12 * scale for g in self.root_fitting)
 
     # -- wedge coordinates and subspace recovery ----------------------
-
-    def weak_coordinate(self, rows: tuple, cols: tuple) -> tuple[int, Scalar] | None:
-        return self.ideal.minor_table.get((rows, cols))
 
     def coordinate_values(self, point: dict) -> dict[tuple, Scalar]:
         """Exact values of all wedge coordinates at a rational chart point."""
@@ -188,6 +189,7 @@ class BouquetAtPoint:
     exceptional: bool
     quad_residual: float  # worst |q(v)| over recovered quadratics and basis vectors
     gram_residual: float  # deviation of the assembled frame from orthonormality
+    matrix: np.ndarray  # the family matrix at the base point
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -322,7 +324,9 @@ def _finish_bouquet(section, point, base_float, subspaces, exceptional, quads, m
             )
     pt_tuple = tuple(point[n] for n in section.chart.universe.params)
     base_tuple = tuple(base_float[n] for n in sorted(base_float))
-    return BouquetAtPoint(pt_tuple, base_tuple, subspaces, exceptional, worst, gram_residual)
+    return BouquetAtPoint(
+        pt_tuple, base_tuple, subspaces, exceptional, worst, gram_residual, matrix
+    )
 
 
 # -- frames over a grid ------------------------------------------------
@@ -437,13 +441,8 @@ def local_frame_and_eigenvalues(
         assignments[idx] = assign
 
     # frame assembly with sign/phase continuity
-    matrices: list[np.ndarray] = []
-    for idx, (pt, bouquet) in enumerate(zip(pts, bouquets)):
-        point = dict(zip(names, pt))
-        base = section.chart.base_point(point)
-        base_float = {k: float(v.re) for k, v in base.items()}
-        matrix = section.matrix_at_base(base_float)
-        matrices.append(matrix)
+    for idx, bouquet in enumerate(bouquets):
+        matrix = bouquet.matrix
         for slot, k in enumerate(assignments[idx]):
             sub = bouquet.subspaces[k]
             basis = sub.basis
@@ -468,11 +467,14 @@ def local_frame_and_eigenvalues(
     for idx, bouquet in enumerate(bouquets):
         if bouquet.exceptional:
             continue
-        sample = spectral_sample(matrices[idx], tol=cluster_tol)
+        values, vectors = np.linalg.eigh(bouquet.matrix)
+        reference = cluster_and_multiplicities(
+            SpectralSample(None, values, vectors, residual=float("nan")), cluster_tol
+        )
         for slot, k in enumerate(assignments[idx]):
             sub = bouquet.subspaces[k]
             best = None
-            for cluster in sample.clusters:
+            for cluster in reference.clusters:
                 if cluster.multiplicity != sub.dim:
                     continue
                 ang = subspace_angle(cluster.basis, components[slot].frames[idx])

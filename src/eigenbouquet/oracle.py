@@ -140,34 +140,52 @@ def spectral_sample(matrix, point=None, tol: float = DEFAULT_CLUSTER_TOL) -> Spe
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> list[float]:
     """Canonical angles between two subspaces given orthonormal bases.
 
-    Cosines come from the singular values of the cross-Gram matrix and
-    sines from the projection residual; each angle uses whichever branch
-    is well conditioned (arccos alone cannot see angles below ~1e-8).
-    All singular values are extracted with the Jacobi solver on normal
-    matrices, so the oracle stays self-contained.
+    With A the smaller basis, cosines are the singular values of B^T A and
+    sines those of A - B B^T A; the k-th largest cosine pairs with the k-th
+    smallest sine in atan2, well conditioned at every angle (Bjorck and Golub
+    1973). For a line a they are ||B^T a|| and ||a - B B^T a||; otherwise
+    one-sided Jacobi (one rotation for a plane) gives them as column norms,
+    which keeps a small sine beside a large one that Gram eigenvalues lose.
     """
     a = np.atleast_2d(np.asarray(basis_a, dtype=float))
     b = np.atleast_2d(np.asarray(basis_b, dtype=float))
     if a.shape[1] == 0 or b.shape[1] == 0:
         raise ValueError("empty basis")
     for m in (a, b):
-        gram = m.T @ m
-        if float(np.max(np.abs(gram - np.eye(m.shape[1])))) > 1e-10:
+        if float(abs(m.T @ m - np.eye(m.shape[1])).max()) > 1e-10:
             raise ValueError("basis is not orthonormal")
     if a.shape[1] > b.shape[1]:
         a, b = b, a
-    cross = a.T @ b
-    cos_sq = np.sort(np.clip(eigh_jacobi(cross @ cross.T).eigenvalues, 0.0, 1.0))
-    residual = a - b @ (b.T @ a)
-    sin_sq = np.sort(np.clip(eigh_jacobi(residual.T @ residual).eigenvalues, 0.0, 1.0))
-    angles = []
-    for k in range(a.shape[1]):
-        # k-th largest cosine pairs with the k-th smallest sine
-        c = math.sqrt(float(cos_sq[a.shape[1] - 1 - k]))
-        s = math.sqrt(float(sin_sq[k]))
-        theta = math.asin(s) if c * c >= 0.5 else math.acos(c)
-        angles.append(min(max(theta, 0.0), math.pi / 2))
-    return sorted(angles)
+    cross = b.T @ a
+    residual = a - b @ cross
+    if a.shape[1] == 1:
+        return [math.atan2(math.sqrt(float(np.vdot(residual, residual))),
+                           math.sqrt(float(np.vdot(cross, cross))))]
+    sines = _singular_values(residual)
+    cosines = _singular_values(cross)[::-1]
+    return sorted(math.atan2(s, c) for s, c in zip(sines, cosines))
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Ascending singular values of m by one-sided (Hestenes) Jacobi sweeps."""
+    m = np.array(m, dtype=float)
+    for _ in range(JACOBI_SWEEP_CAP):
+        done = True
+        for p in range(m.shape[1] - 1):
+            for q in range(p + 1, m.shape[1]):
+                x, y = m[:, p], m[:, q]
+                xx, yy, xy = float(x @ x), float(y @ y), float(x @ y)
+                if abs(xy) <= JACOBI_OFF_TOL * math.sqrt(xx * yy):
+                    continue
+                done = False
+                tau = (yy - xx) / (2.0 * xy)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                m[:, p], m[:, q] = c * x - s * y, s * x + c * y
+        if done:
+            return np.sort(np.linalg.norm(m, axis=0))
+    raise JacobiNonConvergence(f"no convergence after {JACOBI_SWEEP_CAP} sweeps")
 
 
 def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
@@ -180,10 +198,8 @@ def procrustes_align(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
     cross = basis.T @ reference
     if cross.shape == (1, 1):
         return basis * math.copysign(1.0, float(cross[0, 0]) or 1.0)
-    left = eigh_jacobi(cross @ cross.T)
     right = eigh_jacobi(cross.T @ cross)
     # match singular subspaces: U from cross @ right vectors
-    sv = np.sqrt(np.clip(right.eigenvalues, 0.0, None))
     cols = []
     for k in range(cross.shape[1]):
         v = right.vectors[:, k]
@@ -206,14 +222,12 @@ def richardson_limit(values: list[np.ndarray], order: int = 2) -> tuple[np.ndarr
     if len(table) < order + 2:
         raise ExtrapolationError("not enough radii for the requested order")
     level_prev = table
-    last = None
     for level in range(1, order + 1):
         factor = 2.0 ** level
         level_next = [
             (factor * level_prev[k + 1] - level_prev[k]) / (factor - 1.0)
             for k in range(len(level_prev) - 1)
         ]
-        last = level_next
         level_prev = level_next
     correction = float(np.linalg.norm(level_prev[-1] - level_prev[-2]))
     return level_prev[-1], correction
@@ -244,18 +258,14 @@ def extrapolate_along_curve(samples: list[SpectralSample]) -> list[tuple[float, 
         valchain: list[float] = [reference.clusters[idx].value]
         prev_basis = chains[0]
         for s in samples[1:]:
-            candidates = [k for k, c in enumerate(s.clusters) if c.multiplicity == mults[idx]]
-            best_k, best_angle = None, None
-            for k in candidates:
-                ang = subspace_angle(s.clusters[k].basis, prev_basis)
-                if best_angle is None or ang < best_angle:
-                    best_k, best_angle = k, ang
-            others = sorted(
-                subspace_angle(s.clusters[k].basis, prev_basis)
-                for k in candidates
-                if k != best_k
-            )
-            if others and others[0] < best_angle + 1e-3:
+            angles = {
+                k: subspace_angle(c.basis, prev_basis)
+                for k, c in enumerate(s.clusters)
+                if c.multiplicity == mults[idx]
+            }
+            best_k = min(angles, key=angles.__getitem__)
+            best_angle = angles.pop(best_k)
+            if any(ang < best_angle + 1e-3 for ang in angles.values()):
                 raise ExtrapolationError("ambiguous component matching along curve")
             aligned = procrustes_align(s.clusters[best_k].basis, prev_basis)
             chains.append(aligned)

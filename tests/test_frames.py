@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eigenbouquet import cli, frames, oracle
 from eigenbouquet.bouquet import fitting_minors, generic_rank, wedge_quadratics
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.frames import (
+    DEFAULT_ANGLE_TOL,
     GridSpec,
     UnresolvedChart,
     extract_bouquet_at_point,
@@ -15,7 +17,7 @@ from eigenbouquet.frames import (
     plucker_section,
 )
 from eigenbouquet.oracle import subspace_angle
-from eigenbouquet.resolve import CenterSpec, run_sequence
+from eigenbouquet.resolve import CenterSpec, ChartNode, run_sequence
 
 
 def build(entries, params, centers, fibers=None):
@@ -178,6 +180,85 @@ class TestLocalFrames:
                         sign = s
                     assert s == sign  # one analytic branch per component
                     assert abs(got - sign * expected) <= 1e-8
+
+
+class TestFrameOracle:
+    def test_oracle_catches_a_skewed_bouquet_solver(self, monkeypatch):
+        # bouquets whose bases are all turned by 1e-6 rad must fail the frame
+        # oracle, which only an independent reference solver can see
+        turn = 1e-6
+
+        def skewed_sample(matrix, point=None, tol=oracle.DEFAULT_CLUSTER_TOL):
+            sample = oracle.spectral_sample(matrix, point, tol)
+            rotation = np.eye(len(matrix))
+            rotation[:2, :2] = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
+            for cluster in sample.clusters:
+                cluster.basis = rotation @ cluster.basis
+            return sample
+
+        monkeypatch.setattr(frames, "spectral_sample", skewed_sample)
+        # even grid counts miss the exceptional line u = 0
+        report = local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((4, 4)))
+        assert not any(report.exceptional_mask)
+        assert abs(report.max_oracle_angle - turn) < 1e-9
+        assert report.max_oracle_angle > DEFAULT_ANGLE_TOL
+        assert report.failing
+
+
+class TestWorkDoneOnce:
+    def test_kupa_demo_counts(self, monkeypatch):
+        counts = {"base_point": 0, "angle": 0}
+        frame_runs, extrapolations = [], []
+
+        real_base_point = ChartNode.base_point
+
+        def counting_base_point(self, point):
+            counts["base_point"] += 1
+            return real_base_point(self, point)
+
+        real_angle = oracle.subspace_angle
+
+        def counting_angle(a, b):
+            counts["angle"] += 1
+            return real_angle(a, b)
+
+        real_frames = cli.local_frame_and_eigenvalues
+
+        def counting_frames(section, grid, **kwargs):
+            before = counts["base_point"]
+            report = real_frames(section, grid, **kwargs)
+            frame_runs.append((counts["base_point"] - before, len(report.points)))
+            return report
+
+        real_extrapolate = frames.extrapolate_along_curve
+
+        def counting_extrapolate(samples):
+            before = counts["angle"]
+            limits = real_extrapolate(samples)
+            mults = samples[0].multiplicities
+            expected = sum(
+                sum(1 for c in s.clusters if c.multiplicity == m)
+                for s in samples[1:]
+                for m in mults
+            )
+            extrapolations.append((counts["angle"] - before, expected))
+            return limits
+
+        monkeypatch.setattr(ChartNode, "base_point", counting_base_point)
+        monkeypatch.setattr(oracle, "subspace_angle", counting_angle)
+        monkeypatch.setattr(cli, "local_frame_and_eigenvalues", counting_frames)
+        monkeypatch.setattr(frames, "extrapolate_along_curve", counting_extrapolate)
+        cfg = cli.JobConfig.from_dict({**cli.FIXTURES["kupa"], "grid": {"points_per_axis": 9}})
+        code, _ = cli.run_job(cfg, ("analyze", "resolve", "frames", "check"))
+        assert code == cli.EXIT_PASS
+        # one exact base point per grid point inside each frames run
+        assert len(frame_runs) == 2
+        for calls, points in frame_runs:
+            assert calls == points == 81
+        # one angle per (sample, component, candidate) in every extrapolation:
+        # five later radii, two lines, two candidate lines each
+        assert extrapolations
+        assert all(calls == expected == 20 for calls, expected in extrapolations)
 
 
 class TestLimitUniqueness:

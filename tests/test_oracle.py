@@ -120,6 +120,20 @@ class TestPrincipalAngles:
         with pytest.raises(ValueError):
             principal_angles(np.zeros((3, 0)), np.eye(3))
 
+    def test_non_orthonormal_rejected_on_line_and_plane_paths(self):
+        e = np.eye(4)
+        line, plane = e[:, :1], e[:, 1:3]
+        long_line = (1.0 + 1e-9) * line
+        skewed_plane = np.column_stack([e[:, 1], e[:, 2] + 1e-9 * e[:, 1]])
+        for a, b in (
+            (long_line, plane),
+            (line, skewed_plane),
+            (skewed_plane, plane),
+            (plane, skewed_plane),
+        ):
+            with pytest.raises(ValueError):
+                principal_angles(a, b)
+
 
 class TestHermitianEmbedding:
     def test_eigenvalues_doubled(self):
