@@ -7,6 +7,7 @@ parameter ring come out exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,8 +63,8 @@ def _strip_row_content(row: list[Polynomial]) -> list[Polynomial]:
             if not c.is_real():
                 real_only = False
                 break
-            num = _gcd_int(num, abs(c.re.numerator))
-            den = _lcm_int(den, c.re.denominator)
+            num = math.gcd(num, c.re.numerator)
+            den = math.lcm(den, c.re.denominator)
         if not real_only:
             break
     out = []
@@ -78,16 +79,6 @@ def _strip_row_content(row: list[Polynomial]) -> list[Polynomial]:
         }
         out.append(Polynomial(p.universe, terms))
     return out
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm_int(a: int, b: int) -> int:
-    return a * b // _gcd_int(a, b)
 
 
 @dataclass

@@ -266,14 +266,15 @@ class Polynomial:
             total = total + acc
         return total
 
-    def eval_complex(self, assignment: dict[str, complex]) -> complex:
+    def eval_complex(self, assignment: dict) -> complex:
+        """Float evaluation; values may be anything complex() accepts."""
         total = 0j
         names = self.universe.names
         for e, c in self.terms.items():
             acc = c.to_complex()
             for k, p in enumerate(e):
                 if p:
-                    acc *= assignment[names[k]] ** p
+                    acc *= complex(assignment[names[k]]) ** p
             total += acc
         return total
 

@@ -116,3 +116,8 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
     return Scalar(_as_fraction(x))
+
+
+def all_exact(values) -> bool:
+    """True when every value is an exact int, Fraction or Scalar."""
+    return all(isinstance(v, (int, Fraction, Scalar)) for v in values)

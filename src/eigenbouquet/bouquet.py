@@ -17,7 +17,6 @@ exact layer stays over Q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -26,9 +25,11 @@ from .algebra import (
     Polynomial,
     Scalar,
     VarUniverse,
+    all_exact,
     bareiss_det,
     bareiss_rank,
     divexact,
+    eval_matrix_rational,
     gcd_multivariate,
     monic,
     primitive_normalize,
@@ -58,28 +59,6 @@ class QuadForm:
 
     universe: VarUniverse
     coeffs: dict[tuple[int, int], Polynomial]
-
-    def eval_params(self, point: dict) -> dict[tuple[int, int], Scalar]:
-        return {k: p.eval_scalar(point) for k, p in self.coeffs.items()}
-
-    def value_at(self, point: dict, fiber: np.ndarray) -> float:
-        total = 0.0
-        for (a, b), p in self.coeffs.items():
-            c = p.eval_complex(point)
-            total += c.real * float(fiber[a]) * float(fiber[b])
-        return total
-
-    def gradient_at(self, point: dict, fiber: np.ndarray) -> np.ndarray:
-        n = len(fiber)
-        grad = np.zeros(n)
-        for (a, b), p in self.coeffs.items():
-            c = p.eval_complex(point).real
-            if a == b:
-                grad[a] += 2.0 * c * fiber[a]
-            else:
-                grad[a] += c * fiber[b]
-                grad[b] += c * fiber[a]
-        return grad
 
     def as_polynomial(self) -> Polynomial:
         u = self.universe
@@ -112,11 +91,8 @@ class QuadSystem:
     def monomials(self) -> list[tuple[int, int]]:
         return quad_monomials(self.fiber_dim)
 
-    def eval_coeff_matrix(self, point: dict) -> list[list[Scalar]]:
-        return [[p.eval_scalar(point) for p in row] for row in self.coeff_matrix]
-
     def rank_at(self, point: dict) -> int:
-        r, _, _ = scalar_matrix_rank(self.eval_coeff_matrix(point))
+        r, _, _ = scalar_matrix_rank(eval_matrix_rational(self.coeff_matrix, point))
         return r
 
 
@@ -302,31 +278,14 @@ def jacobian_rank_at(system: QuadSystem, point: dict, fiber, tol: float = 1e-7) 
     Exact over Q when both the point and the fiber vector are rational;
     otherwise numeric with singular values thresholded at tol * (1 + max).
     """
-    exact = all(isinstance(v, (int, Fraction, Scalar)) for v in fiber) and all(
-        isinstance(v, (int, Fraction, Scalar)) for v in point.values()
-    )
-    nfib = system.fiber_dim
-    if exact:
-        rows = []
-        for quad in system.quads:
-            coeffs = quad.eval_params(point)
-            row = []
-            for k in range(nfib):
-                total = Scalar(0)
-                for (a, b), c in coeffs.items():
-                    if a == b == k:
-                        total = total + c * Scalar(2) * _as_sc(fiber[k])
-                    elif a == k:
-                        total = total + c * _as_sc(fiber[b])
-                    elif b == k:
-                        total = total + c * _as_sc(fiber[a])
-                row.append(total)
-            rows.append(row)
-        r, _, _ = scalar_matrix_rank(rows)
+    fibers = system.fiber_universe.fibers
+    at = {**point, **dict(zip(fibers, fiber))}
+    polys = [q.as_polynomial() for q in system.quads]
+    rows = [[p.derivative(f) for f in fibers] for p in polys]
+    if all_exact(point.values()) and all_exact(fiber):
+        r, _, _ = scalar_matrix_rank(eval_matrix_rational(rows, at))
         return r
-    fp = {name: float(v) for name, v in point.items()}
-    vec = np.array([float(v) for v in fiber], dtype=float)
-    jac = np.array([quad.gradient_at(fp, vec) for quad in system.quads])
+    jac = np.array([[d.eval_complex(at).real for d in row] for row in rows])
     if not jac.size:
         return 0
     normal = jac.T @ jac
@@ -334,12 +293,6 @@ def jacobian_rank_at(system: QuadSystem, point: dict, fiber, tol: float = 1e-7) 
     sv = np.sqrt(np.clip(sample.eigenvalues, 0.0, None))
     cut = tol * (1.0 + (float(sv.max()) if sv.size else 0.0))
     return int(np.sum(sv > cut))
-
-
-def _as_sc(v) -> Scalar:
-    if isinstance(v, Scalar):
-        return v
-    return Scalar(v)
 
 
 def diagonalizability(matrix: list[list[Scalar]], fld: str = "rational") -> str:

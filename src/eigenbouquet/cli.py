@@ -3,13 +3,16 @@
 Subcommands: analyze, resolve, frames, check, demo <name>. Configs are JSON
 with polynomial entries as grammar strings; reports are canonical JSON
 (byte-identical for equal config and seed). Exit codes: 0 pass, 1 invariant
-failure, 2 config error, 3 frames requested on an unresolved tree.
+failure, 2 config error, 3 frames requested on an unresolved tree, 4 a
+numerical step failed (the report names the error).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import random
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -25,23 +28,33 @@ from .bouquet import (
 )
 from .family import MatrixFamily, StructureViolation, analyze_spectrum, check_structure
 from .frames import (
+    GRAM_TOL,
     FrameReport,
     GridSpec,
+    NonHermitianFamily,
     UnresolvedChart,
     family_matrix,
     local_frame_and_eigenvalues,
     plucker_section,
 )
-from .oracle import spectral_sample
-from .realnormal import SplitFamily, arcp_extract, complexified_eigenvalues, split_and_double
+from .oracle import ExtrapolationError, JacobiNonConvergence, spectral_sample
+from .realnormal import (
+    DecompositionError,
+    SplitFamily,
+    arcp_extract,
+    complexified_eigenvalues,
+    split_and_double,
+)
 from .report import canonical_json, emit_report
 from .resolve import (
     GOOD_STATUSES,
     CenterError,
     CenterSpec,
     ChartNode,
+    DegenerateChart,
     ResolutionOutcome,
     principality_status,
+    propose_center,
     run_sequence,
     weak_transform,
 )
@@ -50,6 +63,16 @@ EXIT_PASS = 0
 EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_UNRESOLVED = 3
+EXIT_ERROR = 4
+
+# Numerical failures: the job ends with a partial report naming the error.
+RUN_ERRORS = (
+    ExtrapolationError,
+    JacobiNonConvergence,
+    DegenerateChart,
+    DecompositionError,
+    NonHermitianFamily,
+)
 
 MINOR_BUDGET = 200_000
 
@@ -187,19 +210,13 @@ def _make_bundle(name: str, fam: MatrixFamily, seed: int) -> Bundle:
         return Bundle(name, system, None)
     rows = len(system.coeff_matrix)
     cols = len(system.coeff_matrix[0])
-    count = _comb(rows, rank) * _comb(cols, rank)
+    count = math.comb(rows, rank) * math.comb(cols, rank)
     if count > MINOR_BUDGET:
         raise ConfigError(
             f"{count} maximal minors for bundle {name!r} exceed the desk-scale "
             f"budget {MINOR_BUDGET}; reduce the fiber dimension"
         )
     return Bundle(name, system, fitting_minors(system))
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 def analyze(cfg: JobConfig) -> Analysis:
@@ -363,8 +380,6 @@ def stage_resolve(state: RunState) -> RunState:
     state.outcome = outcome
     proposals = {}
     if outcome.verdict != "Resolved":
-        from .resolve import propose_center
-
         for leaf in outcome.leaves():
             if leaf.status == "Unresolved":
                 center = propose_center(leaf, cfg.seed)
@@ -500,9 +515,7 @@ def stage_check(state: RunState) -> RunState:
         )
 
     if cfg.structure in {"symmetric", "hermitian"} or cfg.fld == "gaussian":
-        import random as _random
-
-        rng = _random.Random(cfg.seed)
+        rng = random.Random(cfg.seed)
         summary = analysis.summary
         fam = analysis.family
         hits = 0
@@ -544,7 +557,7 @@ def stage_check(state: RunState) -> RunState:
         for entry in state.arcp_stats["charts"]:
             ok = (
                 entry["worst_similitude_residual"] <= cfg.tol_residual
-                and entry["worst_gram_residual"] <= 1e-10
+                and entry["worst_gram_residual"] <= GRAM_TOL
                 and entry["worst_eigenvalue_match"] <= cfg.tol_residual
             )
             inv.append(
@@ -653,6 +666,11 @@ def run_job(cfg: JobConfig, stages: tuple[str, ...]) -> tuple[int, dict]:
         state.report["verdict"] = "ScalarOperator"
         _maybe_emit(state)
         return EXIT_PASS, state.report
+    except RUN_ERRORS as err:
+        state.report["error"] = {"type": type(err).__name__, "message": str(err)}
+        state.report["verdict"] = "error"
+        _maybe_emit(state)
+        return EXIT_ERROR, state.report
     _maybe_emit(state)
     verdict = state.report["verdict"]
     if verdict in {"pass", "ScalarOperator"}:

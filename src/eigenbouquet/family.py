@@ -83,9 +83,6 @@ class MatrixFamily:
         p = self.entries[r][c]
         return Polynomial(p.universe, {e: k.conj() for e, k in p.terms.items()})
 
-    def eval_scalar_matrix(self, point: dict) -> list[list[Scalar]]:
-        return [[p.eval_scalar(point) for p in row] for row in self.entries]
-
 
 def default_fiber_names(n: int) -> list[str]:
     return [f"V{k + 1}" for k in range(n)]

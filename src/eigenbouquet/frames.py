@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import Polynomial, Scalar
+from .algebra import Polynomial, Scalar, all_exact
 from .bouquet import FittingIdeal, QuadSystem
 from .family import MatrixFamily
 from .oracle import (
@@ -42,17 +42,21 @@ EXTRAPOLATION_RADII = tuple(2.0 ** -k for k in range(3, 9))
 DEFAULT_ANGLE_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-8
 QUAD_VANISH_TOL = 1e-7
+GRAM_TOL = 1e-10  # bound on an assembled frame's deviation from orthonormality
 
 
 class UnresolvedChart(ValueError):
     pass
 
 
+class NonHermitianFamily(ValueError):
+    """Frames over the gaussian field need a hermitian family."""
+
+
 def family_matrix(fam: MatrixFamily, base_point: dict) -> np.ndarray:
     """Float matrix of the family at a point, real-embedded when gaussian."""
-    cpt = {k: complex(v) if not isinstance(v, complex) else v for k, v in base_point.items()}
     grid = np.array(
-        [[p.eval_complex(cpt) for p in row] for row in fam.entries], dtype=complex
+        [[p.eval_complex(base_point) for p in row] for row in fam.entries], dtype=complex
     )
     if fam.fld == "gaussian":
         return embed_hermitian(grid)
@@ -71,16 +75,11 @@ class PluckerSection:
     def family(self) -> MatrixFamily:
         return self.system.family
 
-    def matrix_at_base(self, base_point: dict) -> np.ndarray:
-        return family_matrix(self.family, base_point)
-
     def on_discriminant(self, base_point: dict) -> bool:
-        exact = all(isinstance(v, (int, Fraction, Scalar)) for v in base_point.values())
-        if exact:
+        if all_exact(base_point.values()):
             return all(not g.eval_scalar(base_point) for g in self.root_fitting)
-        cpt = {k: complex(v) for k, v in base_point.items()}
-        scale = 1.0 + max(abs(v) for v in cpt.values()) if cpt else 1.0
-        return all(abs(g.eval_complex(cpt)) <= 1e-12 * scale for g in self.root_fitting)
+        scale = 1.0 + max((abs(v) for v in base_point.values()), default=0.0)
+        return all(abs(g.eval_complex(base_point)) <= 1e-12 * scale for g in self.root_fitting)
 
     # -- wedge coordinates and subspace recovery ----------------------
 
@@ -159,7 +158,7 @@ def plucker_section(
         for r in range(fam.n):
             for c in range(fam.n):
                 if fam.entries[r][c] != fam.entry_conj(c, r):
-                    raise ValueError(
+                    raise NonHermitianFamily(
                         "frames over the gaussian field require a hermitian family"
                     )
     return PluckerSection(
@@ -251,15 +250,12 @@ def extract_bouquet_at_point(
     """
     chart = section.chart
     names = chart.universe.params
-    base = chart.base_point(point) if _is_exact(point) else None
-    if base is not None:
-        base_float = {k: float(v.re) for k, v in base.items()}
-        on_disc = section.on_discriminant(base)
-    else:
-        base_float = chart.base_point_float({k: float(v) for k, v in point.items()})
-        on_disc = section.on_discriminant(base_float)
-    matrix = section.matrix_at_base(base_float)
-    quads = section.recover_quadratics(point) if _is_exact(point) else None
+    exact = all_exact(point.values())
+    base = chart.base_point(point) if exact else chart.base_point_float(point)
+    on_disc = section.on_discriminant(base)
+    base_float = {k: float(v.re) for k, v in base.items()} if exact else base
+    matrix = family_matrix(section.family, base_float)
+    quads = section.recover_quadratics(point) if exact else None
 
     if not on_disc:
         sample = spectral_sample(matrix, tol=cluster_tol)
@@ -284,10 +280,6 @@ def extract_bouquet_at_point(
     )
 
 
-def _is_exact(point: dict) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in point.values())
-
-
 def _extrapolate_bouquet(section, point_f, names, delta, cluster_tol, matrix_at_p):
     samples = []
     for t in EXTRAPOLATION_RADII:
@@ -295,7 +287,7 @@ def _extrapolate_bouquet(section, point_f, names, delta, cluster_tol, matrix_at_
         base_pt = section.chart.base_point_float(chart_pt)
         if section.on_discriminant(base_pt):
             raise ExtrapolationError("curve runs inside the discriminant image")
-        samples.append(spectral_sample(section.matrix_at_base(base_pt), tol=cluster_tol))
+        samples.append(spectral_sample(family_matrix(section.family, base_pt), tol=cluster_tol))
     limits = extrapolate_along_curve(samples)
     subspaces = []
     for _, mult, basis, _ in limits:
@@ -490,7 +482,7 @@ def local_frame_and_eigenvalues(
         max_oracle_angle > angle_tol
         or max_inv > residual_tol
         or max_quad > QUAD_VANISH_TOL
-        or max_gram > 1e-10
+        or max_gram > GRAM_TOL
     )
     return FrameReport(
         chart_path=section.chart.path,

@@ -21,9 +21,14 @@ import numpy as np
 
 from .algebra import Polynomial, Scalar, VarUniverse
 from .family import MatrixFamily, check_structure
+from .frames import family_matrix
 from .oracle import normal_spectrum, orthonormalize, spectral_sample
 
 KERNEL_TOL = 1e-9
+
+
+class DecompositionError(ArithmeticError):
+    """The invariant planes and real eigenspaces do not fill the space."""
 
 
 @dataclass
@@ -37,24 +42,12 @@ class SplitFamily:
     def n(self) -> int:
         return self.original.n
 
-    def sym_matrix(self, point: dict) -> np.ndarray:
-        return _float_matrix(self.sym, point)
 
-    def skew_matrix(self, point: dict) -> np.ndarray:
-        return _float_matrix(self.skew, point)
-
-    def original_matrix(self, point: dict) -> np.ndarray:
-        return _float_matrix(self.original, point)
-
-    def doubled_matrix(self, point: dict) -> np.ndarray:
-        return _float_matrix(self.doubled, point)
-
-
-def _float_matrix(family: MatrixFamily, point: dict) -> np.ndarray:
-    cpt = {k: complex(v) for k, v in point.items()}
-    return np.array(
-        [[p.eval_complex(cpt).real for p in row] for row in family.entries], dtype=float
-    )
+def doubled_matrix(b: np.ndarray) -> np.ndarray:
+    """The float block matrix [[0, -B], [B, 0]] of a float skew half B."""
+    zero = np.zeros_like(b)
+    # zero - b keeps zero entries +0.0, as evaluating the doubled family does
+    return np.block([[zero, zero - b], [b, zero]])
 
 
 def _doubled_fiber_names(universe: VarUniverse) -> tuple[str, ...]:
@@ -149,10 +142,10 @@ def arcp_extract(split: SplitFamily, point: dict, cluster_tol: float = 1e-6) -> 
     eigenspaces, split by A.
     """
     n = split.n
-    a_mat = split.sym_matrix(point)
-    b_mat = split.skew_matrix(point)
-    l_mat = split.original_matrix(point)
-    b2 = split.doubled_matrix(point)
+    a_mat = family_matrix(split.sym, point)
+    b_mat = family_matrix(split.skew, point)
+    l_mat = family_matrix(split.original, point)
+    b2 = doubled_matrix(b_mat)
     scale = 1.0 + float(np.linalg.norm(l_mat))
     sample = spectral_sample(b2, tol=cluster_tol)
     bscale = 1.0 + float(np.linalg.norm(b2))
@@ -184,7 +177,7 @@ def arcp_extract(split: SplitFamily, point: dict, cluster_tol: float = 1e-6) -> 
     )
     assembled = decomposition.assembled()
     if assembled.shape[1] != n:
-        raise ArithmeticError(
+        raise DecompositionError(
             f"decomposition spans {assembled.shape[1]} of {n} dimensions at {point}"
         )
     gram = assembled.T @ assembled
@@ -208,7 +201,7 @@ def _peel_planes(space: np.ndarray, a_value: float, b_value: float, l_mat, scale
         v = f[n:]
         nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
         if nu < 1e-12 or nv < 1e-12:
-            raise ArithmeticError("degenerate doubled eigenvector (zero half)")
+            raise DecompositionError("degenerate doubled eigenvector (zero half)")
         u = u / nu
         v = v / nv
         lu = l_mat @ u
@@ -231,7 +224,7 @@ def _peel_planes(space: np.ndarray, a_value: float, b_value: float, l_mat, scale
         remaining = work - drop @ (drop.T @ work)
         work = orthonormalize(remaining)
     if work.shape[1]:
-        raise ArithmeticError("odd dimension left while peeling planes")
+        raise DecompositionError("odd dimension left while peeling planes")
     return planes
 
 
@@ -273,8 +266,8 @@ def plane_invariant_checks(
     if abs(b_value) <= KERNEL_TOL:
         raise ValueError("checks require a nonzero eigenvalue")
     n = split.n
-    b2 = split.doubled_matrix(point)
-    b_mat = split.skew_matrix(point)
+    b_mat = family_matrix(split.skew, point)
+    b2 = doubled_matrix(b_mat)
     scale = 1.0 + float(np.linalg.norm(b2))
     f = np.asarray(fvec, dtype=float)
     u, v = f[:n], f[n:]
@@ -308,4 +301,6 @@ def plane_invariant_checks(
 
 def complexified_eigenvalues(split: SplitFamily, point: dict, cluster_tol: float = 1e-6):
     """Independent oracle route: spectrum of L via nested symmetric solves."""
-    return normal_spectrum(split.sym_matrix(point), split.skew_matrix(point), cluster_tol)
+    return normal_spectrum(
+        family_matrix(split.sym, point), family_matrix(split.skew, point), cluster_tol
+    )

@@ -111,10 +111,7 @@ class ChartNode:
         return {name: poly.eval_scalar(point) for name, poly in self.to_base.items()}
 
     def base_point_float(self, point: dict) -> dict:
-        return {
-            name: poly.eval_complex({k: complex(v) for k, v in point.items()}).real
-            for name, poly in self.to_base.items()
-        }
+        return {name: poly.eval_complex(point).real for name, poly in self.to_base.items()}
 
 
 def root_chart(fitting_gens: list[Polynomial], universe: VarUniverse) -> ChartNode:

@@ -14,6 +14,7 @@ import numpy as np
 from eigenbouquet.algebra import (
     Polynomial,
     VarUniverse,
+    eval_matrix_rational,
     parse_polynomial,
 )
 from eigenbouquet.bouquet import (
@@ -27,6 +28,7 @@ from eigenbouquet.cli import FIXTURES, JobConfig, cmd_dispatch
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.frames import (
     GridSpec,
+    family_matrix,
     limit_uniqueness_check,
     local_frame_and_eigenvalues,
     plucker_section,
@@ -146,9 +148,9 @@ def random_point(rng, names, lo=-9, hi=9, den=5):
     return {n: Fraction(rng.randint(lo, hi), rng.randint(1, den)) for n in names}
 
 
-def family_float_matrix(fam, pt):
+def exact_matrix_as_float(fam, pt):
     return np.array(
-        [[float(p.eval_scalar(pt).re) for p in row] for row in fam.entries]
+        [[float(c.re) for c in row] for row in eval_matrix_rational(fam.entries, pt)]
     )
 
 
@@ -313,7 +315,7 @@ class TestAcceptance3RankSuite:
             data = []
             for pt in scale_pts:
                 r = system.rank_at(pt)
-                mat = family_float_matrix(fam, pt)
+                mat = exact_matrix_as_float(fam, pt)
                 sample = spectral_sample(mat, tol=1e-6)
                 data.append((pt, r, sample.multiplicities))
                 generic_clusters = max(generic_clusters, len(sample.multiplicities))
@@ -328,12 +330,12 @@ class TestAcceptance3RankSuite:
             if star is not None:
                 candidates.append(star)
             origin = {name: Fraction(0) for name in names}
-            mat0 = family_float_matrix(fam, origin)
+            mat0 = exact_matrix_as_float(fam, origin)
             s0 = spectral_sample(mat0, tol=1e-6)
             if len(s0.multiplicities) < generic_clusters:
                 candidates.append(origin)
             for pt in candidates:
-                mat = family_float_matrix(fam, pt)
+                mat = exact_matrix_as_float(fam, pt)
                 sample = spectral_sample(mat, tol=1e-6)
                 if len(sample.multiplicities) >= generic_clusters:
                     continue  # collision cancelled by another block, not degenerate
@@ -365,7 +367,7 @@ class TestAcceptance4JacobianSuite:
             system = wedge_quadratics(fam)
             names = fam.universe.params
             pt = random_point(rng, names, lo=-6, hi=6, den=4)
-            mat = family_float_matrix(fam, pt)
+            mat = exact_matrix_as_float(fam, pt)
             sample = spectral_sample(mat, tol=1e-6)
             scale = 1.0 + float(np.abs(sample.eigenvalues).max())
             gaps = np.diff(np.sort(sample.eigenvalues))
@@ -436,11 +438,11 @@ class TestAcceptance5RealNormalSuite:
             points = 0
             while points < 4:
                 pt = {k: float(Fraction(rng.randint(-8, 8), rng.randint(1, 4))) for k in names}
-                b2 = split.doubled_matrix(pt)
+                b2 = family_matrix(split.doubled, pt)
                 sample = spectral_sample(b2, tol=1e-6)
                 vals = np.sort(sample.eigenvalues)
                 scale = 1.0 + float(np.abs(vals).max())
-                a_vals = np.sort(spectral_sample(split.sym_matrix(pt)).eigenvalues)
+                a_vals = np.sort(spectral_sample(family_matrix(split.sym, pt)).eigenvalues)
                 a_scale = 1.0 + float(np.abs(a_vals).max())
                 gap_sets = [
                     (np.diff(vals), scale),
@@ -459,7 +461,8 @@ class TestAcceptance5RealNormalSuite:
                     worst_pairing, float(np.max(np.abs(vals + vals[::-1]))) / scale
                 )
                 # squares match the spectrum of B B^T, doubled
-                bbt = split.skew_matrix(pt) @ split.skew_matrix(pt).T
+                b = family_matrix(split.skew, pt)
+                bbt = b @ b.T
                 bbt_vals = np.sort(spectral_sample(bbt).eigenvalues)
                 doubled = np.sort(np.concatenate([bbt_vals, bbt_vals]))
                 worst_pairing = max(

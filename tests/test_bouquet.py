@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigenbouquet.algebra import Scalar, parse_polynomial
+from eigenbouquet.algebra import Scalar, eval_matrix_rational, parse_polynomial
 from eigenbouquet.bouquet import (
     ScalarOperator,
     diagonalizability,
@@ -24,6 +24,12 @@ def kupa():
             [["x^2", "x*y"], ["x*y", "y^2"]], ["x", "y"], "symmetric", fibers=["X", "Y"]
         )
     )
+
+
+def quad_value(quad, point, fiber):
+    """Float value of a quadratic form at (point, fiber)."""
+    at = {**point, **dict(zip(quad.universe.fibers, fiber))}
+    return quad.as_polynomial().eval_complex(at).real
 
 
 def diag_family(*entries):
@@ -153,19 +159,35 @@ class TestJacobianRank:
         assert rank == 1
 
     def test_jacobian_matches_finite_differences(self):
-        # independent check of the gradient used in the numeric path
+        # independent check of the derivative polynomials the numeric path uses
         system = wedge_quadratics(kupa())
+        fibers = system.fiber_universe.fibers
         pt = {"x": 0.7, "y": -0.3}
         rng = np.random.default_rng(3)
         vec = rng.normal(size=2)
+        at = {**pt, **dict(zip(fibers, vec))}
         h = 1e-6
         for quad in system.quads:
-            grad = quad.gradient_at(pt, vec)
-            for k in range(2):
+            poly = quad.as_polynomial()
+            for k, name in enumerate(fibers):
+                grad = poly.derivative(name).eval_complex(at).real
                 step = np.zeros(2)
                 step[k] = h
-                fd = (quad.value_at(pt, vec + step) - quad.value_at(pt, vec - step)) / (2 * h)
-                assert abs(fd - grad[k]) < 1e-6
+                fd = (quad_value(quad, pt, vec + step) - quad_value(quad, pt, vec - step)) / (2 * h)
+                assert abs(fd - grad) < 1e-6
+
+    def test_numeric_rank_matches_exact_rank(self):
+        system = wedge_quadratics(kupa())
+        for pt, fiber in (
+            ({"x": 1, "y": 0}, [1, 0]),
+            ({"x": 1, "y": 1}, [1, 1]),
+            ({"x": Fraction(1, 2), "y": 2}, [Fraction(3), Fraction(-1, 4)]),
+        ):
+            exact = jacobian_rank_at(system, pt, fiber)
+            numeric = jacobian_rank_at(
+                system, {k: float(v) for k, v in pt.items()}, [float(v) for v in fiber]
+            )
+            assert numeric == exact
 
 
 class TestDiagonalizability:
@@ -228,7 +250,7 @@ class TestRankInvariants:
                 if r != d:
                     continue  # on the drop locus; covered by the next test
                 m = np.array(
-                    [[float(c.re) for c in row] for row in fam.eval_scalar_matrix(pt)]
+                    [[float(c.re) for c in row] for row in eval_matrix_rational(fam.entries, pt)]
                 )
                 sample = spectral_sample(m, tol=1e-6)
                 if len(sample.clusters) < 2 and d > 0:
@@ -248,4 +270,4 @@ class TestRankInvariants:
                 for k in range(cluster.multiplicity):
                     w = cluster.basis[:, k]
                     for quad in system.quads:
-                        assert abs(quad.value_at(pt, w)) <= 1e-10 * (1 + np.linalg.norm(m))
+                        assert abs(quad_value(quad, pt, w)) <= 1e-10 * (1 + np.linalg.norm(m))

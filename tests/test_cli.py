@@ -2,8 +2,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from eigenbouquet import cli
 from eigenbouquet.cli import (
     EXIT_CONFIG,
+    EXIT_ERROR,
     EXIT_INVARIANT,
     EXIT_PASS,
     EXIT_UNRESOLVED,
@@ -177,6 +181,64 @@ class TestProductResolution:
             assert leaf.local_generator == combined
             assert twin_a.status == "ResolvedCertified"
             assert twin_b.status == "ResolvedCertified"
+
+
+class TestRunErrors:
+    """A failed numerical step exits 4 with a partial report, no traceback."""
+
+    def run_check(self, tmp_path, data):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(data))
+        path = tmp_path / "out.json"
+        code = run_cli(["check", "--config", str(cfg), "--report", str(path), "--grid", "5"])
+        return code, json.loads(path.read_text())
+
+    def test_gaussian_normal_family(self, tmp_path):
+        code, report = self.run_check(
+            tmp_path,
+            {
+                "field": "gaussian",
+                "structure": "normal",
+                "params": ["x", "y"],
+                "matrix": [["i*x", "y"], ["-y", "i*x"]],
+                "resolution": [{"path": [], "center": ["x", "y"]}],
+            },
+        )
+        assert code == EXIT_ERROR
+        assert report["verdict"] == "error"
+        assert report["error"]["type"] == "NonHermitianFamily"
+        assert "hermitian" in report["error"]["message"]
+        assert report["resolution"]["verdict"] == "Resolved"
+
+    def test_rational_rotation_with_center(self, tmp_path):
+        code, report = self.run_check(
+            tmp_path,
+            {
+                "structure": "normal",
+                "params": ["x", "y"],
+                "matrix": [["x", "y"], ["-y", "x"]],
+                "resolution": [{"path": [], "center": ["x", "y"]}],
+            },
+        )
+        assert code == EXIT_ERROR
+        assert report["verdict"] == "error"
+        assert report["error"]["type"] == "ExtrapolationError"
+        assert "frames" not in report
+
+    def test_other_errors_still_raise(self, monkeypatch):
+        def broken(state):
+            raise ValueError("not a numerical failure")
+
+        monkeypatch.setattr(cli, "stage_resolve", broken)
+        cfg = JobConfig.from_dict(FIXTURES["kupa"])
+        with pytest.raises(ValueError, match="not a numerical failure"):
+            cli.run_job(cfg, ("analyze", "resolve"))
+
+    def test_center_error_exits_2(self, tmp_path):
+        cfg = tmp_path / "job.json"
+        data = dict(FIXTURES["kupa"], resolution=[{"path": ["q"], "center": ["x", "y"]}])
+        cfg.write_text(json.dumps(data))
+        assert run_cli(["check", "--config", str(cfg)]) == EXIT_CONFIG
 
 
 class TestConsoleEntry:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigenbouquet.algebra import parse_polynomial
+from eigenbouquet.algebra import eval_matrix_rational, parse_polynomial
 from eigenbouquet.family import (
     MatrixFamily,
     StructureViolation,
@@ -152,7 +152,7 @@ class TestSpectralInvariants:
                 if all(not g.eval_scalar(pt) for g in summary.disc_gens):
                     continue
             m = np.array(
-                [[float(c.re) for c in row] for row in fam.eval_scalar_matrix(pt)]
+                [[float(c.re) for c in row] for row in eval_matrix_rational(fam.entries, pt)]
             )
             sample = spectral_sample(m, tol=1e-6)
             assert len(sample.clusters) == summary.generic_distinct_eigenvalues

@@ -1,15 +1,18 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from eigenbouquet.algebra import parse_polynomial
 from eigenbouquet.family import MatrixFamily, check_structure
+from eigenbouquet.frames import family_matrix
 from eigenbouquet.oracle import spectral_sample
 from eigenbouquet.realnormal import (
     arcp_extract,
     complexified_eigenvalues,
+    doubled_matrix,
     plane_invariant_checks,
     split_and_double,
 )
@@ -74,23 +77,54 @@ class TestSplitAndDouble:
                 assert total == split.original.entries[r][c]
 
 
+def random_normal_family(rng, n):
+    """a * Id + B with B a random polynomial skew matrix: always normal."""
+    monos = ["1", "x", "y", "x*y", "x^2"]
+
+    def poly():
+        picks = rng.sample(monos, k=rng.randint(1, 3))
+        return " + ".join(f"({rng.randint(-4, 4)})*{m}" for m in picks)
+
+    diag = poly()
+    rows = [["0"] * n for _ in range(n)]
+    for r in range(n):
+        rows[r][r] = diag
+        for c in range(r + 1, n):
+            entry = poly() if rng.random() < 0.8 else "0"
+            rows[r][c], rows[c][r] = entry, f"-({entry})"
+    return check_structure(MatrixFamily.from_strings(rows, ["x", "y"], "normal"))
+
+
+class TestDoubledMatrix:
+    def test_assembled_equals_evaluated_doubled_family(self):
+        rng = random.Random(2024)
+        for _ in range(12):
+            split = split_and_double(random_normal_family(rng, rng.choice([2, 3, 4])))
+            rational = {n: Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for n in "xy"}
+            real = {n: rng.uniform(-2, 2) for n in "xy"}
+            for pt in (rational, real, {"x": 0.0, "y": 0.0}):
+                got = doubled_matrix(family_matrix(split.skew, pt))
+                want = family_matrix(split.doubled, pt)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestDoubledEigenstructure:
     def test_spectrum_symmetric_about_zero(self):
         split = split_and_double(rotation_family())
         rng = random.Random(3)
         for _ in range(20):
             pt = {"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2)}
-            vals = np.sort(spectral_sample(split.doubled_matrix(pt)).eigenvalues)
+            vals = np.sort(spectral_sample(family_matrix(split.doubled, pt)).eigenvalues)
             paired = vals + vals[::-1]
             assert np.max(np.abs(paired)) <= 1e-10 * (1 + np.abs(vals).max())
 
     def test_squares_match_bbt(self):
         split = split_and_double(rotation_family())
         pt = {"x": 0.4, "y": -1.2}
-        b2_vals = spectral_sample(split.doubled_matrix(pt)).eigenvalues
-        bbt_vals = spectral_sample(
-            split.skew_matrix(pt) @ split.skew_matrix(pt).T
-        ).eigenvalues
+        b2_vals = spectral_sample(family_matrix(split.doubled, pt)).eigenvalues
+        b = family_matrix(split.skew, pt)
+        bbt_vals = spectral_sample(b @ b.T).eigenvalues
         doubled = np.sort(np.concatenate([bbt_vals, bbt_vals]))
         assert np.allclose(np.sort(b2_vals**2), doubled, atol=1e-8)
 
@@ -163,7 +197,7 @@ class TestPlaneChecks:
         split = split_and_double(constant_skew(2))
         # B e2 = 2 e1 and B e1 = -2 e2, so (e2 + e1-part) pairs as u = e2, v = e1
         f = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2)
-        b2 = split.doubled_matrix({"x": 0.0})
+        b2 = family_matrix(split.doubled, {"x": 0.0})
         assert np.allclose(b2 @ f, 2.0 * f)
         record = plane_invariant_checks(split, {"x": 0.0}, 2.0, f)
         assert record.passes(1e-12)
@@ -171,7 +205,7 @@ class TestPlaneChecks:
     def test_swapped_pair_negative_eigenvalue(self):
         split = split_and_double(constant_skew(2))
         f = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)  # u = e1, v = e2
-        b2 = split.doubled_matrix({"x": 0.0})
+        b2 = family_matrix(split.doubled, {"x": 0.0})
         assert np.allclose(b2 @ f, -2.0 * f)
         record = plane_invariant_checks(split, {"x": 0.0}, -2.0, f)
         assert record.passes(1e-12)
