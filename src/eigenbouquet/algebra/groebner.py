@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .poly import Polynomial, grlex_key
-from .scalars import Scalar
 
 DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_DEGREE_CAP = 40
@@ -101,7 +100,7 @@ def ideal_contains_one(
 
     def certify(tracked: _Tracked) -> MembershipResult:
         c = tracked.poly.constant_value()
-        inv = Scalar(1) / c
+        inv = 1 / c
         cert = [p.scale(inv) for p in tracked.cofactors]
         return MembershipResult("yes", cert, [one])
 
@@ -152,8 +151,8 @@ def ideal_contains_one(
                 continue  # coprime leading monomials: s-poly reduces to zero
             if sum(lcm) > degree_cap:
                 return MembershipResult("inconclusive", None, [])
-            mi = _mono(universe, tuple(x - y for x, y in zip(lcm, ei)), Scalar(1) / ci)
-            mj = _mono(universe, tuple(x - y for x, y in zip(lcm, ej)), Scalar(1) / cj)
+            mi = _mono(universe, tuple(x - y for x, y in zip(lcm, ei)), 1 / ci)
+            mj = _mono(universe, tuple(x - y for x, y in zip(lcm, ej)), 1 / cj)
             spoly = mi * fi.poly - mj * fj.poly
             cof = [mi * a - mj * b for a, b in zip(fi.cofactors, fj.cofactors)]
             reductions += 1
@@ -203,6 +202,6 @@ def _reduced_basis(basis: list[_Tracked], budget: list[int]) -> list[Polynomial]
         if red.poly.is_zero():
             continue
         _, lc = red.poly.leading()
-        out.append(red.poly.scale(Scalar(1) / lc))
+        out.append(red.poly.scale(1 / lc))
     out.sort(key=lambda q: grlex_key(q.leading()[0]))
     return out

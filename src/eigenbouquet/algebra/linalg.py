@@ -60,11 +60,11 @@ def _strip_row_content(row: list[Polynomial]) -> list[Polynomial]:
     real_only = True
     for p in nonzero:
         for c in p.terms.values():
-            if not c.is_real():
+            if c.imag:
                 real_only = False
                 break
-            num = math.gcd(num, c.re.numerator)
-            den = math.lcm(den, c.re.denominator)
+            num = math.gcd(num, c.numerator)
+            den = math.lcm(den, c.denominator)
         if not real_only:
             break
     out = []
@@ -74,7 +74,7 @@ def _strip_row_content(row: list[Polynomial]) -> list[Polynomial]:
             out.append(p)
             continue
         terms = {
-            tuple(e[k] - mins[k] for k in range(nvars)): c * Scalar(factor)
+            tuple(e[k] - mins[k] for k in range(nvars)): c * factor
             for e, c in p.terms.items()
         }
         out.append(Polynomial(p.universe, terms))
@@ -90,12 +90,12 @@ class RankWitness:
     point: dict[str, Fraction] | None = None
 
 
-def eval_matrix_rational(matrix: Matrix, point: dict[str, Fraction]) -> list[list[Scalar]]:
+def eval_matrix_rational(matrix: Matrix, point: dict[str, Fraction]) -> list[list[Fraction | Scalar]]:
     return [[p.eval_scalar(point) for p in row] for row in matrix]
 
 
-def scalar_matrix_rank(m: list[list[Scalar]]) -> tuple[int, list[int], list[int]]:
-    """Exact rank of a scalar matrix with the pivot row/column sets."""
+def scalar_matrix_rank(m: list[list[Fraction | Scalar]]) -> tuple[int, list[int], list[int]]:
+    """Exact rank of a Q or Q(i) matrix with the pivot row/column sets."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [row[:] for row in m]

@@ -1,8 +1,9 @@
 """Sparse exact multivariate polynomials over Q or Q(i).
 
-Terms map exponent tuples (indexed by universe.names) to nonzero Scalars.
-The canonical term order is graded lexicographic: higher total degree first,
-ties broken by the exponent tuple with earlier variables weighing more.
+Terms map exponent tuples (indexed by universe.names) to nonzero Fractions,
+or Scalars for non-real Gaussian coefficients. The canonical term order is
+graded lexicographic: higher total degree first, ties broken by the exponent
+tuple with earlier variables weighing more.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class Polynomial:
     def variable(cls, universe: VarUniverse, name: str) -> "Polynomial":
         idx = universe.index(name)
         exps = tuple(1 if k == idx else 0 for k in range(universe.nvars))
-        return cls(universe, {exps: Scalar(1)})
+        return cls(universe, {exps: Fraction(1)})
 
     # -- predicates ---------------------------------------------------
 
@@ -60,9 +61,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Scalar:
+    def constant_value(self) -> Fraction | Scalar:
         if self.is_zero():
-            return Scalar(0)
+            return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -156,20 +157,20 @@ class Polynomial:
                     out.add(names[k])
         return out
 
-    def leading(self) -> tuple[tuple[int, ...], Scalar]:
+    def leading(self) -> tuple[tuple[int, ...], Fraction | Scalar]:
         """Leading (exponents, coefficient) under graded lex."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=grlex_key)
         return e, self.terms[e]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction | Scalar]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def sort_key(self):
         """A deterministic total-order key on canonical forms."""
         return tuple(
-            (e, str(c.re), str(c.im)) for e, c in self.sorted_terms()
+            (e, str(c.real), str(c.imag)) for e, c in self.sorted_terms()
         )
 
     def derivative(self, name: str) -> "Polynomial":
@@ -180,7 +181,7 @@ class Polynomial:
             if not p:
                 continue
             ne = e[:idx] + (p - 1,) + e[idx + 1 :]
-            nc = c * Scalar(p)
+            nc = c * p
             s = out.get(ne)
             out[ne] = nc if s is None else s + nc
         return Polynomial(self.universe, out)
@@ -223,36 +224,44 @@ class Polynomial:
                 if img.universe != target:
                     img = img.in_universe(target)
                 images[k] = img
+        one = Polynomial.constant(target, 1)
         pow_cache: dict[int, list[Polynomial]] = {}
 
         def img_power(k: int, p: int) -> Polynomial:
-            cache = pow_cache.setdefault(k, [Polynomial.constant(target, 1), images[k]])
+            cache = pow_cache.setdefault(k, [one, images[k]])
             while len(cache) <= p:
                 cache.append(cache[-1] * images[k])
             return cache[p]
 
-        total = Polynomial.zero(target)
+        # one accumulator, dropping a sum that cancels: the term order is that
+        # of adding the substituted terms one by one
+        out: dict = {}
         for e, c in self.terms.items():
             passthrough = [0] * target.nvars
-            part = None
+            part = one
             for k, p in enumerate(e):
                 if not p:
                     continue
                 if k in images:
                     f = img_power(k, p)
-                    part = f if part is None else part * f
+                    part = f if part is one else part * f
                 else:
                     passthrough[target.index(self.universe.names[k])] = p
-            term = Polynomial(target, {tuple(passthrough): c})
-            total = total + (term if part is None else term * part)
-        return total
+            for pe, pc in part.terms.items():
+                key = tuple(x + y for x, y in zip(passthrough, pe))
+                v = out.get(key, 0) + c * pc
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        return Polynomial(target, out)
 
-    def eval_scalar(self, assignment: dict[str, Scalar | Fraction | int]) -> Scalar:
+    def eval_scalar(self, assignment: dict[str, Fraction | Scalar | int]) -> Fraction | Scalar:
         """Exact evaluation; every variable in the support must be assigned."""
-        vals: dict[int, Scalar] = {}
+        vals: dict[int, Fraction | Scalar] = {}
         for name, v in assignment.items():
             vals[self.universe.index(name)] = as_scalar(v)
-        total = Scalar(0)
+        total = Fraction(0)
         for e, c in self.terms.items():
             acc = c
             for k, p in enumerate(e):
@@ -271,7 +280,7 @@ class Polynomial:
         total = 0j
         names = self.universe.names
         for e, c in self.terms.items():
-            acc = c.to_complex()
+            acc = complex(c)
             for k, p in enumerate(e):
                 if p:
                     acc *= complex(assignment[names[k]]) ** p
@@ -296,16 +305,16 @@ class Polynomial:
         pieces: list[str] = []
         for e, c in self.sorted_terms():
             mono = self._monomial_str(e)
-            if c.is_real():
-                neg = c.re < 0
-                mag = abs(c.re)
+            if not c.imag:
+                neg = c < 0
+                mag = abs(c)
                 if mono:
                     body = mono if mag == 1 else f"{mag}*{mono}"
                 else:
                     body = str(mag)
-            elif not c.re:
-                neg = c.im < 0
-                mag = abs(c.im)
+            elif not c.real:
+                neg = c.imag < 0
+                mag = abs(c.imag)
                 itxt = "i" if mag == 1 else f"{mag}*i"
                 body = f"{itxt}*{mono}" if mono else itxt
             else:
@@ -332,7 +341,7 @@ def monic(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
     _, lc = p.leading()
-    return p.scale(Scalar(1) / lc)
+    return p.scale(1 / lc)
 
 
 def primitive_normalize(p: Polynomial) -> Polynomial:
@@ -344,16 +353,16 @@ def primitive_normalize(p: Polynomial) -> Polynomial:
     """
     if p.is_zero():
         return p
-    if any(not c.is_real() for c in p.terms.values()):
+    if any(c.imag for c in p.terms.values()):
         return monic(p)
     den = 1
     for c in p.terms.values():
-        den = den * c.re.denominator // _int_gcd(den, c.re.denominator)
+        den = den * c.denominator // _int_gcd(den, c.denominator)
     num = 0
     for c in p.terms.values():
-        num = _int_gcd(num, abs(c.re.numerator * (den // c.re.denominator)))
+        num = _int_gcd(num, abs(c.numerator * (den // c.denominator)))
     factor = Fraction(den, num)
     _, lc = p.leading()
-    if lc.re < 0:
+    if lc < 0:
         factor = -factor
     return p.scale(factor)

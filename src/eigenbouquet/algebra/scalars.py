@@ -1,121 +1,117 @@
-"""Exact scalars: rationals and Gaussian rationals.
+"""Exact scalars: rationals are Fractions, non-real Gaussian rationals Scalars.
 
-A Scalar is a complex number re + im*i with both parts arbitrary-precision
-rationals. Families over the rational field keep im identically zero; the
-gaussian field realizes the complex ground field at desk scale.
+Every exact coefficient in the package is either a ``fractions.Fraction``
+(any element of Q) or a ``Scalar``, an element real + imag*i of Q(i) with a
+nonzero imaginary part. Arithmetic on a Scalar that lands back in Q returns
+a plain Fraction, so real values never carry a wrapper. Both kinds follow
+Python's numeric protocol (``+ - * /``, ``conjugate()``, ``complex()``,
+``.real``/``.imag``), so code handles them alike without type tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
+def _gaussian(real: Fraction, imag: Fraction):
+    """real + imag*i from exact parts: a Fraction when imag is zero."""
+    if not imag:
+        return real
+    z = object.__new__(Scalar)
+    z.real = real
+    z.imag = imag
+    return z
 
 
 class Scalar:
-    """An element of Q(i), stored in lowest terms."""
+    """A non-real element of Q(i); Scalar(a, 0) is the Fraction a."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def is_real(self) -> bool:
-        return not self.im
+    def __new__(cls, real=0, imag=0):
+        if not all(isinstance(x, (int, Fraction)) for x in (real, imag)):
+            raise TypeError("Scalar parts must be exact rationals")
+        return _gaussian(Fraction(real), Fraction(imag))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # never equal to a rational: a Scalar is not real
+        return isinstance(other, Scalar) and (self.real, self.imag) == (other.real, other.imag)
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.real, self.imag))
 
-    def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+    def __add__(self, other):
+        if isinstance(other, Scalar):
+            return _gaussian(self.real + other.real, self.imag + other.imag)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.real + other, self.imag)
+        return NotImplemented
 
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _gaussian(-self.real, -self.imag)
 
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        if not self.im and not other.im:
-            return Scalar(self.re * other.re)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+    def __mul__(self, other):
+        if isinstance(other, Scalar):
+            return _gaussian(
+                self.real * other.real - self.imag * other.imag,
+                self.real * other.imag + self.imag * other.real,
+            )
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.real * other, self.imag * other)
+        return NotImplemented
 
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        if not other:
-            raise ZeroDivisionError("scalar division by zero")
-        if not self.im and not other.im:
-            return Scalar(self.re / other.re)
-        n = other.re * other.re + other.im * other.im
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+    __rmul__ = __mul__
 
-    def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+    def __truediv__(self, other):
+        if isinstance(other, Scalar):
+            n = other.real * other.real + other.imag * other.imag
+            return _gaussian(
+                (self.real * other.real + self.imag * other.imag) / n,
+                (self.imag * other.real - self.real * other.imag) / n,
+            )
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.real / other, self.imag / other)
+        return NotImplemented
 
-    def norm2(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            n = self.real * self.real + self.imag * self.imag
+            return _gaussian(other * self.real / n, -other * self.imag / n)
+        return NotImplemented
 
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+    def conjugate(self) -> "Scalar":
+        return _gaussian(self.real, -self.imag)
 
-    def to_float(self) -> float:
-        if self.im:
-            raise ValueError("scalar has a nonzero imaginary part")
-        return float(self.re)
+    def __complex__(self) -> complex:
+        return complex(float(self.real), float(self.imag))
 
     def __repr__(self) -> str:
-        return f"Scalar({self.re!r}, {self.im!r})"
+        return f"Scalar({self.real!r}, {self.imag!r})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        mag = abs(self.imag)
         imtxt = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re} {sign} {imtxt})"
+        if not self.real:
+            return imtxt if self.imag > 0 else f"-{imtxt}"
+        sign = "+" if self.imag > 0 else "-"
+        return f"({self.real} {sign} {imtxt})"
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
-I_UNIT = Scalar(0, 1)
-
-
-def as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
+def as_scalar(x):
+    """An exact coefficient: ints become Fractions, Fractions and Scalars pass."""
+    if isinstance(x, (Fraction, Scalar)):
         return x
-    return Scalar(_as_fraction(x))
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"cannot coerce {type(x).__name__} to an exact scalar")
 
 
 def all_exact(values) -> bool:

@@ -54,10 +54,6 @@ class VarUniverse:
         except ValueError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def with_params(self, params, exceptional=None) -> "VarUniverse":
-        exc = self.exceptional if exceptional is None else frozenset(exceptional)
-        return VarUniverse(tuple(params), self.fibers, exc & set(params))
-
     def with_extra_param(self, name: str) -> "VarUniverse":
         return VarUniverse(self.params + (name,), self.fibers, self.exceptional)
 

@@ -17,13 +17,13 @@ exact layer stays over Q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from .algebra import (
     Polynomial,
-    Scalar,
     VarUniverse,
     all_exact,
     bareiss_det,
@@ -68,7 +68,7 @@ class QuadForm:
             exps = [0] * u.nvars
             exps[nparams + a] += 1
             exps[nparams + b] += 1
-            total = total + p * Polynomial(u, {tuple(exps): Scalar(1)})
+            total = total + p * Polynomial(u, {tuple(exps): Fraction(1)})
         return total
 
 
@@ -80,8 +80,6 @@ class QuadSystem:
     quads: list[QuadForm]
     coeff_matrix: list[list[Polynomial]]
     generic_rank: int = -1
-    witness_rows: tuple[int, ...] = ()
-    witness_cols: tuple[int, ...] = ()
 
     @property
     def fiber_dim(self) -> int:
@@ -143,9 +141,9 @@ def _wedge_quadratics_gaussian(family: MatrixFamily) -> QuadSystem:
     def part(poly: Polynomial, which: str) -> Polynomial:
         terms = {}
         for e, c in poly.terms.items():
-            v = c.re if which == "re" else c.im
+            v = c.real if which == "re" else c.imag
             if v:
-                terms[e] = Scalar(v)
+                terms[e] = v
         return Polynomial(family.universe, terms).in_universe(target)
 
     re_m = [[part(family.entries[r][c], "re") for c in range(n)] for r in range(n)]
@@ -193,8 +191,6 @@ def generic_rank(system: QuadSystem, seed: int = 20240601) -> int:
         return 0
     witness = bareiss_rank(system.coeff_matrix, seed=seed)
     system.generic_rank = witness.rank
-    system.witness_rows = witness.rows
-    system.witness_cols = witness.cols
     return witness.rank
 
 
@@ -215,7 +211,7 @@ class FittingIdeal:
     gens: list[Polynomial]
     generic_rank: int
     # raw indexed minors: (row_set, col_set) -> (index into gens, scalar factor)
-    minor_table: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, Scalar]] = field(
+    minor_table: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, Fraction]] = field(
         default_factory=dict
     )
 
@@ -237,7 +233,7 @@ def fitting_minors(system: QuadSystem) -> FittingIdeal:
     cols = len(system.coeff_matrix[0])
     gens: list[Polynomial] = []
     keys: dict[tuple, int] = {}
-    table: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, Scalar]] = {}
+    table: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, Fraction]] = {}
     for rset in combinations(range(rows), d):
         if any(
             all(system.coeff_matrix[r][c].is_zero() for c in range(cols)) for r in rset
@@ -266,7 +262,7 @@ def _canonical_gen(p: Polynomial, fld: str) -> Polynomial:
     return primitive_normalize(p) if fld == "rational" else monic(p)
 
 
-def _leading_ratio(p: Polynomial, base: Polynomial) -> Scalar:
+def _leading_ratio(p: Polynomial, base: Polynomial) -> Fraction:
     _, cp = p.leading()
     _, cb = base.leading()
     return cp / cb
@@ -295,7 +291,7 @@ def jacobian_rank_at(system: QuadSystem, point: dict, fiber, tol: float = 1e-7) 
     return int(np.sum(sv > cut))
 
 
-def diagonalizability(matrix: list[list[Scalar]], fld: str = "rational") -> str:
+def diagonalizability(matrix: list[list], fld: str = "rational") -> str:
     """Classify a constant matrix: "diagonalizable", "not" or "scalar".
 
     Decided exactly: a matrix is diagonalizable over C iff the squarefree
@@ -308,7 +304,7 @@ def diagonalizability(matrix: list[list[Scalar]], fld: str = "rational") -> str:
         raise ValueError("empty matrix")
     diag = matrix[0][0]
     is_scalar = all(
-        matrix[r][c] == (diag if r == c else Scalar(0)) for r in range(n) for c in range(n)
+        matrix[r][c] == (diag if r == c else 0) for r in range(n) for c in range(n)
     )
     if is_scalar:
         return "scalar"
@@ -325,12 +321,12 @@ def diagonalizability(matrix: list[list[Scalar]], fld: str = "rational") -> str:
     char = bareiss_det(grid)
     squarefree = divexact(char, gcd_multivariate(char, char.derivative("T__")))
     # evaluate the squarefree part at the matrix with exact arithmetic
-    coeffs: dict[int, Scalar] = {}
+    coeffs: dict = {}
     for e, c in squarefree.terms.items():
         coeffs[e[0]] = c
     deg = max(coeffs)
-    acc = [[Scalar(1) if r == c else Scalar(0) for c in range(n)] for r in range(n)]
-    total = [[Scalar(0) for _ in range(n)] for _ in range(n)]
+    acc = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
+    total = [[Fraction(0) for _ in range(n)] for _ in range(n)]
     for k in range(deg + 1):
         c = coeffs.get(k)
         if c:
@@ -340,7 +336,7 @@ def diagonalizability(matrix: list[list[Scalar]], fld: str = "rational") -> str:
         if k < deg:
             acc = [
                 [
-                    sum((acc[r][m] * matrix[m][s] for m in range(n)), Scalar(0))
+                    sum((acc[r][m] * matrix[m][s] for m in range(n)), Fraction(0))
                     for s in range(n)
                 ]
                 for r in range(n)

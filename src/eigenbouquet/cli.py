@@ -450,7 +450,7 @@ def _arcp_over_grid(state: RunState, leaf: ChartNode, grid: GridSpec, acc):
     names = leaf.universe.params
     for pt in grid.points():
         point = dict(zip(names, pt))
-        base = {k: float(v.re) for k, v in leaf.base_point(point).items()}
+        base = {k: float(v) for k, v in leaf.base_point(point).items()}
         dec = arcp_extract(split, base, cfg.tol_cluster)
         worst_gram = max(worst_gram, dec.gram_residual)
         plane_count += len(dec.planes)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     Polynomial,
-    Scalar,
     VarUniverse,
     bareiss_det,
     divexact,
@@ -60,7 +59,7 @@ class MatrixFamily:
         if self.fld == "rational":
             for row in self.entries:
                 for p in row:
-                    if any(not c.is_real() for c in p.terms.values()):
+                    if any(c.imag for c in p.terms.values()):
                         raise ValueError("rational-field family has complex coefficients")
 
     @classmethod
@@ -81,7 +80,7 @@ class MatrixFamily:
 
     def entry_conj(self, r: int, c: int) -> Polynomial:
         p = self.entries[r][c]
-        return Polynomial(p.universe, {e: k.conj() for e, k in p.terms.items()})
+        return Polynomial(p.universe, {e: k.conjugate() for e, k in p.terms.items()})
 
 
 def default_fiber_names(n: int) -> list[str]:
@@ -141,7 +140,6 @@ class SpectralSummary:
     generic_distinct_eigenvalues: int  # generic count of distinct eigenvalues
     disc_gens: list[Polynomial] = field(default_factory=list)
     coeff_ideal_gens: list[Polynomial] = field(default_factory=list)
-    aux_var: str = "T"
 
 
 def _char_universe(family: MatrixFamily) -> tuple[VarUniverse, str]:
@@ -182,7 +180,7 @@ def reduced_char_poly(family: MatrixFamily) -> tuple[Polynomial, Polynomial, int
     lead = Polynomial(universe, lead_terms)
     if not lead.is_constant():
         raise AssertionError("squarefree part has non-scalar leading coefficient")
-    reduced = reduced.scale(Scalar(1) / lead.constant_value())
+    reduced = reduced.scale(1 / lead.constant_value())
     return char, reduced, top, aux
 
 
@@ -254,5 +252,4 @@ def analyze_spectrum(family: MatrixFamily) -> SpectralSummary:
         generic_distinct_eigenvalues=s_count,
         disc_gens=discriminant_ideal(family, parts),
         coeff_ideal_gens=coefficient_ideal(family),
-        aux_var=aux,
     )

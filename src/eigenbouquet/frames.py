@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import Polynomial, Scalar, all_exact
+from .algebra import Polynomial, all_exact
 from .bouquet import FittingIdeal, QuadSystem
 from .family import MatrixFamily
 from .oracle import (
@@ -68,22 +68,35 @@ class PluckerSection:
     chart: ChartNode
     system: QuadSystem
     ideal: FittingIdeal
-    root_fitting: list[Polynomial]  # generators in the base universe
+    root_fitting: list[Polynomial]  # generators in the base universe, over Q
     rank: int
+    # the generators with absolute coefficients: the float vanishing test's scale
+    root_bounds: list[Polynomial] = field(init=False)
+
+    def __post_init__(self):
+        self.root_bounds = [
+            Polynomial(g.universe, {e: abs(c) for e, c in g.terms.items()})
+            for g in self.root_fitting
+        ]
 
     @property
     def family(self) -> MatrixFamily:
         return self.system.family
 
     def on_discriminant(self, base_point: dict) -> bool:
+        """Exact at a rational point; at a float point every generator is
+        below 1e-12 times the sum of its terms' absolute values there."""
         if all_exact(base_point.values()):
             return all(not g.eval_scalar(base_point) for g in self.root_fitting)
-        scale = 1.0 + max((abs(v) for v in base_point.values()), default=0.0)
-        return all(abs(g.eval_complex(base_point)) <= 1e-12 * scale for g in self.root_fitting)
+        size = {k: abs(v) for k, v in base_point.items()}
+        return all(
+            abs(g.eval_complex(base_point)) <= 1e-12 * bound.eval_complex(size).real
+            for g, bound in zip(self.root_fitting, self.root_bounds)
+        )
 
     # -- wedge coordinates and subspace recovery ----------------------
 
-    def coordinate_values(self, point: dict) -> dict[tuple, Scalar]:
+    def coordinate_values(self, point: dict) -> dict[tuple, Fraction]:
         """Exact values of all wedge coordinates at a rational chart point."""
         weak_values = [g.eval_scalar(point) for g in self.chart.weak_gens]
         out = {}
@@ -104,7 +117,7 @@ class PluckerSection:
         best_key = None
         best_norm = None
         for key in sorted(values):
-            norm = values[key].norm2()
+            norm = abs(values[key])
             if norm and (best_norm is None or norm > best_norm):
                 best_key, best_norm = key, norm
         if best_key is None:
@@ -120,8 +133,8 @@ class PluckerSection:
         col_list = list(cols)
         col_set = set(cols)
         for k in range(d):
-            coeffs: dict[int, Scalar] = {c: Scalar(0) for c in range(ncols)}
-            coeffs[col_list[k]] = Scalar(1)
+            coeffs: dict[int, Fraction] = {c: Fraction(0) for c in range(ncols)}
+            coeffs[col_list[k]] = Fraction(1)
             for m in range(ncols):
                 if m in col_set:
                     continue
@@ -130,8 +143,8 @@ class PluckerSection:
                 entry = values.get((rows, tuple(replaced)))
                 if entry is None or not entry:
                     continue
-                coeffs[m] = entry * Scalar(sign) / pivot_value
-            basis.append({monos[c]: float(v.re) for c, v in coeffs.items() if v})
+                coeffs[m] = entry * sign / pivot_value
+            basis.append({monos[c]: float(v) for c, v in coeffs.items() if v})
         return basis
 
 
@@ -253,7 +266,7 @@ def extract_bouquet_at_point(
     exact = all_exact(point.values())
     base = chart.base_point(point) if exact else chart.base_point_float(point)
     on_disc = section.on_discriminant(base)
-    base_float = {k: float(v.re) for k, v in base.items()} if exact else base
+    base_float = {k: float(v) for k, v in base.items()} if exact else base
     matrix = family_matrix(section.family, base_float)
     quads = section.recover_quadratics(point) if exact else None
 
@@ -461,7 +474,7 @@ def local_frame_and_eigenvalues(
             continue
         values, vectors = np.linalg.eigh(bouquet.matrix)
         reference = cluster_and_multiplicities(
-            SpectralSample(None, values, vectors, residual=float("nan")), cluster_tol
+            SpectralSample(values, vectors), cluster_tol
         )
         for slot, k in enumerate(assignments[idx]):
             sub = bouquet.subspaces[k]

@@ -38,10 +38,8 @@ class Cluster:
 
 @dataclass
 class SpectralSample:
-    point: tuple | None
     eigenvalues: np.ndarray
     vectors: np.ndarray  # column k pairs with eigenvalues[k]
-    residual: float
     clusters: list[Cluster] = field(default_factory=list)
 
     @property
@@ -49,7 +47,7 @@ class SpectralSample:
         return tuple(c.multiplicity for c in self.clusters)
 
 
-def eigh_jacobi(matrix, point=None) -> SpectralSample:
+def eigh_jacobi(matrix) -> SpectralSample:
     """Cyclic Jacobi sweeps on a real symmetric matrix.
 
     Rotates until the off-diagonal Frobenius mass falls below
@@ -96,9 +94,7 @@ def eigh_jacobi(matrix, point=None) -> SpectralSample:
     order = np.argsort(values, kind="stable")
     values = values[order]
     vecs = vecs[:, order]
-    m = np.array(matrix, dtype=float)
-    residual = float(np.max(np.linalg.norm(m @ vecs - vecs * values, axis=0))) if n else 0.0
-    return SpectralSample(point, values, vecs, residual)
+    return SpectralSample(values, vecs)
 
 
 def orthonormalize(columns: np.ndarray) -> np.ndarray:
@@ -133,8 +129,8 @@ def cluster_and_multiplicities(sample: SpectralSample, tol: float = DEFAULT_CLUS
     return sample
 
 
-def spectral_sample(matrix, point=None, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralSample:
-    return cluster_and_multiplicities(eigh_jacobi(matrix, point), tol)
+def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralSample:
+    return cluster_and_multiplicities(eigh_jacobi(matrix), tol)
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> list[float]:

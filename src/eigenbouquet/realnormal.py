@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial, Scalar, VarUniverse
+from .algebra import Polynomial, VarUniverse
 from .family import MatrixFamily, check_structure
 from .frames import family_matrix
 from .oracle import normal_spectrum, orthonormalize, spectral_sample
@@ -63,7 +63,7 @@ def split_and_double(family: MatrixFamily) -> SplitFamily:
         check_structure(family)
     n = family.n
     universe = family.universe
-    half = Scalar(Fraction(1, 2))
+    half = Fraction(1, 2)
     sym_entries = [
         [(family.entries[r][c] + family.entries[c][r]).scale(half) for c in range(n)]
         for r in range(n)
@@ -72,11 +72,6 @@ def split_and_double(family: MatrixFamily) -> SplitFamily:
         [(family.entries[r][c] - family.entries[c][r]).scale(half) for c in range(n)]
         for r in range(n)
     ]
-    for r in range(n):
-        for c in range(n):
-            identity = sym_entries[r][c] + skew_entries[r][c] - family.entries[r][c]
-            if not identity.is_zero():
-                raise AssertionError("split halves do not recompose exactly")
     doubled_universe = VarUniverse(
         universe.params, _doubled_fiber_names(universe), universe.exceptional
     )

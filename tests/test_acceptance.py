@@ -150,7 +150,7 @@ def random_point(rng, names, lo=-9, hi=9, den=5):
 
 def exact_matrix_as_float(fam, pt):
     return np.array(
-        [[float(c.re) for c in row] for row in eval_matrix_rational(fam.entries, pt)]
+        [[float(c) for c in row] for row in eval_matrix_rational(fam.entries, pt)]
     )
 
 

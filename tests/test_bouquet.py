@@ -250,7 +250,7 @@ class TestRankInvariants:
                 if r != d:
                     continue  # on the drop locus; covered by the next test
                 m = np.array(
-                    [[float(c.re) for c in row] for row in eval_matrix_rational(fam.entries, pt)]
+                    [[float(c) for c in row] for row in eval_matrix_rational(fam.entries, pt)]
                 )
                 sample = spectral_sample(m, tol=1e-6)
                 if len(sample.clusters) < 2 and d > 0:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from eigenbouquet import cli
+from eigenbouquet import cli, frames
 from eigenbouquet.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
@@ -211,6 +211,8 @@ class TestRunErrors:
         assert report["resolution"]["verdict"] == "Resolved"
 
     def test_rational_rotation_with_center(self, tmp_path):
+        # the doubled bundle's only generator is y^4: the float discriminant
+        # test must scale with the generator's own terms, not with |y|
         code, report = self.run_check(
             tmp_path,
             {
@@ -220,9 +222,22 @@ class TestRunErrors:
                 "resolution": [{"path": [], "center": ["x", "y"]}],
             },
         )
+        assert code == EXIT_PASS
+        assert report["verdict"] == "pass"
+        assert "error" not in report
+        assert report["invariants"] and all(item["pass"] for item in report["invariants"])
+
+    def test_extrapolation_error_exits_4(self, tmp_path, monkeypatch):
+        def fail(samples):
+            raise cli.ExtrapolationError("no limit along this curve")
+
+        monkeypatch.setattr(frames, "extrapolate_along_curve", fail)
+        code, report = self.run_check(tmp_path, FIXTURES["kupa"])
         assert code == EXIT_ERROR
         assert report["verdict"] == "error"
         assert report["error"]["type"] == "ExtrapolationError"
+        assert "no limit along this curve" in report["error"]["message"]
+        assert report["resolution"]["verdict"] == "Resolved"
         assert "frames" not in report
 
     def test_other_errors_still_raise(self, monkeypatch):

@@ -152,7 +152,7 @@ class TestSpectralInvariants:
                 if all(not g.eval_scalar(pt) for g in summary.disc_gens):
                     continue
             m = np.array(
-                [[float(c.re) for c in row] for row in eval_matrix_rational(fam.entries, pt)]
+                [[float(c) for c in row] for row in eval_matrix_rational(fam.entries, pt)]
             )
             sample = spectral_sample(m, tol=1e-6)
             assert len(sample.clusters) == summary.generic_distinct_eigenvalues

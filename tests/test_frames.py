@@ -188,8 +188,8 @@ class TestFrameOracle:
         # oracle, which only an independent reference solver can see
         turn = 1e-6
 
-        def skewed_sample(matrix, point=None, tol=oracle.DEFAULT_CLUSTER_TOL):
-            sample = oracle.spectral_sample(matrix, point, tol)
+        def skewed_sample(matrix, tol=oracle.DEFAULT_CLUSTER_TOL):
+            sample = oracle.spectral_sample(matrix, tol)
             rotation = np.eye(len(matrix))
             rotation[:2, :2] = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
             for cluster in sample.clusters:

@@ -150,7 +150,7 @@ class TestHermitianEmbedding:
 
 class TestExtrapolation:
     def curve_samples(self, matrix_fn, radii):
-        return [spectral_sample(matrix_fn(t), point=(t,)) for t in radii]
+        return [spectral_sample(matrix_fn(t)) for t in radii]
 
     def test_axis_curve(self):
         # rank-one family along (t, 0): matrix diag(t^2, 0), constant eigenvectors

@@ -1,4 +1,4 @@
-"""Reports of three benchmark jobs must match their pinned reports.
+"""Reports of five benchmark jobs must match their pinned reports.
 
 The pins in ``bench/pins`` are the canonical reports at the default seed; a
 change that moves a report (beyond the pins' float tolerance) fails here, not
@@ -31,7 +31,11 @@ verify = _load("verify")
 JOBS = {job.name: job for workload in jobs.WORKLOADS.values() for job in workload}
 
 
-@pytest.mark.parametrize("name", ["kupa", "skew2", "hermitian_vortex"])
+# sym3_quad's pin records the known-wrong ResolvedProbable grade on chart
+# ('y',) (ROADMAP 5(a)); fixing that grade re-pins it on purpose.
+@pytest.mark.parametrize(
+    "name", ["kupa", "skew2", "hermitian_vortex", "normal_rotation", "sym3_quad"]
+)
 def test_report_matches_pin(name):
     job = JOBS[name]
     cfg = cli.JobConfig.from_dict(dict(job.config, seed=jobs.DEFAULT_SEED))

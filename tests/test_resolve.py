@@ -273,7 +273,7 @@ class TestChartCompatibility:
                     continue
                 ratios.add(vy / vx)
             assert len(ratios) == 1
-            ratio = next(iter(ratios)).re
+            ratio = next(iter(ratios))
             # ratio must be +- a power of the overlap coordinate v
             matched = False
             for k in range(-6, 7):
