@@ -14,7 +14,6 @@ from .poly import (
 from .parser import ParseError, UnknownVariable, parse_polynomial
 from .gcdtools import divexact, divides, gcd_multivariate
 from .linalg import (
-    RankWitness,
     bareiss_det,
     bareiss_rank,
     eval_matrix_rational,
@@ -40,7 +39,6 @@ __all__ = [
     "divexact",
     "divides",
     "gcd_multivariate",
-    "RankWitness",
     "bareiss_det",
     "bareiss_rank",
     "eval_matrix_rational",

@@ -22,8 +22,13 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     ge, gc = g.leading()
     quotient: dict = {}
     rem = f
+    last = None
     while rem.terms:
         re_, rc = rem.leading()
+        if re_ == last:
+            # an inexact coefficient division left the leading term in place
+            raise NotDivisible("leading term does not cancel")
+        last = re_
         qe = tuple(a - b for a, b in zip(re_, ge))
         if any(x < 0 for x in qe):
             raise NotDivisible("leading monomial not divisible")

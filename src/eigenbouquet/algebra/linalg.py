@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gcdtools import divexact
@@ -81,36 +80,21 @@ def _strip_row_content(row: list[Polynomial]) -> list[Polynomial]:
     return out
 
 
-@dataclass
-class RankWitness:
-    rank: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    # exact evaluation point (name -> Fraction) with nonzero witness minor, if found
-    point: dict[str, Fraction] | None = None
-
-
 def eval_matrix_rational(matrix: Matrix, point: dict[str, Fraction]) -> list[list[Fraction | Scalar]]:
     return [[p.eval_scalar(point) for p in row] for row in matrix]
 
 
-def scalar_matrix_rank(m: list[list[Fraction | Scalar]]) -> tuple[int, list[int], list[int]]:
-    """Exact rank of a Q or Q(i) matrix with the pivot row/column sets."""
+def scalar_matrix_rank(m: list[list[Fraction | Scalar]]) -> int:
+    """Exact rank of a Q or Q(i) matrix."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [row[:] for row in m]
-    used_rows: list[int] = []
-    used_cols: list[int] = []
-    row_ids = list(range(rows))
     r = 0
     for c in range(cols):
         pivot = next((k for k in range(r, rows) if a[k][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        row_ids[r], row_ids[pivot] = row_ids[pivot], row_ids[r]
-        used_rows.append(row_ids[r])
-        used_cols.append(c)
         inv = a[r][c]
         for k in range(r + 1, rows):
             if a[k][c]:
@@ -119,18 +103,14 @@ def scalar_matrix_rank(m: list[list[Fraction | Scalar]]) -> tuple[int, list[int]
         r += 1
         if r == rows:
             break
-    return r, sorted(used_rows), sorted(used_cols)
+    return r
 
 
-def _symbolic_rank(matrix: Matrix) -> RankWitness:
+def _symbolic_rank(matrix: Matrix) -> int:
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     universe = matrix[0][0].universe
     m = [_strip_row_content(row[:]) for row in matrix]
-    row_ids = list(range(rows))
-    col_ids = list(range(cols))
-    used_rows: list[int] = []
-    used_cols: list[int] = []
     prev = Polynomial.constant(universe, 1)
     r = 0
     while r < rows and r < cols:
@@ -147,12 +127,8 @@ def _symbolic_rank(matrix: Matrix) -> RankWitness:
             break
         _, pi, pj = best
         m[r], m[pi] = m[pi], m[r]
-        row_ids[r], row_ids[pi] = row_ids[pi], row_ids[r]
         for row in m:
             row[r], row[pj] = row[pj], row[r]
-        col_ids[r], col_ids[pj] = col_ids[pj], col_ids[r]
-        used_rows.append(row_ids[r])
-        used_cols.append(col_ids[r])
         pivot = m[r][r]
         for i in range(r + 1, rows):
             if all(m[i][j].is_zero() for j in range(r, cols)):
@@ -163,11 +139,11 @@ def _symbolic_rank(matrix: Matrix) -> RankWitness:
             m[i][r] = Polynomial.zero(universe)
         prev = pivot
         r += 1
-    return RankWitness(r, tuple(sorted(used_rows)), tuple(sorted(used_cols)))
+    return r
 
 
-def bareiss_rank(matrix: Matrix, seed: int = 20240601) -> RankWitness:
-    """Rank over the fraction field of the parameter ring, with a witness minor.
+def bareiss_rank(matrix: Matrix, seed: int = 20240601) -> int:
+    """Rank over the fraction field of the parameter ring.
 
     Fast path: evaluating at a rational point certifies full-rank answers
     (a nonzero rational value of the minor is a nonvanishing certificate).
@@ -176,25 +152,15 @@ def bareiss_rank(matrix: Matrix, seed: int = 20240601) -> RankWitness:
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if rows == 0 or cols == 0:
-        return RankWitness(0, (), ())
-    universe = matrix[0][0].universe
-    names = universe.names
+        return 0
+    names = matrix[0][0].universe.names
     rng = random.Random(seed)
     bound = min(rows, cols)
-    best: tuple[int, list[int], list[int], dict] | None = None
     for _ in range(4):
         point = {name: Fraction(rng.randint(-97, 97), rng.randint(1, 31)) for name in names}
-        evaluated = eval_matrix_rational(matrix, point)
-        r, wr, wc = scalar_matrix_rank(evaluated)
-        if best is None or r > best[0]:
-            best = (r, wr, wc, point)
-        if r == bound:
-            return RankWitness(r, tuple(wr), tuple(wc), point)
-    witness = _symbolic_rank(matrix)
-    if best is not None and best[0] == witness.rank:
-        # prefer the evaluated witness: it carries a nonvanishing certificate
-        return RankWitness(witness.rank, tuple(best[1]), tuple(best[2]), best[3])
-    return witness
+        if scalar_matrix_rank(eval_matrix_rational(matrix, point)) == bound:
+            return bound
+    return _symbolic_rank(matrix)
 
 
 def submatrix(matrix: Matrix, rows, cols) -> Matrix:

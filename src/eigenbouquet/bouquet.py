@@ -90,8 +90,7 @@ class QuadSystem:
         return quad_monomials(self.fiber_dim)
 
     def rank_at(self, point: dict) -> int:
-        r, _, _ = scalar_matrix_rank(eval_matrix_rational(self.coeff_matrix, point))
-        return r
+        return scalar_matrix_rank(eval_matrix_rational(self.coeff_matrix, point))
 
 
 def _real_doubled_universe(universe: VarUniverse) -> VarUniverse:
@@ -189,9 +188,8 @@ def generic_rank(system: QuadSystem, seed: int = 20240601) -> int:
     if all(all(p.is_zero() for p in row) for row in system.coeff_matrix):
         system.generic_rank = 0
         return 0
-    witness = bareiss_rank(system.coeff_matrix, seed=seed)
-    system.generic_rank = witness.rank
-    return witness.rank
+    system.generic_rank = bareiss_rank(system.coeff_matrix, seed=seed)
+    return system.generic_rank
 
 
 def expected_quadratic_dim(multiplicities) -> int:
@@ -279,8 +277,7 @@ def jacobian_rank_at(system: QuadSystem, point: dict, fiber, tol: float = 1e-7) 
     polys = [q.as_polynomial() for q in system.quads]
     rows = [[p.derivative(f) for f in fibers] for p in polys]
     if all_exact(point.values()) and all_exact(fiber):
-        r, _, _ = scalar_matrix_rank(eval_matrix_rational(rows, at))
-        return r
+        return scalar_matrix_rank(eval_matrix_rational(rows, at))
     jac = np.array([[d.eval_complex(at).real for d in row] for row in rows])
     if not jac.size:
         return 0

@@ -28,7 +28,6 @@ from .bouquet import (
 )
 from .family import MatrixFamily, StructureViolation, analyze_spectrum, check_structure
 from .frames import (
-    GRAM_TOL,
     FrameReport,
     GridSpec,
     NonHermitianFamily,
@@ -39,10 +38,10 @@ from .frames import (
 )
 from .oracle import ExtrapolationError, JacobiNonConvergence, spectral_sample
 from .realnormal import (
+    ArcpReport,
     DecompositionError,
     SplitFamily,
-    arcp_extract,
-    complexified_eigenvalues,
+    arcp_over_grid,
     split_and_double,
 )
 from .report import canonical_json, emit_report
@@ -317,13 +316,23 @@ def _frame_dict(report: FrameReport) -> dict:
     }
 
 
+def _arcp_dict(report: ArcpReport) -> dict:
+    return {
+        "chart": list(report.chart_path),
+        "planes_sampled": report.planes_sampled,
+        "worst_similitude_residual": report.worst_similitude_residual,
+        "worst_gram_residual": report.worst_gram_residual,
+        "worst_eigenvalue_match": report.worst_eigenvalue_match,
+    }
+
+
 @dataclass
 class RunState:
     cfg: JobConfig
     analysis: Analysis | None = None
     outcome: ResolutionOutcome | None = None
     frame_reports: list[FrameReport] = field(default_factory=list)
-    arcp_stats: dict | None = None
+    arcp_reports: list[ArcpReport] = field(default_factory=list)
     invariants: list[dict] = field(default_factory=list)
     report: dict = field(default_factory=dict)
 
@@ -408,8 +417,6 @@ def stage_frames(state: RunState) -> RunState:
         cfg.grid_lo,
         cfg.grid_hi,
     )
-    frame_dicts = []
-    arcp_all = None
     for leaf in state.outcome.leaves():
         if leaf.status == "ScalarOperator":
             continue
@@ -429,64 +436,32 @@ def stage_frames(state: RunState) -> RunState:
             cluster_tol=cfg.tol_cluster,
             angle_tol=cfg.tol_angle,
             residual_tol=cfg.tol_residual,
-            seed=cfg.seed,
         )
         state.frame_reports.append(report)
-        frame_dicts.append(_frame_dict(report))
         if analysis.split is not None:
-            arcp_all = _arcp_over_grid(state, leaf, grid, arcp_all)
-    state.report["frames"] = frame_dicts
-    if arcp_all is not None:
-        state.report["arcp"] = arcp_all
-        state.arcp_stats = arcp_all
+            state.arcp_reports.append(
+                arcp_over_grid(
+                    analysis.split,
+                    report.chart_path,
+                    report.base_points,
+                    cfg.tol_cluster,
+                    cfg.tol_residual,
+                )
+            )
+    state.report["frames"] = [_frame_dict(r) for r in state.frame_reports]
+    if state.arcp_reports:
+        state.report["arcp"] = {"charts": [_arcp_dict(r) for r in state.arcp_reports]}
     return state
 
 
-def _arcp_over_grid(state: RunState, leaf: ChartNode, grid: GridSpec, acc):
-    cfg = state.cfg
-    split = state.analysis.split
-    worst_sim = worst_gram = worst_eig = 0.0
-    plane_count = 0
-    names = leaf.universe.params
-    for pt in grid.points():
-        point = dict(zip(names, pt))
-        base = {k: float(v) for k, v in leaf.base_point(point).items()}
-        dec = arcp_extract(split, base, cfg.tol_cluster)
-        worst_gram = max(worst_gram, dec.gram_residual)
-        plane_count += len(dec.planes)
-        for plane in dec.planes:
-            worst_sim = max(worst_sim, plane.similitude_residual, plane.invariance_residual)
-        oracle = complexified_eigenvalues(split, base, cfg.tol_cluster)
-        worst_eig = max(worst_eig, _eigenvalue_match_error(dec.eigenvalues, oracle))
-    entry = {
-        "chart": list(leaf.path),
-        "planes_sampled": plane_count,
-        "worst_similitude_residual": worst_sim,
-        "worst_gram_residual": worst_gram,
-        "worst_eigenvalue_match": worst_eig,
+def _graded(kind: str, chart_path, count: int, failing: bool, **worst) -> dict:
+    return {
+        "name": f"{kind}_invariants_{'_'.join(chart_path) or 'root'}",
+        "count": count,
+        "failures": int(failing),
+        **worst,
+        "pass": not failing,
     }
-    if acc is None:
-        acc = {"charts": []}
-    acc["charts"].append(entry)
-    return acc
-
-
-def _eigenvalue_match_error(got, want) -> float:
-    def expand(spec):
-        out = []
-        for a, b, mult in spec:
-            if abs(b) <= 1e-9:
-                out.extend([(a, 0.0)] * mult)
-            else:
-                out.extend([(a, abs(b))] * (mult // 2) * 2)
-        return sorted(out)
-
-    g, w = expand(got), expand(want)
-    if len(g) != len(w):
-        return float("inf")
-    return max(
-        max(abs(x[0] - y[0]), abs(x[1] - y[1])) for x, y in zip(g, w)
-    ) if g else 0.0
 
 
 def stage_check(state: RunState) -> RunState:
@@ -543,31 +518,17 @@ def stage_check(state: RunState) -> RunState:
 
     for report in state.frame_reports:
         inv.append(
-            {
-                "name": f"frame_invariants_{'_'.join(report.chart_path) or 'root'}",
-                "count": len(report.points),
-                "failures": int(report.failing),
-                "worst_angle": report.max_oracle_angle,
-                "worst_invariance": report.max_invariance_residual,
-                "pass": not report.failing,
-            }
+            _graded(
+                "frame",
+                report.chart_path,
+                len(report.points),
+                report.failing,
+                worst_angle=report.max_oracle_angle,
+                worst_invariance=report.max_invariance_residual,
+            )
         )
-
-    if state.arcp_stats is not None:
-        for entry in state.arcp_stats["charts"]:
-            ok = (
-                entry["worst_similitude_residual"] <= cfg.tol_residual
-                and entry["worst_gram_residual"] <= GRAM_TOL
-                and entry["worst_eigenvalue_match"] <= cfg.tol_residual
-            )
-            inv.append(
-                {
-                    "name": f"arcp_invariants_{'_'.join(entry['chart']) or 'root'}",
-                    "count": entry["planes_sampled"],
-                    "failures": int(not ok),
-                    "pass": ok,
-                }
-            )
+    for report in state.arcp_reports:
+        inv.append(_graded("arcp", report.chart_path, report.planes_sampled, report.failing))
 
     state.invariants = inv
     state.report["invariants"] = inv

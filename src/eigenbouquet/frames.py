@@ -196,7 +196,7 @@ class Subspace:
 @dataclass
 class BouquetAtPoint:
     point: tuple
-    base_point: tuple
+    base_point: dict  # base parameter name -> float value
     subspaces: list[Subspace]
     exceptional: bool
     quad_residual: float  # worst |q(v)| over recovered quadratics and basis vectors
@@ -219,7 +219,7 @@ def _quad_scale(coeffs: dict[tuple[int, int], float]) -> float:
     return max((abs(c) for c in coeffs.values()), default=0.0)
 
 
-def _transversal_directions(nparams: int, seed: int):
+def _transversal_directions(nparams: int):
     """Directions bounded away from every coordinate hyperplane.
 
     Curves tangent to the exceptional divisor collapse the eigenvalue gaps
@@ -253,7 +253,6 @@ def extract_bouquet_at_point(
     point: dict,
     cluster_tol: float = 1e-6,
     direction: np.ndarray | None = None,
-    seed: int = 42,
 ) -> BouquetAtPoint:
     """Bouquet of eigenspace limits at a chart point.
 
@@ -279,7 +278,7 @@ def extract_bouquet_at_point(
 
     point_f = np.array([float(point[n]) for n in names], dtype=float)
     directions = (
-        [direction] if direction is not None else list(_transversal_directions(len(names), seed))
+        [direction] if direction is not None else list(_transversal_directions(len(names)))
     )
     last_error: Exception | None = None
     for delta in directions:
@@ -328,9 +327,8 @@ def _finish_bouquet(section, point, base_float, subspaces, exceptional, quads, m
                 f"(residual {worst:.3e})"
             )
     pt_tuple = tuple(point[n] for n in section.chart.universe.params)
-    base_tuple = tuple(base_float[n] for n in sorted(base_float))
     return BouquetAtPoint(
-        pt_tuple, base_tuple, subspaces, exceptional, worst, gram_residual, matrix
+        pt_tuple, base_float, subspaces, exceptional, worst, gram_residual, matrix
     )
 
 
@@ -370,6 +368,7 @@ class FrameReport:
     chart_path: tuple[str, ...]
     grid: GridSpec
     points: list[tuple]
+    base_points: list[dict]  # float base point of each grid point
     exceptional_mask: list[bool]
     components: list[ComponentTrack]
     max_oracle_angle: float
@@ -388,7 +387,6 @@ def local_frame_and_eigenvalues(
     cluster_tol: float = 1e-6,
     angle_tol: float = DEFAULT_ANGLE_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    seed: int = 42,
 ) -> FrameReport:
     """Continuously labeled frames and eigenvalues over a chart grid."""
     names = section.chart.universe.params
@@ -396,11 +394,9 @@ def local_frame_and_eigenvalues(
         raise ValueError("grid dimension must match the chart parameter count")
     pts = grid.points()
     counts = grid.counts
-    strides = _strides(counts)
-    bouquets: list[BouquetAtPoint] = []
-    for pt in pts:
-        point = dict(zip(names, pt))
-        bouquets.append(extract_bouquet_at_point(section, point, cluster_tol, seed=seed))
+    bouquets = [
+        extract_bouquet_at_point(section, dict(zip(names, pt)), cluster_tol) for pt in pts
+    ]
     flags: list[str] = []
     anchor = bouquets[0]
     order0 = sorted(
@@ -415,7 +411,7 @@ def local_frame_and_eigenvalues(
     assignments: list[list[int]] = [[] for _ in pts]
     assignments[0] = order0
     for idx in range(1, len(pts)):
-        prev_idx = _neighbor_index(idx, counts, strides)
+        prev_idx = _neighbor_index(idx, counts)
         prev_assign = assignments[prev_idx]
         prev = bouquets[prev_idx]
         cur = bouquets[idx]
@@ -454,7 +450,7 @@ def local_frame_and_eigenvalues(
             if idx == 0:
                 basis = _anchor_phase(basis)
             else:
-                ref = components[slot].frames[_neighbor_index(idx, counts, strides)]
+                ref = components[slot].frames[_neighbor_index(idx, counts)]
                 try:
                     basis = procrustes_align(basis, ref)
                 except ExtrapolationError:
@@ -487,7 +483,7 @@ def local_frame_and_eigenvalues(
             if best is not None:
                 max_oracle_angle = max(max_oracle_angle, best)
 
-    smooth_val, smooth_frame = _smoothness(components, counts, strides, grid)
+    smooth_val, smooth_frame = _smoothness(components, grid)
     max_quad = max((b.quad_residual for b in bouquets), default=0.0)
     max_gram = max((b.gram_residual for b in bouquets), default=0.0)
     max_inv = max((max(c.invariance) for c in components if c.invariance), default=0.0)
@@ -501,6 +497,7 @@ def local_frame_and_eigenvalues(
         chart_path=section.chart.path,
         grid=grid,
         points=[tuple(p) for p in pts],
+        base_points=[b.base_point for b in bouquets],
         exceptional_mask=[b.exceptional for b in bouquets],
         components=components,
         max_oracle_angle=max_oracle_angle,
@@ -514,23 +511,12 @@ def local_frame_and_eigenvalues(
     )
 
 
-def _strides(counts: tuple[int, ...]) -> tuple[int, ...]:
-    strides = [1] * len(counts)
-    for k in range(len(counts) - 2, -1, -1):
-        strides[k] = strides[k + 1] * counts[k + 1]
-    return tuple(strides)
-
-
-def _neighbor_index(idx: int, counts, strides) -> int:
+def _neighbor_index(idx: int, counts) -> int:
     """Previous grid point along the innermost axis with a positive index."""
-    rem = idx
-    multi = []
-    for s in strides:
-        multi.append(rem // s)
-        rem %= s
+    multi = np.unravel_index(idx, counts)
     for axis in range(len(counts) - 1, -1, -1):
         if multi[axis] > 0:
-            return idx - strides[axis]
+            return idx - math.prod(counts[axis + 1 :])
     raise ValueError("no neighbor for the first grid point")
 
 
@@ -544,40 +530,27 @@ def _anchor_phase(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _smoothness(components, counts, strides, grid: GridSpec):
+def _smoothness(components, grid: GridSpec):
+    """Worst second differences of eigenvalues and frames along each grid axis."""
+    counts = grid.counts
     axes = grid.axes()
     worst_val = 0.0
     worst_frame = 0.0
-    for axis, count in enumerate(counts):
-        if count < 3:
-            continue
-        h = float(axes[axis][1] - axes[axis][0])
-        for comp in components:
-            for idx in range(len(comp.eigenvalues)):
-                multi_ok = _axis_coord(idx, strides, axis)
-                if multi_ok < 1 or multi_ok > count - 2:
-                    continue
-                lo = idx - strides[axis]
-                hi = idx + strides[axis]
-                second = (
-                    comp.eigenvalues[lo] - 2 * comp.eigenvalues[idx] + comp.eigenvalues[hi]
-                ) / (h * h)
-                worst_val = max(worst_val, abs(second))
-                fsecond = (
-                    comp.frames[lo] - 2 * comp.frames[idx] + comp.frames[hi]
-                ) / (h * h)
-                worst_frame = max(worst_frame, float(np.max(np.abs(fsecond))))
+    for comp in components:
+        values = np.reshape(comp.eigenvalues, counts)
+        frames = np.reshape(comp.frames, counts + comp.frames[0].shape)
+        for axis, count in enumerate(counts):
+            if count < 3:
+                continue
+            h = float(axes[axis][1] - axes[axis][0])
+            worst_val = max(worst_val, _worst_second_difference(values, axis, h))
+            worst_frame = max(worst_frame, _worst_second_difference(frames, axis, h))
     return worst_val, worst_frame
 
 
-def _axis_coord(idx: int, strides, axis: int) -> int:
-    rem = idx
-    for k, s in enumerate(strides):
-        coord = rem // s
-        rem %= s
-        if k == axis:
-            return coord
-    raise IndexError
+def _worst_second_difference(a: np.ndarray, axis: int, h: float) -> float:
+    b = np.moveaxis(a, axis, 0)
+    return float(np.max(np.abs((b[:-2] - 2 * b[1:-1] + b[2:]) / (h * h))))
 
 
 # -- limit uniqueness ---------------------------------------------------
@@ -588,7 +561,6 @@ def limit_uniqueness_check(
     point: dict,
     directions: list[np.ndarray] | None = None,
     cluster_tol: float = 1e-6,
-    seed: int = 42,
 ) -> float:
     """Max pairwise principal angle between limit bouquets along curves."""
     names = section.chart.universe.params
@@ -609,7 +581,7 @@ def limit_uniqueness_check(
     if len(directions) < 3:
         raise ValueError("need at least 3 transversal directions")
     bouquets = [
-        extract_bouquet_at_point(section, point, cluster_tol, direction=d, seed=seed)
+        extract_bouquet_at_point(section, point, cluster_tol, direction=d)
         for d in directions
     ]
     worst = 0.0

@@ -10,6 +10,9 @@ u + v for an eigenvalue b != 0 has orthogonal equal-norm halves spanning a
 plane on which L acts as the similitude [[a, -b], [b, a]], with a the
 eigenvalue of A there. Kernel directions of B carry the real eigenspaces,
 refined by A.
+
+Per point, everything is derived from one float evaluation of L: the halves
+A = (L + L^T)/2 and B = (L - L^T)/2 and the doubled matrix of B.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .algebra import Polynomial, VarUniverse
 from .family import MatrixFamily, check_structure
-from .frames import family_matrix
+from .frames import GRAM_TOL, family_matrix
 from .oracle import normal_spectrum, orthonormalize, spectral_sample
 
 KERNEL_TOL = 1e-9
@@ -110,7 +113,6 @@ class RealEigenspace:
 
 @dataclass
 class ArcpDecomposition:
-    point: tuple
     planes: list[ArcpPlane]
     real_spaces: list[RealEigenspace]
     gram_residual: float
@@ -127,8 +129,12 @@ def _apply_j(f: np.ndarray) -> np.ndarray:
     return np.concatenate([-f[n:], f[:n]])
 
 
-def arcp_extract(split: SplitFamily, point: dict, cluster_tol: float = 1e-6) -> ArcpDecomposition:
-    """Greedy descending extraction of invariant planes at a point.
+def _halves(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (l_mat + l_mat.T) / 2, (l_mat - l_mat.T) / 2
+
+
+def arcp_extract(l_mat: np.ndarray, cluster_tol: float = 1e-6) -> ArcpDecomposition:
+    """Greedy descending extraction of invariant planes of a real normal L.
 
     Positive eigenvalue clusters of the doubled operator are refined by the
     restriction of A (the halves commute), then peeled two dimensions at a
@@ -136,10 +142,8 @@ def arcp_extract(split: SplitFamily, point: dict, cluster_tol: float = 1e-6) -> 
     its J-image is removed with it. Kernel directions of B carry the real
     eigenspaces, split by A.
     """
-    n = split.n
-    a_mat = family_matrix(split.sym, point)
-    b_mat = family_matrix(split.skew, point)
-    l_mat = family_matrix(split.original, point)
+    n = l_mat.shape[0]
+    a_mat, b_mat = _halves(l_mat)
     b2 = doubled_matrix(b_mat)
     scale = 1.0 + float(np.linalg.norm(l_mat))
     sample = spectral_sample(b2, tol=cluster_tol)
@@ -164,7 +168,6 @@ def arcp_extract(split: SplitFamily, point: dict, cluster_tol: float = 1e-6) -> 
         for sub in refine.clusters:
             real_spaces.append(RealEigenspace(sub.value, kernel @ sub.basis))
     decomposition = ArcpDecomposition(
-        point=tuple(sorted(point.items())),
         planes=sorted(planes, key=lambda p: (p.a, p.b)),
         real_spaces=sorted(real_spaces, key=lambda s: s.value),
         gram_residual=0.0,
@@ -173,7 +176,7 @@ def arcp_extract(split: SplitFamily, point: dict, cluster_tol: float = 1e-6) -> 
     assembled = decomposition.assembled()
     if assembled.shape[1] != n:
         raise DecompositionError(
-            f"decomposition spans {assembled.shape[1]} of {n} dimensions at {point}"
+            f"decomposition spans {assembled.shape[1]} of {n} dimensions"
         )
     gram = assembled.T @ assembled
     decomposition.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
@@ -294,8 +297,65 @@ def plane_invariant_checks(
     return PlaneCheckRecord(orth, inv, mirror, j_eig, best)
 
 
-def complexified_eigenvalues(split: SplitFamily, point: dict, cluster_tol: float = 1e-6):
+def complexified_eigenvalues(l_mat: np.ndarray, cluster_tol: float = 1e-6):
     """Independent oracle route: spectrum of L via nested symmetric solves."""
-    return normal_spectrum(
-        family_matrix(split.sym, point), family_matrix(split.skew, point), cluster_tol
+    return normal_spectrum(*_halves(l_mat), cluster_tol)
+
+
+# -- the plane check over a chart grid ----------------------------------
+
+
+@dataclass
+class ArcpReport:
+    chart_path: tuple[str, ...]
+    planes_sampled: int
+    worst_similitude_residual: float
+    worst_gram_residual: float
+    worst_eigenvalue_match: float
+    failing: bool
+
+
+def arcp_over_grid(
+    split: SplitFamily,
+    chart_path: tuple[str, ...],
+    base_points: list[dict],
+    cluster_tol: float,
+    residual_tol: float,
+) -> ArcpReport:
+    """Plane decomposition of L at every grid point, checked against the oracle."""
+    worst_sim = worst_gram = worst_eig = 0.0
+    plane_count = 0
+    for base in base_points:
+        l_mat = family_matrix(split.original, base)
+        try:
+            dec = arcp_extract(l_mat, cluster_tol)
+        except DecompositionError as err:
+            raise DecompositionError(f"{err} at {base}") from err
+        worst_gram = max(worst_gram, dec.gram_residual)
+        plane_count += len(dec.planes)
+        for plane in dec.planes:
+            worst_sim = max(worst_sim, plane.similitude_residual, plane.invariance_residual)
+        oracle = complexified_eigenvalues(l_mat, cluster_tol)
+        worst_eig = max(worst_eig, _eigenvalue_match_error(dec.eigenvalues, oracle))
+    failing = not (
+        worst_sim <= residual_tol and worst_gram <= GRAM_TOL and worst_eig <= residual_tol
     )
+    return ArcpReport(chart_path, plane_count, worst_sim, worst_gram, worst_eig, failing)
+
+
+def _eigenvalue_match_error(got, want) -> float:
+    def expand(spec):
+        out = []
+        for a, b, mult in spec:
+            if abs(b) <= 1e-9:
+                out.extend([(a, 0.0)] * mult)
+            else:
+                out.extend([(a, abs(b))] * (mult // 2) * 2)
+        return sorted(out)
+
+    g, w = expand(got), expand(want)
+    if len(g) != len(w):
+        return float("inf")
+    return max(
+        max(abs(x[0] - y[0]), abs(x[1] - y[1])) for x, y in zip(g, w)
+    ) if g else 0.0

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import (
     Polynomial,
@@ -257,6 +258,13 @@ def sample_points(universe: VarUniverse, seed: int, count: int = SAMPLE_COUNT):
     return pts[:count]
 
 
+def _common_zeros(gens: list[Polynomial], universe: VarUniverse, seed: int):
+    """Sample points, in pool order, at which every generator vanishes exactly."""
+    for pt in sample_points(universe, seed):
+        if all(not g.eval_scalar(pt) for g in gens):
+            yield pt
+
+
 def principality_status(node: ChartNode, seed: int = 42) -> str:
     """Certify or probe emptiness of the weak transform's common zero set."""
     gens = [g for g in node.weak_gens if not g.is_zero()]
@@ -269,13 +277,8 @@ def principality_status(node: ChartNode, seed: int = 42) -> str:
         node.certificate = membership.certificate
         node.witness = None
         return node.status
-    for pt in sample_points(node.universe, seed + len(node.path)):
-        if all(not g.eval_scalar(pt) for g in gens):
-            node.status = UNRESOLVED
-            node.witness = pt
-            return node.status
-    node.status = RESOLVED_PROBABLE
-    node.witness = None
+    node.witness = next(_common_zeros(gens, node.universe, seed + len(node.path)), None)
+    node.status = RESOLVED_PROBABLE if node.witness is None else UNRESOLVED
     return node.status
 
 
@@ -325,12 +328,7 @@ def propose_center(node: ChartNode, seed: int = 42) -> tuple[str, ...] | None:
     gens = [g for g in node.weak_gens if not g.is_zero()]
     if not gens:
         return None
-    witnesses = []
-    for pt in sample_points(node.universe, seed + 1718):
-        if all(not g.eval_scalar(pt) for g in gens):
-            witnesses.append(pt)
-            if len(witnesses) >= 25:
-                break
+    witnesses = list(islice(_common_zeros(gens, node.universe, seed + 1718), 25))
     if not witnesses:
         return None
     zero_everywhere = [

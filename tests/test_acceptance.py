@@ -469,13 +469,14 @@ class TestAcceptance5RealNormalSuite:
                     worst_pairing,
                     float(np.max(np.abs(np.sort(vals**2) - doubled))) / (1.0 + doubled.max()),
                 )
-                dec = arcp_extract(split, pt)
+                l_mat = family_matrix(split.original, pt)
+                dec = arcp_extract(l_mat)
                 for plane in dec.planes:
                     worst_arcp = max(
                         worst_arcp, plane.similitude_residual, plane.invariance_residual
                     )
                 worst_arcp = max(worst_arcp, dec.gram_residual)
-                oracle = complexified_eigenvalues(split, pt)
+                oracle = complexified_eigenvalues(l_mat)
                 worst_eig = max(worst_eig, _eig_match(dec.eigenvalues, oracle))
                 for cluster in sample.clusters:
                     if cluster.value <= 1e-9 * scale:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from eigenbouquet import cli, frames
+from eigenbouquet import cli, frames, realnormal
 from eigenbouquet.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
@@ -239,6 +239,36 @@ class TestRunErrors:
         assert "no limit along this curve" in report["error"]["message"]
         assert report["resolution"]["verdict"] == "Resolved"
         assert "frames" not in report
+
+    def test_arcp_residual_above_tolerance_fails(self, tmp_path, monkeypatch):
+        real_extract = realnormal.arcp_extract
+        pushed = []
+
+        def push_one_residual(l_mat, cluster_tol=1e-6):
+            dec = real_extract(l_mat, cluster_tol)
+            if not pushed and dec.planes:
+                dec.planes[0].similitude_residual = 1e-6  # tol_residual is 1e-8
+                pushed.append(True)
+            return dec
+
+        monkeypatch.setattr(realnormal, "arcp_extract", push_one_residual)
+        code, report = self.run_check(
+            tmp_path,
+            {
+                "structure": "normal",
+                "params": ["x", "y"],
+                "matrix": [["x", "y"], ["-y", "x"]],
+                "resolution": [],
+            },
+        )
+        assert pushed
+        assert code == EXIT_INVARIANT
+        assert report["verdict"] == "fail"
+        assert report["arcp"]["charts"][0]["worst_similitude_residual"] == 1e-6
+        graded = {item["name"]: item for item in report["invariants"]}
+        assert graded["arcp_invariants_root"]["pass"] is False
+        assert graded["arcp_invariants_root"]["failures"] == 1
+        assert graded["frame_invariants_root"]["pass"] is True
 
     def test_other_errors_still_raise(self, monkeypatch):
         def broken(state):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigenbouquet import cli, frames, oracle
+from eigenbouquet import cli, frames, oracle, realnormal
 from eigenbouquet.bouquet import fitting_minors, generic_rank, wedge_quadratics
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.frames import (
@@ -259,6 +259,48 @@ class TestWorkDoneOnce:
         # five later radii, two lines, two candidate lines each
         assert extrapolations
         assert all(calls == expected == 20 for calls, expected in extrapolations)
+
+    def test_normal_rotation_counts(self, monkeypatch):
+        counts = {"base_point": 0, "family_matrix": 0}
+        real_base_point = ChartNode.base_point
+
+        def counting_base_point(self, point):
+            counts["base_point"] += 1
+            return real_base_point(self, point)
+
+        real_family_matrix = realnormal.family_matrix
+
+        def counting_family_matrix(fam, base_point):
+            counts["family_matrix"] += 1
+            return real_family_matrix(fam, base_point)
+
+        stage_runs = []
+        real_stage = cli.stage_frames
+
+        def counting_stage(state):
+            before = dict(counts)
+            real_stage(state)
+            stage_runs.append({k: counts[k] - before[k] for k in counts})
+            return state
+
+        monkeypatch.setattr(ChartNode, "base_point", counting_base_point)
+        monkeypatch.setattr(realnormal, "family_matrix", counting_family_matrix)
+        monkeypatch.setattr(cli, "stage_frames", counting_stage)
+        cfg = cli.JobConfig.from_dict(
+            {
+                "structure": "normal",
+                "params": ["x", "y"],
+                "matrix": [["x", "y"], ["-y", "x"]],
+                "resolution": [],
+                "grid": {"points_per_axis": 5},
+            }
+        )
+        code, report = cli.run_job(cfg, ("analyze", "resolve", "frames", "check"))
+        assert code == cli.EXIT_PASS
+        assert len(report["arcp"]["charts"]) == 1
+        # one exact base point and one float L per grid point, frames and
+        # plane check together
+        assert stage_runs == [{"base_point": 25, "family_matrix": 25}]
 
 
 class TestLimitUniqueness:

@@ -132,7 +132,7 @@ class TestDoubledEigenstructure:
 class TestArcpExtract:
     def test_constant_skew_single_plane(self):
         split = split_and_double(constant_skew(2))
-        dec = arcp_extract(split, {"x": 0.3})
+        dec = arcp_extract(family_matrix(split.original, {"x": 0.3}))
         assert len(dec.planes) == 1 and not dec.real_spaces
         plane = dec.planes[0]
         assert abs(plane.a - 0.0) < 1e-10
@@ -142,7 +142,7 @@ class TestArcpExtract:
 
     def test_rotation_family_plane(self):
         split = split_and_double(rotation_family())
-        dec = arcp_extract(split, {"x": 0.7, "y": 1.1})
+        dec = arcp_extract(family_matrix(split.original, {"x": 0.7, "y": 1.1}))
         assert len(dec.planes) == 1
         plane = dec.planes[0]
         assert abs(plane.a - 0.7) < 1e-9
@@ -153,7 +153,7 @@ class TestArcpExtract:
             MatrixFamily.from_strings([["x", "y"], ["y", "x"]], ["x", "y"], "normal")
         )
         split = split_and_double(fam)
-        dec = arcp_extract(split, {"x": 1.0, "y": 0.5})
+        dec = arcp_extract(family_matrix(split.original, {"x": 1.0, "y": 0.5}))
         assert not dec.planes
         values = sorted(s.value for s in dec.real_spaces)
         assert np.allclose(values, [0.5, 1.5], atol=1e-10)
@@ -172,7 +172,7 @@ class TestArcpExtract:
             )
         )
         split = split_and_double(fam)
-        dec = arcp_extract(split, {"x": 0.9, "y": 0.6})
+        dec = arcp_extract(family_matrix(split.original, {"x": 0.9, "y": 0.6}))
         assert len(dec.planes) == 2
         got = sorted((round(p.a, 8), round(abs(p.b), 8)) for p in dec.planes)
         assert got == [(0.9, 0.6), (1.8, 0.54)]
@@ -185,8 +185,9 @@ class TestArcpExtract:
         rng = random.Random(17)
         for _ in range(10):
             pt = {"x": rng.uniform(0.3, 2), "y": rng.uniform(0.3, 2)}
-            dec = arcp_extract(split, pt)
-            oracle = complexified_eigenvalues(split, pt)
+            l_mat = family_matrix(split.original, pt)
+            dec = arcp_extract(l_mat)
+            oracle = complexified_eigenvalues(l_mat)
             got = sorted((round(a, 8), round(b, 8)) for a, b, _ in dec.eigenvalues)
             want = sorted((round(a, 8), round(b, 8)) for a, b, _ in oracle)
             assert got == want
