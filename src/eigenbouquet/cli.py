@@ -30,6 +30,7 @@ from .family import MatrixFamily, StructureViolation, analyze_spectrum, check_st
 from .frames import (
     FrameReport,
     GridSpec,
+    LabelingError,
     NonHermitianFamily,
     UnresolvedChart,
     family_matrix,
@@ -71,6 +72,7 @@ RUN_ERRORS = (
     DegenerateChart,
     DecompositionError,
     NonHermitianFamily,
+    LabelingError,
 )
 
 MINOR_BUDGET = 200_000
@@ -97,6 +99,12 @@ class JobConfig:
     seed: int = 42
     depth_cap: int = 6
     report_path: str | None = None
+
+    def __post_init__(self):
+        if self.grid_points < 1:
+            raise ConfigError(f"grid points_per_axis must be at least 1, got {self.grid_points}")
+        if not self.grid_lo < self.grid_hi:
+            raise ConfigError(f"grid lo {self.grid_lo} must be below hi {self.grid_hi}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobConfig":

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -27,14 +27,15 @@ from .algebra import Polynomial, all_exact
 from .bouquet import FittingIdeal, QuadSystem
 from .family import MatrixFamily
 from .oracle import (
+    Cluster,
     ExtrapolationError,
     SpectralSample,
     cluster_and_multiplicities,
     embed_hermitian,
     extrapolate_along_curve,
+    nearest_subspace,
     procrustes_align,
     spectral_sample,
-    subspace_angle,
 )
 from .resolve import GOOD_STATUSES, ChartNode
 
@@ -51,6 +52,10 @@ class UnresolvedChart(ValueError):
 
 class NonHermitianFamily(ValueError):
     """Frames over the gaussian field need a hermitian family."""
+
+
+class LabelingError(RuntimeError):
+    """A grid point has no component of a tracked component's dimension."""
 
 
 def family_matrix(fam: MatrixFamily, base_point: dict) -> np.ndarray:
@@ -187,17 +192,10 @@ def plucker_section(
 
 
 @dataclass
-class Subspace:
-    value: float  # recovered eigenvalue (Rayleigh on the basis)
-    dim: int
-    basis: np.ndarray
-
-
-@dataclass
 class BouquetAtPoint:
     point: tuple
     base_point: dict  # base parameter name -> float value
-    subspaces: list[Subspace]
+    subspaces: list[Cluster]  # off the discriminant the clusters, on it the limits
     exceptional: bool
     quad_residual: float  # worst |q(v)| over recovered quadratics and basis vectors
     gram_residual: float  # deviation of the assembled frame from orthonormality
@@ -205,7 +203,7 @@ class BouquetAtPoint:
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.subspaces)
+        return tuple(s.multiplicity for s in self.subspaces)
 
 
 def _quad_value(coeffs: dict[tuple[int, int], float], vec: np.ndarray) -> float:
@@ -270,11 +268,8 @@ def extract_bouquet_at_point(
     quads = section.recover_quadratics(point) if exact else None
 
     if not on_disc:
-        sample = spectral_sample(matrix, tol=cluster_tol)
-        subspaces = [
-            Subspace(c.value, c.multiplicity, c.basis) for c in sample.clusters
-        ]
-        return _finish_bouquet(section, point, base_float, subspaces, False, quads, matrix)
+        clusters = spectral_sample(matrix, tol=cluster_tol).clusters
+        return _finish_bouquet(section, point, base_float, clusters, False, quads, matrix)
 
     point_f = np.array([float(point[n]) for n in names], dtype=float)
     directions = (
@@ -305,12 +300,12 @@ def _extrapolate_bouquet(section, point_f, names, delta, cluster_tol, matrix_at_
     for _, mult, basis, _ in limits:
         # eigenvalue at the point itself: Rayleigh value on the limit basis
         value = float(np.mean(np.diag(basis.T @ matrix_at_p @ basis)))
-        subspaces.append(Subspace(value, mult, basis))
+        subspaces.append(Cluster(value, mult, basis))
     return subspaces
 
 
 def _finish_bouquet(section, point, base_float, subspaces, exceptional, quads, matrix):
-    subspaces = sorted(subspaces, key=lambda s: (s.value, s.dim))
+    subspaces = sorted(subspaces, key=lambda s: (s.value, s.multiplicity))
     assembled = np.hstack([s.basis for s in subspaces]) if subspaces else np.zeros((0, 0))
     gram = assembled.T @ assembled
     gram_residual = float(np.max(np.abs(gram - np.eye(gram.shape[0])))) if gram.size else 0.0
@@ -319,7 +314,7 @@ def _finish_bouquet(section, point, base_float, subspaces, exceptional, quads, m
         for q in quads:
             scale = 1.0 + _quad_scale(q)
             for s in subspaces:
-                for k in range(s.dim):
+                for k in range(s.multiplicity):
                     worst = max(worst, abs(_quad_value(q, s.basis[:, k])) / scale)
         if exceptional and worst > QUAD_VANISH_TOL:
             raise ExtrapolationError(
@@ -393,95 +388,54 @@ def local_frame_and_eigenvalues(
     if len(grid.counts) != len(names):
         raise ValueError("grid dimension must match the chart parameter count")
     pts = grid.points()
-    counts = grid.counts
     bouquets = [
         extract_bouquet_at_point(section, dict(zip(names, pt)), cluster_tol) for pt in pts
     ]
     flags: list[str] = []
-    anchor = bouquets[0]
-    order0 = sorted(
-        range(len(anchor.subspaces)),
-        key=lambda k: (
-            anchor.subspaces[k].dim,
-            anchor.subspaces[k].value,
-            tuple(np.round(anchor.subspaces[k].basis[:, 0], 9)),
-        ),
+    anchor = sorted(
+        bouquets[0].subspaces,
+        key=lambda s: (s.multiplicity, s.value, tuple(np.round(s.basis[:, 0], 9))),
     )
-    components = [ComponentTrack(anchor.subspaces[k].dim) for k in order0]
-    assignments: list[list[int]] = [[] for _ in pts]
-    assignments[0] = order0
-    for idx in range(1, len(pts)):
-        prev_idx = _neighbor_index(idx, counts)
-        prev_assign = assignments[prev_idx]
-        prev = bouquets[prev_idx]
-        cur = bouquets[idx]
-        if cur.multiplicities != prev.multiplicities and sorted(
-            cur.multiplicities
-        ) != sorted(prev.multiplicities):
-            flags.append(f"multiplicity change at grid index {idx}")
-        used = set()
-        assign = [None] * len(components)
-        for slot, comp_prev in enumerate(prev_assign):
-            target = prev.subspaces[comp_prev]
-            best_k, best_angle, second = None, None, None
-            for k, sub in enumerate(cur.subspaces):
-                if k in used or sub.dim != target.dim:
-                    continue
-                ang = subspace_angle(sub.basis, target.basis)
-                if best_angle is None or ang < best_angle:
-                    best_k, best_angle, second = k, ang, best_angle
-                elif second is None or ang < second:
-                    second = ang
-            if best_k is None:
-                flags.append(f"no matching component at grid index {idx}")
-                best_k = next(k for k in range(len(cur.subspaces)) if k not in used)
-            elif second is not None and second - best_angle < 1e-6:
-                flags.append(f"ambiguous labeling at grid index {idx}")
-            used.add(best_k)
-            assign[slot] = best_k
-        assignments[idx] = assign
-
-    # frame assembly with sign/phase continuity
+    components = [ComponentTrack(s.multiplicity) for s in anchor]
+    max_oracle_angle = 0.0
     for idx, bouquet in enumerate(bouquets):
         matrix = bouquet.matrix
-        for slot, k in enumerate(assignments[idx]):
-            sub = bouquet.subspaces[k]
-            basis = sub.basis
-            if idx == 0:
-                basis = _anchor_phase(basis)
+        scale = 1.0 + float(np.linalg.norm(matrix))
+        prev_idx = _neighbor_index(idx, grid.counts) if idx else None
+        used: set[int] = set()
+        for start, comp in zip(anchor, components):
+            if prev_idx is None:
+                basis = _anchor_phase(start.basis)
             else:
-                ref = components[slot].frames[_neighbor_index(idx, counts)]
+                ref = comp.frames[prev_idx]
+                k, angle, runner_up = nearest_subspace(ref, bouquet.subspaces, used)
+                if k is None:
+                    raise LabelingError(
+                        f"no component of dimension {comp.dim} at grid index {idx}: "
+                        f"multiplicities {bouquets[prev_idx].multiplicities} at grid "
+                        f"index {prev_idx}, {bouquet.multiplicities} here"
+                    )
+                if runner_up is not None and runner_up - angle < 1e-6:
+                    flags.append(f"ambiguous labeling at grid index {idx}")
+                used.add(k)
+                basis = bouquet.subspaces[k].basis
                 try:
                     basis = procrustes_align(basis, ref)
                 except ExtrapolationError:
                     flags.append(f"frame alignment degenerate at grid index {idx}")
-            components[slot].frames.append(basis)
+            comp.frames.append(basis)
             rayleigh = float(np.mean(np.diag(basis.T @ matrix @ basis)))
-            components[slot].eigenvalues.append(rayleigh)
-            scale = 1.0 + float(np.linalg.norm(matrix))
-            inv = float(
-                np.max(np.linalg.norm(matrix @ basis - rayleigh * basis, axis=0))
-            )
-            components[slot].invariance.append(inv / scale)
-
-    max_oracle_angle = 0.0
-    for idx, bouquet in enumerate(bouquets):
-        if bouquet.exceptional:
-            continue
-        values, vectors = np.linalg.eigh(bouquet.matrix)
-        reference = cluster_and_multiplicities(
-            SpectralSample(values, vectors), cluster_tol
-        )
-        for slot, k in enumerate(assignments[idx]):
-            sub = bouquet.subspaces[k]
-            best = None
-            for cluster in reference.clusters:
-                if cluster.multiplicity != sub.dim:
-                    continue
-                ang = subspace_angle(cluster.basis, components[slot].frames[idx])
-                best = ang if best is None else min(best, ang)
-            if best is not None:
-                max_oracle_angle = max(max_oracle_angle, best)
+            comp.eigenvalues.append(rayleigh)
+            inv = float(np.max(np.linalg.norm(matrix @ basis - rayleigh * basis, axis=0)))
+            comp.invariance.append(inv / scale)
+        if not bouquet.exceptional:
+            # cross-check against LAPACK, a solver independent of the bouquet's
+            values, vectors = np.linalg.eigh(matrix)
+            reference = cluster_and_multiplicities(SpectralSample(values, vectors), cluster_tol)
+            for comp in components:
+                _, angle, _ = nearest_subspace(comp.frames[idx], reference.clusters)
+                if angle is not None:
+                    max_oracle_angle = max(max_oracle_angle, angle)
 
     smooth_val, smooth_frame = _smoothness(components, grid)
     max_quad = max((b.quad_residual for b in bouquets), default=0.0)
@@ -559,45 +513,21 @@ def _worst_second_difference(a: np.ndarray, axis: int, h: float) -> float:
 def limit_uniqueness_check(
     section: PluckerSection,
     point: dict,
-    directions: list[np.ndarray] | None = None,
     cluster_tol: float = 1e-6,
 ) -> float:
-    """Max pairwise principal angle between limit bouquets along curves."""
-    names = section.chart.universe.params
-    u = len(names)
-    if directions is None:
-        # distinct headings, all bounded away from the coordinate hyperplanes
-        patterns = [
-            [1.0] * u,
-            [1.6 if k == 0 else 1.0 for k in range(u)],
-            [(-1.0 if k % 2 else 1.0) * (1.0 + 0.3 * k) for k in range(u)],
-        ]
-        if u == 1:
-            patterns = [[1.0], [-1.0], [1.0]]
-        directions = []
-        for pat in patterns:
-            d = np.array(pat, dtype=float)
-            directions.append(d / np.linalg.norm(d))
-    if len(directions) < 3:
-        raise ValueError("need at least 3 transversal directions")
-    bouquets = [
-        extract_bouquet_at_point(section, point, cluster_tol, direction=d)
-        for d in directions
+    """Max principal angle between the limit bouquets along the first three
+    transversal headings; the frame pass tries the first of them first."""
+    headings = islice(_transversal_directions(len(section.chart.universe.params)), 3)
+    first, *others = [
+        extract_bouquet_at_point(section, point, cluster_tol, direction=d) for d in headings
     ]
     worst = 0.0
-    first = bouquets[0]
-    for other in bouquets[1:]:
-        used = set()
+    for other in others:
+        used: set[int] = set()
         for sub in first.subspaces:
-            best_k, best_angle = None, None
-            for k, cand in enumerate(other.subspaces):
-                if k in used or cand.dim != sub.dim:
-                    continue
-                ang = subspace_angle(cand.basis, sub.basis)
-                if best_angle is None or ang < best_angle:
-                    best_k, best_angle = k, ang
-            if best_k is None:
+            k, angle, _ = nearest_subspace(sub.basis, other.subspaces, used)
+            if k is None:
                 raise ExtrapolationError("bouquet structures differ across curves")
-            used.add(best_k)
-            worst = max(worst, best_angle)
+            used.add(k)
+            worst = max(worst, angle)
     return worst

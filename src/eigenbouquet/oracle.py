@@ -189,6 +189,26 @@ def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     return max(principal_angles(basis_a, basis_b))
 
 
+def nearest_subspace(basis: np.ndarray, candidates: list[Cluster], skip=()):
+    """The candidate spanning the subspace nearest to basis's, by largest angle.
+
+    Only candidates of the basis's dimension and outside skip compete.
+    Returns (index, angle, runner_up): a tie keeps the first index,
+    runner_up is the next smallest angle, and each is None without a
+    candidate to give it.
+    """
+    best = angle = runner_up = None
+    for k, cand in enumerate(candidates):
+        if k in skip or cand.multiplicity != basis.shape[1]:
+            continue
+        ang = subspace_angle(cand.basis, basis)
+        if angle is None or ang < angle:
+            best, angle, runner_up = k, ang, angle
+        elif runner_up is None or ang < runner_up:
+            runner_up = ang
+    return best, angle, runner_up
+
+
 def procrustes_align(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Rotate basis (orthonormal columns) to best match the reference frame."""
     cross = basis.T @ reference
@@ -254,14 +274,8 @@ def extrapolate_along_curve(samples: list[SpectralSample]) -> list[tuple[float, 
         valchain: list[float] = [reference.clusters[idx].value]
         prev_basis = chains[0]
         for s in samples[1:]:
-            angles = {
-                k: subspace_angle(c.basis, prev_basis)
-                for k, c in enumerate(s.clusters)
-                if c.multiplicity == mults[idx]
-            }
-            best_k = min(angles, key=angles.__getitem__)
-            best_angle = angles.pop(best_k)
-            if any(ang < best_angle + 1e-3 for ang in angles.values()):
+            best_k, best_angle, runner_up = nearest_subspace(prev_basis, s.clusters)
+            if runner_up is not None and runner_up < best_angle + 1e-3:
                 raise ExtrapolationError("ambiguous component matching along curve")
             aligned = procrustes_align(s.clusters[best_k].basis, prev_basis)
             chains.append(aligned)

@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import Polynomial, VarUniverse
 from .family import MatrixFamily, check_structure
 from .frames import GRAM_TOL, family_matrix
-from .oracle import normal_spectrum, orthonormalize, spectral_sample
+from .oracle import Cluster, normal_spectrum, orthonormalize, spectral_sample
 
 KERNEL_TOL = 1e-9
 
@@ -106,15 +106,9 @@ class ArcpPlane:
 
 
 @dataclass
-class RealEigenspace:
-    value: float
-    basis: np.ndarray
-
-
-@dataclass
 class ArcpDecomposition:
     planes: list[ArcpPlane]
-    real_spaces: list[RealEigenspace]
+    real_spaces: list[Cluster]
     gram_residual: float
     eigenvalues: list[tuple[float, float, int]]  # (a, b, real multiplicity)
 
@@ -161,12 +155,10 @@ def arcp_extract(l_mat: np.ndarray, cluster_tol: float = 1e-6) -> ArcpDecomposit
                 _peel_planes(space, sub.value, cluster.value, l_mat, scale)
             )
     kernel = _kernel_of_skew(b_mat, cluster_tol)
-    real_spaces: list[RealEigenspace] = []
+    real_spaces: list[Cluster] = []
     if kernel.shape[1]:
-        restricted = kernel.T @ a_mat @ kernel
-        refine = spectral_sample(restricted, tol=cluster_tol)
-        for sub in refine.clusters:
-            real_spaces.append(RealEigenspace(sub.value, kernel @ sub.basis))
+        refine = spectral_sample(kernel.T @ a_mat @ kernel, tol=cluster_tol)
+        real_spaces = [Cluster(c.value, c.multiplicity, kernel @ c.basis) for c in refine.clusters]
     decomposition = ArcpDecomposition(
         planes=sorted(planes, key=lambda p: (p.a, p.b)),
         real_spaces=sorted(real_spaces, key=lambda s: s.value),
@@ -181,7 +173,7 @@ def arcp_extract(l_mat: np.ndarray, cluster_tol: float = 1e-6) -> ArcpDecomposit
     gram = assembled.T @ assembled
     decomposition.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
     for s in decomposition.real_spaces:
-        decomposition.eigenvalues.append((s.value, 0.0, s.basis.shape[1]))
+        decomposition.eigenvalues.append((s.value, 0.0, s.multiplicity))
     for p in decomposition.planes:
         decomposition.eigenvalues.append((p.a, p.b, 2))
     return decomposition

@@ -102,6 +102,17 @@ class TestDispatch:
         )
         assert run_cli(["analyze", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_grid_without_points_exit_2(self, points, capsys):
+        assert run_cli(["demo", "kupa", "--grid", points]) == EXIT_CONFIG
+        assert "points_per_axis must be at least 1" in capsys.readouterr().err
+
+    def test_empty_grid_interval_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(FIXTURES["kupa"], grid={"lo": "1/2", "hi": "1/2"})))
+        assert run_cli(["check", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "must be below hi" in capsys.readouterr().err
+
     def test_unknown_demo(self):
         assert run_cli(["demo", "nope"]) == EXIT_CONFIG
 
@@ -269,6 +280,28 @@ class TestRunErrors:
         assert graded["arcp_invariants_root"]["pass"] is False
         assert graded["arcp_invariants_root"]["failures"] == 1
         assert graded["frame_invariants_root"]["pass"] is True
+
+    def test_merged_cluster_off_discriminant_exits_4(self, tmp_path):
+        # off the discriminant y = 0 the gap y/300000 falls under the cluster
+        # tolerance, so a point has one plane where its neighbour has two lines
+        code, report = self.run_check(
+            tmp_path,
+            {
+                "structure": "symmetric",
+                "params": ["x", "y"],
+                "matrix": [["x", "0"], ["0", "x + 1/300000*y"]],
+                "resolution": [],
+            },
+        )
+        assert code == EXIT_ERROR
+        assert report["verdict"] == "error"
+        assert report["error"]["type"] == "LabelingError"
+        assert report["error"]["message"] == (
+            "no component of dimension 1 at grid index 1: "
+            "multiplicities (1, 1) at grid index 0, (2,) here"
+        )
+        assert report["resolution"]["verdict"] == "Resolved"
+        assert "frames" not in report
 
     def test_other_errors_still_raise(self, monkeypatch):
         def broken(state):

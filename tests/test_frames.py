@@ -335,3 +335,62 @@ class TestLimitUniqueness:
         section = plucker_section(outcome.root, system, ideal, ideal.gens)
         angle = limit_uniqueness_check(section, {"x": Fraction(1, 2), "y": Fraction(0)})
         assert angle <= 1e-9
+
+
+class TestLabelingFlags:
+    """Crafted bouquets on a two-point grid reach each labeling flag."""
+
+    E = np.eye(3)
+
+    def bouquet(self, *spaces):
+        subspaces = [oracle.Cluster(value, basis.shape[1], basis) for value, basis in spaces]
+        return frames.BouquetAtPoint((), {}, subspaces, False, 0.0, 0.0, np.diag([1.0, 2.0, 3.0]))
+
+    def run_frames(self, monkeypatch, bouquets):
+        queue = list(bouquets)
+        monkeypatch.setattr(frames, "extract_bouquet_at_point", lambda *args: queue.pop(0))
+        report = local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((1, 2)))
+        assert not queue
+        return report
+
+    def test_ambiguous_labeling(self, monkeypatch):
+        # e1's nearest line at the second point is at pi/4 from two candidates
+        e = self.E
+        report = self.run_frames(
+            monkeypatch,
+            [
+                self.bouquet((1.0, e[:, [0]]), (2.0, e[:, [1]]), (3.0, e[:, [2]])),
+                self.bouquet(
+                    (1.0, (e[:, [0]] + e[:, [1]]) / math.sqrt(2)),
+                    (2.0, (e[:, [0]] - e[:, [1]]) / math.sqrt(2)),
+                    (3.0, e[:, [2]]),
+                ),
+            ],
+        )
+        assert report.labeling_flags == ["ambiguous labeling at grid index 1"]
+
+    def test_frame_alignment_degenerate(self, monkeypatch):
+        # the plane span(e1, e2) is matched to span(e1, e3), which is
+        # orthogonal to it along one direction: Procrustes has no rotation
+        e = self.E
+        report = self.run_frames(
+            monkeypatch,
+            [
+                self.bouquet((1.0, e[:, [0, 1]]), (3.0, e[:, [2]])),
+                self.bouquet((1.0, e[:, [0, 2]]), (2.0, e[:, [1]])),
+            ],
+        )
+        assert report.labeling_flags == ["frame alignment degenerate at grid index 1"]
+
+    def test_missing_dimension_raises(self, monkeypatch):
+        # two lines merge into a plane: the line slots find no candidate
+        e = self.E
+        message = r"dimension 1 at grid index 1: .*\(1, 1, 1\) at grid index 0, \(2, 1\) here"
+        with pytest.raises(frames.LabelingError, match=message):
+            self.run_frames(
+                monkeypatch,
+                [
+                    self.bouquet((1.0, e[:, [0]]), (2.0, e[:, [1]]), (3.0, e[:, [2]])),
+                    self.bouquet((1.0, e[:, [0, 1]]), (3.0, e[:, [2]])),
+                ],
+            )

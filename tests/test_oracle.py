@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from eigenbouquet.oracle import (
+    Cluster,
     ExtrapolationError,
     cluster_and_multiplicities,
     eigh_jacobi,
     embed_hermitian,
     extrapolate_along_curve,
+    nearest_subspace,
     normal_spectrum,
     principal_angles,
     richardson_limit,
@@ -133,6 +135,46 @@ class TestPrincipalAngles:
         ):
             with pytest.raises(ValueError):
                 principal_angles(a, b)
+
+
+class TestNearestSubspace:
+    E = np.eye(3)
+
+    def line(self, *coords):
+        v = np.array(coords, dtype=float)[:, None]
+        return Cluster(0.0, 1, v / np.linalg.norm(v))
+
+    def test_only_matching_dimension_competes(self):
+        plane = Cluster(0.0, 2, self.E[:, [0, 1]])
+        k, angle, runner_up = nearest_subspace(
+            self.E[:, [0]], [plane, self.line(0, 1, 1), self.line(0, 0, 1)]
+        )
+        # the plane contains e1 but has the wrong dimension
+        assert k == 1
+        assert abs(angle - math.pi / 2) < 1e-12
+        assert abs(runner_up - math.pi / 2) < 1e-12
+        assert nearest_subspace(self.E[:, [0, 2]], [self.line(1, 0, 0)]) == (None, None, None)
+
+    def test_runner_up_is_second_smallest(self):
+        cands = [self.line(1, 1, 0), self.line(1, 0, 0), self.line(1, 0, 1), self.line(0, 1, 0)]
+        k, angle, runner_up = nearest_subspace(self.E[:, [0]], cands)
+        assert k == 1 and angle < 1e-12
+        assert abs(runner_up - math.pi / 4) < 1e-12
+        k, angle, runner_up = nearest_subspace(self.E[:, [0]], cands[1:2])
+        assert (k, runner_up) == (0, None)
+
+    def test_skip(self):
+        cands = [self.line(1, 0, 0), self.line(2, 1, 0), self.line(0, 0, 1)]
+        k, angle, runner_up = nearest_subspace(self.E[:, [0]], cands, skip={0})
+        assert k == 1
+        assert abs(angle - math.atan(0.5)) < 1e-12
+        assert abs(runner_up - math.pi / 2) < 1e-12
+
+    def test_tie_keeps_first_index(self):
+        cands = [self.line(0, 0, 1), self.line(1, 1, 0), self.line(1, -1, 0)]
+        k, angle, runner_up = nearest_subspace(self.E[:, [0]], cands)
+        assert k == 1
+        assert angle == runner_up
 
 
 class TestHermitianEmbedding:

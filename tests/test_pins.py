@@ -1,4 +1,4 @@
-"""Reports of five benchmark jobs must match their pinned reports.
+"""Reports of seven benchmark jobs must match their pinned reports.
 
 The pins in ``bench/pins`` are the canonical reports at the default seed; a
 change that moves a report (beyond the pins' float tolerance) fails here, not
@@ -32,9 +32,12 @@ JOBS = {job.name: job for workload in jobs.WORKLOADS.values() for job in workloa
 
 
 # sym3_quad's pin records the known-wrong ResolvedProbable grade on chart
-# ('y',) (ROADMAP 5(a)); fixing that grade re-pins it on purpose.
+# ('y',) (ROADMAP 5(a)); fixing that grade re-pins it on purpose. rellich
+# (crossing eigenvalues) and diag3 (three components on a 3-D grid) pin the
+# frame labeling. sym4_generic stays out: its pin records a known-wrong verdict.
 @pytest.mark.parametrize(
-    "name", ["kupa", "skew2", "hermitian_vortex", "normal_rotation", "sym3_quad"]
+    "name",
+    ["kupa", "rellich", "skew2", "diag3", "hermitian_vortex", "normal_rotation", "sym3_quad"],
 )
 def test_report_matches_pin(name):
     job = JOBS[name]
