@@ -12,7 +12,7 @@ from .poly import (
     primitive_normalize,
 )
 from .parser import ParseError, UnknownVariable, parse_polynomial
-from .gcdtools import divexact, divides, gcd_multivariate
+from .gcdtools import divexact, gcd_multivariate
 from .linalg import (
     bareiss_det,
     bareiss_rank,
@@ -37,7 +37,6 @@ __all__ = [
     "UnknownVariable",
     "parse_polynomial",
     "divexact",
-    "divides",
     "gcd_multivariate",
     "bareiss_det",
     "bareiss_rank",

@@ -38,14 +38,6 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(universe, quotient)
 
 
-def divides(g: Polynomial, f: Polynomial) -> bool:
-    try:
-        divexact(f, g)
-        return True
-    except NotDivisible:
-        return False
-
-
 # -- univariate view helpers -------------------------------------------
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm
+
+import numpy as np
 
 from .scalars import Scalar, as_scalar
 from .universe import VarUniverse
@@ -25,6 +28,17 @@ class NotDivisible(ArithmeticError):
 
 def grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
+
+
+def _power(x, p: int):
+    """x**p as CPython raises complex (x, 0) to an int power: by squaring."""
+    result = None
+    while p:
+        if p & 1:
+            result = x if result is None else result * x
+        p >>= 1
+        x = x * x if p else x
+    return result
 
 
 class Polynomial:
@@ -275,17 +289,40 @@ class Polynomial:
             total = total + acc
         return total
 
-    def eval_complex(self, assignment: dict) -> complex:
-        """Float evaluation; values may be anything complex() accepts."""
-        total = 0j
+    def eval_complex(self, assignment: dict):
+        """Float evaluation at real values, numbers or float arrays of one
+        shape (then elementwise, into a complex array). Each point rounds as
+        Python's complex arithmetic on (v, 0) alone would round it."""
         names = self.universe.names
+        re = im = 0.0
         for e, c in self.terms.items():
-            acc = complex(c)
+            part_re, part_im = float(c.real), float(c.imag)
             for k, p in enumerate(e):
                 if p:
-                    acc *= complex(assignment[names[k]]) ** p
-            total += acc
-        return total
+                    v = assignment[names[k]]
+                    f = _power(v if isinstance(v, np.ndarray) else float(v), p)
+                    part_re, part_im = part_re * f, part_im * f
+            re, im = re + part_re, im + part_im
+        out = np.empty(np.broadcast_shapes(*(np.shape(v) for v in assignment.values())), complex)
+        out.real, out.imag = re, im
+        return out if out.shape else complex(out)
+
+    def eval_integer(self, numerators: dict, den: int, count: int):
+        """Exact values at count rational points x = numerators[x] / den,
+        numerators mapping each variable to an object array of ints: returns
+        an object array of ints (Scalars over Q(i)) and its denominator."""
+        names = self.universe.names
+        degree = max(self.total_degree(), 0)
+        lcd = lcm(*(part.denominator for c in self.terms.values() for part in (c.real, c.imag)))
+        total = 0
+        for e, c in self.terms.items():
+            term = c * lcd * den ** (degree - sum(e))
+            term = term if term.imag else int(term)
+            for k, p in enumerate(e):
+                if p:
+                    term = term * numerators[names[k]] ** p
+            total = total + term
+        return np.broadcast_to(np.asarray(total, dtype=object), (count,)), lcd * den ** degree
 
     # -- printing -----------------------------------------------------
 

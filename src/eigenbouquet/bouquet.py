@@ -20,24 +20,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .algebra import (
     Polynomial,
     VarUniverse,
-    all_exact,
     bareiss_det,
     bareiss_rank,
-    divexact,
-    eval_matrix_rational,
-    gcd_multivariate,
     monic,
     primitive_normalize,
-    scalar_matrix_rank,
     submatrix,
 )
 from .family import MatrixFamily, check_structure
-from .oracle import eigh_jacobi
 
 
 class ScalarOperator(Exception):
@@ -60,17 +52,6 @@ class QuadForm:
     universe: VarUniverse
     coeffs: dict[tuple[int, int], Polynomial]
 
-    def as_polynomial(self) -> Polynomial:
-        u = self.universe
-        total = Polynomial.zero(u)
-        nparams = len(u.params)
-        for (a, b), p in self.coeffs.items():
-            exps = [0] * u.nvars
-            exps[nparams + a] += 1
-            exps[nparams + b] += 1
-            total = total + p * Polynomial(u, {tuple(exps): Fraction(1)})
-        return total
-
 
 @dataclass
 class QuadSystem:
@@ -88,9 +69,6 @@ class QuadSystem:
     @property
     def monomials(self) -> list[tuple[int, int]]:
         return quad_monomials(self.fiber_dim)
-
-    def rank_at(self, point: dict) -> int:
-        return scalar_matrix_rank(eval_matrix_rational(self.coeff_matrix, point))
 
 
 def _real_doubled_universe(universe: VarUniverse) -> VarUniverse:
@@ -192,18 +170,6 @@ def generic_rank(system: QuadSystem, seed: int = 20240601) -> int:
     return system.generic_rank
 
 
-def expected_quadratic_dim(multiplicities) -> int:
-    """Dimension of the quadratic part of the bouquet ideal: sum e_i e_j, i<j."""
-    e = tuple(multiplicities)
-    if not e or any(k < 1 for k in e):
-        raise ValueError("multiplicities must be positive integers")
-    total = 0
-    for a in range(len(e)):
-        for b in range(a + 1, len(e)):
-            total += e[a] * e[b]
-    return total
-
-
 @dataclass
 class FittingIdeal:
     gens: list[Polynomial]
@@ -217,6 +183,9 @@ class FittingIdeal:
 def fitting_minors(system: QuadSystem) -> FittingIdeal:
     """All generic-rank-sized minors, deduplicated up to scalar multiples.
 
+    Only row and column sets with a perfect matching in the nonzero support
+    are computed: any other minor is identically zero.
+
     Generators are kept in canonical normalized form (integer-primitive with
     positive leading coefficient over Q, monic over Q(i)); the minor table
     remembers every nonzero raw minor as scalar * generator so downstream
@@ -229,15 +198,21 @@ def fitting_minors(system: QuadSystem) -> FittingIdeal:
         raise ScalarOperator("all quadratics vanish identically")
     rows = len(system.coeff_matrix)
     cols = len(system.coeff_matrix[0])
+    support = [
+        {c for c in range(cols) if not system.coeff_matrix[r][c].is_zero()} for r in range(rows)
+    ]
     gens: list[Polynomial] = []
     keys: dict[tuple, int] = {}
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, Fraction]] = {}
     for rset in combinations(range(rows), d):
-        if any(
-            all(system.coeff_matrix[r][c].is_zero() for c in range(cols)) for r in rset
-        ):
+        if not all(support[r] for r in rset):
             continue
-        for cset in combinations(range(cols), d):
+        # only reachable columns can be matched; sorted, the column sets come
+        # in the order combinations(range(cols), d) gives them
+        reach = sorted(set().union(*(support[r] for r in rset)))
+        for cset in combinations(reach, d):
+            if not _perfect_matching(rset, set(cset), support):
+                continue  # every term of the determinant has a zero factor
             minor = bareiss_det(submatrix(system.coeff_matrix, rset, cset))
             if minor.is_zero():
                 continue
@@ -256,6 +231,23 @@ def fitting_minors(system: QuadSystem) -> FittingIdeal:
     return FittingIdeal(gens, d, table)
 
 
+def _perfect_matching(rset, cset: set[int], support: list[set[int]]) -> bool:
+    """Whether the rows of rset pair off with the columns of cset inside the
+    nonzero support (Kuhn's augmenting paths); if not, the minor vanishes."""
+    owner: dict[int, int] = {}  # column -> row
+
+    def augment(r: int, seen: set[int]) -> bool:
+        for c in sorted(support[r] & cset):
+            if c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    return all(augment(r, set()) for r in rset)
+
+
 def _canonical_gen(p: Polynomial, fld: str) -> Polynomial:
     return primitive_normalize(p) if fld == "rational" else monic(p)
 
@@ -264,79 +256,3 @@ def _leading_ratio(p: Polynomial, base: Polynomial) -> Fraction:
     _, cp = p.leading()
     _, cb = base.leading()
     return cp / cb
-
-
-def jacobian_rank_at(system: QuadSystem, point: dict, fiber, tol: float = 1e-7) -> int:
-    """Rank of [dQ_row/dV_k] at (point, fiber).
-
-    Exact over Q when both the point and the fiber vector are rational;
-    otherwise numeric with singular values thresholded at tol * (1 + max).
-    """
-    fibers = system.fiber_universe.fibers
-    at = {**point, **dict(zip(fibers, fiber))}
-    polys = [q.as_polynomial() for q in system.quads]
-    rows = [[p.derivative(f) for f in fibers] for p in polys]
-    if all_exact(point.values()) and all_exact(fiber):
-        return scalar_matrix_rank(eval_matrix_rational(rows, at))
-    jac = np.array([[d.eval_complex(at).real for d in row] for row in rows])
-    if not jac.size:
-        return 0
-    normal = jac.T @ jac
-    sample = eigh_jacobi(normal)
-    sv = np.sqrt(np.clip(sample.eigenvalues, 0.0, None))
-    cut = tol * (1.0 + (float(sv.max()) if sv.size else 0.0))
-    return int(np.sum(sv > cut))
-
-
-def diagonalizability(matrix: list[list], fld: str = "rational") -> str:
-    """Classify a constant matrix: "diagonalizable", "not" or "scalar".
-
-    Decided exactly: a matrix is diagonalizable over C iff the squarefree
-    part of its characteristic polynomial annihilates it. The quadratic
-    ideal of its eigenspace union is then generated in degree two iff this
-    holds, with the scalar case (null ideal) split out first.
-    """
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    diag = matrix[0][0]
-    is_scalar = all(
-        matrix[r][c] == (diag if r == c else 0) for r in range(n) for c in range(n)
-    )
-    if is_scalar:
-        return "scalar"
-    universe = VarUniverse(("T__",))
-    t = Polynomial.variable(universe, "T__")
-    grid = [
-        [
-            (t if r == c else Polynomial.zero(universe))
-            - Polynomial.constant(universe, matrix[r][c])
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-    char = bareiss_det(grid)
-    squarefree = divexact(char, gcd_multivariate(char, char.derivative("T__")))
-    # evaluate the squarefree part at the matrix with exact arithmetic
-    coeffs: dict = {}
-    for e, c in squarefree.terms.items():
-        coeffs[e[0]] = c
-    deg = max(coeffs)
-    acc = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
-    total = [[Fraction(0) for _ in range(n)] for _ in range(n)]
-    for k in range(deg + 1):
-        c = coeffs.get(k)
-        if c:
-            for r in range(n):
-                for s in range(n):
-                    total[r][s] = total[r][s] + c * acc[r][s]
-        if k < deg:
-            acc = [
-                [
-                    sum((acc[r][m] * matrix[m][s] for m in range(n)), Fraction(0))
-                    for s in range(n)
-                ]
-                for r in range(n)
-            ]
-    vanishes = all(not total[r][s] for r in range(n) for s in range(n))
-    return "diagonalizable" if vanishes else "not"

@@ -6,12 +6,14 @@ resolved chart at least one coordinate survives at every point, so the
 subspace of quadratics extends across the exceptional set; its zero set
 there is the unique limit of the nearby eigenspace bouquets.
 
-Extraction at a point therefore has two routes that check each other:
-off the discriminant the package's Jacobi eigendecomposition, on it Richardson
-extrapolation of eigenspaces along a transversal curve, always validated
-against the symbolically recovered quadratics. Each bouquet carries its family
-matrix, and off the discriminant the labeled frames are checked against its
-LAPACK eigendecomposition, a solver independent of the one that built them.
+Extraction runs once per chart on whole arrays: exact base points,
+discriminant tests and wedge coordinates from one integer evaluation over
+the grid's common denominator, the family matrices from one float one, and
+one lockstep Jacobi solve off the discriminant. On it, eigenspaces are
+Richardson-extrapolated along transversal curves, all curve points in one
+batch per heading, and validated against the recovered quadratics. Off it,
+the labeled frames are checked against LAPACK on the stack of matrices, a
+solver independent of the one that built them.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ from .family import MatrixFamily
 from .oracle import (
     Cluster,
     ExtrapolationError,
-    SpectralSample,
-    cluster_and_multiplicities,
+    JacobiNonConvergence,
+    cluster_stack,
     embed_hermitian,
     extrapolate_along_curve,
+    largest_angles,
+    nearest_of,
     nearest_subspace,
     procrustes_align,
-    spectral_sample,
+    spectral_samples,
 )
 from .resolve import GOOD_STATUSES, ChartNode
 
@@ -59,10 +63,11 @@ class LabelingError(RuntimeError):
 
 
 def family_matrix(fam: MatrixFamily, base_point: dict) -> np.ndarray:
-    """Float matrix of the family at a point, real-embedded when gaussian."""
-    grid = np.array(
-        [[p.eval_complex(base_point) for p in row] for row in fam.entries], dtype=complex
-    )
+    """Float matrix of the family at a point, real-embedded when gaussian; a
+    base point of float arrays of shape (P,) gives the (P, n, n) stack."""
+    grid = np.array([[p.eval_complex(base_point) for p in row] for row in fam.entries])
+    # each member laid out as one point's matrix is: products round alike
+    grid = np.ascontiguousarray(np.moveaxis(grid, (0, 1), (-2, -1)), dtype=complex)
     if fam.fld == "gaussian":
         return embed_hermitian(grid)
     return grid.real
@@ -75,82 +80,67 @@ class PluckerSection:
     ideal: FittingIdeal
     root_fitting: list[Polynomial]  # generators in the base universe, over Q
     rank: int
-    # the generators with absolute coefficients: the float vanishing test's scale
-    root_bounds: list[Polynomial] = field(init=False)
-
-    def __post_init__(self):
-        self.root_bounds = [
-            Polynomial(g.universe, {e: abs(c) for e, c in g.terms.items()})
-            for g in self.root_fitting
-        ]
 
     @property
     def family(self) -> MatrixFamily:
         return self.system.family
 
-    def on_discriminant(self, base_point: dict) -> bool:
-        """Exact at a rational point; at a float point every generator is
-        below 1e-12 times the sum of its terms' absolute values there."""
-        if all_exact(base_point.values()):
-            return all(not g.eval_scalar(base_point) for g in self.root_fitting)
-        size = {k: abs(v) for k, v in base_point.items()}
-        return all(
-            abs(g.eval_complex(base_point)) <= 1e-12 * bound.eval_complex(size).real
-            for g, bound in zip(self.root_fitting, self.root_bounds)
-        )
+    def on_discriminant(self, base_point: dict):
+        """Float test: every generator is below 1e-12 times the sum of its
+        terms' absolute values there. Float arrays give a boolean array."""
+        size = {k: np.abs(v) for k, v in base_point.items()}
+        inside = np.ones(np.broadcast_shapes(*(np.shape(v) for v in size.values())), dtype=bool)
+        for g in self.root_fitting:
+            value = g.eval_complex(base_point)
+            bound = Polynomial(g.universe, {e: abs(c) for e, c in g.terms.items()})
+            inside &= np.hypot(value.real, value.imag) <= 1e-12 * bound.eval_complex(size).real
+        return inside
 
     # -- wedge coordinates and subspace recovery ----------------------
 
-    def coordinate_values(self, point: dict) -> dict[tuple, Fraction]:
-        """Exact values of all wedge coordinates at a rational chart point."""
-        weak_values = [g.eval_scalar(point) for g in self.chart.weak_gens]
-        out = {}
-        for key, (idx, scale) in self.ideal.minor_table.items():
-            out[key] = weak_values[idx] * scale
+    def recover_quadratics(self, points: list[dict]) -> np.ndarray:
+        """Bases of the rank-d quadratic spaces at rational chart points:
+        (P, d, M) coefficients on the monomials system.monomials. Each point
+        picks its largest nonvanishing wedge coordinate (the first in key
+        order on a tie), fixes its row set, and reads the reduced basis off
+        the minor table by Cramer's rule, all exactly: the coordinates come
+        from one integer evaluation of the weak generators."""
+        table = self.ideal.minor_table
+        if not table:
+            raise UnresolvedChart("no wedge coordinates available")
+        numerators, den = _common_denominator(points, self.chart.universe.params)
+        weak = [g.eval_integer(numerators, den, len(points)) for g in self.chart.weak_gens]
+        # every coordinate times one positive integer common to all of them
+        factors = {key: scale / weak[idx][1] for key, (idx, scale) in table.items()}
+        common = math.lcm(*(f.denominator for f in factors.values()))
+        keys = sorted(table)
+        coords = {key: weak[table[key][0]][0] * int(factors[key] * common) for key in keys}
+        best = np.argmax(np.abs(np.array([coords[key] for key in keys])), axis=0)
+        for p, b in enumerate(best):
+            if coords[keys[b]][p] == 0:
+                raise UnresolvedChart(
+                    f"all wedge coordinates vanish at {points[p]!r}; chart not resolved"
+                )
+        out = np.zeros((len(points), self.rank, len(self.system.monomials)))
+        for b in np.unique(best):
+            at = np.flatnonzero(best == b)
+            rows, cols = keys[b]
+            for k in range(self.rank):
+                out[at, k, cols[k]] = 1.0
+                for m in sorted(set(range(out.shape[2])) - set(cols)):
+                    entry = coords.get((rows, tuple(sorted(set(cols[:k] + cols[k + 1 :]) | {m}))))
+                    if entry is not None:
+                        sign = _replacement_sign(list(cols), k, m)
+                        ratios = zip(entry[at], coords[keys[b]][at])
+                        out[at, k, m] = [e * sign / v if e else 0.0 for e, v in ratios]
         return out
 
-    def recover_quadratics(self, point: dict) -> list[dict[tuple[int, int], float]]:
-        """Basis of the rank-d quadratic space at a chart point.
 
-        Picks the largest nonvanishing wedge coordinate, fixes its row set,
-        and reads the reduced basis off the minor table by Cramer's rule.
-        Returns d quadratics as monomial-coefficient dictionaries (floats).
-        """
-        values = self.coordinate_values(point)
-        if not values:
-            raise UnresolvedChart("no wedge coordinates available")
-        best_key = None
-        best_norm = None
-        for key in sorted(values):
-            norm = abs(values[key])
-            if norm and (best_norm is None or norm > best_norm):
-                best_key, best_norm = key, norm
-        if best_key is None:
-            raise UnresolvedChart(
-                f"all wedge coordinates vanish at {point!r}; chart not resolved"
-            )
-        rows, cols = best_key
-        pivot_value = values[best_key]
-        monos = self.system.monomials
-        ncols = len(monos)
-        d = self.rank
-        basis = []
-        col_list = list(cols)
-        col_set = set(cols)
-        for k in range(d):
-            coeffs: dict[int, Fraction] = {c: Fraction(0) for c in range(ncols)}
-            coeffs[col_list[k]] = Fraction(1)
-            for m in range(ncols):
-                if m in col_set:
-                    continue
-                replaced = sorted(set(col_list[:k] + col_list[k + 1 :]) | {m})
-                sign = _replacement_sign(col_list, k, m)
-                entry = values.get((rows, tuple(replaced)))
-                if entry is None or not entry:
-                    continue
-                coeffs[m] = entry * sign / pivot_value
-            basis.append({monos[c]: float(v) for c, v in coeffs.items() if v})
-        return basis
+def _common_denominator(points: list[dict], names) -> tuple[dict, int]:
+    """Each coordinate's integers over the points' least common denominator."""
+    den = math.lcm(*(p[n].denominator for p in points for n in names))
+    scaled = {n: [p[n].numerator * (den // p[n].denominator) for p in points] for n in names}
+    return {n: np.array(v, dtype=object) for n, v in scaled.items()}, den
 
 
 def _replacement_sign(cols: list[int], k: int, m: int) -> int:
@@ -206,15 +196,52 @@ class BouquetAtPoint:
         return tuple(s.multiplicity for s in self.subspaces)
 
 
-def _quad_value(coeffs: dict[tuple[int, int], float], vec: np.ndarray) -> float:
-    total = 0.0
-    for (a, b), c in coeffs.items():
-        total += c * float(vec[a]) * float(vec[b])
-    return total
+def _spectra_at(section: PluckerSection, points: list[dict], cluster_tol: float, where):
+    """Float base points, discriminant mask, family matrices, quadratics (at
+    rational points) and off the discriminant the clustered spectra {i:
+    sample} of the points; where(i) names point i if its solve fails."""
+    chart, count = section.chart, len(points)
+    if all(all_exact(p.values()) for p in points):
+        numerators, den = _common_denominator(points, chart.universe.params)
+        base = {}
+        for name, poly in chart.to_base.items():
+            values, scale = poly.eval_integer(numerators, den, count)
+            base[name] = (values / scale).astype(float)
+        on_disc = np.ones(count, dtype=bool)
+        for g in section.root_fitting:
+            pulled = g.substitute(dict(chart.to_base), chart.universe)
+            on_disc &= pulled.eval_integer(numerators, den, count)[0] == 0
+        quads = section.recover_quadratics(points)
+    else:
+        coords = {n: np.array([float(p[n]) for p in points]) for n in chart.universe.params}
+        base = chart.base_point_float(coords)
+        on_disc, quads = section.on_discriminant(base), None
+    columns = {k: v.tolist() for k, v in base.items()}
+    bases = [{k: column[i] for k, column in columns.items()} for i in range(count)]
+    matrices = family_matrix(section.family, base)
+    matrices = np.broadcast_to(matrices, (count,) + matrices.shape[-2:])  # no parameters
+    off = np.flatnonzero(~on_disc)
+    try:
+        samples = spectral_samples(matrices[off], cluster_tol)
+    except JacobiNonConvergence as err:
+        i = off[err.member]
+        raise JacobiNonConvergence(f"{err} at {where(i)}, base point {bases[i]}") from err
+    return bases, on_disc, matrices, quads, dict(zip(off.tolist(), samples))
 
 
-def _quad_scale(coeffs: dict[tuple[int, int], float]) -> float:
-    return max((abs(c) for c in coeffs.values()), default=0.0)
+def _residuals(bouquets: list[list[Cluster]], quads, monomials):
+    """Per point, the assembled frame's deviation from orthonormality and the
+    worst |q(v)| / (1 + max |coefficient of q|) over quadratics q, columns v."""
+    frames = np.stack([np.hstack([s.basis for s in subs]) for subs in bouquets])
+    eye = np.eye(frames.shape[2])
+    gram = np.max(np.abs(np.swapaxes(frames, 1, 2) @ frames - eye), axis=(1, 2), initial=0.0)
+    if quads is None:
+        return gram, np.zeros(len(frames))
+    values = 0.0
+    for m, (a, b) in enumerate(monomials):
+        values = values + quads[:, :, m, None] * frames[:, None, a, :] * frames[:, None, b, :]
+    scale = 1.0 + np.max(np.abs(quads), axis=2, initial=0.0)
+    return gram, np.max(np.abs(values) / scale[:, :, None], axis=(1, 2), initial=0.0)
 
 
 def _transversal_directions(nparams: int):
@@ -246,84 +273,85 @@ def _transversal_directions(nparams: int):
         yield direction
 
 
-def extract_bouquet_at_point(
+def extract_bouquets(
     section: PluckerSection,
-    point: dict,
+    points: list[dict],
     cluster_tol: float = 1e-6,
     direction: np.ndarray | None = None,
-) -> BouquetAtPoint:
-    """Bouquet of eigenspace limits at a chart point.
+) -> list[BouquetAtPoint]:
+    """Bouquets of eigenspace limits at chart points, computed together.
 
-    Off the pulled-back discriminant this is a clustered eigendecomposition.
-    On it, eigenspaces are extrapolated to the point along a transversal
-    curve and certified against the recovered quadratics.
+    Off the pulled-back discriminant a bouquet is a clustered
+    eigendecomposition, all such points in one lockstep Jacobi solve. On it,
+    eigenspaces are extrapolated along a transversal curve (direction, or
+    each heading of _transversal_directions in turn) and certified against
+    the recovered quadratics; float points get no quadratics.
     """
-    chart = section.chart
-    names = chart.universe.params
-    exact = all_exact(point.values())
-    base = chart.base_point(point) if exact else chart.base_point_float(point)
-    on_disc = section.on_discriminant(base)
-    base_float = {k: float(v) for k, v in base.items()} if exact else base
-    matrix = family_matrix(section.family, base_float)
-    quads = section.recover_quadratics(point) if exact else None
-
-    if not on_disc:
-        clusters = spectral_sample(matrix, tol=cluster_tol).clusters
-        return _finish_bouquet(section, point, base_float, clusters, False, quads, matrix)
-
-    point_f = np.array([float(point[n]) for n in names], dtype=float)
-    directions = (
-        [direction] if direction is not None else list(_transversal_directions(len(names)))
+    bases, on_disc, matrices, quads, samples = _spectra_at(
+        section, points, cluster_tol, "grid index {}".format
     )
-    last_error: Exception | None = None
-    for delta in directions:
-        try:
-            subspaces = _extrapolate_bouquet(section, point_f, names, delta, cluster_tol, matrix)
-            return _finish_bouquet(section, point, base_float, subspaces, True, quads, matrix)
-        except ExtrapolationError as err:
-            last_error = err
+    subspaces = [samples[i].clusters if i in samples else None for i in range(len(points))]
+    exc = np.flatnonzero(on_disc)
+    if exc.size:
+        limits = _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, direction)
+        for i, found in zip(exc, limits):
+            subspaces[i] = found
+    gram, quad = _residuals(subspaces, quads, section.system.monomials)
+    names = section.chart.universe.params
+    return [
+        BouquetAtPoint(tuple(point[n] for n in names), bases[i], subspaces[i], bool(on_disc[i]),
+                       float(quad[i]), float(gram[i]), matrices[i])
+        for i, point in enumerate(points)
+    ]
+
+
+def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, direction):
+    """Limit bouquets, sorted by value, at the points exc. For each heading,
+    the curve points of every point still pending go through one batch of
+    base points, discriminant tests, matrices and Jacobi solves."""
+    names = section.chart.universe.params
+    radii = EXTRAPOLATION_RADII
+    start = np.array([[float(points[i][name]) for name in names] for i in exc])
+    found: dict[int, list[Cluster]] = {}
+    errors: dict[int, Exception] = {}
+    pending = list(range(len(exc)))
+    for delta in [direction] if direction is not None else _transversal_directions(len(names)):
+        curves = start[pending][:, None, :] + np.array(radii)[:, None] * delta
+        on_curves = [dict(zip(names, row)) for row in curves.reshape(-1, len(names)).tolist()]
+        _, _, _, _, samples = _spectra_at(
+            section,
+            on_curves,
+            cluster_tol,
+            lambda i: f"radius {radii[i % len(radii)]} on the curve of grid index {exc[pending[i // len(radii)]]}",
+        )
+        for j, q in enumerate(pending):
+            curve = [samples.get(j * len(radii) + r) for r in range(len(radii))]
+            try:
+                if None in curve:
+                    raise ExtrapolationError("curve runs inside the discriminant image")
+                limits = extrapolate_along_curve(curve)
+            except ExtrapolationError as err:
+                errors[q] = err
+                continue
+            matrix = matrices[exc[q]]
+            # eigenvalue at the point itself: Rayleigh value on the limit basis
+            rayleigh = [Cluster(float(np.mean(np.diag(b.T @ matrix @ b))), m, b) for _, m, b, _ in limits]
+            found[q] = sorted(rayleigh, key=lambda s: (s.value, s.multiplicity))
+            if quads is None:
+                continue
+            worst = _residuals([found[q]], quads[exc[q], None], section.system.monomials)[1][0]
+            if worst > QUAD_VANISH_TOL:
+                del found[q]
+                errors[q] = ExtrapolationError(
+                    f"recovered quadratics do not vanish on the extrapolated bouquet "
+                    f"(residual {worst:.3e})"
+                )
+        pending = [q for q in pending if q not in found]
+        if not pending:
+            return [found[q] for q in range(len(exc))]
+    q = pending[0]
     raise ExtrapolationError(
-        f"extrapolation failed at {point!r} in every direction: {last_error}"
-    )
-
-
-def _extrapolate_bouquet(section, point_f, names, delta, cluster_tol, matrix_at_p):
-    samples = []
-    for t in EXTRAPOLATION_RADII:
-        chart_pt = {n: float(point_f[k] + t * delta[k]) for k, n in enumerate(names)}
-        base_pt = section.chart.base_point_float(chart_pt)
-        if section.on_discriminant(base_pt):
-            raise ExtrapolationError("curve runs inside the discriminant image")
-        samples.append(spectral_sample(family_matrix(section.family, base_pt), tol=cluster_tol))
-    limits = extrapolate_along_curve(samples)
-    subspaces = []
-    for _, mult, basis, _ in limits:
-        # eigenvalue at the point itself: Rayleigh value on the limit basis
-        value = float(np.mean(np.diag(basis.T @ matrix_at_p @ basis)))
-        subspaces.append(Cluster(value, mult, basis))
-    return subspaces
-
-
-def _finish_bouquet(section, point, base_float, subspaces, exceptional, quads, matrix):
-    subspaces = sorted(subspaces, key=lambda s: (s.value, s.multiplicity))
-    assembled = np.hstack([s.basis for s in subspaces]) if subspaces else np.zeros((0, 0))
-    gram = assembled.T @ assembled
-    gram_residual = float(np.max(np.abs(gram - np.eye(gram.shape[0])))) if gram.size else 0.0
-    worst = 0.0
-    if quads is not None:
-        for q in quads:
-            scale = 1.0 + _quad_scale(q)
-            for s in subspaces:
-                for k in range(s.multiplicity):
-                    worst = max(worst, abs(_quad_value(q, s.basis[:, k])) / scale)
-        if exceptional and worst > QUAD_VANISH_TOL:
-            raise ExtrapolationError(
-                f"recovered quadratics do not vanish on the extrapolated bouquet "
-                f"(residual {worst:.3e})"
-            )
-    pt_tuple = tuple(point[n] for n in section.chart.universe.params)
-    return BouquetAtPoint(
-        pt_tuple, base_float, subspaces, exceptional, worst, gram_residual, matrix
+        f"extrapolation failed at {points[exc[q]]!r} in every direction: {errors[q]}"
     )
 
 
@@ -383,44 +411,49 @@ def local_frame_and_eigenvalues(
     angle_tol: float = DEFAULT_ANGLE_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> FrameReport:
-    """Continuously labeled frames and eigenvalues over a chart grid."""
+    """Continuously labeled frames and eigenvalues over a chart grid: the
+    bouquets and label angles come for the whole grid at once."""
     names = section.chart.universe.params
     if len(grid.counts) != len(names):
         raise ValueError("grid dimension must match the chart parameter count")
     pts = grid.points()
-    bouquets = [
-        extract_bouquet_at_point(section, dict(zip(names, pt)), cluster_tol) for pt in pts
-    ]
+    bouquets = extract_bouquets(section, [dict(zip(names, pt)) for pt in pts], cluster_tol)
+    previous = [None] + [_neighbor_index(idx, grid.counts) for idx in range(1, len(bouquets))]
+    angles = _label_angles(bouquets, previous)
     flags: list[str] = []
+    first = bouquets[0].subspaces
     anchor = sorted(
-        bouquets[0].subspaces,
-        key=lambda s: (s.multiplicity, s.value, tuple(np.round(s.basis[:, 0], 9))),
+        range(len(first)),
+        key=lambda k: (first[k].multiplicity, first[k].value, tuple(np.round(first[k].basis[:, 0], 9))),
     )
-    components = [ComponentTrack(s.multiplicity) for s in anchor]
-    max_oracle_angle = 0.0
+    components = [ComponentTrack(first[k].multiplicity) for k in anchor]
+    labels = [anchor]  # per grid point, the subspace each component took
     for idx, bouquet in enumerate(bouquets):
         matrix = bouquet.matrix
         scale = 1.0 + float(np.linalg.norm(matrix))
-        prev_idx = _neighbor_index(idx, grid.counts) if idx else None
-        used: set[int] = set()
-        for start, comp in zip(anchor, components):
-            if prev_idx is None:
-                basis = _anchor_phase(start.basis)
+        prev = previous[idx]
+        taken: list[int] = []
+        for c, comp in enumerate(components):
+            if prev is None:
+                basis = _anchor_phase(first[anchor[c]].basis)
             else:
-                ref = comp.frames[prev_idx]
-                k, angle, runner_up = nearest_subspace(ref, bouquet.subspaces, used)
+                i = labels[prev][c]
+                k, angle, runner_up = nearest_of(
+                    (j, angles[idx, i, j]) for j in range(len(bouquet.subspaces))
+                    if (idx, i, j) in angles and j not in taken
+                )
                 if k is None:
                     raise LabelingError(
                         f"no component of dimension {comp.dim} at grid index {idx}: "
-                        f"multiplicities {bouquets[prev_idx].multiplicities} at grid "
-                        f"index {prev_idx}, {bouquet.multiplicities} here"
+                        f"multiplicities {bouquets[prev].multiplicities} at grid "
+                        f"index {prev}, {bouquet.multiplicities} here"
                     )
                 if runner_up is not None and runner_up - angle < 1e-6:
                     flags.append(f"ambiguous labeling at grid index {idx}")
-                used.add(k)
+                taken.append(k)
                 basis = bouquet.subspaces[k].basis
                 try:
-                    basis = procrustes_align(basis, ref)
+                    basis = procrustes_align(basis, comp.frames[prev])
                 except ExtrapolationError:
                     flags.append(f"frame alignment degenerate at grid index {idx}")
             comp.frames.append(basis)
@@ -428,15 +461,10 @@ def local_frame_and_eigenvalues(
             comp.eigenvalues.append(rayleigh)
             inv = float(np.max(np.linalg.norm(matrix @ basis - rayleigh * basis, axis=0)))
             comp.invariance.append(inv / scale)
-        if not bouquet.exceptional:
-            # cross-check against LAPACK, a solver independent of the bouquet's
-            values, vectors = np.linalg.eigh(matrix)
-            reference = cluster_and_multiplicities(SpectralSample(values, vectors), cluster_tol)
-            for comp in components:
-                _, angle, _ = nearest_subspace(comp.frames[idx], reference.clusters)
-                if angle is not None:
-                    max_oracle_angle = max(max_oracle_angle, angle)
+        if idx:
+            labels.append(taken)
 
+    max_oracle_angle = _oracle_angle(bouquets, components, cluster_tol)
     smooth_val, smooth_frame = _smoothness(components, grid)
     max_quad = max((b.quad_residual for b in bouquets), default=0.0)
     max_gram = max((b.gram_residual for b in bouquets), default=0.0)
@@ -463,6 +491,41 @@ def local_frame_and_eigenvalues(
         labeling_flags=flags,
         failing=failing,
     )
+
+
+def _label_angles(bouquets: list[BouquetAtPoint], previous) -> dict[tuple[int, int, int], float]:
+    """Largest principal angle between subspace j at each grid point idx
+    and each subspace i of its dimension at its predecessor: {(idx, i, j)}."""
+    keys = [
+        (idx, i, j)
+        for idx in range(1, len(bouquets))
+        for i, ref in enumerate(bouquets[previous[idx]].subspaces)
+        for j, cand in enumerate(bouquets[idx].subspaces)
+        if cand.multiplicity == ref.multiplicity
+    ]
+    pairs = [(bouquets[k].subspaces[j].basis, bouquets[previous[k]].subspaces[i].basis) for k, i, j in keys]
+    return dict(zip(keys, largest_angles(pairs)))
+
+
+def _oracle_angle(bouquets: list[BouquetAtPoint], components, cluster_tol: float) -> float:
+    """Worst angle between a labeled frame and the nearest LAPACK eigenspace
+    of its dimension off the discriminant: one np.linalg.eigh of the stack."""
+    off = [idx for idx, b in enumerate(bouquets) if not b.exceptional]
+    if not off:
+        return 0.0
+    values, vectors = np.linalg.eigh(np.stack([bouquets[idx].matrix for idx in off]))
+    pairs = [
+        ((idx, c), ref.basis)
+        for idx, refs in zip(off, cluster_stack(values, vectors, cluster_tol))
+        for c, comp in enumerate(components)
+        for ref in refs
+        if ref.multiplicity == comp.dim
+    ]
+    angles = largest_angles([(ref, components[c].frames[idx]) for (idx, c), ref in pairs])
+    nearest: dict[tuple[int, int], float] = {}
+    for (key, _), angle in zip(pairs, angles):
+        nearest[key] = min(nearest.get(key, angle), angle)
+    return max([0.0, *nearest.values()])
 
 
 def _neighbor_index(idx: int, counts) -> int:
@@ -519,7 +582,7 @@ def limit_uniqueness_check(
     transversal headings; the frame pass tries the first of them first."""
     headings = islice(_transversal_directions(len(section.chart.universe.params)), 3)
     first, *others = [
-        extract_bouquet_at_point(section, point, cluster_tol, direction=d) for d in headings
+        extract_bouquets(section, [point], cluster_tol, direction=d)[0] for d in headings
     ]
     worst = 0.0
     for other in others:

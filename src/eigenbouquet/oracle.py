@@ -22,7 +22,7 @@ JACOBI_OFF_TOL = 1e-13
 
 
 class JacobiNonConvergence(RuntimeError):
-    pass
+    member = 0  # index of the failing matrix in its stack
 
 
 class ExtrapolationError(RuntimeError):
@@ -47,94 +47,141 @@ class SpectralSample:
         return tuple(c.multiplicity for c in self.clusters)
 
 
-def eigh_jacobi(matrix) -> SpectralSample:
-    """Cyclic Jacobi sweeps on a real symmetric matrix.
-
-    Rotates until the off-diagonal Frobenius mass falls below
-    1e-13 * ||M||_F, with a hard cap of 60 sweeps; non-convergence raises
-    instead of returning silently degraded output.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+def eigh_jacobi(matrices) -> SpectralSample:
+    """Cyclic Jacobi sweeps on a real symmetric matrix or a (P, n, n) stack,
+    in lockstep: each member skips pairs below its own threshold and stops at
+    off-diagonal mass 1e-13 * ||M||_F, ending bit for bit as it would alone.
+    A member unconverged after 60 sweeps raises, naming its stack index.
+    Eigenvalues ascending, vectors as columns, shaped like the input."""
+    single = np.ndim(matrices) == 2
+    a = np.array(matrices, dtype=float, ndmin=3)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
-    scale = float(np.linalg.norm(a))
-    if scale > 0 and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+    n = a.shape[1]
+    scale = frobenius(a)
+    asym = np.max(np.abs(a - np.swapaxes(a, 1, 2)), axis=(1, 2), initial=0.0)
+    if np.any((scale > 0) & (asym > 1e-12 * scale)):
         raise ValueError("matrix is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-    vecs = np.eye(n)
-    if n > 1 and scale > 0:
-        target = JACOBI_OFF_TOL * scale
-        for _ in range(JACOBI_SWEEP_CAP):
-            # off-diagonal Frobenius mass, computed without cancellation
-            off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-            if off <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= target / (n * n):
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                    c = 1.0 / math.hypot(1.0, t)
-                    s = t * c
-                    rot_p = c * a[:, p] - s * a[:, q]
-                    rot_q = s * a[:, p] + c * a[:, q]
-                    a[:, p], a[:, q] = rot_p, rot_q
-                    rot_p = c * a[p, :] - s * a[q, :]
-                    rot_q = s * a[p, :] + c * a[q, :]
-                    a[p, :], a[q, :] = rot_p, rot_q
-                    rot_p = c * vecs[:, p] - s * vecs[:, q]
-                    rot_q = s * vecs[:, p] + c * vecs[:, q]
-                    vecs[:, p], vecs[:, q] = rot_p, rot_q
-        else:
-            raise JacobiNonConvergence(f"no convergence after {JACOBI_SWEEP_CAP} sweeps")
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vecs = vecs[:, order]
-    return SpectralSample(values, vecs)
+    a = 0.5 * (a + np.swapaxes(a, 1, 2))
+    vecs = np.broadcast_to(np.eye(n), a.shape).copy()
+    # the unconverged members, compacted, written back as they finish
+    active = np.flatnonzero(scale > 0) if n > 1 else np.zeros(0, dtype=int)
+    work, turns, goal = a[active], vecs[active], JACOBI_OFF_TOL * scale[active]
+    diag = np.arange(n)
+    for _ in range(JACOBI_SWEEP_CAP):
+        # off-diagonal Frobenius mass, computed without cancellation
+        off = work.copy()
+        off[:, diag, diag] = 0.0
+        going = frobenius(off) > goal
+        if not going.all():
+            a[active], vecs[active] = work, turns
+            active, work, turns, goal = active[going], work[going], turns[going], goal[going]
+        if not active.size:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = work[:, p, q]
+                turn = np.abs(apq) > goal / (n * n)
+                if not turn.any():
+                    continue
+                rot = slice(None) if turn.all() else np.flatnonzero(turn)
+                c, s = _rotation((work[rot, q, q] - work[rot, p, p]) / (2.0 * apq[rot]))
+                _rotate(work, (rot, slice(None), p), (rot, slice(None), q), c, s)
+                _rotate(work, (rot, p), (rot, q), c, s)
+                _rotate(turns, (rot, slice(None), p), (rot, slice(None), q), c, s)
+    else:
+        if active.size:
+            err = JacobiNonConvergence(f"no convergence after {JACOBI_SWEEP_CAP} sweeps")
+            err.member = int(active[0])
+            raise err
+    order = np.argsort(np.diagonal(a, axis1=1, axis2=2), axis=1, kind="stable")
+    members = np.arange(len(a))[:, None]
+    values = a[members, order, order]
+    vecs = vecs[members[:, :, None], diag[:, None], order[:, None, :]]
+    return SpectralSample(values[0], vecs[0]) if single else SpectralSample(values, vecs)
+
+
+def frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member, summed as np.linalg.norm sums one."""
+    flat = stack.reshape(stack.shape[0], math.prod(stack.shape[1:]))
+    return np.sqrt(_dots(flat, flat))
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (P, n) arrays, summed as 1-D ``x @ y`` is."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _rotation(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine columns of t = sign(tau) / (|tau| + hypot(1, tau)),
+    by math.hypot, whose last bit np.hypot does not always match."""
+    t = np.copysign(1.0, tau) / (np.abs(tau) + [math.hypot(1.0, x) for x in tau.tolist()])
+    c = 1.0 / np.array([math.hypot(1.0, x) for x in t.tolist()])
+    return c[:, None], (t * c)[:, None]
+
+
+def _rotate(m: np.ndarray, at_p, at_q, c: np.ndarray, s: np.ndarray) -> None:
+    x, y = m[at_p], m[at_q]
+    m[at_p], m[at_q] = c * x - s * y, s * x + c * y
 
 
 def orthonormalize(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with tiny-column rejection."""
-    cols = []
-    for k in range(columns.shape[1]):
-        v = columns[:, k].astype(float).copy()
-        for u in cols:
-            v -= (u @ v) * u
-        for u in cols:
-            v -= (u @ v) * u
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            cols.append(v / norm)
-    return np.column_stack(cols) if cols else np.zeros((columns.shape[0], 0))
+    """Modified Gram-Schmidt (two passes) on an (n, m) matrix or each member of
+    a stack; a column left 1e-12 or shorter is dropped, or zeroed in a stack."""
+    single = np.ndim(columns) == 2
+    stack = np.array(columns, dtype=float, ndmin=3)
+    kept: list[np.ndarray] = []
+    for k in range(stack.shape[2]):
+        v = stack[:, :, k].copy()
+        for u in kept + kept:
+            v = v - _dots(u, v)[:, None] * u
+        norm = np.sqrt(_dots(v, v))[:, None]
+        if not (single and norm[0, 0] <= 1e-12):
+            kept.append(np.divide(v, norm, out=np.zeros_like(v), where=norm > 1e-12))
+    out = np.stack(kept, axis=2) if kept else np.zeros(stack.shape[:2] + (0,))
+    return out[0] if single else out
 
 
-def cluster_and_multiplicities(sample: SpectralSample, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralSample:
-    """Greedy gap clustering of the sorted spectrum, in place on the sample."""
-    values = sample.eigenvalues
-    n = len(values)
-    scale = 1.0 + (float(np.max(np.abs(values))) if n else 0.0)
-    clusters: list[Cluster] = []
-    start = 0
-    for k in range(1, n + 1):
-        if k == n or values[k] - values[k - 1] > tol * scale:
-            basis = orthonormalize(sample.vectors[:, start:k])
-            value = float(np.mean(values[start:k]))
-            clusters.append(Cluster(value, k - start, basis))
-            start = k
-    sample.clusters = clusters
-    return sample
+def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float) -> list[list[Cluster]]:
+    """Greedy gap clustering of each member's ascending spectrum: a gap above
+    tol * (1 + max|lambda|) starts a cluster, whose basis is its
+    orthonormalized eigenvectors. Members with the same gaps go together."""
+    count, n = values.shape
+    scale = 1.0 + (np.max(np.abs(values), axis=1) if n else 0.0)
+    gaps = np.diff(values, axis=1) > tol * np.reshape(scale, (-1, 1))
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(gaps.tolist()):
+        groups.setdefault(tuple(row), []).append(i)
+    out: list[list[Cluster]] = [[] for _ in range(count)]
+    for pattern, members in groups.items():
+        bounds = [0] + [k + 1 for k, gap in enumerate(pattern) if gap] + [n]
+        for start, stop in zip(bounds, bounds[1:]):
+            bases = orthonormalize(vectors[members, :, start:stop])
+            # np.mean: the sum, then one division by the count
+            means = np.add.reduce(values[members, start:stop], axis=1) / (stop - start)
+            whole = bases.any(axis=1).all(axis=1).tolist()
+            for i, basis, value, full in zip(members, bases, means.tolist(), whole):
+                # a rejected column is dropped, as for a single matrix
+                out[i].append(Cluster(value, stop - start, basis if full else basis[:, basis.any(axis=0)]))
+    return out
 
 
 def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralSample:
-    return cluster_and_multiplicities(eigh_jacobi(matrix), tol)
+    return spectral_samples(np.asarray(matrix, dtype=float)[None], tol)[0]
 
 
-def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> list[float]:
-    """Canonical angles between two subspaces given orthonormal bases.
+def spectral_samples(matrices: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> list[SpectralSample]:
+    """Clustered spectra of a (P, n, n) stack: one lockstep Jacobi solve."""
+    if not len(matrices):
+        return []
+    stack = eigh_jacobi(matrices)
+    found = cluster_stack(stack.eigenvalues, stack.vectors, tol)
+    return [SpectralSample(*member) for member in zip(stack.eigenvalues, stack.vectors, found)]
+
+
+def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
+    """Canonical angles between two subspaces given orthonormal bases: a
+    sorted list for two (n, k) bases, an (N, k) array for two stacks.
 
     With A the smaller basis, cosines are the singular values of B^T A and
     sines those of A - B B^T A; the k-th largest cosine pairs with the k-th
@@ -143,44 +190,49 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> list[float]:
     one-sided Jacobi (one rotation for a plane) gives them as column norms,
     which keeps a small sine beside a large one that Gram eigenvalues lose.
     """
-    a = np.atleast_2d(np.asarray(basis_a, dtype=float))
-    b = np.atleast_2d(np.asarray(basis_b, dtype=float))
-    if a.shape[1] == 0 or b.shape[1] == 0:
+    single = np.ndim(basis_a) < 3
+    a, b = (np.array(m, dtype=float, ndmin=3) for m in (basis_a, basis_b))
+    if a.shape[2] == 0 or b.shape[2] == 0:
         raise ValueError("empty basis")
     for m in (a, b):
-        if float(abs(m.T @ m - np.eye(m.shape[1])).max()) > 1e-10:
+        if float(np.abs(np.swapaxes(m, 1, 2) @ m - np.eye(m.shape[2])).max(initial=0.0)) > 1e-10:
             raise ValueError("basis is not orthonormal")
-    if a.shape[1] > b.shape[1]:
+    if a.shape[2] > b.shape[2]:
         a, b = b, a
-    cross = b.T @ a
+    cross = np.swapaxes(b, 1, 2) @ a
     residual = a - b @ cross
-    if a.shape[1] == 1:
-        return [math.atan2(math.sqrt(float(np.vdot(residual, residual))),
-                           math.sqrt(float(np.vdot(cross, cross))))]
-    sines = _singular_values(residual)
-    cosines = _singular_values(cross)[::-1]
-    return sorted(math.atan2(s, c) for s, c in zip(sines, cosines))
+    if a.shape[2] == 1:
+        sines = np.sqrt(_dots(residual[:, :, 0], residual[:, :, 0]))[:, None]
+        cosines = np.sqrt(_dots(cross[:, :, 0], cross[:, :, 0]))[:, None]
+    else:
+        sines, cosines = _singular_values(residual), _singular_values(cross)[:, ::-1]
+    angles = [math.atan2(s, c) for s, c in zip(sines.ravel().tolist(), cosines.ravel().tolist())]
+    angles = np.sort(np.reshape(angles, sines.shape), axis=1)
+    return angles[0].tolist() if single else angles
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Ascending singular values of m by one-sided (Hestenes) Jacobi sweeps."""
+    """Ascending singular values of each member of an (N, r, k) stack by
+    one-sided (Hestenes) Jacobi sweeps, the members in lockstep."""
     m = np.array(m, dtype=float)
+    active = np.arange(m.shape[0])
     for _ in range(JACOBI_SWEEP_CAP):
-        done = True
-        for p in range(m.shape[1] - 1):
-            for q in range(p + 1, m.shape[1]):
-                x, y = m[:, p], m[:, q]
-                xx, yy, xy = float(x @ x), float(y @ y), float(x @ y)
-                if abs(xy) <= JACOBI_OFF_TOL * math.sqrt(xx * yy):
-                    continue
-                done = False
-                tau = (yy - xx) / (2.0 * xy)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                m[:, p], m[:, q] = c * x - s * y, s * x + c * y
-        if done:
-            return np.sort(np.linalg.norm(m, axis=0))
+        rotated = np.zeros(active.size, dtype=bool)
+        for p in range(m.shape[2] - 1):
+            for q in range(p + 1, m.shape[2]):
+                # strided column views, summed as a single matrix's columns are
+                sub = m[active]
+                x, y = sub[:, :, p], sub[:, :, q]
+                xx, yy, xy = _dots(x, x), _dots(y, y), _dots(x, y)
+                turn = np.abs(xy) > JACOBI_OFF_TOL * np.sqrt(xx * yy)
+                if turn.any():
+                    rotated |= turn
+                    c, s = _rotation((yy - xx)[turn] / (2.0 * xy[turn]))
+                    x, y, rot = x[turn], y[turn], active[turn]
+                    m[rot, :, p], m[rot, :, q] = c * x - s * y, s * x + c * y
+        active = active[rotated]
+        if not active.size:
+            return np.sort(np.sqrt(np.add.reduce(m * m, axis=1)), axis=1)
     raise JacobiNonConvergence(f"no convergence after {JACOBI_SWEEP_CAP} sweeps")
 
 
@@ -189,24 +241,39 @@ def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     return max(principal_angles(basis_a, basis_b))
 
 
-def nearest_subspace(basis: np.ndarray, candidates: list[Cluster], skip=()):
-    """The candidate spanning the subspace nearest to basis's, by largest angle.
+def largest_angles(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """subspace_angle of each (a, b) pair: one stacked call per pair shape."""
+    out = [0.0] * len(pairs)
+    groups: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        groups.setdefault(a.shape + b.shape, []).append(i)
+    for members in groups.values():
+        a, b = (np.stack([pairs[i][side] for i in members]) for side in (0, 1))
+        for i, angle in zip(members, principal_angles(a, b).max(axis=1).tolist()):
+            out[i] = angle
+    return out
 
-    Only candidates of the basis's dimension and outside skip compete.
-    Returns (index, angle, runner_up): a tie keeps the first index,
-    runner_up is the next smallest angle, and each is None without a
-    candidate to give it.
-    """
+
+def nearest_of(angles) -> tuple:
+    """(index, angle, runner_up) over (index, angle) pairs in order: a tie
+    keeps the first index; each is None without a pair to give it."""
     best = angle = runner_up = None
-    for k, cand in enumerate(candidates):
-        if k in skip or cand.multiplicity != basis.shape[1]:
-            continue
-        ang = subspace_angle(cand.basis, basis)
+    for k, ang in angles:
         if angle is None or ang < angle:
             best, angle, runner_up = k, ang, angle
         elif runner_up is None or ang < runner_up:
             runner_up = ang
     return best, angle, runner_up
+
+
+def nearest_subspace(basis: np.ndarray, candidates: list[Cluster], skip=()):
+    """The candidate of basis's dimension, outside skip, spanning the subspace
+    nearest to basis's by largest angle, as ``nearest_of`` gives it."""
+    return nearest_of(
+        (k, subspace_angle(c.basis, basis))
+        for k, c in enumerate(candidates)
+        if k not in skip and c.multiplicity == basis.shape[1]
+    )
 
 
 def procrustes_align(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -237,16 +304,10 @@ def richardson_limit(values: list[np.ndarray], order: int = 2) -> tuple[np.ndarr
     table = [np.asarray(v, dtype=float) for v in values]
     if len(table) < order + 2:
         raise ExtrapolationError("not enough radii for the requested order")
-    level_prev = table
     for level in range(1, order + 1):
         factor = 2.0 ** level
-        level_next = [
-            (factor * level_prev[k + 1] - level_prev[k]) / (factor - 1.0)
-            for k in range(len(level_prev) - 1)
-        ]
-        level_prev = level_next
-    correction = float(np.linalg.norm(level_prev[-1] - level_prev[-2]))
-    return level_prev[-1], correction
+        table = [(factor * table[k + 1] - table[k]) / (factor - 1.0) for k in range(len(table) - 1)]
+    return table[-1], float(np.linalg.norm(table[-1] - table[-2]))
 
 
 def extrapolate_along_curve(samples: list[SpectralSample]) -> list[tuple[float, int, np.ndarray, float]]:
@@ -267,36 +328,30 @@ def extrapolate_along_curve(samples: list[SpectralSample]) -> list[tuple[float, 
         if s.multiplicities != mults:
             raise ExtrapolationError("cluster structure changes along the curve")
     results = []
-    count = len(mults)
-    reference = samples[0]
-    for idx in range(count):
-        chains: list[np.ndarray] = [reference.clusters[idx].basis]
-        valchain: list[float] = [reference.clusters[idx].value]
-        prev_basis = chains[0]
+    for idx, dim in enumerate(mults):
+        chains: list[np.ndarray] = [samples[0].clusters[idx].basis]
+        valchain: list[float] = [samples[0].clusters[idx].value]
         for s in samples[1:]:
-            best_k, best_angle, runner_up = nearest_subspace(prev_basis, s.clusters)
+            best_k, best_angle, runner_up = nearest_subspace(chains[-1], s.clusters)
             if runner_up is not None and runner_up < best_angle + 1e-3:
                 raise ExtrapolationError("ambiguous component matching along curve")
-            aligned = procrustes_align(s.clusters[best_k].basis, prev_basis)
-            chains.append(aligned)
+            chains.append(procrustes_align(s.clusters[best_k].basis, chains[-1]))
             valchain.append(s.clusters[best_k].value)
-            prev_basis = aligned
         limit, corr = richardson_limit(chains)
         value, _ = richardson_limit([np.array([v]) for v in valchain])
         basis = orthonormalize(limit)
-        if basis.shape[1] != mults[idx]:
+        if basis.shape[1] != dim:
             raise ExtrapolationError("extrapolated basis lost rank")
-        results.append((float(value[0]), mults[idx], basis, corr))
+        results.append((float(value[0]), dim, basis, corr))
     return results
 
 
 def embed_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """Real 2n symmetric embedding [[Re, -Im], [Im, Re]] of a Hermitian matrix."""
+    """Real 2n symmetric embedding [[Re, -Im], [Im, Re]] of a Hermitian
+    matrix, or of each member of a (P, n, n) stack."""
     m = np.asarray(matrix, dtype=complex)
-    re, im = m.real, m.imag
-    top = np.hstack([re, -im])
-    bottom = np.hstack([im, re])
-    return np.vstack([top, bottom])
+    halves = np.concatenate([m.real, -m.imag], -1), np.concatenate([m.imag, m.real], -1)
+    return np.concatenate(halves, -2)
 
 
 def normal_spectrum(sym_part: np.ndarray, skew_part: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL):

@@ -228,67 +228,6 @@ def _kernel_of_skew(b_mat: np.ndarray, cluster_tol: float) -> np.ndarray:
     return np.hstack(cols)
 
 
-# -- Lemma-style eigenpair checks ---------------------------------------
-
-
-@dataclass
-class PlaneCheckRecord:
-    orthogonality: float
-    plane_invariance: float
-    mirror_eigenvector: float
-    j_image_eigenvector: float
-    j_preserves_eigenspace: float
-
-    def passes(self, tol: float = 1e-8) -> bool:
-        return (
-            self.orthogonality <= tol
-            and self.plane_invariance <= tol
-            and self.mirror_eigenvector <= tol
-            and self.j_image_eigenvector <= tol
-            and self.j_preserves_eigenspace <= tol
-        )
-
-
-def plane_invariant_checks(
-    split: SplitFamily, point: dict, b_value: float, fvec: np.ndarray, cluster_tol: float = 1e-6
-) -> PlaneCheckRecord:
-    """Residuals of the four doubled-operator plane identities at an eigenpair."""
-    if abs(b_value) <= KERNEL_TOL:
-        raise ValueError("checks require a nonzero eigenvalue")
-    n = split.n
-    b_mat = family_matrix(split.skew, point)
-    b2 = doubled_matrix(b_mat)
-    scale = 1.0 + float(np.linalg.norm(b2))
-    f = np.asarray(fvec, dtype=float)
-    u, v = f[:n], f[n:]
-    # (i) halves orthogonal, plane invariant under B: Bu = b v and Bv = -b u
-    orth = abs(float(u @ v)) / max(1e-30, float(np.linalg.norm(u) * np.linalg.norm(v)))
-    inv = max(
-        float(np.linalg.norm(b_mat @ u - b_value * v)),
-        float(np.linalg.norm(b_mat @ v + b_value * u)),
-    ) / scale
-    # (ii) the swapped pair is an eigenvector for -b
-    swapped = np.concatenate([v, u])
-    mirror = float(np.linalg.norm(b2 @ swapped + b_value * swapped)) / scale
-    # (iii) J f is again an eigenvector for b
-    jf = _apply_j(f)
-    j_eig = float(np.linalg.norm(b2 @ jf - b_value * jf)) / scale
-    # (iv) J maps the eigenspace onto itself
-    sample = spectral_sample(b2, tol=cluster_tol)
-    best = None
-    for cluster in sample.clusters:
-        if abs(cluster.value - b_value) <= cluster_tol * scale:
-            basis = cluster.basis
-            j_basis = orthonormalize(np.column_stack([_apply_j(basis[:, k]) for k in range(basis.shape[1])]))
-            residual = float(
-                np.linalg.norm(j_basis - basis @ (basis.T @ j_basis))
-            )
-            best = residual if best is None else min(best, residual)
-    if best is None:
-        raise ValueError(f"{b_value} is not an eigenvalue of the doubled operator here")
-    return PlaneCheckRecord(orth, inv, mirror, j_eig, best)
-
-
 def complexified_eigenvalues(l_mat: np.ndarray, cluster_tol: float = 1e-6):
     """Independent oracle route: spectrum of L via nested symmetric solves."""
     return normal_spectrum(*_halves(l_mat), cluster_tol)

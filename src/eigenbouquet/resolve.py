@@ -108,9 +108,6 @@ class ChartNode:
                 return child.find(path)
         raise CenterError(f"no chart with address {tuple(path)!r}")
 
-    def base_point(self, point: dict) -> dict:
-        return {name: poly.eval_scalar(point) for name, poly in self.to_base.items()}
-
     def base_point_float(self, point: dict) -> dict:
         return {name: poly.eval_complex(point).real for name, poly in self.to_base.items()}
 

