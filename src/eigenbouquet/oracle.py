@@ -236,13 +236,9 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     raise JacobiNonConvergence(f"no convergence after {JACOBI_SWEEP_CAP} sweeps")
 
 
-def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
-    """Largest canonical angle: 0 iff the spans agree."""
-    return max(principal_angles(basis_a, basis_b))
-
-
 def largest_angles(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
-    """subspace_angle of each (a, b) pair: one stacked call per pair shape."""
+    """Largest principal angle of each (a, b) pair of bases, 0 iff the spans
+    agree: one stacked principal_angles call per pair shape."""
     out = [0.0] * len(pairs)
     groups: dict[tuple, list[int]] = {}
     for i, (a, b) in enumerate(pairs):
@@ -269,11 +265,8 @@ def nearest_of(angles) -> tuple:
 def nearest_subspace(basis: np.ndarray, candidates: list[Cluster], skip=()):
     """The candidate of basis's dimension, outside skip, spanning the subspace
     nearest to basis's by largest angle, as ``nearest_of`` gives it."""
-    return nearest_of(
-        (k, subspace_angle(c.basis, basis))
-        for k, c in enumerate(candidates)
-        if k not in skip and c.multiplicity == basis.shape[1]
-    )
+    ks = [k for k, c in enumerate(candidates) if k not in skip and c.multiplicity == basis.shape[1]]
+    return nearest_of(zip(ks, largest_angles([(candidates[k].basis, basis) for k in ks])))
 
 
 def procrustes_align(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from eigenbouquet.oracle import (
     SpectralSample,
     eigh_jacobi,
     orthonormalize,
+    principal_angles,
     spectral_sample,
 )
 from eigenbouquet.realnormal import KERNEL_TOL, SplitFamily, doubled_matrix
@@ -42,6 +43,11 @@ from eigenbouquet.realnormal import _apply_j as apply_j
 def base_point(node: ChartNode, point: dict) -> dict:
     """Exact base point of a chart point."""
     return {name: poly.eval_scalar(point) for name, poly in node.to_base.items()}
+
+
+def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
+    """Largest canonical angle: 0 iff the spans agree."""
+    return max(principal_angles(basis_a, basis_b))
 
 
 # -- ranks of the quadratic system ----------------------------------------

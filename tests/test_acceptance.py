@@ -34,7 +34,6 @@ from eigenbouquet.frames import (
 from eigenbouquet.oracle import (
     extrapolate_along_curve,
     spectral_sample,
-    subspace_angle,
 )
 from eigenbouquet.realnormal import (
     arcp_extract,
@@ -42,7 +41,13 @@ from eigenbouquet.realnormal import (
     split_and_double,
 )
 from eigenbouquet.resolve import CenterSpec, run_sequence
-from reference import expected_quadratic_dim, jacobian_rank_at, plane_invariant_checks, rank_at
+from reference import (
+    expected_quadratic_dim,
+    jacobian_rank_at,
+    plane_invariant_checks,
+    rank_at,
+    subspace_angle,
+)
 
 
 def report_line(num, ok, detail):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eigenbouquet.algebra import (
@@ -271,3 +272,40 @@ class TestNormalization:
     def test_leading_term_graded_lex(self):
         e, c = p("x^2 - y^2").leading()
         assert e == (2, 0, 0, 0) and c == Scalar(1)
+
+
+def complex_arithmetic(poly, at):
+    """Evaluation by Python's complex arithmetic, term by term."""
+    total = 0j
+    for e, c in poly.terms.items():
+        acc = complex(c)
+        for k, power in enumerate(e):
+            if power:
+                acc *= complex(at[poly.universe.names[k]]) ** power
+        total += acc
+    return total
+
+
+class TestBatchedEvaluation:
+    def test_float_arrays_round_as_each_point_alone(self):
+        rng = random.Random(41)
+        names = U_XY.names
+        for trial in range(60):
+            poly = rand_poly(rng, U_XY, max_deg=6, gaussian=trial % 2 == 1)
+            points = [{v: rng.uniform(-3, 3) for v in names} for _ in range(10)]
+            batch = poly.eval_complex({v: np.array([pt[v] for pt in points]) for v in names})
+            for value, pt in zip(batch.tolist(), points):
+                want = complex_arithmetic(poly, pt)
+                assert repr(value) == repr(want) == repr(poly.eval_complex(pt))
+
+    def test_integer_values_are_exact(self):
+        rng = random.Random(42)
+        names = U_XY.names
+        for trial in range(60):
+            poly = rand_poly(rng, U_XY, gaussian=trial % 2 == 1)
+            den = rng.choice((1, 6, 10))
+            numerators = {v: np.array([rng.randint(-2 * den, 2 * den) for _ in range(8)], dtype=object) for v in names}
+            values, scale = poly.eval_integer(numerators, den, 8)
+            for i, value in enumerate(values):
+                point = {v: Fraction(numerators[v][i], den) for v in names}
+                assert poly.eval_scalar(point) * scale == value

@@ -1,10 +1,15 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigenbouquet.algebra import Scalar, eval_matrix_rational, parse_polynomial
+from eigenbouquet import cli
+from eigenbouquet.algebra import Scalar, bareiss_det, eval_matrix_rational, parse_polynomial, submatrix
 from eigenbouquet.bouquet import (
     ScalarOperator,
     fitting_minors,
@@ -12,6 +17,7 @@ from eigenbouquet.bouquet import (
     wedge_quadratics,
 )
 from eigenbouquet.family import MatrixFamily, check_structure
+from eigenbouquet.realnormal import split_and_double
 from eigenbouquet.oracle import spectral_sample
 from reference import (
     as_polynomial,
@@ -142,6 +148,83 @@ class TestFittingMinors:
         generic_rank(system)
         with pytest.raises(ScalarOperator):
             fitting_minors(system)
+
+
+def brute_force_minors(system):
+    """Every nonzero minor of the generic rank, by Bareiss on every row and
+    column set."""
+    d, matrix = system.generic_rank, system.coeff_matrix
+    out = {}
+    for rset in combinations(range(len(matrix)), d):
+        for cset in combinations(range(len(matrix[0])), d):
+            minor = bareiss_det(submatrix(matrix, rset, cset))
+            if not minor.is_zero():
+                out[rset, cset] = minor
+    return out
+
+
+def assert_all_minors(system, ideal):
+    """The minor table holds every nonzero minor, in enumeration order, as a
+    multiple of a generator, and the generators are exactly the distinct
+    normalized minors."""
+    brute = brute_force_minors(system)
+    assert list(ideal.minor_table) == list(brute)
+    for key, minor in brute.items():
+        idx, scale = ideal.minor_table[key]
+        assert ideal.gens[idx].scale(scale) == minor
+    assert {idx for idx, _ in ideal.minor_table.values()} == set(range(len(ideal.gens)))
+    assert len({g.sort_key() for g in ideal.gens}) == len(ideal.gens)
+
+
+def sparse_family(rng, n, structure):
+    pool = ["0", "0", "0", "1", "x", "y", "x*y", "x - y", "2*x + 1", "y^2"]
+    entries = [["0"] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            if structure == "symmetric":
+                entries[r][c] = entries[c][r] = rng.choice(pool)
+            elif r != c:
+                entries[r][c] = rng.choice(pool)
+                entries[c][r] = "0" if entries[r][c] == "0" else f"-({entries[r][c]})"
+    return check_structure(MatrixFamily.from_strings(entries, ["x", "y"], structure))
+
+
+def load_bench_jobs():
+    path = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("bench_jobs_for_minors", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return [job for workload in module.WORKLOADS.values() for job in workload]
+
+
+class TestMatchedMinors:
+    """Only row and column sets with a perfect matching in the support are
+    computed; the table and generators are those of all sets."""
+
+    def test_seeded_sparse_families(self):
+        rng = random.Random(7)
+        checked = 0
+        # doubled 2 x 2 skew families give sparse 6 x 10 coefficient matrices,
+        # symmetric 3 x 3 ones denser 3 x 6 ones
+        for structure in ["skew"] * 4 + ["symmetric"] * 12:
+            fam = sparse_family(rng, 2 if structure == "skew" else 3, structure)
+            if structure == "skew":
+                normal = MatrixFamily(fam.n, fam.universe, fam.entries, "normal")
+                fam = split_and_double(check_structure(normal)).doubled
+            system = wedge_quadratics(fam)
+            if generic_rank(system) == 0:
+                continue
+            assert_all_minors(system, fitting_minors(system))
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("job", load_bench_jobs(), ids=lambda job: job.name)
+    def test_benchmark_families(self, job):
+        analysis = cli.analyze(cli.JobConfig.from_dict(job.config))
+        for bundle in analysis.bundles:
+            if bundle.ideal is not None:
+                assert_all_minors(bundle.system, bundle.ideal)
 
 
 class TestJacobianRank:

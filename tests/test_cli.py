@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from eigenbouquet import cli, frames, realnormal
+from eigenbouquet import cli, frames, oracle, realnormal
 from eigenbouquet.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
@@ -248,6 +248,20 @@ class TestRunErrors:
         assert report["verdict"] == "error"
         assert report["error"]["type"] == "ExtrapolationError"
         assert "no limit along this curve" in report["error"]["message"]
+        assert report["resolution"]["verdict"] == "Resolved"
+        assert "frames" not in report
+
+    def test_jacobi_nonconvergence_names_grid_point(self, tmp_path, monkeypatch):
+        # one sweep is too few for every non-diagonal member of kupa's stack
+        monkeypatch.setattr(oracle, "JACOBI_SWEEP_CAP", 1)
+        code, report = self.run_check(tmp_path, FIXTURES["kupa"])
+        assert code == EXIT_ERROR
+        assert report["verdict"] == "error"
+        assert report["error"] == {
+            "type": "JacobiNonConvergence",
+            "message": "no convergence after 1 sweeps at grid index 0, "
+            "base point {'x': -1.0, 'y': 1.0}",
+        }
         assert report["resolution"]["verdict"] == "Resolved"
         assert "frames" not in report
 

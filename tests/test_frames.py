@@ -16,8 +16,8 @@ from eigenbouquet.frames import (
     local_frame_and_eigenvalues,
     plucker_section,
 )
-from eigenbouquet.oracle import subspace_angle
 from eigenbouquet.resolve import CenterSpec, ChartNode, run_sequence
+from reference import subspace_angle
 
 
 def build(entries, params, centers, fibers=None):
@@ -138,6 +138,35 @@ class TestExtractBouquet:
             assert abs(abs(float(s.basis[k, 0])) - 1) < 1e-7
 
 
+class TestBatchedExtraction:
+    def test_bouquets_do_not_depend_on_the_batch(self):
+        # a point's bouquet is the same alone and among others, exceptional
+        # points (u = 0) included
+        section = kupa_chart_x()
+        points = [{"u": Fraction(u, 3), "v": Fraction(v, 2)} for u in (-1, 0, 2) for v in (-2, 1)]
+        together = extract_bouquets(section, points)
+        for point, bouquet in zip(points, together):
+            alone = extract(section, point)
+            assert alone.exceptional == bouquet.exceptional
+            assert alone.base_point == bouquet.base_point
+            assert alone.quad_residual == bouquet.quad_residual
+            for a, b in zip(alone.subspaces, bouquet.subspaces):
+                assert a.value == b.value and a.basis.tobytes() == b.basis.tobytes()
+
+    def test_nonconvergence_names_the_grid_point(self, monkeypatch):
+        # the 13th point off the discriminant of a 5 x 5 grid on kupa's chart,
+        # whose line u = 0 (indices 10-14) is exceptional, is grid index 17
+        def failing(matrices, tol):
+            err = oracle.JacobiNonConvergence("no convergence after 60 sweeps")
+            err.member = 12
+            raise err
+
+        monkeypatch.setattr(frames, "spectral_samples", failing)
+        message = r"at grid index 17, base point \{'x': 0\.5, 'y': 0\.0\}$"  # (u, v) = (1/2, 0)
+        with pytest.raises(oracle.JacobiNonConvergence, match=message):
+            local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((5, 5)))
+
+
 class TestLocalFrames:
     def test_kupa_grid_eigenvalue_functions(self):
         section = kupa_chart_x()
@@ -237,7 +266,6 @@ class TestWorkDoneOnce:
         log: dict[str, list] = {}
         frame_runs, extrapolations = [], []
         count_calls(monkeypatch, log, "eigh_jacobi", [oracle])
-        count_calls(monkeypatch, log, "subspace_angle", [oracle])
         count_calls(monkeypatch, log, "largest_angles", [oracle, frames])
         count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base: base["x"].size)
         count_calls(monkeypatch, log, "base_point_float", [ChartNode], size=lambda node, pt: node.path)
@@ -254,7 +282,7 @@ class TestWorkDoneOnce:
         real_extrapolate = frames.extrapolate_along_curve
 
         def counting_extrapolate(samples):
-            before = len(log.get("subspace_angle", []))
+            before = len(log.get("largest_angles", []))
             limits = real_extrapolate(samples)
             mults = samples[0].multiplicities
             expected = sum(
@@ -262,7 +290,7 @@ class TestWorkDoneOnce:
                 for s in samples[1:]
                 for m in mults
             )
-            extrapolations.append((len(log["subspace_angle"]) - before, expected))
+            extrapolations.append((log["largest_angles"][before:], expected))
             return limits
 
         monkeypatch.setattr(cli, "local_frame_and_eigenvalues", counting_frames)
@@ -284,12 +312,14 @@ class TestWorkDoneOnce:
             # two Jacobi stacks: the grid off the discriminant and the six
             # points of every curve
             assert calls["eigh_jacobi"] == [81 - exceptional, 6 * exceptional]
-            # one stack of angles each for the labels and for the oracle
-            assert len(calls["largest_angles"]) == 2
+            # one stack of angles each for the labels and for the oracle, and
+            # one per (later radius, component) in every extrapolation
+            assert len(calls["largest_angles"]) == 2 + 10 * exceptional
         # one angle per (sample, component, candidate) in every extrapolation:
         # five later radii, two lines, two candidate lines each
         assert len(extrapolations) == curves
-        assert all(calls == expected == 20 for calls, expected in extrapolations)
+        for stacks, expected in extrapolations:
+            assert sum(stacks) == expected == 20 and stacks == [2] * 10
 
     def test_normal_rotation_counts(self, monkeypatch):
         log: dict[str, list] = {}

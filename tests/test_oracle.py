@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from eigenbouquet import oracle
 from eigenbouquet.oracle import (
     Cluster,
     ExtrapolationError,
@@ -12,11 +13,13 @@ from eigenbouquet.oracle import (
     extrapolate_along_curve,
     nearest_subspace,
     normal_spectrum,
+    JacobiNonConvergence,
     principal_angles,
     richardson_limit,
     spectral_sample,
-    subspace_angle,
+    spectral_samples,
 )
+from reference import eigh_jacobi_per_matrix, subspace_angle
 
 
 def random_symmetric(rng, n):
@@ -72,6 +75,85 @@ class TestJacobi:
             eigh_jacobi(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def symmetric_stack(rng, n, count):
+    """Seeded symmetric matrices of each kind the frames meet: generic,
+    diagonal, zero, with repeated eigenvalues, small integers."""
+    out = []
+    for k in range(count):
+        kind = k % 5
+        if kind == 0:
+            m = rng.standard_normal((n, n))
+        elif kind == 1:
+            m = np.diag(rng.standard_normal(n))
+        elif kind == 2:
+            m = np.zeros((n, n))
+        elif kind == 3:
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            m = q @ np.diag(np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n]) @ q.T
+        else:
+            m = rng.integers(-2, 3, (n, n)).astype(float)
+        out.append(0.5 * (m + m.T))
+    return np.array(out)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedJacobi:
+    """The lockstep solver gives every member exactly what the per-matrix
+    solver it replaced gives that matrix alone."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_matrix_solver_bit_for_bit(self, n):
+        stack = symmetric_stack(np.random.default_rng(n), n, 60)
+        got = eigh_jacobi(stack)
+        for k, matrix in enumerate(stack):
+            want = eigh_jacobi_per_matrix(matrix)
+            alone = eigh_jacobi(matrix)  # a stack of one
+            for sample in (alone, eigh_jacobi(matrix[None])):
+                sample_values = sample.eigenvalues.reshape(-1)
+                assert same_bits(sample_values, want.eigenvalues)
+            assert same_bits(alone.vectors, want.vectors)
+            assert same_bits(got.eigenvalues[k], want.eigenvalues)
+            assert same_bits(got.vectors[k], want.vectors)
+
+    def test_member_does_not_depend_on_its_stack(self):
+        rng = np.random.default_rng(11)
+        stack = symmetric_stack(rng, 4, 40)
+        full = eigh_jacobi(stack)
+        order = rng.permutation(len(stack))
+        for members in (order, order[:7], order[-1:]):
+            part = eigh_jacobi(stack[members])
+            for j, k in enumerate(members):
+                assert same_bits(part.eigenvalues[j], full.eigenvalues[k])
+                assert same_bits(part.vectors[j], full.vectors[k])
+
+    def test_eigenvalues_match_lapack(self):
+        for n in range(1, 7):
+            stack = symmetric_stack(np.random.default_rng(100 + n), n, 50)
+            ours = eigh_jacobi(stack).eigenvalues
+            scale = np.linalg.norm(stack, axis=(1, 2))[:, None]
+            assert np.all(np.abs(ours - np.linalg.eigvalsh(stack)) <= 1e-12 * scale)
+
+    def test_clusters_match_single_matrix_clusters(self):
+        stack = symmetric_stack(np.random.default_rng(5), 4, 25)
+        for sample, matrix in zip(spectral_samples(stack, 1e-6), stack):
+            alone = spectral_sample(matrix, 1e-6)
+            assert sample.multiplicities == alone.multiplicities
+            for a, b in zip(sample.clusters, alone.clusters):
+                assert a.value == b.value and same_bits(a.basis, b.basis)
+
+    def test_nonconverging_member_is_named(self, monkeypatch):
+        monkeypatch.setattr(oracle, "JACOBI_SWEEP_CAP", 1)
+        stack = np.array([np.diag([1.0, 2.0]), [[1.0, 2.0], [2.0, -3.0]], np.zeros((2, 2))])
+        with pytest.raises(JacobiNonConvergence) as caught:
+            eigh_jacobi(stack)
+        assert caught.value.member == 1
+        assert str(caught.value) == "no convergence after 1 sweeps"
+
+
 class TestClustering:
     def test_two_separated(self):
         s = spectral_sample(np.array([[1.0, 2.0], [2.0, 4.0]]), tol=1e-6)
@@ -119,6 +201,16 @@ class TestPrincipalAngles:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             principal_angles(np.zeros((3, 0)), np.eye(3))
+
+    def test_stacks_give_each_pair_its_own_angles(self):
+        rng = np.random.default_rng(9)
+        for n, k in ((3, 1), (4, 2), (6, 3)):
+            a = np.array([np.linalg.qr(rng.normal(size=(n, k)))[0] for _ in range(30)])
+            b = np.array([np.linalg.qr(rng.normal(size=(n, k)))[0] for _ in range(30)])
+            stacked = principal_angles(a, b)
+            assert stacked.shape == (30, k)
+            for i in range(30):
+                assert stacked[i].tolist() == principal_angles(a[i], b[i])
 
     def test_non_orthonormal_rejected_on_line_and_plane_paths(self):
         e = np.eye(4)
