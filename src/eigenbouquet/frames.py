@@ -310,7 +310,7 @@ def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, di
     the curve points of every point still pending go through one batch of
     base points, discriminant tests, matrices and Jacobi solves."""
     names = section.chart.universe.params
-    radii = EXTRAPOLATION_RADII
+    radii, steps = EXTRAPOLATION_RADII, len(EXTRAPOLATION_RADII)
     start = np.array([[float(points[i][name]) for name in names] for i in exc])
     found: dict[int, list[Cluster]] = {}
     errors: dict[int, Exception] = {}
@@ -322,12 +322,12 @@ def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, di
             section,
             on_curves,
             cluster_tol,
-            lambda i: f"radius {radii[i % len(radii)]} on the curve of grid index {exc[pending[i // len(radii)]]}",
+            lambda i: f"radius {radii[i % steps]} on the curve of grid index {exc[pending[i // steps]]}",
         )
         for j, q in enumerate(pending):
-            curve = [samples.get(j * len(radii) + r) for r in range(len(radii))]
+            curve = [samples.get(j * steps + r) for r in range(steps)]
             try:
-                if None in curve:
+                if any(sample is None for sample in curve):
                     raise ExtrapolationError("curve runs inside the discriminant image")
                 limits = extrapolate_along_curve(curve)
             except ExtrapolationError as err:
@@ -335,7 +335,9 @@ def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, di
                 continue
             matrix = matrices[exc[q]]
             # eigenvalue at the point itself: Rayleigh value on the limit basis
-            rayleigh = [Cluster(float(np.mean(np.diag(b.T @ matrix @ b))), m, b) for _, m, b, _ in limits]
+            rayleigh = [
+                Cluster(float(np.mean(np.diag(b.T @ matrix @ b))), m, b) for _, m, b, _ in limits
+            ]
             found[q] = sorted(rayleigh, key=lambda s: (s.value, s.multiplicity))
             if quads is None:
                 continue
@@ -503,7 +505,9 @@ def _label_angles(bouquets: list[BouquetAtPoint], previous) -> dict[tuple[int, i
         for j, cand in enumerate(bouquets[idx].subspaces)
         if cand.multiplicity == ref.multiplicity
     ]
-    pairs = [(bouquets[k].subspaces[j].basis, bouquets[previous[k]].subspaces[i].basis) for k, i, j in keys]
+    pairs = [
+        (bouquets[k].subspaces[j].basis, bouquets[previous[k]].subspaces[i].basis) for k, i, j in keys
+    ]
     return dict(zip(keys, largest_angles(pairs)))
 
 

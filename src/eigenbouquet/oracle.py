@@ -63,7 +63,7 @@ def eigh_jacobi(matrices) -> SpectralSample:
     if np.any((scale > 0) & (asym > 1e-12 * scale)):
         raise ValueError("matrix is not symmetric within tolerance")
     a = 0.5 * (a + np.swapaxes(a, 1, 2))
-    vecs = np.broadcast_to(np.eye(n), a.shape).copy()
+    vecs = np.eye(n)[None].repeat(len(a), axis=0)
     # the unconverged members, compacted, written back as they finish
     active = np.flatnonzero(scale > 0) if n > 1 else np.zeros(0, dtype=int)
     work, turns, goal = a[active], vecs[active], JACOBI_OFF_TOL * scale[active]
@@ -161,8 +161,8 @@ def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float) -> list[l
             means = np.add.reduce(values[members, start:stop], axis=1) / (stop - start)
             whole = bases.any(axis=1).all(axis=1).tolist()
             for i, basis, value, full in zip(members, bases, means.tolist(), whole):
-                # a rejected column is dropped, as for a single matrix
-                out[i].append(Cluster(value, stop - start, basis if full else basis[:, basis.any(axis=0)]))
+                basis = basis if full else basis[:, basis.any(axis=0)]  # as one matrix drops it
+                out[i].append(Cluster(value, stop - start, basis))
     return out
 
 
