@@ -6,19 +6,18 @@ resolved chart at least one coordinate survives at every point, so the
 subspace of quadratics extends across the exceptional set; its zero set
 there is the unique limit of the nearby eigenspace bouquets.
 
-Extraction runs once per chart on whole arrays: exact base points,
-discriminant tests and wedge coordinates from one integer evaluation over
-the grid's common denominator, the family matrices from one float one, and
-one lockstep Jacobi solve off the discriminant. On it, eigenspaces are
-Richardson-extrapolated along transversal curves, all curve points in one
-batch per heading, and validated against the recovered quadratics. Off it,
-the labeled frames are checked against LAPACK on the stack of matrices, a
-solver independent of the one that built them.
+Extraction runs once per chart on whole arrays: one exact integer
+evaluation over the grid's common denominator, one float evaluation of the
+family matrices, one lockstep Jacobi solve off the discriminant and, on it,
+one batch of curve points per heading for Richardson extrapolation checked
+against the recovered quadratics. The labeled frames are checked against
+LAPACK on the stack of matrices, a solver independent of the Jacobi one.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
@@ -32,14 +31,15 @@ from .oracle import (
     Cluster,
     ExtrapolationError,
     JacobiNonConvergence,
+    SpectralSample,
     cluster_stack,
+    eigh_jacobi,
     embed_hermitian,
     extrapolate_along_curve,
     largest_angles,
     nearest_of,
     nearest_subspace,
     procrustes_align,
-    spectral_samples,
 )
 from .resolve import GOOD_STATUSES, ChartNode
 
@@ -122,7 +122,7 @@ class PluckerSection:
                     f"all wedge coordinates vanish at {points[p]!r}; chart not resolved"
                 )
         out = np.zeros((len(points), self.rank, len(self.system.monomials)))
-        for b in np.unique(best):
+        for b in sorted(set(best.tolist())):  # np.unique costs 0.6 MB on first use
             at = np.flatnonzero(best == b)
             rows, cols = keys[b]
             for k in range(self.rank):
@@ -181,7 +181,7 @@ def plucker_section(
 # -- bouquet extraction ------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class BouquetAtPoint:
     point: tuple
     base_point: dict  # base parameter name -> float value
@@ -196,10 +196,10 @@ class BouquetAtPoint:
         return tuple(s.multiplicity for s in self.subspaces)
 
 
-def _spectra_at(section: PluckerSection, points: list[dict], cluster_tol: float, where):
+def _spectra_at(section: PluckerSection, points: list[dict], where):
     """Float base points, discriminant mask, family matrices, quadratics (at
-    rational points) and off the discriminant the clustered spectra {i:
-    sample} of the points; where(i) names point i if its solve fails."""
+    rational points), and the points off the discriminant with their stacked
+    Jacobi spectra; where(i) names point i if its solve fails."""
     chart, count = section.chart, len(points)
     if all(all_exact(p.values()) for p in points):
         numerators, den = _common_denominator(points, chart.universe.params)
@@ -216,17 +216,19 @@ def _spectra_at(section: PluckerSection, points: list[dict], cluster_tol: float,
         coords = {n: np.array([float(p[n]) for p in points]) for n in chart.universe.params}
         base = chart.base_point_float(coords)
         on_disc, quads = section.on_discriminant(base), None
-    columns = {k: v.tolist() for k, v in base.items()}
-    bases = [{k: column[i] for k, column in columns.items()} for i in range(count)]
     matrices = family_matrix(section.family, base)
     matrices = np.broadcast_to(matrices, (count,) + matrices.shape[-2:])  # no parameters
     off = np.flatnonzero(~on_disc)
     try:
-        samples = spectral_samples(matrices[off], cluster_tol)
+        spectra = eigh_jacobi(matrices[off])
     except JacobiNonConvergence as err:
         i = off[err.member]
-        raise JacobiNonConvergence(f"{err} at {where(i)}, base point {bases[i]}") from err
-    return bases, on_disc, matrices, quads, dict(zip(off.tolist(), samples))
+        raise JacobiNonConvergence(f"{err} at {where(i)}, base point {_base_at(base, i)}") from err
+    return base, on_disc, matrices, quads, off, spectra
+
+
+def _base_at(base: dict, i: int) -> dict:
+    return {k: v[i].item() for k, v in base.items()}
 
 
 def _residuals(bouquets: list[list[Cluster]], quads, monomials):
@@ -287,10 +289,10 @@ def extract_bouquets(
     each heading of _transversal_directions in turn) and certified against
     the recovered quadratics; float points get no quadratics.
     """
-    bases, on_disc, matrices, quads, samples = _spectra_at(
-        section, points, cluster_tol, "grid index {}".format
-    )
-    subspaces = [samples[i].clusters if i in samples else None for i in range(len(points))]
+    base, on_disc, matrices, quads, off, spectra = _spectra_at(section, points, "grid index {}".format)
+    subspaces: list = [None] * len(points)
+    for i, clusters in zip(off, cluster_stack(spectra.eigenvalues, spectra.vectors, cluster_tol)):
+        subspaces[i] = clusters  # ascending values already
     exc = np.flatnonzero(on_disc)
     if exc.size:
         limits = _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, direction)
@@ -299,7 +301,7 @@ def extract_bouquets(
     gram, quad = _residuals(subspaces, quads, section.system.monomials)
     names = section.chart.universe.params
     return [
-        BouquetAtPoint(tuple(point[n] for n in names), bases[i], subspaces[i], bool(on_disc[i]),
+        BouquetAtPoint(tuple(point[n] for n in names), _base_at(base, i), subspaces[i], bool(on_disc[i]),
                        float(quad[i]), float(gram[i]), matrices[i])
         for i, point in enumerate(points)
     ]
@@ -318,18 +320,21 @@ def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, di
     for delta in [direction] if direction is not None else _transversal_directions(len(names)):
         curves = start[pending][:, None, :] + np.array(radii)[:, None] * delta
         on_curves = [dict(zip(names, row)) for row in curves.reshape(-1, len(names)).tolist()]
-        _, _, _, _, samples = _spectra_at(
+        _, _, _, _, off, spectra = _spectra_at(
             section,
             on_curves,
-            cluster_tol,
             lambda i: f"radius {radii[i % steps]} on the curve of grid index {exc[pending[i // steps]]}",
         )
+        member = dict(zip(off.tolist(), range(len(off))))
         for j, q in enumerate(pending):
-            curve = [samples.get(j * steps + r) for r in range(steps)]
+            at = [member.get(j * steps + r) for r in range(steps)]
             try:
-                if any(sample is None for sample in curve):
+                if None in at:
                     raise ExtrapolationError("curve runs inside the discriminant image")
-                limits = extrapolate_along_curve(curve)
+                # clustered curve by curve: all curves' clusters at once cost memory
+                values, vectors = spectra.eigenvalues[at], spectra.vectors[at]
+                clusters = cluster_stack(values, vectors, cluster_tol)
+                limits = extrapolate_along_curve(list(map(SpectralSample, values, vectors, clusters)))
             except ExtrapolationError as err:
                 errors[q] = err
                 continue
@@ -442,7 +447,7 @@ def local_frame_and_eigenvalues(
                 i = labels[prev][c]
                 k, angle, runner_up = nearest_of(
                     (j, angles[idx, i, j]) for j in range(len(bouquet.subspaces))
-                    if (idx, i, j) in angles and j not in taken
+                    if not np.isnan(angles[idx, i, j]) and j not in taken
                 )
                 if k is None:
                     raise LabelingError(
@@ -495,20 +500,22 @@ def local_frame_and_eigenvalues(
     )
 
 
-def _label_angles(bouquets: list[BouquetAtPoint], previous) -> dict[tuple[int, int, int], float]:
-    """Largest principal angle between subspace j at each grid point idx
-    and each subspace i of its dimension at its predecessor: {(idx, i, j)}."""
-    keys = [
-        (idx, i, j)
-        for idx in range(1, len(bouquets))
-        for i, ref in enumerate(bouquets[previous[idx]].subspaces)
-        for j, cand in enumerate(bouquets[idx].subspaces)
-        if cand.multiplicity == ref.multiplicity
-    ]
-    pairs = [
-        (bouquets[k].subspaces[j].basis, bouquets[previous[k]].subspaces[i].basis) for k, i, j in keys
-    ]
-    return dict(zip(keys, largest_angles(pairs)))
+def _label_angles(bouquets: list[BouquetAtPoint], previous) -> np.ndarray:
+    """angles[idx, i, j]: the largest principal angle between subspace j at
+    grid point idx and subspace i of its dimension at the point's
+    predecessor, NaN for subspaces of different dimensions."""
+    width = max(len(b.subspaces) for b in bouquets)
+    angles = np.full((len(bouquets), width, width), np.nan)
+    slots, cands, refs = array("q"), [], []
+    for idx in range(1, len(bouquets)):
+        for i, ref in enumerate(bouquets[previous[idx]].subspaces):
+            for j, cand in enumerate(bouquets[idx].subspaces):
+                if cand.multiplicity == ref.multiplicity:
+                    slots.append((idx * width + i) * width + j)
+                    cands.append(cand.basis)
+                    refs.append(ref.basis)
+    angles.flat[np.asarray(slots)] = largest_angles(cands, refs)
+    return angles
 
 
 def _oracle_angle(bouquets: list[BouquetAtPoint], components, cluster_tol: float) -> float:
@@ -518,18 +525,20 @@ def _oracle_angle(bouquets: list[BouquetAtPoint], components, cluster_tol: float
     if not off:
         return 0.0
     values, vectors = np.linalg.eigh(np.stack([bouquets[idx].matrix for idx in off]))
-    pairs = [
-        ((idx, c), ref.basis)
-        for idx, refs in zip(off, cluster_stack(values, vectors, cluster_tol))
-        for c, comp in enumerate(components)
-        for ref in refs
-        if ref.multiplicity == comp.dim
-    ]
-    angles = largest_angles([(ref, components[c].frames[idx]) for (idx, c), ref in pairs])
-    nearest: dict[tuple[int, int], float] = {}
-    for (key, _), angle in zip(pairs, angles):
-        nearest[key] = min(nearest.get(key, angle), angle)
-    return max([0.0, *nearest.values()])
+    references = cluster_stack(values, vectors, cluster_tol)
+    worst = 0.0
+    for comp in components:
+        owners, refs = array("q"), []
+        for k, clusters in enumerate(references):
+            for ref in clusters:
+                if ref.multiplicity == comp.dim:
+                    owners.append(k)
+                    refs.append(ref.basis)
+        nearest = np.full(len(off), np.inf)
+        frames = [comp.frames[off[k]] for k in owners]
+        np.minimum.at(nearest, np.asarray(owners), largest_angles(refs, frames))
+        worst = max([worst, *nearest[np.isfinite(nearest)].tolist()])
+    return worst
 
 
 def _neighbor_index(idx: int, counts) -> int:

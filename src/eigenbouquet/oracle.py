@@ -12,6 +12,7 @@ Complex Hermitian input is handled through the real 2n embedding
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +30,14 @@ class ExtrapolationError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)  # many are alive at once: one per eigenspace of a grid
 class Cluster:
     value: float
     multiplicity: int
     basis: np.ndarray  # shape (n, multiplicity), orthonormal columns
 
 
-@dataclass
+@dataclass(slots=True)
 class SpectralSample:
     eigenvalues: np.ndarray
     vectors: np.ndarray  # column k pairs with eigenvalues[k]
@@ -58,7 +59,7 @@ def eigh_jacobi(matrices) -> SpectralSample:
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
     n = a.shape[1]
-    scale = frobenius(a)
+    scale = _frobenius(a)
     asym = np.max(np.abs(a - np.swapaxes(a, 1, 2)), axis=(1, 2), initial=0.0)
     if np.any((scale > 0) & (asym > 1e-12 * scale)):
         raise ValueError("matrix is not symmetric within tolerance")
@@ -72,7 +73,7 @@ def eigh_jacobi(matrices) -> SpectralSample:
         # off-diagonal Frobenius mass, computed without cancellation
         off = work.copy()
         off[:, diag, diag] = 0.0
-        going = frobenius(off) > goal
+        going = _frobenius(off) > goal
         if not going.all():
             a[active], vecs[active] = work, turns
             active, work, turns, goal = active[going], work[going], turns[going], goal[going]
@@ -101,7 +102,7 @@ def eigh_jacobi(matrices) -> SpectralSample:
     return SpectralSample(values[0], vecs[0]) if single else SpectralSample(values, vecs)
 
 
-def frobenius(stack: np.ndarray) -> np.ndarray:
+def _frobenius(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each member, summed as np.linalg.norm sums one."""
     flat = stack.reshape(stack.shape[0], math.prod(stack.shape[1:]))
     return np.sqrt(_dots(flat, flat))
@@ -148,7 +149,7 @@ def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float) -> list[l
     orthonormalized eigenvectors. Members with the same gaps go together."""
     count, n = values.shape
     scale = 1.0 + (np.max(np.abs(values), axis=1) if n else 0.0)
-    gaps = np.diff(values, axis=1) > tol * np.reshape(scale, (-1, 1))
+    gaps = values[:, 1:] - values[:, :-1] > tol * np.reshape(scale, (-1, 1))
     groups: dict[tuple, list[int]] = {}
     for i, row in enumerate(gaps.tolist()):
         groups.setdefault(tuple(row), []).append(i)
@@ -167,16 +168,9 @@ def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float) -> list[l
 
 
 def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralSample:
-    return spectral_samples(np.asarray(matrix, dtype=float)[None], tol)[0]
-
-
-def spectral_samples(matrices: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> list[SpectralSample]:
-    """Clustered spectra of a (P, n, n) stack: one lockstep Jacobi solve."""
-    if not len(matrices):
-        return []
-    stack = eigh_jacobi(matrices)
-    found = cluster_stack(stack.eigenvalues, stack.vectors, tol)
-    return [SpectralSample(*member) for member in zip(stack.eigenvalues, stack.vectors, found)]
+    sample = eigh_jacobi(matrix)
+    sample.clusters = cluster_stack(sample.eigenvalues[None], sample.vectors[None], tol)[0]
+    return sample
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
@@ -191,7 +185,7 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
     which keeps a small sine beside a large one that Gram eigenvalues lose.
     """
     single = np.ndim(basis_a) < 3
-    a, b = (np.array(m, dtype=float, ndmin=3) for m in (basis_a, basis_b))
+    a, b = (np.array(m, dtype=float, ndmin=3, copy=None) for m in (basis_a, basis_b))
     if a.shape[2] == 0 or b.shape[2] == 0:
         raise ValueError("empty basis")
     for m in (a, b):
@@ -206,8 +200,8 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
         cosines = np.sqrt(_dots(cross[:, :, 0], cross[:, :, 0]))[:, None]
     else:
         sines, cosines = _singular_values(residual), _singular_values(cross)[:, ::-1]
-    angles = [math.atan2(s, c) for s, c in zip(sines.ravel().tolist(), cosines.ravel().tolist())]
-    angles = np.sort(np.reshape(angles, sines.shape), axis=1)
+    angles = np.fromiter(map(math.atan2, sines.ravel(), cosines.ravel()), float, sines.size)
+    angles = np.sort(angles.reshape(sines.shape), axis=1)
     return angles[0].tolist() if single else angles
 
 
@@ -236,23 +230,22 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     raise JacobiNonConvergence(f"no convergence after {JACOBI_SWEEP_CAP} sweeps")
 
 
-def largest_angles(pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
-    """Largest principal angle of each (a, b) pair of bases, 0 iff the spans
-    agree: one stacked principal_angles call per pair shape."""
-    out = [0.0] * len(pairs)
-    groups: dict[tuple, list[int]] = {}
-    for i, (a, b) in enumerate(pairs):
-        groups.setdefault(a.shape + b.shape, []).append(i)
-    for members in groups.values():
-        a, b = (np.stack([pairs[i][side] for i in members]) for side in (0, 1))
-        for i, angle in zip(members, principal_angles(a, b).max(axis=1).tolist()):
-            out[i] = angle
+def largest_angles(bases_a: list[np.ndarray], bases_b: list[np.ndarray]) -> np.ndarray:
+    """Largest principal angle between bases_a[k] and bases_b[k], 0 iff the
+    spans agree, for every k: one stacked principal_angles call per shape."""
+    out = np.zeros(len(bases_a))
+    groups: dict[tuple, array] = {}  # indices in int arrays: no object per pair
+    for k, (a, b) in enumerate(zip(bases_a, bases_b)):
+        groups.setdefault(a.shape + b.shape, array("q")).append(k)
+    for ks in groups.values():
+        stacks = [np.stack([bases[k] for k in ks]) for bases in (bases_a, bases_b)]
+        out[np.asarray(ks)] = principal_angles(*stacks).max(axis=1)
     return out
 
 
 def nearest_of(angles) -> tuple:
-    """(index, angle, runner_up) over (index, angle) pairs in order: a tie
-    keeps the first index; each is None without a pair to give it."""
+    """(index, angle, runner_up) over (index, angle) pairs in order: a tie keeps
+    the first index, runner_up is the next smallest angle; None if none gives it."""
     best = angle = runner_up = None
     for k, ang in angles:
         if angle is None or ang < angle:
@@ -266,7 +259,7 @@ def nearest_subspace(basis: np.ndarray, candidates: list[Cluster], skip=()):
     """The candidate of basis's dimension, outside skip, spanning the subspace
     nearest to basis's by largest angle, as ``nearest_of`` gives it."""
     ks = [k for k, c in enumerate(candidates) if k not in skip and c.multiplicity == basis.shape[1]]
-    return nearest_of(zip(ks, largest_angles([(candidates[k].basis, basis) for k in ks])))
+    return nearest_of(zip(ks, largest_angles([candidates[k].basis for k in ks], [basis] * len(ks)).tolist()))
 
 
 def procrustes_align(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:

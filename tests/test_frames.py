@@ -156,12 +156,12 @@ class TestBatchedExtraction:
     def test_nonconvergence_names_the_grid_point(self, monkeypatch):
         # the 13th point off the discriminant of a 5 x 5 grid on kupa's chart,
         # whose line u = 0 (indices 10-14) is exceptional, is grid index 17
-        def failing(matrices, tol):
+        def failing(matrices):
             err = oracle.JacobiNonConvergence("no convergence after 60 sweeps")
             err.member = 12
             raise err
 
-        monkeypatch.setattr(frames, "spectral_samples", failing)
+        monkeypatch.setattr(frames, "eigh_jacobi", failing)
         message = r"at grid index 17, base point \{'x': 0\.5, 'y': 0\.0\}$"  # (u, v) = (1/2, 0)
         with pytest.raises(oracle.JacobiNonConvergence, match=message):
             local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((5, 5)))
@@ -228,16 +228,14 @@ class TestFrameOracle:
         # oracle, which only an independent reference solver can see
         turn = 1e-6
 
-        def skewed_samples(matrices, tol=oracle.DEFAULT_CLUSTER_TOL):
-            samples = oracle.spectral_samples(matrices, tol)
-            rotation = np.eye(matrices.shape[1])
+        def skewed_solver(matrices):
+            spectra = oracle.eigh_jacobi(matrices)
+            rotation = np.eye(spectra.vectors.shape[1])
             rotation[:2, :2] = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
-            for sample in samples:
-                for cluster in sample.clusters:
-                    cluster.basis = rotation @ cluster.basis
-            return samples
+            spectra.vectors = rotation @ spectra.vectors
+            return spectra
 
-        monkeypatch.setattr(frames, "spectral_samples", skewed_samples)
+        monkeypatch.setattr(frames, "eigh_jacobi", skewed_solver)
         # even grid counts miss the exceptional line u = 0
         report = local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((4, 4)))
         assert not any(report.exceptional_mask)
@@ -265,7 +263,7 @@ class TestWorkDoneOnce:
     def test_kupa_demo_counts(self, monkeypatch):
         log: dict[str, list] = {}
         frame_runs, extrapolations = [], []
-        count_calls(monkeypatch, log, "eigh_jacobi", [oracle])
+        count_calls(monkeypatch, log, "eigh_jacobi", [oracle, frames])
         count_calls(monkeypatch, log, "largest_angles", [oracle, frames])
         count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base: base["x"].size)
         count_calls(monkeypatch, log, "base_point_float", [ChartNode], size=lambda node, pt: node.path)
@@ -312,9 +310,9 @@ class TestWorkDoneOnce:
             # two Jacobi stacks: the grid off the discriminant and the six
             # points of every curve
             assert calls["eigh_jacobi"] == [81 - exceptional, 6 * exceptional]
-            # one stack of angles each for the labels and for the oracle, and
-            # one per (later radius, component) in every extrapolation
-            assert len(calls["largest_angles"]) == 2 + 10 * exceptional
+            # one stack of angles for the labels, one per component for the
+            # oracle, and one per (later radius, component) per extrapolation
+            assert len(calls["largest_angles"]) == 1 + len(report.components) + 10 * exceptional
         # one angle per (sample, component, candidate) in every extrapolation:
         # five later radii, two lines, two candidate lines each
         assert len(extrapolations) == curves
