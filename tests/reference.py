@@ -2,8 +2,9 @@
 
 Checks of the paper's identities that no pipeline stage runs (the Jacobian
 and coefficient ranks, the diagonalizability classifier, the doubled
-operator's plane identities) and the per-matrix Jacobi solver the stacked
-one replaced, kept frozen as its reference.
+operator's plane identities), small conveniences (exact base points, the
+largest principal angle of one pair) and the per-matrix Jacobi solver the
+stacked one replaced, kept frozen as its bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from eigenbouquet.oracle import (
     spectral_sample,
 )
 from eigenbouquet.realnormal import KERNEL_TOL, SplitFamily, doubled_matrix
-from eigenbouquet.resolve import ChartNode
 from eigenbouquet.realnormal import _apply_j as apply_j
+from eigenbouquet.resolve import ChartNode
+
 
 def base_point(node: ChartNode, point: dict) -> dict:
     """Exact base point of a chart point."""

@@ -304,7 +304,10 @@ class TestBatchedEvaluation:
         for trial in range(60):
             poly = rand_poly(rng, U_XY, gaussian=trial % 2 == 1)
             den = rng.choice((1, 6, 10))
-            numerators = {v: np.array([rng.randint(-2 * den, 2 * den) for _ in range(8)], dtype=object) for v in names}
+            numerators = {
+                v: np.array([rng.randint(-2 * den, 2 * den) for _ in range(8)], dtype=object)
+                for v in names
+            }
             values, scale = poly.eval_integer(numerators, den, 8)
             for i, value in enumerate(values):
                 point = {v: Fraction(numerators[v][i], den) for v in names}

@@ -267,7 +267,9 @@ class TestWorkDoneOnce:
         count_calls(monkeypatch, log, "largest_angles", [oracle, frames])
         count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base: base["x"].size)
         count_calls(monkeypatch, log, "base_point_float", [ChartNode], size=lambda node, pt: node.path)
-        count_calls(monkeypatch, log, "recover_quadratics", [frames.PluckerSection], size=lambda s, pts: len(pts))
+        count_calls(
+            monkeypatch, log, "recover_quadratics", [frames.PluckerSection], size=lambda s, pts: len(pts)
+        )
 
         real_frames = cli.local_frame_and_eigenvalues
 
