@@ -6,12 +6,9 @@ resolved chart at least one coordinate survives at every point, so the
 subspace of quadratics extends across the exceptional set; its zero set
 there is the unique limit of the nearby eigenspace bouquets.
 
-Extraction runs once per chart on whole arrays: one exact integer
-evaluation over the grid's common denominator, one float evaluation of the
-family matrices, one lockstep Jacobi solve off the discriminant and, on it,
-one batch of curve points per heading for Richardson extrapolation checked
-against the recovered quadratics. The labeled frames are checked against
-LAPACK on the stack of matrices, a solver independent of the Jacobi one.
+Extraction runs per chart on whole arrays: off the discriminant a lockstep
+Jacobi solve, on it Richardson extrapolation along transversal curves checked
+against the recovered quadratics; the frames are checked against LAPACK.
 """
 
 from __future__ import annotations
@@ -223,12 +220,10 @@ def _spectra_at(section: PluckerSection, points: list[dict], where):
         spectra = eigh_jacobi(matrices[off])
     except JacobiNonConvergence as err:
         i = off[err.member]
-        raise JacobiNonConvergence(f"{err} at {where(i)}, base point {_base_at(base, i)}") from err
+        point = {k: v[i].item() for k, v in base.items()}
+        raise JacobiNonConvergence(f"{err} at {where(i)}, base point {point}") from err
     return base, on_disc, matrices, quads, off, spectra
 
-
-def _base_at(base: dict, i: int) -> dict:
-    return {k: v[i].item() for k, v in base.items()}
 
 
 def _residuals(bouquets: list[list[Cluster]], quads, monomials):
@@ -281,14 +276,10 @@ def extract_bouquets(
     cluster_tol: float = 1e-6,
     direction: np.ndarray | None = None,
 ) -> list[BouquetAtPoint]:
-    """Bouquets of eigenspace limits at chart points, computed together.
-
-    Off the pulled-back discriminant a bouquet is a clustered
-    eigendecomposition, all such points in one lockstep Jacobi solve. On it,
-    eigenspaces are extrapolated along a transversal curve (direction, or
-    each heading of _transversal_directions in turn) and certified against
-    the recovered quadratics; float points get no quadratics.
-    """
+    """Bouquets of eigenspace limits at chart points, computed together: off
+    the pulled-back discriminant clustered eigendecompositions from one Jacobi
+    stack, on it limits along a transversal curve (direction, or each heading
+    in turn) certified against the recovered quadratics (none at float points)."""
     base, on_disc, matrices, quads, off, spectra = _spectra_at(section, points, "grid index {}".format)
     subspaces: list = [None] * len(points)
     for i, clusters in zip(off, cluster_stack(spectra.eigenvalues, spectra.vectors, cluster_tol)):
@@ -300,9 +291,10 @@ def extract_bouquets(
             subspaces[i] = found
     gram, quad = _residuals(subspaces, quads, section.system.monomials)
     names = section.chart.universe.params
+    columns = {k: v.tolist() for k, v in base.items()}
     return [
-        BouquetAtPoint(tuple(point[n] for n in names), _base_at(base, i), subspaces[i], bool(on_disc[i]),
-                       float(quad[i]), float(gram[i]), matrices[i])
+        BouquetAtPoint(tuple(point[n] for n in names), {k: c[i] for k, c in columns.items()},
+                       subspaces[i], bool(on_disc[i]), float(quad[i]), float(gram[i]), matrices[i])
         for i, point in enumerate(points)
     ]
 
@@ -436,8 +428,6 @@ def local_frame_and_eigenvalues(
     components = [ComponentTrack(first[k].multiplicity) for k in anchor]
     labels = [anchor]  # per grid point, the subspace each component took
     for idx, bouquet in enumerate(bouquets):
-        matrix = bouquet.matrix
-        scale = 1.0 + float(np.linalg.norm(matrix))
         prev = previous[idx]
         taken: list[int] = []
         for c, comp in enumerate(components):
@@ -446,8 +436,8 @@ def local_frame_and_eigenvalues(
             else:
                 i = labels[prev][c]
                 k, angle, runner_up = nearest_of(
-                    (j, angles[idx, i, j]) for j in range(len(bouquet.subspaces))
-                    if not np.isnan(angles[idx, i, j]) and j not in taken
+                    (j, angle) for j, angle in enumerate(angles[idx, i].tolist())
+                    if not math.isnan(angle) and j not in taken
                 )
                 if k is None:
                     raise LabelingError(
@@ -464,12 +454,21 @@ def local_frame_and_eigenvalues(
                 except ExtrapolationError:
                     flags.append(f"frame alignment degenerate at grid index {idx}")
             comp.frames.append(basis)
-            rayleigh = float(np.mean(np.diag(basis.T @ matrix @ basis)))
-            comp.eigenvalues.append(rayleigh)
-            inv = float(np.max(np.linalg.norm(matrix @ basis - rayleigh * basis, axis=0)))
-            comp.invariance.append(inv / scale)
         if idx:
             labels.append(taken)
+    # Rayleigh values and invariance residuals of all frames at once; each
+    # member of the stack keeps one point's strides, so products round alike
+    n, step = first[0].basis.shape[0], bouquets[0].matrix.strides[-1] // 8
+    matrices = np.zeros((len(bouquets), n, n * step))[..., ::step]
+    matrices[...] = [b.matrix for b in bouquets]
+    scale = 1.0 + np.array([np.linalg.norm(b.matrix) for b in bouquets])
+    for comp in components:
+        stack = np.stack(comp.frames)
+        products = np.swapaxes(stack, 1, 2) @ matrices @ stack
+        rayleigh = np.add.reduce(np.diagonal(products, axis1=1, axis2=2), axis=1) / comp.dim
+        residual = matrices @ stack - rayleigh[:, None, None] * stack
+        comp.eigenvalues = rayleigh.tolist()
+        comp.invariance = (np.sqrt(np.add.reduce(residual**2, axis=1)).max(axis=1) / scale).tolist()
 
     max_oracle_angle = _oracle_angle(bouquets, components, cluster_tol)
     smooth_val, smooth_frame = _smoothness(components, grid)
@@ -501,9 +500,8 @@ def local_frame_and_eigenvalues(
 
 
 def _label_angles(bouquets: list[BouquetAtPoint], previous) -> np.ndarray:
-    """angles[idx, i, j]: the largest principal angle between subspace j at
-    grid point idx and subspace i of its dimension at the point's
-    predecessor, NaN for subspaces of different dimensions."""
+    """angles[idx, i, j]: largest principal angle between subspace j at grid
+    point idx and subspace i of its dimension at its predecessor, else NaN."""
     width = max(len(b.subspaces) for b in bouquets)
     angles = np.full((len(bouquets), width, width), np.nan)
     slots, cands, refs = array("q"), [], []

@@ -90,11 +90,10 @@ def eigh_jacobi(matrices) -> SpectralSample:
                 _rotate(work, (rot, slice(None), p), (rot, slice(None), q), c, s)
                 _rotate(work, (rot, p), (rot, q), c, s)
                 _rotate(turns, (rot, slice(None), p), (rot, slice(None), q), c, s)
-    else:
-        if active.size:
-            err = JacobiNonConvergence(f"no convergence after {JACOBI_SWEEP_CAP} sweeps")
-            err.member = int(active[0])
-            raise err
+    if active.size:
+        err = JacobiNonConvergence(f"no convergence after {JACOBI_SWEEP_CAP} sweeps")
+        err.member = int(active[0])
+        raise err
     order = np.argsort(np.diagonal(a, axis1=1, axis2=2), axis=1, kind="stable")
     members = np.arange(len(a))[:, None]
     values = a[members, order, order]
@@ -259,7 +258,10 @@ def nearest_subspace(basis: np.ndarray, candidates: list[Cluster], skip=()):
     """The candidate of basis's dimension, outside skip, spanning the subspace
     nearest to basis's by largest angle, as ``nearest_of`` gives it."""
     ks = [k for k, c in enumerate(candidates) if k not in skip and c.multiplicity == basis.shape[1]]
-    return nearest_of(zip(ks, largest_angles([candidates[k].basis for k in ks], [basis] * len(ks)).tolist()))
+    if not ks:
+        return None, None, None
+    angles = principal_angles(np.stack([candidates[k].basis for k in ks]), basis[None])
+    return nearest_of(zip(ks, angles.max(axis=1).tolist()))
 
 
 def procrustes_align(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:

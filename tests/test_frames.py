@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eigenbouquet import cli, frames, oracle, realnormal
+from eigenbouquet.algebra import Polynomial
 from eigenbouquet.bouquet import fitting_minors, generic_rank, wedge_quadratics
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.frames import (
@@ -265,8 +266,10 @@ class TestWorkDoneOnce:
         frame_runs, extrapolations = [], []
         count_calls(monkeypatch, log, "eigh_jacobi", [oracle, frames])
         count_calls(monkeypatch, log, "largest_angles", [oracle, frames])
+        count_calls(monkeypatch, log, "principal_angles", [oracle])
         count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base: base["x"].size)
         count_calls(monkeypatch, log, "base_point_float", [ChartNode], size=lambda node, pt: node.path)
+        count_calls(monkeypatch, log, "eval_integer", [Polynomial], size=lambda p, nums, den, count: count)
         count_calls(
             monkeypatch, log, "recover_quadratics", [frames.PluckerSection], size=lambda s, pts: len(pts)
         )
@@ -282,7 +285,7 @@ class TestWorkDoneOnce:
         real_extrapolate = frames.extrapolate_along_curve
 
         def counting_extrapolate(samples):
-            before = len(log.get("largest_angles", []))
+            before = len(log.get("principal_angles", []))
             limits = real_extrapolate(samples)
             mults = samples[0].multiplicities
             expected = sum(
@@ -290,7 +293,7 @@ class TestWorkDoneOnce:
                 for s in samples[1:]
                 for m in mults
             )
-            extrapolations.append((log["largest_angles"][before:], expected))
+            extrapolations.append((log["principal_angles"][before:], expected))
             return limits
 
         monkeypatch.setattr(cli, "local_frame_and_eigenvalues", counting_frames)
@@ -304,17 +307,20 @@ class TestWorkDoneOnce:
             exceptional = sum(report.exceptional_mask)
             curves += exceptional
             assert len(report.points) == 81 and exceptional
-            # one exact batch for the whole grid, one float batch of the
-            # curve points of every exceptional point on the first heading
+            # one exact batch for the whole grid (every integer evaluation
+            # covers its 81 points), one float batch of the curve points of
+            # every exceptional point on the first heading
             assert calls["recover_quadratics"] == [81]
+            assert calls["eval_integer"] and set(calls["eval_integer"]) == {81}
             assert calls["base_point_float"] == [report.chart_path]
             assert calls["family_matrix"] == [81, 6 * exceptional]
             # two Jacobi stacks: the grid off the discriminant and the six
             # points of every curve
             assert calls["eigh_jacobi"] == [81 - exceptional, 6 * exceptional]
-            # one stack of angles for the labels, one per component for the
-            # oracle, and one per (later radius, component) per extrapolation
-            assert len(calls["largest_angles"]) == 1 + len(report.components) + 10 * exceptional
+            # one stack of angles for the labels and one per component for the
+            # oracle; one per (later radius, component) in each extrapolation
+            assert len(calls["largest_angles"]) == 1 + len(report.components)
+            assert len(calls["principal_angles"]) == 1 + len(report.components) + 10 * exceptional
         # one angle per (sample, component, candidate) in every extrapolation:
         # five later radii, two lines, two candidate lines each
         assert len(extrapolations) == curves
