@@ -225,7 +225,6 @@ def _spectra_at(section: PluckerSection, points: list[dict], where):
     return base, on_disc, matrices, quads, off, spectra
 
 
-
 def _residuals(bouquets: list[list[Cluster]], quads, monomials):
     """Per point, the assembled frame's deviation from orthonormality and the
     worst |q(v)| / (1 + max |coefficient of q|) over quadratics q, columns v."""
