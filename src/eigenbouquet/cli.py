@@ -33,11 +33,12 @@ from .frames import (
     LabelingError,
     NonHermitianFamily,
     UnresolvedChart,
+    common_denominator,
     family_matrix,
     local_frame_and_eigenvalues,
     plucker_section,
 )
-from .oracle import ExtrapolationError, JacobiNonConvergence, spectral_sample
+from .oracle import ExtrapolationError, JacobiNonConvergence, spectral_clusters
 from .realnormal import (
     ArcpReport,
     DecompositionError,
@@ -500,25 +501,27 @@ def stage_check(state: RunState) -> RunState:
     if cfg.structure in {"symmetric", "hermitian"} or cfg.fld == "gaussian":
         rng = random.Random(cfg.seed)
         summary = analysis.summary
-        fam = analysis.family
-        hits = 0
+        names = analysis.family.universe.params
+        drawn = [
+            {name: Fraction(rng.randint(-15, 15), rng.randint(1, 6)) for name in names}
+            for _ in range(100)
+        ]
+        # skipped where every discriminant generator vanishes: one exact batch
+        numerators, den = common_denominator(drawn, names)
+        values = [g.eval_integer(numerators, den, len(drawn))[0] for g in summary.disc_gens]
+        off = [k for k in range(len(drawn)) if not values or any(v[k] != 0 for v in values)]
         bad = 0
-        for _ in range(100):
-            pt = {
-                name: Fraction(rng.randint(-15, 15), rng.randint(1, 6))
-                for name in fam.universe.params
-            }
-            if summary.disc_gens and all(not g.eval_scalar(pt) for g in summary.disc_gens):
-                continue
-            mat = family_matrix(fam, {k: float(v) for k, v in pt.items()})
-            sample = spectral_sample(mat, tol=cfg.tol_cluster)
-            if len(sample.clusters) != summary.generic_distinct_eigenvalues:
-                bad += 1
-            hits += 1
+        if off:
+            base = {name: (numerators[name][off] / den).astype(float) for name in names}
+            matrices = family_matrix(analysis.family, base)
+            if matrices.ndim == 2:  # no parameters
+                matrices = matrices[None].repeat(len(off), axis=0)
+            clusters = spectral_clusters(matrices, cfg.tol_cluster)
+            bad = sum(len(c) != summary.generic_distinct_eigenvalues for c in clusters)
         inv.append(
             {
                 "name": "oracle_cluster_count_off_discriminant",
-                "count": hits,
+                "count": len(off),
                 "failures": bad,
                 "pass": bad == 0,
             }

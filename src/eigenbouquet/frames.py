@@ -105,7 +105,7 @@ class PluckerSection:
         table = self.ideal.minor_table
         if not table:
             raise UnresolvedChart("no wedge coordinates available")
-        numerators, den = _common_denominator(points, self.chart.universe.params)
+        numerators, den = common_denominator(points, self.chart.universe.params)
         weak = [g.eval_integer(numerators, den, len(points)) for g in self.chart.weak_gens]
         # every coordinate times one positive integer common to all of them
         factors = {key: scale / weak[idx][1] for key, (idx, scale) in table.items()}
@@ -133,7 +133,7 @@ class PluckerSection:
         return out
 
 
-def _common_denominator(points: list[dict], names) -> tuple[dict, int]:
+def common_denominator(points: list[dict], names) -> tuple[dict, int]:
     """Each coordinate's integers over the points' least common denominator."""
     den = math.lcm(*(p[n].denominator for p in points for n in names))
     scaled = {n: [p[n].numerator * (den // p[n].denominator) for p in points] for n in names}
@@ -199,7 +199,7 @@ def _spectra_at(section: PluckerSection, points: list[dict], where):
     Jacobi spectra; where(i) names point i if its solve fails."""
     chart, count = section.chart, len(points)
     if all(all_exact(p.values()) for p in points):
-        numerators, den = _common_denominator(points, chart.universe.params)
+        numerators, den = common_denominator(points, chart.universe.params)
         base = {}
         for name, poly in chart.to_base.items():
             values, scale = poly.eval_integer(numerators, den, count)
@@ -418,7 +418,7 @@ def local_frame_and_eigenvalues(
     bouquets = extract_bouquets(section, [dict(zip(names, pt)) for pt in pts], cluster_tol)
     previous = [None] + [_neighbor_index(idx, grid.counts) for idx in range(1, len(bouquets))]
     angles = _label_angles(bouquets, previous)
-    flags: list[str] = []
+    flags: list[tuple] = []  # (grid index, component, kind, message)
     first = bouquets[0].subspaces
     anchor = sorted(
         range(len(first)),
@@ -426,35 +426,38 @@ def local_frame_and_eigenvalues(
     )
     components = [ComponentTrack(first[k].multiplicity) for k in anchor]
     labels = [anchor]  # per grid point, the subspace each component took
-    for idx, bouquet in enumerate(bouquets):
+    depth, levels = [0], {}  # grid points by their depth in the neighbour tree
+    for idx in range(1, len(bouquets)):
         prev = previous[idx]
+        depth.append(depth[prev] + 1)
+        levels.setdefault(depth[idx], []).append(idx)
         taken: list[int] = []
         for c, comp in enumerate(components):
-            if prev is None:
-                basis = _anchor_phase(first[anchor[c]].basis)
-            else:
-                i = labels[prev][c]
-                k, angle, runner_up = nearest_of(
-                    (j, angle) for j, angle in enumerate(angles[idx, i].tolist())
-                    if not math.isnan(angle) and j not in taken
+            k, angle, runner_up = nearest_of(
+                (j, angle) for j, angle in enumerate(angles[idx, labels[prev][c]].tolist())
+                if not math.isnan(angle) and j not in taken
+            )
+            if k is None:
+                raise LabelingError(
+                    f"no component of dimension {comp.dim} at grid index {idx}: "
+                    f"multiplicities {bouquets[prev].multiplicities} at grid "
+                    f"index {prev}, {bouquets[idx].multiplicities} here"
                 )
-                if k is None:
-                    raise LabelingError(
-                        f"no component of dimension {comp.dim} at grid index {idx}: "
-                        f"multiplicities {bouquets[prev].multiplicities} at grid "
-                        f"index {prev}, {bouquet.multiplicities} here"
-                    )
-                if runner_up is not None and runner_up - angle < 1e-6:
-                    flags.append(f"ambiguous labeling at grid index {idx}")
-                taken.append(k)
-                basis = bouquet.subspaces[k].basis
-                try:
-                    basis = procrustes_align(basis, comp.frames[prev])
-                except ExtrapolationError:
-                    flags.append(f"frame alignment degenerate at grid index {idx}")
-            comp.frames.append(basis)
-        if idx:
-            labels.append(taken)
+            if runner_up is not None and runner_up - angle < 1e-6:
+                flags.append((idx, c, 0, f"ambiguous labeling at grid index {idx}"))
+            taken.append(k)
+        labels.append(taken)
+    # labels do not depend on alignment: each level's frames are aligned to
+    # their predecessors' in one Procrustes stack per component
+    for c, comp in enumerate(components):
+        comp.frames = [_anchor_phase(first[anchor[c]].basis)] + [None] * (len(bouquets) - 1)
+        for at in levels.values():
+            bases = np.stack([bouquets[idx].subspaces[labels[idx][c]].basis for idx in at])
+            aligned, degenerate = procrustes_align(bases, np.stack([comp.frames[previous[idx]] for idx in at]))
+            for idx, frame, bad in zip(at, aligned, degenerate.tolist()):
+                comp.frames[idx] = frame
+                if bad:
+                    flags.append((idx, c, 1, f"frame alignment degenerate at grid index {idx}"))
     # Rayleigh values and invariance residuals of all frames at once; each
     # member of the stack keeps one point's strides, so products round alike
     n, step = first[0].basis.shape[0], bouquets[0].matrix.strides[-1] // 8
@@ -493,7 +496,7 @@ def local_frame_and_eigenvalues(
         max_invariance_residual=max_inv,
         smoothness_eigenvalue=smooth_val,
         smoothness_frame=smooth_frame,
-        labeling_flags=flags,
+        labeling_flags=[message for *_, message in sorted(flags)],
         failing=failing,
     )
 

@@ -102,8 +102,9 @@ def eigh_jacobi(matrices) -> SpectralSample:
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each member, summed as np.linalg.norm sums one."""
-    flat = stack.reshape(stack.shape[0], math.prod(stack.shape[1:]))
+    """Frobenius norm of each member, summed as np.linalg.norm sums one: over
+    contiguous elements, which BLAS sums in another order than strided ones."""
+    flat = np.ascontiguousarray(stack).reshape(stack.shape[0], math.prod(stack.shape[1:]))
     return np.sqrt(_dots(flat, flat))
 
 
@@ -166,10 +167,18 @@ def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float) -> list[l
     return out
 
 
-def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralSample:
-    sample = eigh_jacobi(matrix)
-    sample.clusters = cluster_stack(sample.eigenvalues[None], sample.vectors[None], tol)[0]
-    return sample
+def spectral_clusters(matrices: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> list[list[Cluster]]:
+    """Clusters of each member of a (P, n, n) stack: one eigh_jacobi stack."""
+    sample = eigh_jacobi(matrices)
+    return cluster_stack(sample.eigenvalues, sample.vectors, tol)
+
+
+def by_shape(arrays: list[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
+    """Indices of the arrays grouped by shape, each group with its stack."""
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(arrays):
+        groups.setdefault(m.shape, []).append(k)
+    return [(ks, np.stack([arrays[k] for k in ks])) for ks in groups.values()]
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
@@ -193,7 +202,9 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
     if a.shape[2] > b.shape[2]:
         a, b = b, a
     cross = np.swapaxes(b, 1, 2) @ a
-    residual = a - b @ cross
+    # with B spanning the whole space the residual is rounding noise, on
+    # which one-sided Jacobi need not settle
+    residual = a - b @ cross if b.shape[2] < b.shape[1] else np.zeros_like(a)
     if a.shape[2] == 1:
         sines = np.sqrt(_dots(residual[:, :, 0], residual[:, :, 0]))[:, None]
         cosines = np.sqrt(_dots(cross[:, :, 0], cross[:, :, 0]))[:, None]
@@ -264,24 +275,26 @@ def nearest_subspace(basis: np.ndarray, candidates: list[Cluster], skip=()):
     return nearest_of(zip(ks, angles.max(axis=1).tolist()))
 
 
-def procrustes_align(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rotate basis (orthonormal columns) to best match the reference frame."""
-    cross = basis.T @ reference
-    if cross.shape == (1, 1):
-        return basis * math.copysign(1.0, float(cross[0, 0]) or 1.0)
-    right = eigh_jacobi(cross.T @ cross)
-    # match singular subspaces: U from cross @ right vectors
-    cols = []
-    for k in range(cross.shape[1]):
-        v = right.vectors[:, k]
-        u = cross @ v
-        norm = float(np.linalg.norm(u))
-        if norm < 1e-12:
-            raise ExtrapolationError("degenerate alignment (orthogonal subspaces)")
-        cols.append(u / norm)
-    u_mat = np.column_stack(cols)
-    rotation = u_mat @ right.vectors.T
-    return basis @ rotation
+def procrustes_align(basis: np.ndarray, reference: np.ndarray):
+    """Rotate each basis (orthonormal columns) of a stack to best match its
+    reference frame: the aligned stack and which members are degenerate
+    (orthogonal subspaces), each of which keeps its basis. One pair gives one
+    basis and one flag."""
+    bases, refs = (np.array(m, dtype=float, ndmin=3) for m in (basis, reference))
+    cross = np.swapaxes(bases, 1, 2) @ refs
+    degenerate = np.zeros(len(bases), dtype=bool)
+    if cross.shape[1:] == (1, 1):
+        aligned = bases * np.copysign(1.0, np.where(cross == 0.0, 1.0, cross))
+    else:
+        right = eigh_jacobi(np.swapaxes(cross, 1, 2) @ cross).vectors
+        # match singular subspaces: U from cross @ right vectors
+        cols = [(cross @ right[:, :, k : k + 1])[:, :, 0] for k in range(cross.shape[2])]
+        norms = [np.sqrt(_dots(u, u)) for u in cols]
+        degenerate = np.min(norms, axis=0) < 1e-12
+        u_mat = np.stack([u / np.where(degenerate, 1.0, n)[:, None] for u, n in zip(cols, norms)], axis=2)
+        aligned = bases @ (u_mat @ np.swapaxes(right, 1, 2))
+        aligned[degenerate] = bases[degenerate]
+    return (aligned[0], bool(degenerate[0])) if np.ndim(basis) == 2 else (aligned, degenerate)
 
 
 def richardson_limit(values: list[np.ndarray], order: int = 2) -> tuple[np.ndarray, float]:
@@ -323,7 +336,10 @@ def extrapolate_along_curve(samples: list[SpectralSample]) -> list[tuple[float, 
             best_k, best_angle, runner_up = nearest_subspace(chains[-1], s.clusters)
             if runner_up is not None and runner_up < best_angle + 1e-3:
                 raise ExtrapolationError("ambiguous component matching along curve")
-            chains.append(procrustes_align(s.clusters[best_k].basis, chains[-1]))
+            aligned, degenerate = procrustes_align(s.clusters[best_k].basis, chains[-1])
+            if degenerate:
+                raise ExtrapolationError("degenerate alignment (orthogonal subspaces)")
+            chains.append(aligned)
             valchain.append(s.clusters[best_k].value)
         limit, corr = richardson_limit(chains)
         value, _ = richardson_limit([np.array([v]) for v in valchain])
@@ -348,19 +364,23 @@ def normal_spectrum(sym_part: np.ndarray, skew_part: np.ndarray, tol: float = DE
     A and B commute for a normal matrix, so B*B^T restricted to each
     A-eigenspace is symmetric; its eigenvalues are the squared imaginary
     parts paired with that real part. Returns a list of (a, b >= 0, mult)
-    with mult counting real dimensions (a plane contributes 2).
+    with mult counting real dimensions (a plane contributes 2); for stacks
+    of halves, one list per member, from one solve per shape.
     """
-    a_sample = spectral_sample(sym_part, tol=tol)
-    out = []
-    bbt = skew_part @ skew_part.T
-    floor = 1e-13 * (1.0 + float(np.linalg.norm(bbt)))
-    for cluster in a_sample.clusters:
-        basis = cluster.basis
-        restricted = basis.T @ bbt @ basis
-        sub = spectral_sample(restricted, tol=tol)
-        for sc in sub.clusters:
+    a, b = (np.array(m, dtype=float, ndmin=3) for m in (sym_part, skew_part))
+    bbt = b @ np.swapaxes(b, 1, 2)
+    floor = (1e-13 * (1.0 + _frobenius(bbt))).tolist()
+    jobs = [(i, c) for i, clusters in enumerate(spectral_clusters(a, tol)) for c in clusters]
+    out: list[list] = [[] for _ in range(len(a))]
+    for ks, bases in by_shape([c.basis for _, c in jobs]):
+        restricted = np.swapaxes(bases, 1, 2) @ bbt[[jobs[k][0] for k in ks]] @ bases
+        for k, subs in zip(ks, spectral_clusters(restricted, tol)):
+            i, cluster = jobs[k]
             # B B^T is positive semidefinite: values below noise are zeros,
             # and the square root would otherwise amplify them to ~1e-8
-            b = 0.0 if sc.value <= floor else math.sqrt(sc.value)
-            out.append((cluster.value, b, sc.multiplicity))
-    return out
+            out[i] += [
+                (cluster.value, 0.0 if sc.value <= floor[i] else math.sqrt(sc.value), sc.multiplicity)
+                for sc in subs
+            ]
+    out = [sorted(spectrum) for spectrum in out]  # ascending a, then b: the clusters' order
+    return out[0] if np.ndim(sym_part) == 2 else out

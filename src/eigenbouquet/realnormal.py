@@ -11,8 +11,9 @@ plane on which L acts as the similitude [[a, -b], [b, a]], with a the
 eigenvalue of A there. Kernel directions of B carry the real eigenspaces,
 refined by A.
 
-Per point, everything is derived from one float evaluation of L: the halves
-A = (L + L^T)/2 and B = (L - L^T)/2 and the doubled matrix of B.
+Over a grid, everything is derived from one float stack of L: the halves
+A = (L + L^T)/2 and B = (L - L^T)/2 and the doubled matrices of B, each
+solved as one Jacobi stack per shape.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ import numpy as np
 from .algebra import Polynomial, VarUniverse
 from .family import MatrixFamily, check_structure
 from .frames import GRAM_TOL, family_matrix
-from .oracle import Cluster, normal_spectrum, orthonormalize, spectral_sample
+from .oracle import Cluster, _frobenius, by_shape, normal_spectrum, orthonormalize, spectral_clusters
 
 KERNEL_TOL = 1e-9
 
 
 class DecompositionError(ArithmeticError):
     """The invariant planes and real eigenspaces do not fill the space."""
+
+    member = 0  # index of the failing matrix in its stack
 
 
 @dataclass
@@ -92,7 +95,7 @@ def split_and_double(family: MatrixFamily) -> SplitFamily:
     return SplitFamily(family, sym, skew, doubled)
 
 
-# -- per-point decomposition -------------------------------------------
+# -- the decomposition, on stacks ---------------------------------------
 
 
 @dataclass
@@ -119,117 +122,130 @@ class ArcpDecomposition:
 
 
 def _apply_j(f: np.ndarray) -> np.ndarray:
-    n = f.shape[0] // 2
-    return np.concatenate([-f[n:], f[:n]])
+    n = f.shape[-1] // 2
+    return np.concatenate([-f[..., n:], f[..., :n]], axis=-1)
 
 
 def _halves(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (l_mat + l_mat.T) / 2, (l_mat - l_mat.T) / 2
+    transposed = np.swapaxes(l_mat, -1, -2)
+    return (l_mat + transposed) / 2, (l_mat - transposed) / 2
 
 
-def arcp_extract(l_mat: np.ndarray, cluster_tol: float = 1e-6) -> ArcpDecomposition:
-    """Greedy descending extraction of invariant planes of a real normal L.
+def _gather(stack: np.ndarray, at) -> np.ndarray:
+    """stack[at], its members keeping their element stride, so that a product
+    with one rounds as with that matrix alone."""
+    step = stack.strides[-1] // stack.itemsize
+    out = np.zeros((len(at),) + stack.shape[1:-1] + (stack.shape[-1] * step,))[..., ::step]
+    out[...] = stack[at]
+    return out
+
+
+def arcp_extract(l_mats: np.ndarray, cluster_tol: float = 1e-6):
+    """Greedy descending extraction of invariant planes of a real normal L, or
+    of each member of a (P, n, n) stack (then a list, one per member).
 
     Positive eigenvalue clusters of the doubled operator are refined by the
     restriction of A (the halves commute), then peeled two dimensions at a
     time: each peeled eigenvector u + v contributes the plane span(u, v) and
     its J-image is removed with it. Kernel directions of B carry the real
-    eigenspaces, split by A.
+    eigenspaces, split by A. Each solve is one stacked call per shape; a
+    DecompositionError names the first failing member in ``member``.
     """
-    n = l_mat.shape[0]
-    a_mat, b_mat = _halves(l_mat)
+    l_stack = np.asarray(l_mats, dtype=float).reshape((-1,) + np.shape(l_mats)[-2:])
+    count, n = l_stack.shape[:2]
+    a_mat, b_mat = _halves(l_stack)
     b2 = doubled_matrix(b_mat)
-    scale = 1.0 + float(np.linalg.norm(l_mat))
-    sample = spectral_sample(b2, tol=cluster_tol)
-    bscale = 1.0 + float(np.linalg.norm(b2))
-    planes: list[ArcpPlane] = []
-    for cluster in sample.clusters:
-        if cluster.value <= KERNEL_TOL * bscale:
-            continue  # negative eigenvalues mirror positive; kernel handled below
-        a2 = np.block([[a_mat, np.zeros((n, n))], [np.zeros((n, n)), a_mat]])
-        restricted = cluster.basis.T @ a2 @ cluster.basis
-        joint = spectral_sample(restricted, tol=cluster_tol)
-        for sub in joint.clusters:
-            space = cluster.basis @ sub.basis
-            planes.extend(
-                _peel_planes(space, sub.value, cluster.value, l_mat, scale)
-            )
-    kernel = _kernel_of_skew(b_mat, cluster_tol)
-    real_spaces: list[Cluster] = []
-    if kernel.shape[1]:
-        refine = spectral_sample(kernel.T @ a_mat @ kernel, tol=cluster_tol)
-        real_spaces = [Cluster(c.value, c.multiplicity, kernel @ c.basis) for c in refine.clusters]
-    decomposition = ArcpDecomposition(
-        planes=sorted(planes, key=lambda p: (p.a, p.b)),
-        real_spaces=sorted(real_spaces, key=lambda s: s.value),
-        gram_residual=0.0,
-        eigenvalues=[],
-    )
-    assembled = decomposition.assembled()
-    if assembled.shape[1] != n:
-        raise DecompositionError(
-            f"decomposition spans {assembled.shape[1]} of {n} dimensions"
-        )
-    gram = assembled.T @ assembled
-    decomposition.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
-    for s in decomposition.real_spaces:
-        decomposition.eigenvalues.append((s.value, 0.0, s.multiplicity))
-    for p in decomposition.planes:
-        decomposition.eigenvalues.append((p.a, p.b, 2))
-    return decomposition
+    scale, bscale = 1.0 + _frobenius(l_stack), 1.0 + _frobenius(b2)
+    a2 = np.zeros_like(b2)
+    a2[:, :n, :n] = a2[:, n:, n:] = a_mat
+    positive = [  # negative values mirror positive ones; the kernel comes below
+        (i, c) for i, found in enumerate(spectral_clusters(b2, cluster_tol)) for c in found
+        if c.value > KERNEL_TOL * bscale[i]
+    ]
+    spaces = []  # (member, value of A, value of B2, joint eigenspace)
+    for ks, bases in by_shape([c.basis for _, c in positive]):
+        restricted = np.swapaxes(bases, 1, 2) @ a2[[positive[k][0] for k in ks]] @ bases
+        for k, subs in zip(ks, spectral_clusters(restricted, cluster_tol)):
+            i, cluster = positive[k]
+            spaces += [(i, sub.value, cluster.value, cluster.basis @ sub.basis) for sub in subs]
+    planes: list[list[ArcpPlane]] = [[] for _ in range(count)]
+    errors: dict[int, str] = {}
+    for ks, work in by_shape([space for *_, space in spaces]):
+        owners, values = (np.array([spaces[k][part] for k in ks]) for part in (0, slice(1, 3)))
+        _peel_planes(work, owners, values, l_stack, scale, planes, errors)
+    decompositions, frames = [], []
+    for i, found in enumerate(_real_spaces(a_mat, b_mat, cluster_tol)):
+        reals, flat = sorted(found, key=lambda s: s.value), sorted(planes[i], key=lambda p: (p.a, p.b))
+        eigenvalues = [(s.value, 0.0, s.multiplicity) for s in reals] + [(p.a, p.b, 2) for p in flat]
+        decompositions.append(dec := ArcpDecomposition(flat, reals, 0.0, eigenvalues))
+        if (frame := dec.assembled()).shape[1] != n:
+            errors.setdefault(i, f"decomposition spans {frame.shape[1]} of {n} dimensions")
+        frames.append(frame)
+    if errors:
+        err = DecompositionError(errors[min(errors)])
+        err.member = min(errors)
+        raise err
+    gram = np.swapaxes(np.stack(frames), 1, 2) @ np.stack(frames)
+    for dec, residual in zip(decompositions, np.max(np.abs(gram - np.eye(n)), axis=(1, 2)).tolist()):
+        dec.gram_residual = residual
+    return decompositions[0] if np.ndim(l_mats) == 2 else decompositions
 
 
-def _peel_planes(space: np.ndarray, a_value: float, b_value: float, l_mat, scale):
-    planes = []
-    work = space
-    nfull = space.shape[0]
-    n = nfull // 2
-    while work.shape[1] >= 2:
-        f = work[:, 0]
-        jf = _apply_j(f)
-        u = f[:n]
-        v = f[n:]
-        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-        if nu < 1e-12 or nv < 1e-12:
-            raise DecompositionError("degenerate doubled eigenvector (zero half)")
-        u = u / nu
-        v = v / nv
-        lu = l_mat @ u
-        lv = l_mat @ v
-        sim = max(
-            float(np.linalg.norm(lu - (a_value * u + b_value * v))),
-            float(np.linalg.norm(lv - (a_value * v - b_value * u))),
-        )
-        plane_basis = orthonormalize(np.column_stack([u, v]))
-        proj = plane_basis @ (plane_basis.T @ np.column_stack([l_mat @ plane_basis[:, 0], l_mat @ plane_basis[:, 1]]))
-        inv = float(
-            np.linalg.norm(
-                np.column_stack([l_mat @ plane_basis[:, 0], l_mat @ plane_basis[:, 1]]) - proj
-            )
-        )
-        planes.append(
-            ArcpPlane(a_value, b_value, u, v, sim / scale, inv / scale)
-        )
-        drop = orthonormalize(np.column_stack([f, jf]))
-        remaining = work - drop @ (drop.T @ work)
-        work = orthonormalize(remaining)
-    if work.shape[1]:
-        raise DecompositionError("odd dimension left while peeling planes")
-    return planes
+def _peel_planes(work, owners, values, l_stack, scale, planes, errors) -> None:
+    """Peel planes in lockstep off the joint eigenspaces work[k] of members
+    owners[k], where A and B2 take the values values[k]: each step takes the
+    first column f = u + v as the plane span(u, v) and removes f and J f.
+    Members go on together while the same columns survive."""
+    if work.shape[2] < 2:
+        for i in owners.tolist() if work.shape[2] else ():
+            errors.setdefault(i, "odd dimension left while peeling planes")
+        return
+    n = l_stack.shape[1]
+    f = work[:, :, 0].copy()
+    nu, nv = _frobenius(f[:, :n]), _frobenius(f[:, n:])
+    bad = (nu < 1e-12) | (nv < 1e-12)
+    for i in owners[bad].tolist():
+        errors.setdefault(i, "degenerate doubled eigenvector (zero half)")
+    work, owners, values, f, nu, nv = (x[~bad] for x in (work, owners, values, f, nu, nv))
+    u, v = f[:, :n] / nu[:, None], f[:, n:] / nv[:, None]
+    l_mat, a, b = _gather(l_stack, owners), values[:, :1], values[:, 1:]
+    lu, lv = ((l_mat @ w[:, :, None])[:, :, 0] for w in (u, v))
+    sim = np.maximum(_frobenius(lu - (a * u + b * v)), _frobenius(lv - (a * v - b * u)))
+    basis = orthonormalize(np.stack([u, v], axis=2))
+    image = np.concatenate([l_mat @ basis[:, :, k : k + 1] for k in (0, 1)], axis=2)
+    inv = _frobenius(image - basis @ (np.swapaxes(basis, 1, 2) @ image))
+    residuals = zip((sim / scale[owners]).tolist(), (inv / scale[owners]).tolist())
+    for i, (a_value, b_value), u_i, v_i, (s, r) in zip(owners.tolist(), values.tolist(), u, v, residuals):
+        planes[i].append(ArcpPlane(a_value, b_value, u_i, v_i, s, r))
+    drop = orthonormalize(np.stack([f, _apply_j(f)], axis=2))
+    work = orthonormalize(work - drop @ (np.swapaxes(drop, 1, 2) @ work))
+    survivors: dict[tuple, list[int]] = {}  # a stack zeroes the columns one matrix drops
+    for k, row in enumerate(work.any(axis=1).tolist()):
+        survivors.setdefault(tuple(row), []).append(k)
+    for kept, ks in survivors.items():
+        _peel_planes(work[ks][:, :, list(kept)], owners[ks], values[ks], l_stack, scale, planes, errors)
 
 
-def _kernel_of_skew(b_mat: np.ndarray, cluster_tol: float) -> np.ndarray:
-    bbt = b_mat @ b_mat.T
-    sample = spectral_sample(bbt, tol=cluster_tol)
-    scale = 1.0 + float(np.linalg.norm(bbt))
-    cols = [c.basis for c in sample.clusters if abs(c.value) <= KERNEL_TOL * scale]
-    if not cols:
-        return np.zeros((b_mat.shape[0], 0))
-    return np.hstack(cols)
+def _real_spaces(a_mat: np.ndarray, b_mat: np.ndarray, cluster_tol: float) -> list[list[Cluster]]:
+    """Each member's real eigenspaces: the kernel of B, split by A."""
+    bbt = b_mat @ np.swapaxes(b_mat, 1, 2)
+    floor = (KERNEL_TOL * (1.0 + _frobenius(bbt))).tolist()
+    kernels = [
+        np.hstack([c.basis for c in clusters if abs(c.value) <= floor[i]] or [np.zeros((len(bbt[i]), 0))])
+        for i, clusters in enumerate(spectral_clusters(bbt, cluster_tol))
+    ]
+    out: list[list[Cluster]] = [[] for _ in kernels]
+    for ks, kernel in by_shape(kernels):
+        if kernel.shape[2]:
+            refine = spectral_clusters(np.swapaxes(kernel, 1, 2) @ a_mat[ks] @ kernel, cluster_tol)
+            for i, basis, clusters in zip(ks, kernel, refine):
+                out[i] = [Cluster(c.value, c.multiplicity, basis @ c.basis) for c in clusters]
+    return out
 
 
 def complexified_eigenvalues(l_mat: np.ndarray, cluster_tol: float = 1e-6):
-    """Independent oracle route: spectrum of L via nested symmetric solves."""
+    """Independent oracle route: spectrum of L (or of each member of a stack)
+    via nested symmetric solves."""
     return normal_spectrum(*_halves(l_mat), cluster_tol)
 
 
@@ -253,40 +269,37 @@ def arcp_over_grid(
     cluster_tol: float,
     residual_tol: float,
 ) -> ArcpReport:
-    """Plane decomposition of L at every grid point, checked against the oracle."""
-    worst_sim = worst_gram = worst_eig = 0.0
-    plane_count = 0
-    for base in base_points:
-        l_mat = family_matrix(split.original, base)
-        try:
-            dec = arcp_extract(l_mat, cluster_tol)
-        except DecompositionError as err:
-            raise DecompositionError(f"{err} at {base}") from err
-        worst_gram = max(worst_gram, dec.gram_residual)
-        plane_count += len(dec.planes)
-        for plane in dec.planes:
-            worst_sim = max(worst_sim, plane.similitude_residual, plane.invariance_residual)
-        oracle = complexified_eigenvalues(l_mat, cluster_tol)
-        worst_eig = max(worst_eig, _eigenvalue_match_error(dec.eigenvalues, oracle))
+    """Plane decomposition of L at every grid point, checked against the
+    oracle: one stack of L for the grid, decomposed and solved as a whole."""
+    base = {name: np.array([p[name] for p in base_points]) for name in base_points[0]}
+    l_mats = family_matrix(split.original, base)
+    l_mats = np.broadcast_to(l_mats, (len(base_points),) + l_mats.shape[-2:])  # no parameters
+    try:
+        decompositions = arcp_extract(l_mats, cluster_tol)
+    except DecompositionError as err:
+        raise DecompositionError(f"{err} at {base_points[err.member]}") from err
+    oracles = complexified_eigenvalues(l_mats, cluster_tol)
+    planes = [p for dec in decompositions for p in dec.planes]
+    worst_sim = max([0.0] + [max(p.similitude_residual, p.invariance_residual) for p in planes])
+    worst_gram = max([0.0] + [dec.gram_residual for dec in decompositions])
+    worst_eig = max(
+        [0.0] + [_eigenvalue_match_error(d.eigenvalues, o) for d, o in zip(decompositions, oracles)]
+    )
     failing = not (
         worst_sim <= residual_tol and worst_gram <= GRAM_TOL and worst_eig <= residual_tol
     )
-    return ArcpReport(chart_path, plane_count, worst_sim, worst_gram, worst_eig, failing)
+    return ArcpReport(chart_path, len(planes), worst_sim, worst_gram, worst_eig, failing)
 
 
 def _eigenvalue_match_error(got, want) -> float:
-    def expand(spec):
-        out = []
-        for a, b, mult in spec:
-            if abs(b) <= 1e-9:
-                out.extend([(a, 0.0)] * mult)
-            else:
-                out.extend([(a, abs(b))] * (mult // 2) * 2)
-        return sorted(out)
+    def expand(spec):  # (a, |b|) once per real dimension
+        return sorted(
+            pair
+            for a, b, mult in spec
+            for pair in ([(a, 0.0)] * mult if abs(b) <= 1e-9 else [(a, abs(b))] * (mult // 2) * 2)
+        )
 
     g, w = expand(got), expand(want)
     if len(g) != len(w):
         return float("inf")
-    return max(
-        max(abs(x[0] - y[0]), abs(x[1] - y[1])) for x, y in zip(g, w)
-    ) if g else 0.0
+    return max((max(abs(x[0] - y[0]), abs(x[1] - y[1])) for x, y in zip(g, w)), default=0.0)

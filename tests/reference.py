@@ -3,8 +3,10 @@
 Checks of the paper's identities that no pipeline stage runs (the Jacobian
 and coefficient ranks, the diagonalizability classifier, the doubled
 operator's plane identities), small conveniences (exact base points, the
-largest principal angle of one pair) and the per-matrix Jacobi solver the
-stacked one replaced, kept frozen as its bit-for-bit reference.
+largest principal angle of one pair, one matrix's clustered spectrum) and the
+per-matrix paths the stacked ones replaced (the Jacobi solver, the plane
+check over a grid, Procrustes alignment), kept frozen as their bit-for-bit
+references.
 """
 
 from __future__ import annotations
@@ -27,17 +29,30 @@ from eigenbouquet.algebra import (
 )
 from eigenbouquet.bouquet import QuadForm, QuadSystem
 from eigenbouquet.frames import family_matrix
+from eigenbouquet.frames import GRAM_TOL
 from eigenbouquet.oracle import (
+    DEFAULT_CLUSTER_TOL,
     JACOBI_OFF_TOL,
     JACOBI_SWEEP_CAP,
+    Cluster,
+    ExtrapolationError,
     JacobiNonConvergence,
     SpectralSample,
+    cluster_stack,
     eigh_jacobi,
     orthonormalize,
     principal_angles,
-    spectral_sample,
 )
-from eigenbouquet.realnormal import KERNEL_TOL, SplitFamily, doubled_matrix
+from eigenbouquet.realnormal import (
+    KERNEL_TOL,
+    ArcpDecomposition,
+    ArcpPlane,
+    ArcpReport,
+    DecompositionError,
+    SplitFamily,
+    _eigenvalue_match_error,
+    doubled_matrix,
+)
 from eigenbouquet.realnormal import _apply_j as apply_j
 from eigenbouquet.resolve import ChartNode
 
@@ -50,6 +65,13 @@ def base_point(node: ChartNode, point: dict) -> dict:
 def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     """Largest canonical angle: 0 iff the spans agree."""
     return max(principal_angles(basis_a, basis_b))
+
+
+def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralSample:
+    """Eigenvalues, vectors and clusters of one matrix: a stack of one."""
+    sample = eigh_jacobi(matrix)
+    sample.clusters = cluster_stack(sample.eigenvalues[None], sample.vectors[None], tol)[0]
+    return sample
 
 
 # -- ranks of the quadratic system ----------------------------------------
@@ -275,3 +297,154 @@ def eigh_jacobi_per_matrix(matrix) -> SpectralSample:
     values = values[order]
     vecs = vecs[:, order]
     return SpectralSample(values, vecs)
+
+
+# -- the per-point plane check ----------------------------------------------
+
+
+def arcp_extract_per_point(l_mat: np.ndarray, cluster_tol: float = 1e-6) -> ArcpDecomposition:
+    """Plane extraction of one real normal L, as the package ran it before
+    the plane check took stacks: the frozen reference of ``arcp_extract``."""
+    n = l_mat.shape[0]
+    a_mat, b_mat = (l_mat + l_mat.T) / 2, (l_mat - l_mat.T) / 2
+    b2 = doubled_matrix(b_mat)
+    scale = 1.0 + float(np.linalg.norm(l_mat))
+    sample = spectral_sample(b2, tol=cluster_tol)
+    bscale = 1.0 + float(np.linalg.norm(b2))
+    planes: list[ArcpPlane] = []
+    for cluster in sample.clusters:
+        if cluster.value <= KERNEL_TOL * bscale:
+            continue  # negative eigenvalues mirror positive; kernel handled below
+        a2 = np.block([[a_mat, np.zeros((n, n))], [np.zeros((n, n)), a_mat]])
+        restricted = cluster.basis.T @ a2 @ cluster.basis
+        joint = spectral_sample(restricted, tol=cluster_tol)
+        for sub in joint.clusters:
+            space = cluster.basis @ sub.basis
+            planes.extend(_peel_planes(space, sub.value, cluster.value, l_mat, scale))
+    kernel = _kernel_of_skew(b_mat, cluster_tol)
+    real_spaces: list[Cluster] = []
+    if kernel.shape[1]:
+        refine = spectral_sample(kernel.T @ a_mat @ kernel, tol=cluster_tol)
+        real_spaces = [Cluster(c.value, c.multiplicity, kernel @ c.basis) for c in refine.clusters]
+    decomposition = ArcpDecomposition(
+        planes=sorted(planes, key=lambda p: (p.a, p.b)),
+        real_spaces=sorted(real_spaces, key=lambda s: s.value),
+        gram_residual=0.0,
+        eigenvalues=[],
+    )
+    assembled = decomposition.assembled()
+    if assembled.shape[1] != n:
+        raise DecompositionError(f"decomposition spans {assembled.shape[1]} of {n} dimensions")
+    gram = assembled.T @ assembled
+    decomposition.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
+    for s in decomposition.real_spaces:
+        decomposition.eigenvalues.append((s.value, 0.0, s.multiplicity))
+    for p in decomposition.planes:
+        decomposition.eigenvalues.append((p.a, p.b, 2))
+    return decomposition
+
+
+def _peel_planes(space: np.ndarray, a_value: float, b_value: float, l_mat, scale):
+    planes = []
+    work = space
+    n = space.shape[0] // 2
+    while work.shape[1] >= 2:
+        f = work[:, 0]
+        jf = apply_j(f)
+        u = f[:n]
+        v = f[n:]
+        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+        if nu < 1e-12 or nv < 1e-12:
+            raise DecompositionError("degenerate doubled eigenvector (zero half)")
+        u = u / nu
+        v = v / nv
+        lu = l_mat @ u
+        lv = l_mat @ v
+        sim = max(
+            float(np.linalg.norm(lu - (a_value * u + b_value * v))),
+            float(np.linalg.norm(lv - (a_value * v - b_value * u))),
+        )
+        plane_basis = orthonormalize(np.column_stack([u, v]))
+        image = np.column_stack([l_mat @ plane_basis[:, 0], l_mat @ plane_basis[:, 1]])
+        inv = float(np.linalg.norm(image - plane_basis @ (plane_basis.T @ image)))
+        planes.append(ArcpPlane(a_value, b_value, u, v, sim / scale, inv / scale))
+        drop = orthonormalize(np.column_stack([f, jf]))
+        work = orthonormalize(work - drop @ (drop.T @ work))
+    if work.shape[1]:
+        raise DecompositionError("odd dimension left while peeling planes")
+    return planes
+
+
+def _kernel_of_skew(b_mat: np.ndarray, cluster_tol: float) -> np.ndarray:
+    bbt = b_mat @ b_mat.T
+    sample = spectral_sample(bbt, tol=cluster_tol)
+    scale = 1.0 + float(np.linalg.norm(bbt))
+    cols = [c.basis for c in sample.clusters if abs(c.value) <= KERNEL_TOL * scale]
+    if not cols:
+        return np.zeros((b_mat.shape[0], 0))
+    return np.hstack(cols)
+
+
+def normal_spectrum_per_point(sym_part: np.ndarray, skew_part: np.ndarray, tol: float):
+    """One matrix's (a, b >= 0, mult) by nested symmetric solves, as before
+    ``normal_spectrum`` took stacks."""
+    a_sample = spectral_sample(sym_part, tol=tol)
+    out = []
+    bbt = skew_part @ skew_part.T
+    floor = 1e-13 * (1.0 + float(np.linalg.norm(bbt)))
+    for cluster in a_sample.clusters:
+        sub = spectral_sample(cluster.basis.T @ bbt @ cluster.basis, tol=tol)
+        for sc in sub.clusters:
+            b = 0.0 if sc.value <= floor else math.sqrt(sc.value)
+            out.append((cluster.value, b, sc.multiplicity))
+    return out
+
+
+def arcp_over_grid_per_point(
+    split: SplitFamily,
+    chart_path: tuple[str, ...],
+    base_points: list[dict],
+    cluster_tol: float,
+    residual_tol: float,
+) -> ArcpReport:
+    """The plane check one grid point at a time: the frozen reference of
+    ``arcp_over_grid``."""
+    worst_sim = worst_gram = worst_eig = 0.0
+    plane_count = 0
+    for base in base_points:
+        l_mat = family_matrix(split.original, base)
+        try:
+            dec = arcp_extract_per_point(l_mat, cluster_tol)
+        except DecompositionError as err:
+            raise DecompositionError(f"{err} at {base}") from err
+        worst_gram = max(worst_gram, dec.gram_residual)
+        plane_count += len(dec.planes)
+        for plane in dec.planes:
+            worst_sim = max(worst_sim, plane.similitude_residual, plane.invariance_residual)
+        halves = (l_mat + l_mat.T) / 2, (l_mat - l_mat.T) / 2
+        oracle = normal_spectrum_per_point(*halves, cluster_tol)
+        worst_eig = max(worst_eig, _eigenvalue_match_error(dec.eigenvalues, oracle))
+    failing = not (
+        worst_sim <= residual_tol and worst_gram <= GRAM_TOL and worst_eig <= residual_tol
+    )
+    return ArcpReport(chart_path, plane_count, worst_sim, worst_gram, worst_eig, failing)
+
+
+# -- per-pair Procrustes alignment -------------------------------------------
+
+
+def procrustes_align_per_pair(basis: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Rotate one basis to best match its reference frame, as before
+    ``procrustes_align`` took stacks; raises on orthogonal subspaces."""
+    cross = basis.T @ reference
+    if cross.shape == (1, 1):
+        return basis * math.copysign(1.0, float(cross[0, 0]) or 1.0)
+    right = eigh_jacobi(cross.T @ cross)
+    cols = []
+    for k in range(cross.shape[1]):
+        u = cross @ right.vectors[:, k]
+        norm = float(np.linalg.norm(u))
+        if norm < 1e-12:
+            raise ExtrapolationError("degenerate alignment (orthogonal subspaces)")
+        cols.append(u / norm)
+    return basis @ (np.column_stack(cols) @ right.vectors.T)

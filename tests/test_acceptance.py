@@ -31,10 +31,7 @@ from eigenbouquet.frames import (
     local_frame_and_eigenvalues,
     plucker_section,
 )
-from eigenbouquet.oracle import (
-    extrapolate_along_curve,
-    spectral_sample,
-)
+from eigenbouquet.oracle import extrapolate_along_curve
 from eigenbouquet.realnormal import (
     arcp_extract,
     complexified_eigenvalues,
@@ -46,6 +43,7 @@ from reference import (
     jacobian_rank_at,
     plane_invariant_checks,
     rank_at,
+    spectral_sample,
     subspace_angle,
 )
 

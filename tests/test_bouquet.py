@@ -18,13 +18,13 @@ from eigenbouquet.bouquet import (
 )
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.realnormal import split_and_double
-from eigenbouquet.oracle import spectral_sample
 from reference import (
     as_polynomial,
     diagonalizability,
     expected_quadratic_dim,
     jacobian_rank_at,
     rank_at,
+    spectral_sample,
 )
 
 

@@ -269,12 +269,13 @@ class TestRunErrors:
         real_extract = realnormal.arcp_extract
         pushed = []
 
-        def push_one_residual(l_mat, cluster_tol=1e-6):
-            dec = real_extract(l_mat, cluster_tol)
-            if not pushed and dec.planes:
-                dec.planes[0].similitude_residual = 1e-6  # tol_residual is 1e-8
-                pushed.append(True)
-            return dec
+        def push_one_residual(l_mats, cluster_tol=1e-6):
+            decompositions = real_extract(l_mats, cluster_tol)  # the grid's stack
+            for dec in decompositions:
+                if not pushed and dec.planes:
+                    dec.planes[0].similitude_residual = 1e-6  # tol_residual is 1e-8
+                    pushed.append(True)
+            return decompositions
 
         monkeypatch.setattr(realnormal, "arcp_extract", push_one_residual)
         code, report = self.run_check(

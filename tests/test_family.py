@@ -14,7 +14,7 @@ from eigenbouquet.family import (
     discriminant_ideal,
     reduced_char_poly,
 )
-from eigenbouquet.oracle import spectral_sample
+from reference import spectral_sample
 
 
 def kupa_family():

@@ -273,6 +273,11 @@ class TestWorkDoneOnce:
         count_calls(
             monkeypatch, log, "recover_quadratics", [frames.PluckerSection], size=lambda s, pts: len(pts)
         )
+        # a stack's size; None for one pair (the extrapolation chains)
+        count_calls(
+            monkeypatch, log, "procrustes_align", [oracle, frames],
+            size=lambda basis, ref: len(basis) if np.ndim(basis) == 3 else None,
+        )
 
         real_frames = cli.local_frame_and_eigenvalues
 
@@ -296,11 +301,26 @@ class TestWorkDoneOnce:
             extrapolations.append((log["principal_angles"][before:], expected))
             return limits
 
+        real_check, check_runs = cli.stage_check, []
+
+        def counting_check(state):
+            before = {k: len(v) for k, v in log.items()}
+            real_check(state)
+            check_runs.append({k: v[before.get(k, 0):] for k, v in log.items()})
+            return state
+
         monkeypatch.setattr(cli, "local_frame_and_eigenvalues", counting_frames)
         monkeypatch.setattr(frames, "extrapolate_along_curve", counting_extrapolate)
+        monkeypatch.setattr(cli, "stage_check", counting_check)
         cfg = cli.JobConfig.from_dict({**cli.FIXTURES["kupa"], "grid": {"points_per_axis": 9}})
-        code, _ = cli.run_job(cfg, ("analyze", "resolve", "frames", "check"))
+        code, report = cli.run_job(cfg, ("analyze", "resolve", "frames", "check"))
         assert code == cli.EXIT_PASS
+        # check's cluster count solves all its points off the discriminant in
+        # one Jacobi stack
+        counted = {item["name"]: item for item in report["invariants"]}
+        hits = counted["oracle_cluster_count_off_discriminant"]["count"]
+        assert 0 < hits <= 100
+        assert check_runs[0]["eigh_jacobi"] == [hits]
         assert len(frame_runs) == 2
         curves = 0
         for calls, report in frame_runs:
@@ -321,6 +341,12 @@ class TestWorkDoneOnce:
             # oracle; one per (later radius, component) in each extrapolation
             assert len(calls["largest_angles"]) == 1 + len(report.components)
             assert len(calls["principal_angles"]) == 1 + len(report.components) + 10 * exceptional
+            # the walk aligns the 80 points after the first level by level
+            # (depths 1 to 16 of the neighbour tree), one stack per component;
+            # each extrapolation chain aligns its five later radii one by one
+            stacks = [size for size in calls["procrustes_align"] if size is not None]
+            assert stacks == [min(d + 1, 17 - d) for d in range(1, 17)] * len(report.components)
+            assert calls["procrustes_align"].count(None) == 10 * exceptional
         # one angle per (sample, component, candidate) in every extrapolation:
         # five later radii, two lines, two candidate lines each
         assert len(extrapolations) == curves
@@ -329,7 +355,9 @@ class TestWorkDoneOnce:
 
     def test_normal_rotation_counts(self, monkeypatch):
         log: dict[str, list] = {}
-        count_calls(monkeypatch, log, "family_matrix", [realnormal], size=lambda fam, base: fam.n)
+        count_calls(monkeypatch, log, "family_matrix", [realnormal], size=lambda fam, base: base["x"].size)
+        count_calls(monkeypatch, log, "arcp_extract", [realnormal])
+        count_calls(monkeypatch, log, "complexified_eigenvalues", [realnormal])
         real_recover = frames.PluckerSection.recover_quadratics
 
         def counting_recover(section, points):
@@ -360,9 +388,12 @@ class TestWorkDoneOnce:
         assert code == cli.EXIT_PASS
         assert len(report["arcp"]["charts"]) == 1
         # one exact batch of all 25 grid points for the frames, and one float
-        # L per grid point for the plane check
+        # stack of L for the plane check, decomposed and solved as a whole
         assert log["recover_quadratics"] == [25]
-        assert stage_runs == [{"recover_quadratics": 1, "family_matrix": 25}]
+        assert log["family_matrix"] == log["arcp_extract"] == log["complexified_eigenvalues"] == [25]
+        assert stage_runs == [
+            {"recover_quadratics": 1, "family_matrix": 1, "arcp_extract": 1, "complexified_eigenvalues": 1}
+        ]
 
 
 class TestLimitUniqueness:
@@ -374,7 +405,8 @@ class TestLimitUniqueness:
     def test_pre_blowup_direction_dependence(self):
         # approached along the x-axis vs the diagonal, the eigenspaces of the
         # base family have different limits at the origin: angle pi/4
-        from eigenbouquet.oracle import extrapolate_along_curve, spectral_sample
+        from eigenbouquet.oracle import extrapolate_along_curve
+        from reference import spectral_sample
 
         radii = [2.0 ** -k for k in range(3, 9)]
         axis_samples = [

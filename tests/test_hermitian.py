@@ -18,9 +18,8 @@ from eigenbouquet.frames import (
     local_frame_and_eigenvalues,
     plucker_section,
 )
-from eigenbouquet.oracle import spectral_sample
 from eigenbouquet.resolve import CenterSpec, run_sequence
-from reference import as_polynomial, rank_at
+from reference import as_polynomial, rank_at, spectral_sample
 
 
 def quad_value(quad, point, fiber):

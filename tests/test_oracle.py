@@ -15,11 +15,16 @@ from eigenbouquet.oracle import (
     normal_spectrum,
     JacobiNonConvergence,
     principal_angles,
+    procrustes_align,
     richardson_limit,
     cluster_stack,
-    spectral_sample,
 )
-from reference import eigh_jacobi_per_matrix, subspace_angle
+from reference import (
+    eigh_jacobi_per_matrix,
+    procrustes_align_per_pair,
+    spectral_sample,
+    subspace_angle,
+)
 
 
 def random_symmetric(rng, n):
@@ -226,6 +231,68 @@ class TestPrincipalAngles:
         ):
             with pytest.raises(ValueError):
                 principal_angles(a, b)
+
+
+    def test_bases_of_the_whole_space_are_at_angle_zero(self):
+        # the residual A - B B^T A is rounding noise when k = n; seed 170 made
+        # one-sided Jacobi run out of sweeps on it
+        pairs = []
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            a, b = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+            assert max(principal_angles(a, b)) <= 1e-12
+            pairs.append((a, b))
+        stacked = principal_angles(*map(np.array, zip(*pairs)))
+        assert stacked.shape == (300, 3) and float(stacked.max()) <= 1e-12
+        # a line against the whole space, both ways round
+        line = pairs[170][0][:, :1]
+        assert principal_angles(line, pairs[170][1]) == principal_angles(pairs[170][1], line) == [0.0]
+
+
+class TestProcrustesStacks:
+    def pairs(self, seed, n, k, count):
+        rng = np.random.default_rng(seed)
+        bases = [np.linalg.qr(rng.normal(size=(n, k)))[0] for _ in range(count)]
+        # references near each basis, as consecutive grid frames are
+        refs = [np.linalg.qr(b + 0.3 * rng.normal(size=(n, k)))[0] for b in bases]
+        return np.array(bases), np.array(refs)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 3)])
+    def test_members_match_single_calls_and_the_per_pair_reference(self, n, k):
+        bases, refs = self.pairs(31 + n, n, k, 40)
+        aligned, degenerate = procrustes_align(bases, refs)
+        assert aligned.shape == bases.shape and not degenerate.any()
+        for basis, ref, got in zip(bases, refs, aligned):
+            alone, flag = procrustes_align(basis, ref)  # a pair is a stack of one
+            assert not flag and alone.tobytes() == got.tobytes()
+            assert procrustes_align_per_pair(basis, ref).tobytes() == got.tobytes()
+
+    def test_members_do_not_depend_on_their_stack(self):
+        bases, refs = self.pairs(7, 4, 2, 30)
+        whole, _ = procrustes_align(bases, refs)
+        rng = np.random.default_rng(8)
+        for members in (rng.permutation(30), np.arange(5, 17), np.array([29, 0, 3])):
+            part, _ = procrustes_align(bases[members], refs[members])
+            for got, k in zip(part, members):
+                assert got.tobytes() == whole[k].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_degenerate_member_keeps_its_basis_and_spares_the_others(self, k):
+        bases, refs = self.pairs(12, 4, k, 6)
+        e = np.eye(4)
+        bases[2], refs[2] = e[:, :k], e[:, 2 : 2 + k]  # orthogonal subspaces
+        aligned, degenerate = procrustes_align(bases, refs)
+        if k == 1:  # a line never degenerates: it keeps or flips its sign
+            assert not degenerate.any()
+            return
+        assert degenerate.tolist() == [False, False, True, False, False, False]
+        assert aligned[2].tobytes() == bases[2].tobytes()
+        for i in (0, 1, 3, 4, 5):
+            assert aligned[i].tobytes() == procrustes_align_per_pair(bases[i], refs[i]).tobytes()
+        alone, flag = procrustes_align(bases[2], refs[2])
+        assert flag and alone.tobytes() == bases[2].tobytes()
+        with pytest.raises(ExtrapolationError, match="degenerate alignment"):
+            procrustes_align_per_pair(bases[2], refs[2])
 
 
 class TestNearestSubspace:

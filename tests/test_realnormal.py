@@ -5,17 +5,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eigenbouquet import cli, realnormal
 from eigenbouquet.algebra import parse_polynomial
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.frames import family_matrix
-from eigenbouquet.oracle import spectral_sample
 from eigenbouquet.realnormal import (
+    DecompositionError,
     arcp_extract,
     complexified_eigenvalues,
     doubled_matrix,
     split_and_double,
 )
-from reference import plane_invariant_checks
+from reference import (
+    arcp_extract_per_point,
+    arcp_over_grid_per_point,
+    normal_spectrum_per_point,
+    plane_invariant_checks,
+    spectral_sample,
+)
 
 
 def rotation_family():
@@ -215,3 +222,148 @@ class TestPlaneChecks:
         split = split_and_double(constant_skew(2))
         with pytest.raises(ValueError):
             plane_invariant_checks(split, {"x": 0.0}, 0.0, np.ones(4) / 2.0)
+
+
+# -- the stacked plane check against the frozen per-point one ---------------
+
+
+def assert_same_decomposition(got, want):
+    """Bit for bit: planes, real spaces, residuals and eigenvalues."""
+    assert len(got.planes) == len(want.planes)
+    for p, q in zip(got.planes, want.planes):
+        assert (p.a, p.b) == (q.a, q.b)
+        assert (p.similitude_residual, p.invariance_residual) == (
+            q.similitude_residual,
+            q.invariance_residual,
+        )
+        assert p.u.tobytes() == q.u.tobytes() and p.v.tobytes() == q.v.tobytes()
+    assert len(got.real_spaces) == len(want.real_spaces)
+    for s, t in zip(got.real_spaces, want.real_spaces):
+        assert (s.value, s.multiplicity) == (t.value, t.multiplicity)
+        assert s.basis.tobytes() == t.basis.tobytes()
+    assert got.gram_residual == want.gram_residual
+    assert got.eigenvalues == want.eigenvalues
+
+
+def seeded_real_normal(rng, n, kind):
+    """Q M Q^T for a random orthogonal Q, M block diagonal: "symmetric" has
+    B = 0 (values may repeat), "planes" only similitude blocks (two equal
+    ones when repeat), "mixed" planes beside distinct real values."""
+    model = np.zeros((n, n))
+
+    def pick():  # values repeat across and within members
+        return float(rng.choice([-1.5, -0.5, 0.25, 1.0, rng.normal()]))
+
+    if kind == "symmetric":
+        model[np.arange(n), np.arange(n)] = [pick() for _ in range(n)]
+    else:
+        planes = n // 2 if kind.startswith("planes") else max(1, (n - 1) // 2)
+        a, b = pick(), float(rng.uniform(0.3, 2.0))
+        for k in range(planes):
+            if k and kind != "planes_repeated":
+                a, b = a + float(rng.uniform(0.5, 1.0)), float(rng.uniform(0.3, 2.0))
+            model[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[a, b], [-b, a]]
+        reals = np.cumsum(rng.uniform(0.5, 1.5, size=n - 2 * planes)) - 1.0
+        model[np.arange(2 * planes, n), np.arange(2 * planes, n)] = reals
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return q @ model @ q.T
+
+
+def as_family_output(matrices):
+    """A stack laid out as family_matrix lays out its float matrices."""
+    return np.array(matrices, dtype=complex).real
+
+
+class TestStackedPlaneCheck:
+    KINDS = {
+        2: ["symmetric", "planes"],
+        3: ["symmetric", "mixed"],
+        4: ["symmetric", "planes", "planes_repeated", "mixed"],
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_members_match_per_point_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        kinds = self.KINDS[n]
+        members = [seeded_real_normal(rng, n, kinds[k % len(kinds)]) for k in range(24)]
+        stack = as_family_output(members + [np.zeros((n, n))])
+        decompositions = arcp_extract(stack)
+        spectra = complexified_eigenvalues(stack)
+        assert len(decompositions) == len(spectra) == len(stack)
+        for l_mat, dec, spectrum in zip(stack, decompositions, spectra):
+            assert_same_decomposition(dec, arcp_extract_per_point(l_mat))
+            halves = (l_mat + l_mat.T) / 2, (l_mat - l_mat.T) / 2
+            assert spectrum == normal_spectrum_per_point(*halves, 1e-6)
+            # a single matrix is a stack of one
+            assert_same_decomposition(arcp_extract(l_mat), dec)
+            assert complexified_eigenvalues(l_mat) == spectrum
+        # every kind made it into the stack
+        counts = [(len(d.planes), len(d.real_spaces)) for d in decompositions]
+        assert (0, 1) in counts  # B = 0 with one value: the zero member
+        if n > 2:
+            assert any(len(d.planes) == 1 and len(d.real_spaces) == n - 2 for d in decompositions)
+        if n == 4:  # two planes, repeated (one doubled cluster) and distinct
+            pairs = [{(p.a, p.b) for p in d.planes} for d in decompositions if len(d.planes) == 2]
+            assert {1, 2} <= {len(pair) for pair in pairs}
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"structure": "normal", "params": ["x", "y"], "matrix": [["x", "y"], ["-y", "x"]]},
+            cli.FIXTURES["skew2"],
+        ],
+        ids=["normal_rotation", "skew2"],
+    )
+    def test_grid_matches_per_point_reference(self, config, monkeypatch):
+        # the benchmark's 21-point grids, stacked against point by point
+        calls, extracted = [], []
+        real_grid, real_extract = realnormal.arcp_over_grid, realnormal.arcp_extract
+
+        def recording_grid(*args):
+            calls.append((args, real_grid(*args)))
+            return calls[-1][1]
+
+        def recording_extract(l_mats, cluster_tol=1e-6):
+            extracted.append((l_mats, real_extract(l_mats, cluster_tol)))
+            return extracted[-1][1]
+
+        monkeypatch.setattr(cli, "arcp_over_grid", recording_grid)
+        monkeypatch.setattr(realnormal, "arcp_extract", recording_extract)
+        cfg = cli.JobConfig.from_dict({**config, "resolution": [], "grid": {"points_per_axis": 21}})
+        code, _ = cli.run_job(cfg, ("analyze", "resolve", "frames"))
+        assert code == cli.EXIT_PASS
+        assert len(calls) == len(extracted) == 1  # one chart, one stack
+        (args, report), (l_mats, decompositions) = calls[0], extracted[0]
+        assert report == arcp_over_grid_per_point(*args)
+        assert len(l_mats) == len(args[2]) == 21 ** len(config["params"])
+        for l_mat, dec in zip(l_mats, decompositions):
+            assert_same_decomposition(dec, arcp_extract_per_point(l_mat))
+
+    def test_first_failing_member_is_named(self):
+        # b = 1e-5 passes the doubled operator's kernel test (b against 1e-9)
+        # but not B B^T's (b^2 against 1e-9): the plane is also counted as
+        # real, as the per-point reference counts it
+        small = np.array([[1.0, 1e-5], [-1e-5, 1.0]])
+        message = "decomposition spans 4 of 2 dimensions"
+        with pytest.raises(DecompositionError, match=message):
+            arcp_extract_per_point(small)
+        rotation = np.array([[0.5, 1.0], [-1.0, 0.5]])
+        stack = as_family_output([rotation, rotation, small, rotation, small])
+        with pytest.raises(DecompositionError, match=message) as err:
+            arcp_extract(stack)
+        assert err.value.member == 2
+
+    def test_grid_error_names_the_base_point(self, monkeypatch):
+        real_extract = realnormal.arcp_extract
+
+        def one_small_plane(l_mats, cluster_tol=1e-6):
+            l_mats = np.array(l_mats)
+            l_mats[3] = [[1.0, 1e-5], [-1e-5, 1.0]]
+            return real_extract(l_mats, cluster_tol)
+
+        monkeypatch.setattr(realnormal, "arcp_extract", one_small_plane)
+        split = split_and_double(rotation_family())
+        base_points = [{"x": 0.25 * k, "y": 1.0} for k in range(6)]
+        message = r"spans 4 of 2 dimensions at \{'x': 0\.75, 'y': 1\.0\}$"
+        with pytest.raises(DecompositionError, match=message):
+            realnormal.arcp_over_grid(split, (), base_points, 1e-6, 1e-8)
