@@ -374,6 +374,8 @@ def normal_spectrum(sym_part: np.ndarray, skew_part: np.ndarray, tol: float = DE
     out: list[list] = [[] for _ in range(len(a))]
     for ks, bases in by_shape([c.basis for _, c in jobs]):
         restricted = np.swapaxes(bases, 1, 2) @ bbt[[jobs[k][0] for k in ks]] @ bases
+        # symmetric up to rounding, which on a kernel of B is all there is
+        restricted = 0.5 * (restricted + np.swapaxes(restricted, 1, 2))
         for k, subs in zip(ks, spectral_clusters(restricted, tol)):
             i, cluster = jobs[k]
             # B B^T is positive semidefinite: values below noise are zeros,

@@ -32,6 +32,7 @@ from .algebra import (
 
 DEFAULT_DEPTH_CAP = 6
 SAMPLE_COUNT = 2000
+POOL_DEN = 840  # lcm(1..8): a multiple of every pool denominator
 
 RESOLVED_CERTIFIED = "ResolvedCertified"
 RESOLVED_PROBABLE = "ResolvedProbable"
@@ -232,34 +233,39 @@ def blowup_charts(node: ChartNode, center: tuple[str, ...], warn=None) -> list[C
 # -- principality -----------------------------------------------------
 
 
-def sample_points(universe: VarUniverse, seed: int, count: int = SAMPLE_COUNT):
-    """Deterministic pool of rational points biased toward coordinate subspaces."""
-    names = universe.params
+def _pool_numerators(names: tuple[str, ...], seed: int, count: int = SAMPLE_COUNT):
+    """Deterministic pool of rational points biased toward coordinate subspaces,
+    each a tuple of integers over POOL_DEN (every drawn denominator divides it)."""
     u = len(names)
-    pts: list[dict[str, Fraction]] = [{n: Fraction(0) for n in names}]
+    pts = [(0,) * u]
     for k in range(u):
-        for s in (1, -1):
-            pt = {n: Fraction(0) for n in names}
-            pt[names[k]] = Fraction(s)
-            pts.append(pt)
+        pts += [(0,) * k + (s,) + (0,) * (u - k - 1) for s in (POOL_DEN, -POOL_DEN)]
     rng = random.Random(seed)
     while len(pts) < count:
-        pt = {}
         zero_mask = rng.random() < 0.35
-        for n in names:
-            if zero_mask and rng.random() < 0.5:
-                pt[n] = Fraction(0)
-            else:
-                pt[n] = Fraction(rng.randint(-12, 12), rng.randint(1, 8))
-        pts.append(pt)
+        pts.append(tuple(
+            0 if zero_mask and rng.random() < 0.5
+            else rng.randint(-12, 12) * (POOL_DEN // rng.randint(1, 8))
+            for _ in names
+        ))
     return pts[:count]
 
 
 def _common_zeros(gens: list[Polynomial], universe: VarUniverse, seed: int):
-    """Sample points, in pool order, at which every generator vanishes exactly."""
-    for pt in sample_points(universe, seed):
-        if all(not g.eval_scalar(pt) for g in gens):
-            yield pt
+    """Sample points, in pool order, at which every generator vanishes exactly:
+    each generator evaluated once on the integer columns of the points left."""
+    import numpy as np
+    names = universe.params
+    pool = _pool_numerators(names, seed)
+    columns = {n: np.array([pt[k] for pt in pool], dtype=object) for k, n in enumerate(names)}
+    alive = np.arange(len(pool))
+    for g in gens:
+        if not alive.size:
+            return
+        values = g.eval_integer({n: col[alive] for n, col in columns.items()}, POOL_DEN, alive.size)[0]
+        alive = alive[values == 0]
+    for i in alive.tolist():
+        yield {n: Fraction(v, POOL_DEN) for n, v in zip(names, pool[i])}
 
 
 def principality_status(node: ChartNode, seed: int = 42) -> str:

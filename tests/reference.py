@@ -2,18 +2,22 @@
 
 Checks of the paper's identities that no pipeline stage runs (the Jacobian
 and coefficient ranks, the diagonalizability classifier, the doubled
-operator's plane identities), small conveniences (exact base points, the
-largest principal angle of one pair, one matrix's clustered spectrum) and the
-per-matrix paths the stacked ones replaced (the Jacobi solver, the plane
-check over a grid, Procrustes alignment), kept frozen as their bit-for-bit
-references.
+operator's plane identities), small conveniences (the benchmark's jobs,
+exact base points, the largest principal angle of one pair, one matrix's
+clustered spectrum) and the per-matrix paths the stacked ones replaced (the
+Jacobi solver, the plane check over a grid, Procrustes alignment, the chart
+sampler's point-by-point scan), kept frozen as their bit-for-bit references.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -54,7 +58,18 @@ from eigenbouquet.realnormal import (
     doubled_matrix,
 )
 from eigenbouquet.realnormal import _apply_j as apply_j
-from eigenbouquet.resolve import ChartNode
+from eigenbouquet.resolve import SAMPLE_COUNT, ChartNode
+
+
+def bench_jobs():
+    """Every job of the benchmark's workloads, from ``bench/jobs.py`` loaded
+    by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("bench_jobs_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return [job for workload in module.WORKLOADS.values() for job in workload]
 
 
 def base_point(node: ChartNode, point: dict) -> dict:
@@ -448,3 +463,38 @@ def procrustes_align_per_pair(basis: np.ndarray, reference: np.ndarray) -> np.nd
             raise ExtrapolationError("degenerate alignment (orthogonal subspaces)")
         cols.append(u / norm)
     return basis @ (np.column_stack(cols) @ right.vectors.T)
+
+
+# -- the point-by-point chart sampler ----------------------------------------
+
+
+def sample_points(universe: VarUniverse, seed: int, count: int = SAMPLE_COUNT):
+    """The seeded pool as Fractions, built as before it was held on integers."""
+    names = universe.params
+    u = len(names)
+    pts: list[dict[str, Fraction]] = [{n: Fraction(0) for n in names}]
+    for k in range(u):
+        for s in (1, -1):
+            pt = {n: Fraction(0) for n in names}
+            pt[names[k]] = Fraction(s)
+            pts.append(pt)
+    rng = random.Random(seed)
+    while len(pts) < count:
+        pt = {}
+        zero_mask = rng.random() < 0.35
+        for n in names:
+            if zero_mask and rng.random() < 0.5:
+                pt[n] = Fraction(0)
+            else:
+                pt[n] = Fraction(rng.randint(-12, 12), rng.randint(1, 8))
+        pts.append(pt)
+    return pts[:count]
+
+
+def common_zeros_per_point(gens: list[Polynomial], universe: VarUniverse, seed: int):
+    """Pool points, in pool order, at which every generator vanishes: one
+    exact evaluation per point and generator, as before ``_common_zeros``
+    filtered the pool on integer columns."""
+    for pt in sample_points(universe, seed):
+        if all(not g.eval_scalar(pt) for g in gens):
+            yield pt

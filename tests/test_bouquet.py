@@ -1,9 +1,6 @@
-import importlib.util
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +17,7 @@ from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.realnormal import split_and_double
 from reference import (
     as_polynomial,
+    bench_jobs,
     diagonalizability,
     expected_quadratic_dim,
     jacobian_rank_at,
@@ -189,15 +187,6 @@ def sparse_family(rng, n, structure):
     return check_structure(MatrixFamily.from_strings(entries, ["x", "y"], structure))
 
 
-def load_bench_jobs():
-    path = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
-    spec = importlib.util.spec_from_file_location("bench_jobs_for_minors", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return [job for workload in module.WORKLOADS.values() for job in workload]
-
-
 class TestMatchedMinors:
     """Only row and column sets with a perfect matching in the support are
     computed; the table and generators are those of all sets."""
@@ -219,7 +208,7 @@ class TestMatchedMinors:
             checked += 1
         assert checked >= 10
 
-    @pytest.mark.parametrize("job", load_bench_jobs(), ids=lambda job: job.name)
+    @pytest.mark.parametrize("job", bench_jobs(), ids=lambda job: job.name)
     def test_benchmark_families(self, job):
         analysis = cli.analyze(cli.JobConfig.from_dict(job.config))
         for bundle in analysis.bundles:

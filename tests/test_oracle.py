@@ -427,14 +427,33 @@ class TestNormalSpectrum:
             q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
             sym = q @ model_sym @ q.T
             skew = q @ skew_block @ q.T
-            ref = np.linalg.eigvals(sym + skew)
-            spec = normal_spectrum(sym, skew)
-            recovered = []
-            for aa, bb, mult in spec:
-                if bb < 1e-10:
-                    recovered.extend([complex(aa, 0)] * mult)
-                else:
-                    recovered.extend([complex(aa, bb), complex(aa, -bb)] * (mult // 2))
-            recovered = sorted(recovered, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-            ref = sorted(ref, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-            assert np.allclose(recovered, ref, atol=1e-8)
+            assert_matches_eigvals(sym, skew)
+
+    def test_repeated_real_eigenvalue_in_kernel_of_skew(self):
+        # A has the double eigenvalue 0.5 on ker B, where B B^T restricted to
+        # that eigenspace is pure rounding noise, asymmetric at its own scale
+        rng = np.random.default_rng(60)
+        model = np.zeros((4, 4))
+        model[0, 0] = model[1, 1] = 0.5
+        model[2:, 2:] = [[0.3, 1.0], [-1.0, 0.3]]
+        for _ in range(60):
+            q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+            l_mat = q @ model @ q.T
+            spec = assert_matches_eigvals((l_mat + l_mat.T) / 2, (l_mat - l_mat.T) / 2)
+            assert [mult for _, _, mult in spec] == [2, 2]
+
+
+def assert_matches_eigvals(sym, skew):
+    """normal_spectrum(sym, skew), checked against numpy's eigenvalues of
+    sym + skew."""
+    spec = normal_spectrum(sym, skew)
+    recovered = []
+    for aa, bb, mult in spec:
+        if bb < 1e-10:
+            recovered.extend([complex(aa, 0)] * mult)
+        else:
+            recovered.extend([complex(aa, bb), complex(aa, -bb)] * (mult // 2))
+    recovered = sorted(recovered, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
+    ref = sorted(np.linalg.eigvals(sym + skew), key=lambda z: (round(z.real, 8), round(z.imag, 8)))
+    assert np.allclose(recovered, ref, atol=1e-8)
+    return spec

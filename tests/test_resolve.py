@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from eigenbouquet.algebra import Polynomial, VarUniverse, parse_polynomial
+from eigenbouquet import cli, resolve
+from eigenbouquet.algebra import Polynomial, Scalar, VarUniverse, parse_polynomial
 from eigenbouquet.bouquet import fitting_minors, generic_rank, wedge_quadratics
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.resolve import (
@@ -19,7 +21,7 @@ from eigenbouquet.resolve import (
     run_sequence,
     weak_transform,
 )
-from reference import base_point
+from reference import base_point, bench_jobs, common_zeros_per_point, sample_points
 
 
 def kupa_setup():
@@ -328,3 +330,91 @@ class TestProposeCenter:
         node = ChartNode(path=(), universe=u, to_base={}, pulled_minors=[])
         node.weak_gens = [parse_polynomial("1", u)]
         assert propose_center(node) is None
+
+
+# -- the seeded sampler ----------------------------------------------------
+
+def _charts(node):
+    yield node
+    for child in node.children:
+        yield from _charts(child)
+
+
+def _assert_sampler_matches(gens, universe, seed):
+    """The batched sampler finds the per-point scan's common zeros, in the
+    same order; returns them."""
+    expected = list(common_zeros_per_point(gens, universe, seed))
+    assert list(resolve._common_zeros(gens, universe, seed)) == expected
+    return expected
+
+
+class TestSampler:
+    @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("u", "v", "w")])
+    @pytest.mark.parametrize("seed", [42, 43, 1760, 7])
+    def test_pool_matches_fraction_construction(self, names, seed):
+        # every witness a report prints is a point of this pool
+        universe = VarUniverse(names)
+        for count in (5, resolve.SAMPLE_COUNT):  # 5 cuts into the axis points at 3 params
+            pool = [
+                {n: Fraction(v, resolve.POOL_DEN) for n, v in zip(names, pt)}
+                for pt in resolve._pool_numerators(names, seed, count)
+            ]
+            assert pool == sample_points(universe, seed, count)
+
+    @pytest.mark.parametrize("seed", [42, 7, 38])
+    def test_benchmark_charts_match_per_point_scan(self, seed, monkeypatch):
+        for job in bench_jobs():
+            if "resolve" not in job.stages:
+                continue
+            state = cli.RunState(cli.JobConfig.from_dict(dict(job.config, seed=seed)))
+            cli.stage_resolve(cli.stage_analyze(state))
+            if state.outcome is None:
+                continue
+            for node in _charts(state.outcome.root):
+                # the pools principality_status and propose_center draw
+                gens = [g for g in node.weak_gens if not g.is_zero()]
+                _assert_sampler_matches(gens, node.universe, seed + len(node.path))
+                if node.status != UNRESOLVED:
+                    continue
+                expected = _assert_sampler_matches(gens, node.universe, seed + 1718)
+                center = propose_center(node, seed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(resolve, "_common_zeros", lambda *args: iter(expected))
+                    assert propose_center(node, seed) == center, (job.name, node.path)
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_planted_zeros_match_per_point_scan(self, trial):
+        # products of linear forms through pool points, over Q and Q(i)
+        rng = random.Random(500 + trial)
+        names = ("x", "y", "z")[: 1 + trial % 3]
+        universe = VarUniverse(names)
+        seed = rng.randint(0, 10**6)
+        pool = sample_points(universe, seed)
+        planted = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        xs = [Polynomial.variable(universe, n) for n in names]
+
+        def product_through_planted():
+            out = Polynomial.constant(universe, 1)
+            for pt in planted:
+                form = Polynomial.zero(universe)
+                for x, n in zip(xs, names):
+                    a = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) or Fraction(1)
+                    form = form + (x - Polynomial.constant(universe, pt[n])).scale(a)
+                out = out * form
+            return out
+
+        gens = [product_through_planted() for _ in range(rng.randint(1, 3))]
+        gaussian = Polynomial.constant(universe, Scalar(0, Fraction(1, rng.randint(1, 5))))
+        gens.append(product_through_planted() + gaussian * product_through_planted())
+        gens.append(product_through_planted().scale(Scalar(1, 2)))
+        zeros = list(common_zeros_per_point(gens, universe, seed))
+        assert all(pt in zeros for pt in planted)
+        assert list(resolve._common_zeros(gens, universe, seed)) == zeros
+
+    def test_unassigned_variable_raises(self):
+        universe = VarUniverse(("x", "y"), ("X",))
+        gens = [parse_polynomial("x*y", universe), parse_polynomial("X*x - y", universe)]
+        with pytest.raises(KeyError):
+            list(common_zeros_per_point(gens, universe, 42))
+        with pytest.raises(KeyError):
+            list(resolve._common_zeros(gens, universe, 42))
