@@ -14,11 +14,10 @@ from .poly import (
 from .parser import ParseError, UnknownVariable, parse_polynomial
 from .gcdtools import divexact, gcd_multivariate
 from .linalg import (
-    bareiss_det,
     bareiss_rank,
     eval_matrix_rational,
+    laplace_minors,
     scalar_matrix_rank,
-    submatrix,
 )
 from .groebner import MembershipResult, ideal_contains_one
 
@@ -38,11 +37,10 @@ __all__ = [
     "parse_polynomial",
     "divexact",
     "gcd_multivariate",
-    "bareiss_det",
     "bareiss_rank",
     "eval_matrix_rational",
+    "laplace_minors",
     "scalar_matrix_rank",
-    "submatrix",
     "MembershipResult",
     "ideal_contains_one",
 ]

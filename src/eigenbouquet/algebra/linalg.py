@@ -1,8 +1,8 @@
 """Fraction-free linear algebra over polynomial rings.
 
-Bareiss elimination keeps every intermediate value a polynomial (divisions
-are exact), so ranks and determinants over the fraction field of the
-parameter ring come out exactly.
+Minors come from Laplace expansion, which never divides; ranks from Bareiss
+elimination, whose divisions are exact. So ranks and determinants over the
+fraction field of the parameter ring come out exactly.
 """
 
 from __future__ import annotations
@@ -18,33 +18,34 @@ from .scalars import Scalar
 Matrix = list[list[Polynomial]]
 
 
-def bareiss_det(matrix: Matrix) -> Polynomial:
-    """Determinant of a square polynomial matrix by fraction-free elimination."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    universe = matrix[0][0].universe
-    if n == 1:
-        return matrix[0][0]
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = Polynomial.constant(universe, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-            if pivot_row is None:
-                return Polynomial.zero(universe)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                num = pivot * m[r][c] - m[r][k] * m[k][c]
-                m[r][c] = divexact(num, prev)
-            m[r][k] = Polynomial.zero(universe)
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+def laplace_minors(matrix: Matrix, rows, col_sets) -> dict[tuple[int, ...], Polynomial]:
+    """The minors of matrix on the row tuple rows and on each sorted column
+    tuple in col_sets, by division-free Laplace expansion along the last row,
+    one row prefix at a time. Zero minors are left out of the dict.
+
+    Top down, a level's column sets are those a set of the level above
+    leaves when one column where the dropped row is nonzero is taken out.
+    Bottom up, det(rows[:k], C) = sum_j (-1)^(k-1+j) a[rows[k-1]][C[j]]
+    det(rows[:k-1], C minus C[j]); only the level below is kept alive.
+    """
+    needed = [set(col_sets)]
+    for r in reversed(rows[1:]):
+        needed.append({
+            cols[:j] + cols[j + 1 :] for cols in needed[-1] for j, c in enumerate(cols) if matrix[r][c]
+        })
+    first, zero = matrix[rows[0]], Polynomial.zero(matrix[rows[0]][0].universe)
+    level = {cols: first[cols[0]] for cols in needed.pop() if first[cols[0]]}
+    for k, r in enumerate(rows[1:], start=1):
+        below, level, row = level, {}, matrix[r]
+        for cols in needed.pop():
+            minor = zero
+            for j, c in enumerate(cols):
+                sub = below.get(cols[:j] + cols[j + 1 :])
+                if sub is not None and row[c]:
+                    minor = minor - row[c] * sub if (k + j) % 2 else minor + row[c] * sub
+            if minor:
+                level[cols] = minor
+    return level
 
 
 def _strip_row_content(row: list[Polynomial]) -> list[Polynomial]:
@@ -161,7 +162,3 @@ def bareiss_rank(matrix: Matrix, seed: int = 20240601) -> int:
         if scalar_matrix_rank(eval_matrix_rational(matrix, point)) == bound:
             return bound
     return _symbolic_rank(matrix)
-
-
-def submatrix(matrix: Matrix, rows, cols) -> Matrix:
-    return [[matrix[r][c] for c in cols] for r in rows]

@@ -23,11 +23,10 @@ from itertools import combinations
 from .algebra import (
     Polynomial,
     VarUniverse,
-    bareiss_det,
     bareiss_rank,
+    laplace_minors,
     monic,
     primitive_normalize,
-    submatrix,
 )
 from .family import MatrixFamily, check_structure
 
@@ -210,11 +209,12 @@ def fitting_minors(system: QuadSystem) -> FittingIdeal:
         # only reachable columns can be matched; sorted, the column sets come
         # in the order combinations(range(cols), d) gives them
         reach = sorted(set().union(*(support[r] for r in rset)))
-        for cset in combinations(reach, d):
-            if not _perfect_matching(rset, set(cset), support):
-                continue  # every term of the determinant has a zero factor
-            minor = bareiss_det(submatrix(system.coeff_matrix, rset, cset))
-            if minor.is_zero():
+        # a column set without a matching has a zero factor in every term
+        csets = [c for c in combinations(reach, d) if _perfect_matching(rset, set(c), support)]
+        minors = laplace_minors(system.coeff_matrix, rset, csets)
+        for cset in csets:
+            minor = minors.get(cset)
+            if minor is None:
                 continue
             normal = _canonical_gen(minor, system.family.fld)
             key = normal.sort_key()
@@ -235,17 +235,19 @@ def _perfect_matching(rset, cset: set[int], support: list[set[int]]) -> bool:
     """Whether the rows of rset pair off with the columns of cset inside the
     nonzero support (Kuhn's augmenting paths); if not, the minor vanishes."""
     owner: dict[int, int] = {}  # column -> row
+    return all(_augment(r, set(), owner, cset, support) for r in rset)
 
-    def augment(r: int, seen: set[int]) -> bool:
-        for c in sorted(support[r] & cset):
-            if c not in seen:
-                seen.add(c)
-                if c not in owner or augment(owner[c], seen):
-                    owner[c] = r
-                    return True
-        return False
 
-    return all(augment(r, set()) for r in rset)
+def _augment(r: int, seen: set[int], owner: dict[int, int], cset: set[int], support) -> bool:
+    """Match row r, re-matching owners along an augmenting path (a plain
+    function: a nested one calling itself would be a reference cycle)."""
+    for c in sorted(support[r] & cset):
+        if c not in seen:
+            seen.add(c)
+            if c not in owner or _augment(owner[c], seen, owner, cset, support):
+                owner[c] = r
+                return True
+    return False
 
 
 def _canonical_gen(p: Polynomial, fld: str) -> Polynomial:

@@ -76,6 +76,8 @@ RUN_ERRORS = (
     LabelingError,
 )
 
+# Sub-minors the Laplace expansion may store: per row set of the generic
+# rank d, at most C(cols, k) column sets on each level k <= d.
 MINOR_BUDGET = 200_000
 
 
@@ -218,10 +220,10 @@ def _make_bundle(name: str, fam: MatrixFamily, seed: int) -> Bundle:
         return Bundle(name, system, None)
     rows = len(system.coeff_matrix)
     cols = len(system.coeff_matrix[0])
-    count = math.comb(rows, rank) * math.comb(cols, rank)
+    count = math.comb(rows, rank) * sum(math.comb(cols, k) for k in range(1, rank + 1))
     if count > MINOR_BUDGET:
         raise ConfigError(
-            f"{count} maximal minors for bundle {name!r} exceed the desk-scale "
+            f"{count} sub-minors for bundle {name!r} exceed the desk-scale "
             f"budget {MINOR_BUDGET}; reduce the fiber dimension"
         )
     return Bundle(name, system, fitting_minors(system))

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from .algebra import (
     Polynomial,
     VarUniverse,
-    bareiss_det,
     divexact,
     gcd_multivariate,
+    laplace_minors,
     parse_polynomial,
     primitive_normalize,
 )
@@ -167,7 +167,7 @@ def reduced_char_poly(family: MatrixFamily) -> tuple[Polynomial, Polynomial, int
         ]
         for r in range(n)
     ]
-    char = bareiss_det(grid)
+    char = _det(grid)
     deriv = char.derivative(aux)
     g = gcd_multivariate(char, deriv)
     reduced = divexact(char, g)
@@ -182,6 +182,11 @@ def reduced_char_poly(family: MatrixFamily) -> tuple[Polynomial, Polynomial, int
         raise AssertionError("squarefree part has non-scalar leading coefficient")
     reduced = reduced.scale(1 / lead.constant_value())
     return char, reduced, top, aux
+
+
+def _det(grid: list[list[Polynomial]]) -> Polynomial:
+    cols = tuple(range(len(grid)))
+    return laplace_minors(grid, cols, [cols]).get(cols, Polynomial.zero(grid[0][0].universe))
 
 
 def _sylvester_resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
@@ -210,7 +215,7 @@ def _sylvester_resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     for r in range(dp):
         for k in range(dq + 1):
             grid[dq + r][r + dq - k] = qc[k]
-    return bareiss_det(grid)
+    return _det(grid)
 
 
 def discriminant_ideal(family: MatrixFamily, summary_parts=None) -> list[Polynomial]:

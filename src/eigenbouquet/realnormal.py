@@ -154,13 +154,13 @@ def arcp_extract(l_mats: np.ndarray, cluster_tol: float = 1e-6):
     l_stack = np.asarray(l_mats, dtype=float).reshape((-1,) + np.shape(l_mats)[-2:])
     count, n = l_stack.shape[:2]
     a_mat, b_mat = _halves(l_stack)
-    b2 = doubled_matrix(b_mat)
-    scale, bscale = 1.0 + _frobenius(l_stack), 1.0 + _frobenius(b2)
+    b2, bbt = doubled_matrix(b_mat), b_mat @ np.swapaxes(b_mat, 1, 2)
+    scale, floor = 1.0 + _frobenius(l_stack), (KERNEL_TOL * (1.0 + _frobenius(bbt))).tolist()
     a2 = np.zeros_like(b2)
     a2[:, :n, :n] = a2[:, n:, n:] = a_mat
-    positive = [  # negative values mirror positive ones; the kernel comes below
+    positive = [  # negative values mirror positive ones; b^2 under B B^T's floor is kernel
         (i, c) for i, found in enumerate(spectral_clusters(b2, cluster_tol)) for c in found
-        if c.value > KERNEL_TOL * bscale[i]
+        if c.value > 0 and c.value**2 > floor[i]
     ]
     spaces = []  # (member, value of A, value of B2, joint eigenspace)
     for ks, bases in by_shape([c.basis for _, c in positive]):
@@ -174,7 +174,7 @@ def arcp_extract(l_mats: np.ndarray, cluster_tol: float = 1e-6):
         owners, values = (np.array([spaces[k][part] for k in ks]) for part in (0, slice(1, 3)))
         _peel_planes(work, owners, values, l_stack, scale, planes, errors)
     decompositions, frames = [], []
-    for i, found in enumerate(_real_spaces(a_mat, b_mat, cluster_tol)):
+    for i, found in enumerate(_real_spaces(a_mat, bbt, floor, cluster_tol)):
         reals, flat = sorted(found, key=lambda s: s.value), sorted(planes[i], key=lambda p: (p.a, p.b))
         eigenvalues = [(s.value, 0.0, s.multiplicity) for s in reals] + [(p.a, p.b, 2) for p in flat]
         decompositions.append(dec := ArcpDecomposition(flat, reals, 0.0, eigenvalues))
@@ -226,10 +226,11 @@ def _peel_planes(work, owners, values, l_stack, scale, planes, errors) -> None:
         _peel_planes(work[ks][:, :, list(kept)], owners[ks], values[ks], l_stack, scale, planes, errors)
 
 
-def _real_spaces(a_mat: np.ndarray, b_mat: np.ndarray, cluster_tol: float) -> list[list[Cluster]]:
-    """Each member's real eigenspaces: the kernel of B, split by A."""
-    bbt = b_mat @ np.swapaxes(b_mat, 1, 2)
-    floor = (KERNEL_TOL * (1.0 + _frobenius(bbt))).tolist()
+def _real_spaces(
+    a_mat: np.ndarray, bbt: np.ndarray, floor: list[float], cluster_tol: float
+) -> list[list[Cluster]]:
+    """Each member's real eigenspaces: the kernel of B (B B^T's eigenvalues
+    up to floor), split by A."""
     kernels = [
         np.hstack([c.basis for c in clusters if abs(c.value) <= floor[i]] or [np.zeros((len(bbt[i]), 0))])
         for i, clusters in enumerate(spectral_clusters(bbt, cluster_tol))

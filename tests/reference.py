@@ -6,7 +6,8 @@ operator's plane identities), small conveniences (the benchmark's jobs,
 exact base points, the largest principal angle of one pair, one matrix's
 clustered spectrum) and the per-matrix paths the stacked ones replaced (the
 Jacobi solver, the plane check over a grid, Procrustes alignment, the chart
-sampler's point-by-point scan), kept frozen as their bit-for-bit references.
+sampler's point-by-point scan) and the Bareiss determinant the Laplace
+minors replaced, kept frozen as their bit-for-bit references.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from eigenbouquet.algebra import (
     Polynomial,
     VarUniverse,
     all_exact,
-    bareiss_det,
     divexact,
     eval_matrix_rational,
     gcd_multivariate,
@@ -59,6 +59,39 @@ from eigenbouquet.realnormal import (
 )
 from eigenbouquet.realnormal import _apply_j as apply_j
 from eigenbouquet.resolve import SAMPLE_COUNT, ChartNode
+
+
+def bareiss_det(matrix: list[list[Polynomial]]) -> Polynomial:
+    """Determinant of a square polynomial matrix by fraction-free elimination."""
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix")
+    universe = matrix[0][0].universe
+    if n == 1:
+        return matrix[0][0]
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = Polynomial.constant(universe, 1)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+            if pivot_row is None:
+                return Polynomial.zero(universe)
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                num = pivot * m[r][c] - m[r][k] * m[k][c]
+                m[r][c] = divexact(num, prev)
+            m[r][k] = Polynomial.zero(universe)
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def submatrix(matrix, rows, cols):
+    return [[matrix[r][c] for c in cols] for r in rows]
 
 
 def bench_jobs():

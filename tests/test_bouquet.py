@@ -1,12 +1,15 @@
+import gc
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eigenbouquet import cli
-from eigenbouquet.algebra import Scalar, bareiss_det, eval_matrix_rational, parse_polynomial, submatrix
+from eigenbouquet.algebra import Scalar, eval_matrix_rational, parse_polynomial
 from eigenbouquet.bouquet import (
     ScalarOperator,
     fitting_minors,
@@ -17,12 +20,14 @@ from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.realnormal import split_and_double
 from reference import (
     as_polynomial,
+    bareiss_det,
     bench_jobs,
     diagonalizability,
     expected_quadratic_dim,
     jacobian_rank_at,
     rank_at,
     spectral_sample,
+    submatrix,
 )
 
 
@@ -214,6 +219,56 @@ class TestMatchedMinors:
         for bundle in analysis.bundles:
             if bundle.ideal is not None:
                 assert_all_minors(bundle.system, bundle.ideal)
+
+
+SYM5_GENERIC = Path(__file__).resolve().parent / "data" / "sym5_generic.json"
+SYM6_GENERIC = [
+    ["x", "y", "1", "0", "0", "0"],
+    ["y", "-x", "0", "1", "0", "0"],
+    ["1", "0", "x+y", "y", "1", "0"],
+    ["0", "1", "y", "x-y", "0", "1"],
+    ["0", "0", "1", "0", "2*x", "y"],
+    ["0", "0", "0", "1", "y", "3*y"],
+]
+
+
+class TestFittingScale:
+    def test_sym5_generic(self):
+        """The n = 5 family's ideal in seconds; a seeded sample of its table
+        against the reference Bareiss minors."""
+        config = json.loads(SYM5_GENERIC.read_text())
+        bundle = cli.analyze(cli.JobConfig.from_dict(config)).primary
+        ideal, matrix = bundle.ideal, bundle.system.coeff_matrix
+        assert len(ideal.gens) == 1461
+        assert len(ideal.minor_table) == 2712
+        for rset, cset in random.Random(5).sample(sorted(ideal.minor_table), 30):
+            idx, scale = ideal.minor_table[rset, cset]
+            assert ideal.gens[idx].scale(scale) == bareiss_det(submatrix(matrix, rset, cset))
+
+    def test_budget_refuses_generic_six_before_any_minor(self, monkeypatch):
+        """A generic symmetric 6 x 6 family has 54,264 maximal minors but its
+        expansion would store 2,069,255 sub-minors: refused up front."""
+
+        def no_minors(*args):
+            raise AssertionError("a minor was computed")
+
+        monkeypatch.setattr("eigenbouquet.bouquet.laplace_minors", no_minors)
+        fam = check_structure(MatrixFamily.from_strings(SYM6_GENERIC, ["x", "y"], "symmetric"))
+        with pytest.raises(cli.ConfigError, match="2069255 sub-minors"):
+            cli._make_bundle("main", fam, seed=42)
+
+    def test_no_garbage_cycle(self):
+        """Nothing the expansion or the matching builds waits for the cyclic
+        collector."""
+        job = next(job for job in bench_jobs() if job.name == "sym4_generic")
+        system = cli.analyze(cli.JobConfig.from_dict(job.config)).primary.system
+        gc.collect()
+        gc.disable()
+        try:
+            fitting_minors(system)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestJacobianRank:

@@ -340,30 +340,39 @@ class TestStackedPlaneCheck:
             assert_same_decomposition(dec, arcp_extract_per_point(l_mat))
 
     def test_first_failing_member_is_named(self):
-        # b = 1e-5 passes the doubled operator's kernel test (b against 1e-9)
-        # but not B B^T's (b^2 against 1e-9): the plane is also counted as
-        # real, as the per-point reference counts it
-        small = np.array([[1.0, 1e-5], [-1e-5, 1.0]])
-        message = "decomposition spans 4 of 2 dimensions"
+        # b = 1e-2 lies inside a cluster tolerance of 0.1: +b and -b merge
+        # into one cluster at 0, which B B^T (b^2 = 1e-4) does not count as
+        # kernel, so the plane is counted nowhere, as in the per-point reference
+        small = np.array([[1.0, 1e-2], [-1e-2, 1.0]])
+        message = "decomposition spans 0 of 2 dimensions"
         with pytest.raises(DecompositionError, match=message):
-            arcp_extract_per_point(small)
+            arcp_extract_per_point(small, 0.1)
         rotation = np.array([[0.5, 1.0], [-1.0, 0.5]])
         stack = as_family_output([rotation, rotation, small, rotation, small])
         with pytest.raises(DecompositionError, match=message) as err:
-            arcp_extract(stack)
+            arcp_extract(stack, 0.1)
         assert err.value.member == 2
+
+    @pytest.mark.parametrize("b", [1e-3, 3e-5, 1e-5, 1e-8, 0.0])
+    def test_one_kernel_test_for_planes_and_real_spaces(self, b):
+        # a plane whose b^2 is under B B^T's floor (b below about 3.2e-5) is
+        # real, one above it a plane; never both
+        l_mat = np.array([[1.0, b], [-b, 1.0]])
+        for dec in (arcp_extract(l_mat), arcp_extract(as_family_output([l_mat, l_mat]))[1]):
+            assert dec.assembled().shape == (2, 2)
+            assert len(dec.planes) == (1 if b**2 > 1e-9 else 0)
 
     def test_grid_error_names_the_base_point(self, monkeypatch):
         real_extract = realnormal.arcp_extract
 
         def one_small_plane(l_mats, cluster_tol=1e-6):
             l_mats = np.array(l_mats)
-            l_mats[3] = [[1.0, 1e-5], [-1e-5, 1.0]]
+            l_mats[3] = [[1.0, 1e-2], [-1e-2, 1.0]]
             return real_extract(l_mats, cluster_tol)
 
         monkeypatch.setattr(realnormal, "arcp_extract", one_small_plane)
         split = split_and_double(rotation_family())
         base_points = [{"x": 0.25 * k, "y": 1.0} for k in range(6)]
-        message = r"spans 4 of 2 dimensions at \{'x': 0\.75, 'y': 1\.0\}$"
+        message = r"spans 0 of 2 dimensions at \{'x': 0\.75, 'y': 1\.0\}$"
         with pytest.raises(DecompositionError, match=message):
-            realnormal.arcp_over_grid(split, (), base_points, 1e-6, 1e-8)
+            realnormal.arcp_over_grid(split, (), base_points, 0.1, 1e-8)

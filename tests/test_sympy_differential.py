@@ -5,6 +5,7 @@ hypothesis are test-only and the module is skipped where they are missing.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,11 +19,12 @@ from eigenbouquet.algebra import (  # noqa: E402
     Polynomial,
     Scalar,
     VarUniverse,
-    bareiss_det,
     divexact,
     gcd_multivariate,
+    laplace_minors,
 )
-from eigenbouquet.family import MatrixFamily, check_structure, discriminant_ideal  # noqa: E402
+from eigenbouquet.family import MatrixFamily, _det, check_structure, discriminant_ideal  # noqa: E402
+from reference import bareiss_det, submatrix  # noqa: E402
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
@@ -108,7 +110,31 @@ def square_matrices(sizes, entries):
 @given(square_matrices((1, 3), polynomials(max_deg=1) | st.just(Polynomial.zero(U))))
 def test_bareiss_det_agrees_with_sympy(grid):
     ref = sympy.Matrix([[poly_to_sympy(p) for p in row] for row in grid]).det()
-    assert sympy.expand(poly_to_sympy(bareiss_det(grid)) - ref) == 0
+    assert sympy.expand(poly_to_sympy(_det(grid)) - ref) == 0
+
+
+def sparse_matrices(coeffs):
+    """m x n matrices, m <= n, m <= 4, n <= 6, many of their entries zero."""
+    entry = polynomials(max_deg=1, max_terms=2, coeffs=coeffs) | st.just(Polynomial.zero(U))
+    shapes = st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, 6)))
+    return shapes.flatmap(
+        lambda mn: st.lists(st.lists(entry, min_size=mn[1], max_size=mn[1]), min_size=mn[0], max_size=mn[0])
+    )
+
+
+@settings(SEEDED, max_examples=20)
+@given(sparse_matrices(rationals) | sparse_matrices(rationals | gaussians))
+def test_laplace_minors_agree_with_bareiss_and_sympy(grid):
+    rows, width = tuple(range(len(grid))), len(grid[0])
+    csets = list(combinations(range(width), len(rows)))
+    minors = laplace_minors(grid, rows, csets)
+    assert set(minors) <= set(csets)
+    full = sympy.Matrix([[poly_to_sympy(p) for p in row] for row in grid])
+    for cset in csets:
+        got = minors.get(cset, Polynomial.zero(U))
+        assert got == bareiss_det(submatrix(grid, rows, cset))
+        want = full.extract(list(rows), list(cset)).det(method="berkowitz")
+        assert sympy.expand(poly_to_sympy(got) - want) == 0
 
 
 @settings(SEEDED, max_examples=12)
