@@ -1,7 +1,7 @@
 """Exact polynomial arithmetic substrate: scalars, universes, polynomials,
 parsing, gcd, fraction-free linear algebra and 1-membership certification."""
 
-from .scalars import Scalar, all_exact, as_scalar
+from .scalars import Scalar, as_scalar
 from .universe import VarUniverse
 from .poly import (
     NotDivisible,
@@ -23,7 +23,6 @@ from .groebner import MembershipResult, ideal_contains_one
 
 __all__ = [
     "Scalar",
-    "all_exact",
     "as_scalar",
     "VarUniverse",
     "Polynomial",

@@ -112,8 +112,3 @@ def as_scalar(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact scalar")
-
-
-def all_exact(values) -> bool:
-    """True when every value is an exact int, Fraction or Scalar."""
-    return all(isinstance(v, (int, Fraction, Scalar)) for v in values)

@@ -230,29 +230,25 @@ def _make_bundle(name: str, fam: MatrixFamily, seed: int) -> Bundle:
 
 
 def analyze(cfg: JobConfig) -> Analysis:
+    """Bundles first, so the minor budget refuses a family before the
+    characteristic polynomial and discriminant are computed."""
     fam = build_family(cfg)
-    summary = analyze_spectrum(fam)
-    realnormal_path = cfg.fld == "rational" and cfg.structure in {"normal", "skew"}
-    if realnormal_path:
+    split = None
+    if cfg.fld == "rational" and cfg.structure in {"normal", "skew"}:
         as_normal = MatrixFamily(fam.n, fam.universe, fam.entries, "normal", fam.fld)
         check_structure(as_normal)
         split = split_and_double(as_normal)
-        skew_zero = all(p.is_zero() for row in split.skew.entries for p in row)
-        if skew_zero:
-            bundle = _make_bundle("sym", split.sym, cfg.seed)
-            gens, universe = _resolution_gens([bundle])
-            return Analysis(fam, summary, [bundle], None, gens, universe, bundle.ideal is None)
-        bundles = []
         sym_bundle = _make_bundle("sym", split.sym, cfg.seed)
-        if sym_bundle.ideal is not None:
-            bundles.append(sym_bundle)
-        doubled_bundle = _make_bundle("doubled", split.doubled, cfg.seed)
-        bundles.append(doubled_bundle)
-        gens, universe = _resolution_gens(bundles)
-        return Analysis(fam, summary, bundles, split, gens, universe, False)
-    bundle = _make_bundle("main", fam, cfg.seed)
-    gens, universe = _resolution_gens([bundle])
-    return Analysis(fam, summary, [bundle], None, gens, universe, bundle.ideal is None)
+        if all(p.is_zero() for row in split.skew.entries for p in row):
+            bundles, split = [sym_bundle], None
+        else:
+            doubled_bundle = _make_bundle("doubled", split.doubled, cfg.seed)
+            bundles = [doubled_bundle] if sym_bundle.ideal is None else [sym_bundle, doubled_bundle]
+    else:
+        bundles = [_make_bundle("main", fam, cfg.seed)]
+    gens, universe = _resolution_gens(bundles)
+    scalar = split is None and bundles[0].ideal is None
+    return Analysis(fam, analyze_spectrum(fam), bundles, split, gens, universe, scalar)
 
 
 def _resolution_gens(bundles: list[Bundle]):
@@ -440,7 +436,7 @@ def stage_frames(state: RunState) -> RunState:
             raise UnresolvedChart(
                 f"bundle {primary.name!r} is not principal on chart {leaf.path!r}"
             )
-        section = plucker_section(twin, primary.system, primary.ideal, primary.ideal.gens)
+        section = plucker_section(twin, primary.system, primary.ideal)
         report = local_frame_and_eigenvalues(
             section,
             grid,

@@ -21,7 +21,6 @@ from itertools import islice, product
 
 import numpy as np
 
-from .algebra import Polynomial, all_exact
 from .bouquet import FittingIdeal, QuadSystem
 from .family import MatrixFamily
 from .oracle import (
@@ -75,28 +74,15 @@ class PluckerSection:
     chart: ChartNode
     system: QuadSystem
     ideal: FittingIdeal
-    root_fitting: list[Polynomial]  # generators in the base universe, over Q
-    rank: int
 
     @property
     def family(self) -> MatrixFamily:
         return self.system.family
 
-    def on_discriminant(self, base_point: dict):
-        """Float test: every generator is below 1e-12 times the sum of its
-        terms' absolute values there. Float arrays give a boolean array."""
-        size = {k: np.abs(v) for k, v in base_point.items()}
-        inside = np.ones(np.broadcast_shapes(*(np.shape(v) for v in size.values())), dtype=bool)
-        for g in self.root_fitting:
-            value = g.eval_complex(base_point)
-            bound = Polynomial(g.universe, {e: abs(c) for e, c in g.terms.items()})
-            inside &= np.hypot(value.real, value.imag) <= 1e-12 * bound.eval_complex(size).real
-        return inside
-
     # -- wedge coordinates and subspace recovery ----------------------
 
     def recover_quadratics(self, points: list[dict]) -> np.ndarray:
-        """Bases of the rank-d quadratic spaces at rational chart points:
+        """Bases of the rank-d quadratic spaces at chart points:
         (P, d, M) coefficients on the monomials system.monomials. Each point
         picks its largest nonvanishing wedge coordinate (the first in key
         order on a tie), fixes its row set, and reads the reduced basis off
@@ -118,11 +104,12 @@ class PluckerSection:
                 raise UnresolvedChart(
                     f"all wedge coordinates vanish at {points[p]!r}; chart not resolved"
                 )
-        out = np.zeros((len(points), self.rank, len(self.system.monomials)))
+        rank = self.ideal.generic_rank
+        out = np.zeros((len(points), rank, len(self.system.monomials)))
         for b in sorted(set(best.tolist())):  # np.unique costs 0.6 MB on first use
             at = np.flatnonzero(best == b)
             rows, cols = keys[b]
-            for k in range(self.rank):
+            for k in range(rank):
                 out[at, k, cols[k]] = 1.0
                 for m in sorted(set(range(out.shape[2])) - set(cols)):
                     entry = coords.get((rows, tuple(sorted(set(cols[:k] + cols[k + 1 :]) | {m}))))
@@ -134,9 +121,11 @@ class PluckerSection:
 
 
 def common_denominator(points: list[dict], names) -> tuple[dict, int]:
-    """Each coordinate's integers over the points' least common denominator."""
-    den = math.lcm(*(p[n].denominator for p in points for n in names))
-    scaled = {n: [p[n].numerator * (den // p[n].denominator) for p in points] for n in names}
+    """Each coordinate's integers over the points' least common denominator.
+    An int, a Fraction or a float is read as the exact rational it is."""
+    ratios = {n: [p[n].as_integer_ratio() for p in points] for n in names}
+    den = math.lcm(*(d for pairs in ratios.values() for _, d in pairs))
+    scaled = {n: [a * (den // d) for a, d in pairs] for n, pairs in ratios.items()}
     return {n: np.array(v, dtype=object) for n, v in scaled.items()}, den
 
 
@@ -147,12 +136,7 @@ def _replacement_sign(cols: list[int], k: int, m: int) -> int:
     return -1 if (shift - k) % 2 else 1
 
 
-def plucker_section(
-    node: ChartNode,
-    system: QuadSystem,
-    ideal: FittingIdeal,
-    root_fitting: list[Polynomial] | None = None,
-) -> PluckerSection:
+def plucker_section(node: ChartNode, system: QuadSystem, ideal: FittingIdeal) -> PluckerSection:
     if node.status not in GOOD_STATUSES:
         raise UnresolvedChart(f"chart {node.path!r} has status {node.status}")
     fam = system.family
@@ -166,13 +150,7 @@ def plucker_section(
                     raise NonHermitianFamily(
                         "frames over the gaussian field require a hermitian family"
                     )
-    return PluckerSection(
-        chart=node,
-        system=system,
-        ideal=ideal,
-        root_fitting=root_fitting if root_fitting is not None else list(ideal.gens),
-        rank=ideal.generic_rank,
-    )
+    return PluckerSection(chart=node, system=system, ideal=ideal)
 
 
 # -- bouquet extraction ------------------------------------------------
@@ -194,25 +172,19 @@ class BouquetAtPoint:
 
 
 def _spectra_at(section: PluckerSection, points: list[dict], where):
-    """Float base points, discriminant mask, family matrices, quadratics (at
-    rational points), and the points off the discriminant with their stacked
-    Jacobi spectra; where(i) names point i if its solve fails."""
+    """Base points, discriminant mask, family matrices, and the points off
+    the discriminant with their stacked Jacobi spectra; where(i) names point
+    i if its solve fails. One integer batch at the exact points gives the
+    base points, each rounded once, and the zero test of the pulled minors."""
     chart, count = section.chart, len(points)
-    if all(all_exact(p.values()) for p in points):
-        numerators, den = common_denominator(points, chart.universe.params)
-        base = {}
-        for name, poly in chart.to_base.items():
-            values, scale = poly.eval_integer(numerators, den, count)
-            base[name] = (values / scale).astype(float)
-        on_disc = np.ones(count, dtype=bool)
-        for g in section.root_fitting:
-            pulled = g.substitute(dict(chart.to_base), chart.universe)
-            on_disc &= pulled.eval_integer(numerators, den, count)[0] == 0
-        quads = section.recover_quadratics(points)
-    else:
-        coords = {n: np.array([float(p[n]) for p in points]) for n in chart.universe.params}
-        base = chart.base_point_float(coords)
-        on_disc, quads = section.on_discriminant(base), None
+    numerators, den = common_denominator(points, chart.universe.params)
+    base = {}
+    for name, poly in chart.to_base.items():
+        values, scale = poly.eval_integer(numerators, den, count)
+        base[name] = (values / scale).astype(float)
+    on_disc = np.ones(count, dtype=bool)
+    for g in chart.pulled_minors:
+        on_disc &= g.eval_integer(numerators, den, count)[0] == 0
     matrices = family_matrix(section.family, base)
     matrices = np.broadcast_to(matrices, (count,) + matrices.shape[-2:])  # no parameters
     off = np.flatnonzero(~on_disc)
@@ -222,7 +194,7 @@ def _spectra_at(section: PluckerSection, points: list[dict], where):
         i = off[err.member]
         point = {k: v[i].item() for k, v in base.items()}
         raise JacobiNonConvergence(f"{err} at {where(i)}, base point {point}") from err
-    return base, on_disc, matrices, quads, off, spectra
+    return base, on_disc, matrices, off, spectra
 
 
 def _residuals(bouquets: list[list[Cluster]], quads, monomials):
@@ -231,8 +203,6 @@ def _residuals(bouquets: list[list[Cluster]], quads, monomials):
     frames = np.stack([np.hstack([s.basis for s in subs]) for subs in bouquets])
     eye = np.eye(frames.shape[2])
     gram = np.max(np.abs(np.swapaxes(frames, 1, 2) @ frames - eye), axis=(1, 2), initial=0.0)
-    if quads is None:
-        return gram, np.zeros(len(frames))
     values = 0.0
     for m, (a, b) in enumerate(monomials):
         values = values + quads[:, :, m, None] * frames[:, None, a, :] * frames[:, None, b, :]
@@ -278,8 +248,9 @@ def extract_bouquets(
     """Bouquets of eigenspace limits at chart points, computed together: off
     the pulled-back discriminant clustered eigendecompositions from one Jacobi
     stack, on it limits along a transversal curve (direction, or each heading
-    in turn) certified against the recovered quadratics (none at float points)."""
-    base, on_disc, matrices, quads, off, spectra = _spectra_at(section, points, "grid index {}".format)
+    in turn) certified against the recovered quadratics."""
+    quads = section.recover_quadratics(points)
+    base, on_disc, matrices, off, spectra = _spectra_at(section, points, "grid index {}".format)
     subspaces: list = [None] * len(points)
     for i, clusters in zip(off, cluster_stack(spectra.eigenvalues, spectra.vectors, cluster_tol)):
         subspaces[i] = clusters  # ascending values already
@@ -311,7 +282,7 @@ def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, di
     for delta in [direction] if direction is not None else _transversal_directions(len(names)):
         curves = start[pending][:, None, :] + np.array(radii)[:, None] * delta
         on_curves = [dict(zip(names, row)) for row in curves.reshape(-1, len(names)).tolist()]
-        _, _, _, _, off, spectra = _spectra_at(
+        _, _, _, off, spectra = _spectra_at(
             section,
             on_curves,
             lambda i: f"radius {radii[i % steps]} on the curve of grid index {exc[pending[i // steps]]}",
@@ -335,8 +306,6 @@ def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, di
                 Cluster(float(np.mean(np.diag(b.T @ matrix @ b))), m, b) for _, m, b, _ in limits
             ]
             found[q] = sorted(rayleigh, key=lambda s: (s.value, s.multiplicity))
-            if quads is None:
-                continue
             worst = _residuals([found[q]], quads[exc[q], None], section.system.monomials)[1][0]
             if worst > QUAD_VANISH_TOL:
                 del found[q]

@@ -109,9 +109,6 @@ class ChartNode:
                 return child.find(path)
         raise CenterError(f"no chart with address {tuple(path)!r}")
 
-    def base_point_float(self, point: dict) -> dict:
-        return {name: poly.eval_complex(point).real for name, poly in self.to_base.items()}
-
 
 def root_chart(fitting_gens: list[Polynomial], universe: VarUniverse) -> ChartNode:
     """Root chart over the base; the weak transform applies here as well."""

@@ -3,11 +3,12 @@
 Checks of the paper's identities that no pipeline stage runs (the Jacobian
 and coefficient ranks, the diagonalizability classifier, the doubled
 operator's plane identities), small conveniences (the benchmark's jobs,
-exact base points, the largest principal angle of one pair, one matrix's
-clustered spectrum) and the per-matrix paths the stacked ones replaced (the
-Jacobi solver, the plane check over a grid, Procrustes alignment, the chart
-sampler's point-by-point scan) and the Bareiss determinant the Laplace
-minors replaced, kept frozen as their bit-for-bit references.
+exact base points, the exactness of a point, the largest principal angle
+of one pair, one matrix's clustered spectrum) and the per-matrix paths the
+stacked ones replaced (the Jacobi solver, the plane check over a grid,
+Procrustes alignment, the chart sampler's point-by-point scan) and the
+Bareiss determinant the Laplace minors replaced, kept frozen as their
+bit-for-bit references.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from eigenbouquet.algebra import (
     Polynomial,
+    Scalar,
     VarUniverse,
-    all_exact,
     divexact,
     eval_matrix_rational,
     gcd_multivariate,
@@ -108,6 +109,11 @@ def bench_jobs():
 def base_point(node: ChartNode, point: dict) -> dict:
     """Exact base point of a chart point."""
     return {name: poly.eval_scalar(point) for name, poly in node.to_base.items()}
+
+
+def all_exact(values) -> bool:
+    """True when every value is an exact int, Fraction or Scalar."""
+    return all(isinstance(v, (int, Fraction, Scalar)) for v in values)
 
 
 def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:

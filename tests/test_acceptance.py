@@ -189,7 +189,7 @@ class TestAcceptance1KuPa:
         assert gens == {("x",): "u^2", ("y",): "v^2"}
 
         chart = outcome.root.find(("x",))
-        section = plucker_section(chart, system, ideal, ideal.gens)
+        section = plucker_section(chart, system, ideal)
         report = local_frame_and_eigenvalues(section, GridSpec((21, 21)))
         assert report.max_oracle_angle <= 1e-8
         worst = 0.0
@@ -229,7 +229,7 @@ class TestAcceptance2Rellich:
         assert all(leaf.status == "ResolvedCertified" for leaf in outcome.leaves())
 
         chart = outcome.root.find(("x",))
-        section = plucker_section(chart, system, ideal, ideal.gens)
+        section = plucker_section(chart, system, ideal)
         report = local_frame_and_eigenvalues(section, GridSpec((21, 21)))
         worst_eig = 0.0
         for comp in report.components:

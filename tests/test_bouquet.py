@@ -222,14 +222,7 @@ class TestMatchedMinors:
 
 
 SYM5_GENERIC = Path(__file__).resolve().parent / "data" / "sym5_generic.json"
-SYM6_GENERIC = [
-    ["x", "y", "1", "0", "0", "0"],
-    ["y", "-x", "0", "1", "0", "0"],
-    ["1", "0", "x+y", "y", "1", "0"],
-    ["0", "1", "y", "x-y", "0", "1"],
-    ["0", "0", "1", "0", "2*x", "y"],
-    ["0", "0", "0", "1", "y", "3*y"],
-]
+SYM6_GENERIC = Path(__file__).resolve().parent / "data" / "sym6_generic.json"
 
 
 class TestFittingScale:
@@ -247,15 +240,20 @@ class TestFittingScale:
 
     def test_budget_refuses_generic_six_before_any_minor(self, monkeypatch):
         """A generic symmetric 6 x 6 family has 54,264 maximal minors but its
-        expansion would store 2,069,255 sub-minors: refused up front."""
+        expansion would store 2,069,255 sub-minors: refused up front, before
+        any minor and before its characteristic polynomial."""
 
         def no_minors(*args):
             raise AssertionError("a minor was computed")
 
+        def no_spectrum(*args):
+            raise AssertionError("the spectrum was analyzed")
+
         monkeypatch.setattr("eigenbouquet.bouquet.laplace_minors", no_minors)
-        fam = check_structure(MatrixFamily.from_strings(SYM6_GENERIC, ["x", "y"], "symmetric"))
+        monkeypatch.setattr(cli, "analyze_spectrum", no_spectrum)
+        config = json.loads(SYM6_GENERIC.read_text())
         with pytest.raises(cli.ConfigError, match="2069255 sub-minors"):
-            cli._make_bundle("main", fam, seed=42)
+            cli.analyze(cli.JobConfig.from_dict(config))
 
     def test_no_garbage_cycle(self):
         """Nothing the expansion or the matching builds waits for the cyclic

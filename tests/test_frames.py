@@ -12,12 +12,13 @@ from eigenbouquet.frames import (
     DEFAULT_ANGLE_TOL,
     GridSpec,
     UnresolvedChart,
+    common_denominator,
     extract_bouquets,
     limit_uniqueness_check,
     local_frame_and_eigenvalues,
     plucker_section,
 )
-from eigenbouquet.resolve import CenterSpec, ChartNode, run_sequence
+from eigenbouquet.resolve import CenterSpec, run_sequence
 from reference import subspace_angle
 
 
@@ -49,7 +50,7 @@ def kupa_chart_x():
         fibers=["X", "Y"],
     )
     chart = outcome.root.find(("x",))
-    return plucker_section(chart, system, ideal, ideal.gens)
+    return plucker_section(chart, system, ideal)
 
 
 class TestPluckerSection:
@@ -77,13 +78,23 @@ class TestPluckerSection:
             [["x^2", "x*y"], ["x*y", "y^2"]], ["x", "y"], [], fibers=["X", "Y"]
         )
         with pytest.raises(UnresolvedChart):
-            plucker_section(outcome.root, system, ideal, ideal.gens)
+            plucker_section(outcome.root, system, ideal)
 
     def test_diag_constant_coordinate(self):
         fam, system, ideal, outcome = build([["x", "0"], ["0", "y"]], ["x", "y"], [])
-        section = plucker_section(outcome.root, system, ideal, ideal.gens)
+        section = plucker_section(outcome.root, system, ideal)
         (quad,) = quadratics(section, {"x": Fraction(2), "y": Fraction(5)})
         assert quad == {(0, 1): 1.0}
+
+
+class TestCommonDenominator:
+    def test_reads_each_coordinate_as_its_exact_rational(self):
+        # ints, Fractions and floats alike, alone and mixed in one batch
+        values = [3, Fraction(-2, 3), 0.1, -0.75, 0.0, Fraction(5, 7), 2.0**-60]
+        for chosen in [[x] for x in values] + [values]:
+            numerators, den = common_denominator([{"u": x} for x in chosen], ["u"])
+            assert den == math.lcm(*(Fraction(x).denominator for x in chosen))
+            assert [Fraction(a, den) for a in numerators["u"]] == [Fraction(x) for x in chosen]
 
 
 class TestExtractBouquet:
@@ -111,13 +122,18 @@ class TestExtractBouquet:
         assert bouquet.quad_residual <= 1e-7
 
     def test_float_point_extraction_matches_exact(self):
+        # a float is the dyadic rational it stands for: the same bouquet as
+        # that rational, bit for bit, on the exceptional line u = 0 as well
         section = kupa_chart_x()
-        exact = extract(section, {"u": Fraction(1, 2), "v": Fraction(3, 4)})
-        floated = extract(section, {"u": 0.5, "v": 0.75})
-        assert exact.multiplicities == floated.multiplicities
-        for se, sf in zip(exact.subspaces, floated.subspaces):
-            assert subspace_angle(se.basis, sf.basis) <= 1e-10
-            assert abs(se.value - sf.value) <= 1e-12
+        for u, v in ((0.5, 0.75), (0.0, 1 / 3)):
+            exact = extract(section, {"u": Fraction(u), "v": Fraction(v)})
+            floated = extract(section, {"u": u, "v": v})
+            assert floated.exceptional == exact.exceptional == (u == 0)
+            assert floated.base_point == exact.base_point
+            assert floated.quad_residual == exact.quad_residual
+            assert floated.multiplicities == exact.multiplicities
+            for se, sf in zip(exact.subspaces, floated.subspaces):
+                assert sf.value == se.value and sf.basis.tobytes() == se.basis.tobytes()
 
     def test_multiplicities_sum_to_fiber_dimension(self):
         section = kupa_chart_x()
@@ -130,7 +146,7 @@ class TestExtractBouquet:
         # diag(x, y) at a point x = y is a discriminant point; the bouquet
         # still has two coordinate lines by the limit construction
         fam, system, ideal, outcome = build([["x", "0"], ["0", "y"]], ["x", "y"], [])
-        section = plucker_section(outcome.root, system, ideal, ideal.gens)
+        section = plucker_section(outcome.root, system, ideal)
         bouquet = extract(section, {"x": Fraction(1), "y": Fraction(1)})
         assert bouquet.exceptional
         assert bouquet.multiplicities == (1, 1)
@@ -188,7 +204,7 @@ class TestLocalFrames:
 
     def test_diag_constant_frame(self):
         fam, system, ideal, outcome = build([["x", "0"], ["0", "y"]], ["x", "y"], [])
-        section = plucker_section(outcome.root, system, ideal, ideal.gens)
+        section = plucker_section(outcome.root, system, ideal)
         report = local_frame_and_eigenvalues(section, GridSpec((5, 5)))
         # frames are constantly the coordinate axes; eigenvalues x and y
         for comp in report.components:
@@ -205,7 +221,7 @@ class TestLocalFrames:
             [["x", "y"], ["y", "-x"]], ["x", "y"], [CenterSpec((), ("x", "y"))]
         )
         chart = outcome.root.find(("x",))
-        section = plucker_section(chart, system, ideal, ideal.gens)
+        section = plucker_section(chart, system, ideal)
         report = local_frame_and_eigenvalues(section, GridSpec((9, 9)))
         assert not report.failing
         # tracked eigenvalue functions are +- u sqrt(1 + v^2): smooth in u
@@ -268,8 +284,8 @@ class TestWorkDoneOnce:
         count_calls(monkeypatch, log, "largest_angles", [oracle, frames])
         count_calls(monkeypatch, log, "principal_angles", [oracle])
         count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base: base["x"].size)
-        count_calls(monkeypatch, log, "base_point_float", [ChartNode], size=lambda node, pt: node.path)
         count_calls(monkeypatch, log, "eval_integer", [Polynomial], size=lambda p, nums, den, count: count)
+        count_calls(monkeypatch, log, "substitute", [Polynomial], size=lambda *args: 1)
         count_calls(
             monkeypatch, log, "recover_quadratics", [frames.PluckerSection], size=lambda s, pts: len(pts)
         )
@@ -284,7 +300,7 @@ class TestWorkDoneOnce:
         def counting_frames(section, grid, **kwargs):
             before = {k: len(v) for k, v in log.items()}
             report = real_frames(section, grid, **kwargs)
-            frame_runs.append(({k: v[before.get(k, 0):] for k, v in log.items()}, report))
+            frame_runs.append(({k: v[before.get(k, 0):] for k, v in log.items()}, report, section.chart))
             return report
 
         real_extrapolate = frames.extrapolate_along_curve
@@ -301,17 +317,23 @@ class TestWorkDoneOnce:
             extrapolations.append((log["principal_angles"][before:], expected))
             return limits
 
-        real_check, check_runs = cli.stage_check, []
+        stage_runs: dict[str, list] = {}
 
-        def counting_check(state):
-            before = {k: len(v) for k, v in log.items()}
-            real_check(state)
-            check_runs.append({k: v[before.get(k, 0):] for k, v in log.items()})
-            return state
+        def counting_stage(name):
+            real_stage = getattr(cli, name)
+
+            def counting(state):
+                before = {k: len(v) for k, v in log.items()}
+                real_stage(state)
+                stage_runs.setdefault(name, []).append({k: v[before.get(k, 0):] for k, v in log.items()})
+                return state
+
+            monkeypatch.setattr(cli, name, counting)
 
         monkeypatch.setattr(cli, "local_frame_and_eigenvalues", counting_frames)
         monkeypatch.setattr(frames, "extrapolate_along_curve", counting_extrapolate)
-        monkeypatch.setattr(cli, "stage_check", counting_check)
+        counting_stage("stage_frames")
+        counting_stage("stage_check")
         cfg = cli.JobConfig.from_dict({**cli.FIXTURES["kupa"], "grid": {"points_per_axis": 9}})
         code, report = cli.run_job(cfg, ("analyze", "resolve", "frames", "check"))
         assert code == cli.EXIT_PASS
@@ -320,19 +342,24 @@ class TestWorkDoneOnce:
         counted = {item["name"]: item for item in report["invariants"]}
         hits = counted["oracle_cluster_count_off_discriminant"]["count"]
         assert 0 < hits <= 100
-        assert check_runs[0]["eigh_jacobi"] == [hits]
+        assert stage_runs["stage_check"][0]["eigh_jacobi"] == [hits]
+        # resolve pulls the minors back to the charts, which carry them: the
+        # frames stage substitutes nothing
+        assert log["substitute"] and not stage_runs["stage_frames"][0].get("substitute")
         assert len(frame_runs) == 2
         curves = 0
-        for calls, report in frame_runs:
+        for calls, report, chart in frame_runs:
             exceptional = sum(report.exceptional_mask)
             curves += exceptional
             assert len(report.points) == 81 and exceptional
-            # one exact batch for the whole grid (every integer evaluation
-            # covers its 81 points), one float batch of the curve points of
-            # every exceptional point on the first heading
+            # one exact batch for the whole grid (weak generators, base point
+            # and pulled minors at its 81 points), one exact batch of the
+            # curve points of every exceptional point on the first heading
             assert calls["recover_quadratics"] == [81]
-            assert calls["eval_integer"] and set(calls["eval_integer"]) == {81}
-            assert calls["base_point_float"] == [report.chart_path]
+            per_batch = len(chart.to_base) + len(chart.pulled_minors)
+            assert calls["eval_integer"] == (
+                [81] * (len(chart.weak_gens) + per_batch) + [6 * exceptional] * per_batch
+            )
             assert calls["family_matrix"] == [81, 6 * exceptional]
             # two Jacobi stacks: the grid off the discriminant and the six
             # points of every curve
@@ -426,7 +453,7 @@ class TestLimitUniqueness:
         fam, system, ideal, outcome = build(
             [["1", "2"], ["2", "1"]], ["x", "y"], []
         )
-        section = plucker_section(outcome.root, system, ideal, ideal.gens)
+        section = plucker_section(outcome.root, system, ideal)
         angle = limit_uniqueness_check(section, {"x": Fraction(1, 2), "y": Fraction(0)})
         assert angle <= 1e-9
 

@@ -93,7 +93,7 @@ class TestHermitianPipeline:
         assert locals_ == {("x",): "u^2", ("y",): "v^2"}
 
         chart = outcome.root.find(("x",))
-        section = plucker_section(chart, system, ideal, ideal.gens)
+        section = plucker_section(chart, system, ideal)
         report = local_frame_and_eigenvalues(section, GridSpec((9, 9)))
         assert not report.failing
         assert report.max_oracle_angle <= 1e-8
@@ -123,7 +123,7 @@ class TestHermitianPipeline:
         outcome = run_sequence(ideal.gens, system.fiber_universe, [])
         (leaf,) = outcome.leaves()
         with pytest.raises(ValueError, match="hermitian"):
-            plucker_section(leaf, system, ideal, ideal.gens)
+            plucker_section(leaf, system, ideal)
 
     def test_embedding_matches_structure(self):
         fam = hermitian_vortex()
