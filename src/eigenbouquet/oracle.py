@@ -2,8 +2,10 @@
 
 A cyclic Jacobi eigensolver for real symmetric matrices, greedy gap
 clustering, principal angles between subspaces and Richardson extrapolation
-of eigenspace bases along curves. This layer never touches the exact
-symbolic side; it exists to cross-validate it.
+of eigenspace bases along curves. Each kernel runs on stacks, every member
+rounded as it would be alone: the curves of one multiplicity pattern are
+matched, aligned and extrapolated together. This layer never touches the
+exact symbolic side; it exists to cross-validate it.
 
 Complex Hermitian input is handled through the real 2n embedding
 [[Re, -Im], [Im, Re]], which doubles every eigenvalue.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +43,6 @@ class Cluster:
 class SpectralSample:
     eigenvalues: np.ndarray
     vectors: np.ndarray  # column k pairs with eigenvalues[k]
-    clusters: list[Cluster] = field(default_factory=list)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(c.multiplicity for c in self.clusters)
 
 
 def eigh_jacobi(matrices) -> SpectralSample:
@@ -297,57 +294,100 @@ def procrustes_align(basis: np.ndarray, reference: np.ndarray):
     return (aligned[0], bool(degenerate[0])) if np.ndim(basis) == 2 else (aligned, degenerate)
 
 
-def richardson_limit(values: list[np.ndarray], order: int = 2) -> tuple[np.ndarray, float]:
-    """Richardson extrapolation to 0 for samples at radii r, r/2, r/4, ...
-
-    Returns the extrapolated value and the norm of the last correction.
-    """
+def richardson_limit(values: list[np.ndarray], order: int = 2) -> np.ndarray:
+    """Richardson extrapolation to 0 of samples at radii r, r/2, r/4, ...,
+    entrywise: each sample may be a whole stack."""
     table = [np.asarray(v, dtype=float) for v in values]
     if len(table) < order + 2:
         raise ExtrapolationError("not enough radii for the requested order")
     for level in range(1, order + 1):
         factor = 2.0 ** level
         table = [(factor * table[k + 1] - table[k]) / (factor - 1.0) for k in range(len(table) - 1)]
-    return table[-1], float(np.linalg.norm(table[-1] - table[-2]))
+    return table[-1]
 
 
-def extrapolate_along_curve(samples: list[SpectralSample]) -> list[tuple[float, int, np.ndarray, float]]:
-    """Limit of matched cluster bases along a shrinking-radius curve.
+def extrapolate_along_curve(curves: list[list[list[Cluster]]]) -> list:
+    """Limits of matched cluster bases along shrinking-radius curves.
 
-    Input samples are ordered from the largest radius to the smallest; each
-    must carry clusters. Components are matched between consecutive radii by
-    principal angles, aligned by orthogonal Procrustes, extrapolated
-    entrywise (Richardson, order 2) and re-orthonormalized.
+    Each curve is the clusters of its samples, ordered from the largest
+    radius to the smallest, each cluster's basis with multiplicity columns.
+    The curves of one multiplicity pattern go together: per component and
+    radius step, one principal_angles stack per candidate slot matches them
+    (the first nearest, and ambiguous within 1e-3 of the runner-up), one
+    Procrustes stack aligns them; Richardson (order 2) and one
+    orthonormalize stack end each component.
 
-    Returns one (eigenvalue_limit, multiplicity, basis, correction) per
-    component of the smallest-radius sample.
+    Returns per curve one (eigenvalue_limit, multiplicity, basis) per
+    component of its smallest-radius sample, or the ExtrapolationError it
+    failed with first, as it would alone; a failed curve leaves the stacks.
     """
-    if len(samples) < 4:
-        raise ExtrapolationError("need at least 4 radii")
-    mults = samples[0].multiplicities
-    for s in samples[1:]:
-        if s.multiplicities != mults:
-            raise ExtrapolationError("cluster structure changes along the curve")
-    results = []
+    out: list = [None] * len(curves)
+    groups: dict[tuple, list[int]] = {}
+    for i, curve in enumerate(curves):
+        patterns = {tuple(c.multiplicity for c in clusters) for clusters in curve}
+        if len(curve) < 4:
+            out[i] = ExtrapolationError("need at least 4 radii")
+        elif len(patterns) > 1:
+            out[i] = ExtrapolationError("cluster structure changes along the curve")
+        else:
+            groups.setdefault((len(curve), *patterns), []).append(i)
+    for (steps, mults), members in groups.items():
+        limits = _extrapolate_group([curves[i] for i in members], steps, mults)
+        for i, found in zip(members, limits):
+            out[i] = found
+    return out
+
+
+def _extrapolate_group(curves, steps: int, mults: tuple[int, ...]) -> list:
+    """extrapolate_along_curve for curves sharing their radii count and
+    multiplicity pattern; a failing member leaves every stack at once."""
+    out: list = [[] for _ in curves]
+    # per radius, each cluster slot's bases and the values of all slots
+    bases = [[np.stack([curve[r][k].basis for curve in curves]) for k in range(len(mults))]
+             for r in range(steps)]
+    values = [np.array([[c.value for c in curve[r]] for curve in curves]) for r in range(steps)]
+    alive = np.arange(len(curves))  # the members still going, in stack order
     for idx, dim in enumerate(mults):
-        chains: list[np.ndarray] = [samples[0].clusters[idx].basis]
-        valchain: list[float] = [samples[0].clusters[idx].value]
-        for s in samples[1:]:
-            best_k, best_angle, runner_up = nearest_subspace(chains[-1], s.clusters)
-            if runner_up is not None and runner_up < best_angle + 1e-3:
-                raise ExtrapolationError("ambiguous component matching along curve")
-            aligned, degenerate = procrustes_align(s.clusters[best_k].basis, chains[-1])
-            if degenerate:
-                raise ExtrapolationError("degenerate alignment (orthogonal subspaces)")
-            chains.append(aligned)
-            valchain.append(s.clusters[best_k].value)
-        limit, corr = richardson_limit(chains)
-        value, _ = richardson_limit([np.array([v]) for v in valchain])
-        basis = orthonormalize(limit)
-        if basis.shape[1] != dim:
-            raise ExtrapolationError("extrapolated basis lost rank")
-        results.append((float(value[0]), dim, basis, corr))
-    return results
+        slots = [k for k, m in enumerate(mults) if m == dim]
+        chain, valchain = [bases[0][idx][alive]], [values[0][alive, idx]]
+        for r in range(1, steps):
+            candidates = np.stack([bases[r][k][alive] for k in slots], axis=1)
+            angles = np.stack(
+                [principal_angles(candidates[:, s], chain[-1]).max(axis=1) for s in range(len(slots))], axis=1
+            )
+            best = np.argmin(angles, axis=1)  # the first of equal angles, as nearest_of takes it
+            keep = np.ones(alive.size, dtype=bool)
+            if len(slots) > 1:
+                runner_up = np.sort(angles, axis=1)[:, 1]
+                keep = ~(runner_up < angles[np.arange(alive.size), best] + 1e-3)
+                _fail(out, alive[~keep], "ambiguous component matching along curve")
+            members = np.flatnonzero(keep)
+            if not members.size:
+                return out
+            matched = candidates[members, best[members]]
+            aligned, degenerate = procrustes_align(matched, chain[-1][members])
+            _fail(out, alive[members[degenerate]], "degenerate alignment (orthogonal subspaces)")
+            members = members[~degenerate]
+            alive = alive[members]
+            if not alive.size:
+                return out
+            chain = [c[members] for c in chain] + [aligned[~degenerate]]
+            valchain = [v[members] for v in valchain] + [values[r][alive, np.array(slots)[best[members]]]]
+        limit = orthonormalize(richardson_limit(chain))
+        lost = ~limit.any(axis=1).all(axis=1)
+        _fail(out, alive[lost], "extrapolated basis lost rank")
+        value = richardson_limit(valchain)
+        for i, v, basis in zip(alive[~lost].tolist(), value[~lost].tolist(), limit[~lost]):
+            out[i].append((v, dim, basis))
+        alive = alive[~lost]
+        if not alive.size:
+            return out
+    return out
+
+
+def _fail(out: list, members: np.ndarray, message: str) -> None:
+    for i in members.tolist():
+        out[i] = ExtrapolationError(message)
 
 
 def embed_hermitian(matrix: np.ndarray) -> np.ndarray:

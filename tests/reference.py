@@ -6,7 +6,8 @@ operator's plane identities), small conveniences (the benchmark's jobs,
 exact base points, the exactness of a point, the largest principal angle
 of one pair, one matrix's clustered spectrum) and the per-matrix paths the
 stacked ones replaced (the Jacobi solver, the plane check over a grid,
-Procrustes alignment, the chart sampler's point-by-point scan) and the
+Procrustes alignment, curve extrapolation one curve at a time, the chart
+sampler's point-by-point scan) and the
 Bareiss determinant the Laplace minors replaced, kept frozen as their
 bit-for-bit references.
 """
@@ -33,8 +34,15 @@ from eigenbouquet.algebra import (
     scalar_matrix_rank,
 )
 from eigenbouquet.bouquet import QuadForm, QuadSystem
-from eigenbouquet.frames import family_matrix
-from eigenbouquet.frames import GRAM_TOL
+from eigenbouquet.frames import (
+    EXTRAPOLATION_RADII,
+    GRAM_TOL,
+    QUAD_VANISH_TOL,
+    _residuals,
+    _spectra_at,
+    _transversal_directions,
+    family_matrix,
+)
 from eigenbouquet.oracle import (
     DEFAULT_CLUSTER_TOL,
     JACOBI_OFF_TOL,
@@ -45,8 +53,10 @@ from eigenbouquet.oracle import (
     SpectralSample,
     cluster_stack,
     eigh_jacobi,
+    nearest_subspace,
     orthonormalize,
     principal_angles,
+    procrustes_align,
 )
 from eigenbouquet.realnormal import (
     KERNEL_TOL,
@@ -121,11 +131,24 @@ def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     return max(principal_angles(basis_a, basis_b))
 
 
-def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> SpectralSample:
+@dataclass(slots=True)
+class ClusteredSample:
+    """One matrix's ascending spectrum, eigenvectors and clusters."""
+
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    clusters: list[Cluster]
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(c.multiplicity for c in self.clusters)
+
+
+def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> ClusteredSample:
     """Eigenvalues, vectors and clusters of one matrix: a stack of one."""
     sample = eigh_jacobi(matrix)
-    sample.clusters = cluster_stack(sample.eigenvalues[None], sample.vectors[None], tol)[0]
-    return sample
+    clusters = cluster_stack(sample.eigenvalues[None], sample.vectors[None], tol)[0]
+    return ClusteredSample(sample.eigenvalues, sample.vectors, clusters)
 
 
 # -- ranks of the quadratic system ----------------------------------------
@@ -502,6 +525,131 @@ def procrustes_align_per_pair(basis: np.ndarray, reference: np.ndarray) -> np.nd
             raise ExtrapolationError("degenerate alignment (orthogonal subspaces)")
         cols.append(u / norm)
     return basis @ (np.column_stack(cols) @ right.vectors.T)
+
+
+# -- curve extrapolation one curve at a time ----------------------------------
+
+
+def richardson_limit_per_curve(values: list[np.ndarray], order: int = 2) -> tuple[np.ndarray, float]:
+    """Richardson extrapolation to 0 for samples at radii r, r/2, r/4, ...
+
+    Returns the extrapolated value and the norm of the last correction.
+    """
+    table = [np.asarray(v, dtype=float) for v in values]
+    if len(table) < order + 2:
+        raise ExtrapolationError("not enough radii for the requested order")
+    for level in range(1, order + 1):
+        factor = 2.0 ** level
+        table = [(factor * table[k + 1] - table[k]) / (factor - 1.0) for k in range(len(table) - 1)]
+    return table[-1], float(np.linalg.norm(table[-1] - table[-2]))
+
+
+def extrapolate_along_curve_per_curve(samples: list[ClusteredSample]) -> list[tuple]:
+    """Limit of matched cluster bases along one shrinking-radius curve, as
+    before ``extrapolate_along_curve`` took all curves of a heading together.
+
+    Input samples are ordered from the largest radius to the smallest.
+    Components are matched between consecutive radii by principal angles,
+    aligned by orthogonal Procrustes, extrapolated entrywise (Richardson,
+    order 2) and re-orthonormalized. Returns one (eigenvalue_limit,
+    multiplicity, basis, correction) per component of the smallest-radius
+    sample.
+    """
+    if len(samples) < 4:
+        raise ExtrapolationError("need at least 4 radii")
+    mults = samples[0].multiplicities
+    for s in samples[1:]:
+        if s.multiplicities != mults:
+            raise ExtrapolationError("cluster structure changes along the curve")
+    results = []
+    for idx, dim in enumerate(mults):
+        chains: list[np.ndarray] = [samples[0].clusters[idx].basis]
+        valchain: list[float] = [samples[0].clusters[idx].value]
+        for s in samples[1:]:
+            best_k, best_angle, runner_up = nearest_subspace(chains[-1], s.clusters)
+            if runner_up is not None and runner_up < best_angle + 1e-3:
+                raise ExtrapolationError("ambiguous component matching along curve")
+            aligned, degenerate = procrustes_align(s.clusters[best_k].basis, chains[-1])
+            if degenerate:
+                raise ExtrapolationError("degenerate alignment (orthogonal subspaces)")
+            chains.append(aligned)
+            valchain.append(s.clusters[best_k].value)
+        limit, corr = richardson_limit_per_curve(chains)
+        value, _ = richardson_limit_per_curve([np.array([v]) for v in valchain])
+        basis = orthonormalize(limit)
+        if basis.shape[1] != dim:
+            raise ExtrapolationError("extrapolated basis lost rank")
+        results.append((float(value[0]), dim, basis, corr))
+    return results
+
+
+def curve_limits_per_curve(section, start, owners, delta, matrices, quads, cluster_tol) -> list:
+    """Per curve from a start point along delta, its limit bouquet or its
+    ExtrapolationError, one curve at a time after one batch of Jacobi solves:
+    the heading loop body of ``frames._extrapolate_bouquets`` before it
+    stacked the chains, clusters, Rayleigh values and residuals."""
+    names = section.chart.universe.params
+    radii, steps = EXTRAPOLATION_RADII, len(EXTRAPOLATION_RADII)
+    curves = start[:, None, :] + np.array(radii)[:, None] * delta
+    on_curves = [dict(zip(names, row)) for row in curves.reshape(-1, len(names)).tolist()]
+    _, _, _, off, spectra = _spectra_at(
+        section,
+        on_curves,
+        lambda i: f"radius {radii[i % steps]} on the curve of grid index {owners[i // steps]}",
+    )
+    member = dict(zip(off.tolist(), range(len(off))))
+    out: list = []
+    for j in range(len(start)):
+        at = [member.get(j * steps + r) for r in range(steps)]
+        try:
+            if None in at:
+                raise ExtrapolationError("curve runs inside the discriminant image")
+            values, vectors = spectra.eigenvalues[at], spectra.vectors[at]
+            clusters = cluster_stack(values, vectors, cluster_tol)
+            limits = extrapolate_along_curve_per_curve(list(map(ClusteredSample, values, vectors, clusters)))
+        except ExtrapolationError as err:
+            out.append(err)
+            continue
+        matrix = matrices[owners[j]]
+        # eigenvalue at the point itself: Rayleigh value on the limit basis
+        rayleigh = [
+            Cluster(float(np.mean(np.diag(b.T @ matrix @ b))), m, b) for _, m, b, _ in limits
+        ]
+        found = sorted(rayleigh, key=lambda s: (s.value, s.multiplicity))
+        worst = _residuals([found], quads[owners[j], None], section.system.monomials)[1][0]
+        if worst > QUAD_VANISH_TOL:
+            found = ExtrapolationError(
+                f"recovered quadratics do not vanish on the extrapolated bouquet "
+                f"(residual {worst:.3e})"
+            )
+        out.append(found)
+    return out
+
+
+def extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, cluster_tol, direction):
+    """``frames._extrapolate_bouquets`` over ``curve_limits_per_curve``: the
+    frozen reference of the batched curve step."""
+    names = section.chart.universe.params
+    start = np.array([[float(points[i][name]) for name in names] for i in exc])
+    found: dict[int, list[Cluster]] = {}
+    errors: dict[int, Exception] = {}
+    pending = list(range(len(exc)))
+    for delta in [direction] if direction is not None else _transversal_directions(len(names)):
+        limits = curve_limits_per_curve(
+            section, start[pending], exc[pending], delta, matrices, quads, cluster_tol
+        )
+        for q, got in zip(pending, limits):
+            if isinstance(got, ExtrapolationError):
+                errors[q] = got
+            else:
+                found[q] = got
+        pending = [q for q in pending if q not in found]
+        if not pending:
+            return [found[q] for q in range(len(exc))]
+    q = pending[0]
+    raise ExtrapolationError(
+        f"extrapolation failed at {points[exc[q]]!r} in every direction: {errors[q]}"
+    )
 
 
 # -- the point-by-point chart sampler ----------------------------------------

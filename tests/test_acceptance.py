@@ -257,7 +257,7 @@ class TestAcceptance2Rellich:
             return np.array([[x, y], [y, -x]])
 
         def top_limit(curve):
-            limits = extrapolate_along_curve([spectral_sample(p) for p in curve])
+            (limits,) = extrapolate_along_curve([[spectral_sample(p).clusters for p in curve]])
             return max(limits, key=lambda r: r[0])[2]
 
         ax_top = top_limit([m(t, 0.0) for t in radii])

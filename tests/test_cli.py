@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,9 +239,20 @@ class TestRunErrors:
         assert "error" not in report
         assert report["invariants"] and all(item["pass"] for item in report["invariants"])
 
+    def test_rotation_with_center_config_passes(self, tmp_path):
+        # the benchmark's normal_rotation job with center [x, y], at its grid
+        config = Path(__file__).resolve().parent / "data" / "normal_rotation_center.json"
+        path = tmp_path / "out.json"
+        code = run_cli(["check", "--config", str(config), "--report", str(path)])
+        report = json.loads(path.read_text())
+        assert code == EXIT_PASS
+        assert report["verdict"] == "pass" and "error" not in report
+        assert [f["chart"] for f in report["frames"]] == [["x"], ["y"]]
+        assert report["invariants"] and all(item["pass"] for item in report["invariants"])
+
     def test_extrapolation_error_exits_4(self, tmp_path, monkeypatch):
-        def fail(samples):
-            raise cli.ExtrapolationError("no limit along this curve")
+        def fail(curves):
+            return [cli.ExtrapolationError("no limit along this curve") for _ in curves]
 
         monkeypatch.setattr(frames, "extrapolate_along_curve", fail)
         code, report = self.run_check(tmp_path, FIXTURES["kupa"])

@@ -19,7 +19,8 @@ from eigenbouquet.frames import (
     plucker_section,
 )
 from eigenbouquet.resolve import CenterSpec, run_sequence
-from reference import subspace_angle
+import reference
+from reference import bench_jobs, subspace_angle
 
 
 def build(entries, params, centers, fibers=None):
@@ -289,7 +290,7 @@ class TestWorkDoneOnce:
         count_calls(
             monkeypatch, log, "recover_quadratics", [frames.PluckerSection], size=lambda s, pts: len(pts)
         )
-        # a stack's size; None for one pair (the extrapolation chains)
+        # a stack's size; None for one pair
         count_calls(
             monkeypatch, log, "procrustes_align", [oracle, frames],
             size=lambda basis, ref: len(basis) if np.ndim(basis) == 3 else None,
@@ -305,16 +306,17 @@ class TestWorkDoneOnce:
 
         real_extrapolate = frames.extrapolate_along_curve
 
-        def counting_extrapolate(samples):
-            before = len(log.get("principal_angles", []))
-            limits = real_extrapolate(samples)
-            mults = samples[0].multiplicities
+        def counting_extrapolate(curves):
+            before = {k: len(log.get(k, [])) for k in ("principal_angles", "procrustes_align")}
+            limits = real_extrapolate(curves)
+            # one angle per (curve, later radius, component, candidate)
             expected = sum(
-                sum(1 for c in s.clusters if c.multiplicity == m)
-                for s in samples[1:]
-                for m in mults
+                sum(1 for c in clusters if c.multiplicity == m)
+                for curve in curves
+                for clusters in curve[1:]
+                for m in (c.multiplicity for c in curve[0])
             )
-            extrapolations.append((log["principal_angles"][before:], expected))
+            extrapolations.append(({k: log[k][n:] for k, n in before.items()}, len(curves), expected))
             return limits
 
         stage_runs: dict[str, list] = {}
@@ -365,20 +367,24 @@ class TestWorkDoneOnce:
             # points of every curve
             assert calls["eigh_jacobi"] == [81 - exceptional, 6 * exceptional]
             # one stack of angles for the labels and one per component for the
-            # oracle; one per (later radius, component) in each extrapolation
+            # oracle; in the curve chains one per (later radius, component,
+            # candidate slot), each over every curve of the heading
             assert len(calls["largest_angles"]) == 1 + len(report.components)
-            assert len(calls["principal_angles"]) == 1 + len(report.components) + 10 * exceptional
+            assert calls["principal_angles"][:20] == [exceptional] * 20
+            assert len(calls["principal_angles"]) == 1 + len(report.components) + 20
+            # the curve chains align their five later radii in one stack of all
+            # curves per component and radius, never one pair at a time; then
             # the walk aligns the 80 points after the first level by level
-            # (depths 1 to 16 of the neighbour tree), one stack per component;
-            # each extrapolation chain aligns its five later radii one by one
-            stacks = [size for size in calls["procrustes_align"] if size is not None]
-            assert stacks == [min(d + 1, 17 - d) for d in range(1, 17)] * len(report.components)
-            assert calls["procrustes_align"].count(None) == 10 * exceptional
-        # one angle per (sample, component, candidate) in every extrapolation:
-        # five later radii, two lines, two candidate lines each
-        assert len(extrapolations) == curves
-        for stacks, expected in extrapolations:
-            assert sum(stacks) == expected == 20 and stacks == [2] * 10
+            # (depths 1 to 16 of the neighbour tree), one stack per component
+            assert None not in calls["procrustes_align"]
+            walk = [min(d + 1, 17 - d) for d in range(1, 17)] * len(report.components)
+            assert calls["procrustes_align"] == [exceptional] * 10 + walk
+        # one chain batch per chart, on the first heading: five later radii,
+        # two lines, two candidate lines each
+        assert [count for _, count, _ in extrapolations] == [sum(r.exceptional_mask) for _, r, _ in frame_runs]
+        for stacks, count, expected in extrapolations:
+            assert sum(stacks["principal_angles"]) == expected == 20 * count
+            assert stacks == {"principal_angles": [count] * 20, "procrustes_align": [count] * 10}
 
     def test_normal_rotation_counts(self, monkeypatch):
         log: dict[str, list] = {}
@@ -423,6 +429,78 @@ class TestWorkDoneOnce:
         ]
 
 
+def same_bouquets(got, want) -> bool:
+    """Equal limit bouquets: order, multiplicities, values and basis bits."""
+    return [(c.value, c.multiplicity) for c in got] == [(c.value, c.multiplicity) for c in want] and all(
+        a.basis.strides == b.basis.strides and a.basis.tobytes() == b.basis.tobytes() for a, b in zip(got, want)
+    )
+
+
+FRAME_JOBS = ["kupa", "rellich", "skew2", "diag3", "hermitian_vortex", "normal_rotation"]
+
+
+class TestBatchedCurveStep:
+    """The curve step stacks every chain, cluster, Rayleigh value and residual
+    of a heading; each exceptional point still gets what the per-curve
+    reference gives it, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [42, 7, 38])
+    @pytest.mark.parametrize("job", FRAME_JOBS)
+    def test_every_chart_matches_the_per_curve_reference(self, monkeypatch, job, seed):
+        config = next(j.config for j in bench_jobs() if j.name == job)
+        real = frames._extrapolate_bouquets
+        charts = []
+
+        def both(section, points, exc, matrices, quads, cluster_tol, direction):
+            got = real(section, points, exc, matrices, quads, cluster_tol, direction)
+            want = reference.extrapolate_bouquets_per_curve(
+                section, points, exc, matrices, quads, cluster_tol, direction
+            )
+            assert len(got) == len(want) == len(exc)
+            assert all(same_bouquets(g, w) for g, w in zip(got, want))
+            charts.append(section.chart.path)
+            return got
+
+        monkeypatch.setattr(frames, "_extrapolate_bouquets", both)
+        cfg = cli.JobConfig.from_dict(dict(config, seed=seed))
+        code, report = cli.run_job(cfg, ("analyze", "resolve", "frames"))
+        assert code == cli.EXIT_PASS
+        # every chart with exceptional points, each once: its first heading works
+        assert charts == [tuple(f["chart"]) for f in report["frames"] if any(f["exceptional"])] != []
+
+    def kupa_curves(self):
+        section = kupa_chart_x()
+        names = section.chart.universe.params
+        points = [dict(zip(names, pt)) for pt in GridSpec((9, 9)).points()]
+        _, on_disc, matrices, _, _ = frames._spectra_at(section, points, str)
+        exc = np.flatnonzero(on_disc)
+        quads = section.recover_quadratics(points)
+        assert quads.shape[1:] == (1, 3) and exc.size == 9
+        return section, points, exc, matrices, quads
+
+    def test_a_quadratic_residual_fails_one_curve(self):
+        section, points, exc, matrices, quads = self.kupa_curves()
+        quads[exc[4]] = 1.0  # X^2 + XY + Y^2 vanishes on no unit vector
+        names = section.chart.universe.params
+        start = np.array([[float(points[i][n]) for n in names] for i in exc])
+        delta = next(frames._transversal_directions(len(names)))
+        got = frames._curve_limits(section, start, exc, delta, matrices, quads, 1e-6)
+        want = reference.curve_limits_per_curve(section, start, exc, delta, matrices, quads, 1e-6)
+        assert str(got[4]).startswith("recovered quadratics do not vanish")
+        assert isinstance(want[4], oracle.ExtrapolationError) and str(got[4]) == str(want[4])
+        assert all(same_bouquets(got[j], want[j]) for j in range(len(exc)) if j != 4)
+
+    def test_failing_every_heading_names_the_first_pending_point(self):
+        section, points, exc, matrices, quads = self.kupa_curves()
+        quads[exc[[6, 2]]] = 1.0  # at two points, failing on every heading
+        with pytest.raises(oracle.ExtrapolationError) as got:
+            frames._extrapolate_bouquets(section, points, exc, matrices, quads, 1e-6, None)
+        with pytest.raises(oracle.ExtrapolationError) as want:
+            reference.extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, 1e-6, None)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"extrapolation failed at {points[exc[2]]!r} in every direction: ")
+
+
 class TestLimitUniqueness:
     def test_unique_limit_on_chart(self):
         section = kupa_chart_x()
@@ -437,13 +515,12 @@ class TestLimitUniqueness:
 
         radii = [2.0 ** -k for k in range(3, 9)]
         axis_samples = [
-            spectral_sample(np.array([[t * t, 0.0], [0.0, 0.0]])) for t in radii
+            spectral_sample(np.array([[t * t, 0.0], [0.0, 0.0]])).clusters for t in radii
         ]
         diag_samples = [
-            spectral_sample(t * t * np.array([[1.0, 1.0], [1.0, 1.0]])) for t in radii
+            spectral_sample(t * t * np.array([[1.0, 1.0], [1.0, 1.0]])).clusters for t in radii
         ]
-        ax = extrapolate_along_curve(axis_samples)
-        dg = extrapolate_along_curve(diag_samples)
+        ax, dg = extrapolate_along_curve([axis_samples, diag_samples])
         ax_top = max(ax, key=lambda r: r[0])[2]
         dg_top = max(dg, key=lambda r: r[0])[2]
         angle = subspace_angle(ax_top, dg_top)

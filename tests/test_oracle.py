@@ -19,8 +19,11 @@ from eigenbouquet.oracle import (
     richardson_limit,
     cluster_stack,
 )
+import reference
 from reference import (
+    ClusteredSample,
     eigh_jacobi_per_matrix,
+    extrapolate_along_curve_per_curve,
     procrustes_align_per_pair,
     spectral_sample,
     subspace_angle,
@@ -348,54 +351,168 @@ class TestHermitianEmbedding:
             assert np.allclose(np.sort(ours), ref, atol=1e-10 * (1 + np.abs(ref).max()))
 
 
-class TestExtrapolation:
-    def curve_samples(self, matrix_fn, radii):
-        return [spectral_sample(matrix_fn(t)) for t in radii]
+RADII = [2.0 ** -k for k in range(3, 9)]
 
+
+def curve(matrix_fn, radii=RADII, tol=1e-6):
+    """The clusters of one curve's samples, from the largest radius down."""
+    return [spectral_sample(matrix_fn(t), tol).clusters for t in radii]
+
+
+def limits_of(clusters):
+    """extrapolate_along_curve on one curve: its limits, or its error."""
+    (got,) = extrapolate_along_curve([clusters])
+    return got
+
+
+class TestExtrapolation:
     def test_axis_curve(self):
         # rank-one family along (t, 0): matrix diag(t^2, 0), constant eigenvectors
-        radii = [2.0 ** -k for k in range(3, 9)]
-        samples = self.curve_samples(lambda t: np.diag([t * t, 0.0]), radii)
-        limits = extrapolate_along_curve(samples)
-        bases = sorted((b for _, _, b, _ in limits), key=lambda b: abs(float(b[0, 0])))
+        limits = limits_of(curve(lambda t: np.diag([t * t, 0.0])))
+        bases = sorted((b for _, _, b in limits), key=lambda b: abs(float(b[0, 0])))
         assert abs(abs(float(bases[1][0, 0]))) > 1 - 1e-9  # e1 up to sign
         assert abs(abs(float(bases[0][1, 0]))) > 1 - 1e-9  # e2 up to sign
 
     def test_diagonal_curve(self):
-        radii = [2.0 ** -k for k in range(3, 9)]
-        samples = self.curve_samples(
-            lambda t: t * t * np.array([[1.0, 1.0], [1.0, 1.0]]), radii
-        )
-        limits = extrapolate_along_curve(samples)
+        limits = limits_of(curve(lambda t: t * t * np.array([[1.0, 1.0], [1.0, 1.0]])))
         diag = np.array([[1.0], [1.0]]) / math.sqrt(2)
         anti = np.array([[-1.0], [1.0]]) / math.sqrt(2)
         angles = sorted(
-            min(subspace_angle(b, diag), subspace_angle(b, anti)) for _, _, b, _ in limits
+            min(subspace_angle(b, diag), subspace_angle(b, anti)) for _, _, b in limits
         )
         assert angles[-1] < 1e-9
 
     def test_constant_family(self):
-        radii = [2.0 ** -k for k in range(3, 9)]
         m = np.array([[2.0, 0.0], [0.0, 5.0]])
-        samples = self.curve_samples(lambda t: m, radii)
-        limits = extrapolate_along_curve(samples)
-        for value, mult, basis, corr in limits:
-            assert corr < 1e-12
-        values = sorted(v for v, _, _, _ in limits)
+        samples = curve(lambda t: m)
+        limits = limits_of(samples)
+        # the chain is constant: the limit is the samples' basis itself
+        for (value, mult, basis), cluster in zip(limits, samples[-1]):
+            assert mult == 1 and float(np.abs(basis - cluster.basis).max()) < 1e-12
+        values = sorted(v for v, _, _ in limits)
         assert np.allclose(values, [2.0, 5.0], atol=1e-12)
 
     def test_too_few_radii(self):
-        radii = [0.5, 0.25]
-        samples = self.curve_samples(lambda t: np.diag([t, 1.0]), radii)
-        with pytest.raises(ExtrapolationError):
-            extrapolate_along_curve(samples)
+        got = limits_of(curve(lambda t: np.diag([t, 1.0]), radii=[0.5, 0.25]))
+        assert isinstance(got, ExtrapolationError) and str(got) == "need at least 4 radii"
 
     def test_richardson_accuracy(self):
         # f(t) = 1 + 3t + 2t^2 + t^3: order-2 extrapolation kills t and t^2
-        radii = [2.0 ** -k for k in range(3, 9)]
-        vals = [np.array([1 + 3 * t + 2 * t * t + t ** 3]) for t in radii]
-        limit, corr = richardson_limit(vals)
+        vals = [np.array([1 + 3 * t + 2 * t * t + t ** 3]) for t in RADII]
+        limit = richardson_limit(vals)
         assert abs(float(limit[0]) - 1.0) < 1e-6
+
+
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def turned(q, diagonal):
+    """q diag(diagonal) q^T."""
+    return q @ np.diag(diagonal) @ q.T
+
+
+class TestBatchedChains:
+    """extrapolate_along_curve runs the curves of a pattern as stacks: every
+    curve gets, bit for bit, what the per-curve reference gives it alone, and
+    a curve that fails gets the reference's error and leaves the others be."""
+
+    def reference_of(self, clusters):
+        samples = [ClusteredSample(np.zeros(0), np.zeros(0), c) for c in clusters]
+        try:
+            return extrapolate_along_curve_per_curve(samples)
+        except ExtrapolationError as err:
+            return err
+
+    def assert_matches_reference(self, curves, got):
+        assert len(got) == len(curves)
+        for clusters, limits in zip(curves, got):
+            want = self.reference_of(clusters)
+            if isinstance(want, ExtrapolationError):
+                assert isinstance(limits, ExtrapolationError) and str(limits) == str(want)
+                continue
+            assert [(v, m) for v, m, _ in limits] == [(v, m) for v, m, _, _ in want]
+            for (_, _, basis), (_, _, expected, _) in zip(limits, want):
+                assert basis.strides == expected.strides and same_bits(basis, expected)
+
+    def healthy_curves(self, seed, count):
+        """2x2 curves with a smooth eigenbasis and 3x3 ones with a plane."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for k in range(count):
+            if k % 3 == 2:
+                q = np.linalg.qr(rng.standard_normal((3, 3)))[0]  # a line below a plane
+                out.append(curve(lambda t, q=q: turned(q, [1.0 + t, 3.0 + t * t, 3.0 + t * t])))
+            else:
+                a, b, w = rng.uniform(-2, 2), rng.uniform(0.5, 2), rng.uniform(-1, 1)
+                out.append(curve(lambda t, a=a, b=b, w=w: turned(rotation(w * t), [a, a + b + t])))
+        return out
+
+    def test_members_match_the_per_curve_reference(self):
+        curves = self.healthy_curves(3, 24)
+        got = extrapolate_along_curve(curves)
+        assert not any(isinstance(limits, ExtrapolationError) for limits in got)
+        self.assert_matches_reference(curves, got)
+        # and do not depend on their stack
+        for members in ([5], [23, 0, 11, 2], list(range(1, 24, 2))):
+            for k, limits in zip(members, extrapolate_along_curve([curves[k] for k in members])):
+                for (v, m, basis), (v2, m2, whole) in zip(limits, got[k]):
+                    assert (v, m) == (v2, m2) and same_bits(basis, whole)
+
+    def test_structure_change(self):
+        curves = self.healthy_curves(4, 7)
+        curves[3] = curve(lambda t: np.diag([1.0, 1.0 + (t > 0.01)]))  # one line pair, then a plane
+        got = extrapolate_along_curve(curves)
+        assert str(got[3]) == "cluster structure changes along the curve"
+        self.assert_matches_reference(curves, got)
+
+    def test_ambiguous_match(self):
+        curves = self.healthy_curves(5, 7)
+        # at the fifth radius the eigenbasis turns by 45 degrees: both
+        # candidate lines are pi/4 away from the chain. Late in the chain, so
+        # the samples Richardson reads of the curves after it would show a
+        # stack compacted wrongly
+        curves[3] = curve(lambda t: turned(rotation(math.pi / 4 * (t == RADII[4])), [1.0, 2.0 + t]))
+        got = extrapolate_along_curve(curves)
+        assert str(got[3]) == "ambiguous component matching along curve"
+        self.assert_matches_reference(curves, got)
+
+    def test_degenerate_alignment(self):
+        curves = self.healthy_curves(6, 9)
+        # the plane turns from span(e1, e2) to span(e1, e3) at the fifth
+        # radius: the line has one candidate and follows, the plane's
+        # Procrustes cross product has rank one
+        swap = np.eye(3)[[0, 2, 1]]
+        curves[5] = curve(lambda t: turned(swap if t == RADII[4] else np.eye(3), [3.0, 3.0, 1.0 + t]))
+        got = extrapolate_along_curve(curves)
+        assert str(got[5]) == "degenerate alignment (orthogonal subspaces)"
+        self.assert_matches_reference(curves, got)
+
+    def test_lost_rank(self, monkeypatch):
+        # from orthonormal samples the limit (8 T5 - 6 T4 + T3) / 3 has
+        # smallest singular value at least 1/3, so no real curve loses rank:
+        # orthonormalize loses one column of one curve's first limit instead
+        curves = self.healthy_curves(7, 7)
+        curves[4] = curve(lambda t: np.diag([2.0, 5.0]))
+        target = curves[4][0][0].basis
+        real = oracle.orthonormalize
+
+        def losing(columns):
+            out = real(columns)
+            if np.shape(columns)[-2:] != target.shape:
+                return out
+            hit = np.all(np.abs(np.asarray(columns) - target) < 1e-9, axis=(-2, -1))
+            if np.ndim(columns) == 2:
+                return out[:, :0] if hit else out
+            out[hit, :, -1] = 0.0
+            return out
+
+        monkeypatch.setattr(oracle, "orthonormalize", losing)
+        monkeypatch.setattr(reference, "orthonormalize", losing)
+        got = extrapolate_along_curve(curves)
+        assert str(got[4]) == "extrapolated basis lost rank"
+        self.assert_matches_reference(curves, got)
 
 
 class TestNormalSpectrum:
