@@ -4,9 +4,17 @@ The gcd uses primitive-part recursion with a subresultant polynomial
 remainder sequence on the last occurring variable, which is plenty at desk
 scale. Outputs are normalized monic under graded lex so that repeated runs
 are bit-identical.
+
+Monomials take a shortcut on both sides. A monomial's divisors are the
+monomials under it, so its gcd with any polynomial is the monomial of the
+column-wise least exponents (1 for a constant); the content recursion meets
+it whenever a running gcd has become a monomial. Division by a monomial
+shifts every term, in the order the general loop would produce them.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .poly import NotDivisible, Polynomial, monic
 
@@ -21,6 +29,17 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     universe = f.universe
     ge, gc = g.leading()
     quotient: dict = {}
+    if len(g.terms) == 1:
+        # each term of f is its own leading term once the larger ones are gone
+        for re_, rc in f.sorted_terms():
+            qe = tuple(a - b for a, b in zip(re_, ge))
+            if any(x < 0 for x in qe):
+                raise NotDivisible("leading monomial not divisible")
+            qc = rc / gc
+            if qc * gc != rc:
+                raise NotDivisible("leading term does not cancel")
+            quotient[qe] = qc
+        return Polynomial(universe, quotient)
     rem = f
     last = None
     while rem.terms:
@@ -104,7 +123,8 @@ def _pseudo_rem(a: dict, b: dict, universe) -> dict:
 def gcd_multivariate(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd dividing both arguments with exact quotients.
 
-    gcd(p, 0) is the normalized p; constants are units of the coefficient
+    gcd(p, 0) is the normalized p. A single-term input gives the monomial
+    of the least exponents of both; constants are units of the coefficient
     field, so any nonzero constant input forces gcd 1.
     """
     if a.is_zero():
@@ -113,9 +133,10 @@ def gcd_multivariate(a: Polynomial, b: Polynomial) -> Polynomial:
         return monic(a)
     a._check(b)
     universe = a.universe
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        least = tuple(map(min, zip(*a.terms, *b.terms)))
+        return Polynomial(universe, {least: Fraction(1)})
     sup = a.support_vars() | b.support_vars()
-    if not sup:
-        return Polynomial.constant(universe, 1)
     # recurse on the last occurring variable in universe order
     idx = max(universe.index(name) for name in sup)
     ca = _content_in(a, idx)

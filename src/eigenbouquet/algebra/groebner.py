@@ -2,9 +2,12 @@
 
 The single consumer is principality certification: does the weak-transform
 ideal contain 1? We run Buchberger to a reduced graded-lex basis under a
-step and degree budget, tracking cofactors so a positive answer comes with
-an explicit combination sum(cofactor_k * gen_k) = 1 verifiable by expansion.
-Budget overruns surface as "inconclusive", never as a wrong answer.
+step and degree budget. A positive answer comes with an explicit
+combination sum(cofactor_k * gen_k) = 1, checked by expansion before it is
+returned. Cofactors are built only for that certificate: the run carries
+none, and only when it reaches a constant does it repeat the same
+deterministic steps with cofactors tracked. Budget overruns surface as
+"inconclusive", never as a wrong answer.
 """
 
 from __future__ import annotations
@@ -30,9 +33,12 @@ class MembershipResult:
 
 
 class _Tracked:
+    """A polynomial and, when a certificate is being built, its cofactors
+    over the generators (None otherwise)."""
+
     __slots__ = ("poly", "cofactors")
 
-    def __init__(self, poly: Polynomial, cofactors: list[Polynomial]):
+    def __init__(self, poly: Polynomial, cofactors: list[Polynomial] | None):
         self.poly = poly
         self.cofactors = cofactors
 
@@ -46,11 +52,12 @@ def _divides_mono(a: tuple, b: tuple) -> bool:
 
 
 def _reduce(f: _Tracked, basis: list[_Tracked], budget: list[int]) -> _Tracked:
-    """Full multivariate division of f by the basis, cofactors maintained."""
+    """Full multivariate division of f by the basis, cofactors maintained
+    when f carries them."""
     universe = f.poly.universe
     rem = Polynomial.zero(universe)
     work = f.poly
-    cof = [c for c in f.cofactors]
+    cof = None if f.cofactors is None else list(f.cofactors)
     while work.terms:
         budget[0] -= 1
         if budget[0] < 0:
@@ -70,10 +77,10 @@ def _reduce(f: _Tracked, basis: list[_Tracked], budget: list[int]) -> _Tracked:
         ge, gc = hit.poly.leading()
         factor = _mono(universe, tuple(x - y for x, y in zip(le, ge)), lc / gc)
         work = work - factor * hit.poly
-        for k in range(len(cof)):
-            ck = hit.cofactors[k]
-            if not ck.is_zero():
-                cof[k] = cof[k] - factor * ck
+        if cof is not None:
+            for k, ck in enumerate(hit.cofactors):
+                if not ck.is_zero():
+                    cof[k] = cof[k] - factor * ck
     return _Tracked(rem, cof)
 
 
@@ -95,21 +102,48 @@ def ideal_contains_one(
     gens = [g for g in gens]
     if not gens:
         raise ValueError("empty generator list")
+    result = _buchberger(gens, step_budget, degree_cap, track=False)
+    if not result.contains_one:
+        return result
+    # the same steps again, carrying cofactors to build the certificate
+    result = _buchberger(gens, step_budget, degree_cap, track=True)
+    _check_certificate(gens, result)
+    return result
+
+
+def _check_certificate(gens: list[Polynomial], result: MembershipResult):
+    """Raise unless result is a "yes" whose certificate expands to 1."""
+    if not result.contains_one or result.certificate is None:
+        raise ArithmeticError(f"cofactor rerun ended {result.status!r}, not 'yes'")
+    total = Polynomial.zero(gens[0].universe)
+    for c, g in zip(result.certificate, gens, strict=True):
+        total = total + c * g
+    if total != Polynomial.constant(total.universe, 1):
+        raise ArithmeticError("Buchberger certificate does not expand to 1")
+
+
+def _buchberger(
+    gens: list[Polynomial], step_budget: int, degree_cap: int, track: bool
+) -> MembershipResult:
+    """One deterministic Buchberger run; cofactors only when track is set."""
     universe = gens[0].universe
     one = Polynomial.constant(universe, 1)
 
-    def certify(tracked: _Tracked) -> MembershipResult:
-        c = tracked.poly.constant_value()
-        inv = 1 / c
-        cert = [p.scale(inv) for p in tracked.cofactors]
-        return MembershipResult("yes", cert, [one])
+    def certify(item: _Tracked, reductions: int = 0) -> MembershipResult:
+        cert = None
+        if item.cofactors is not None:
+            inv = 1 / item.poly.constant_value()
+            cert = [p.scale(inv) for p in item.cofactors]
+        return MembershipResult("yes", cert, [one], reductions)
 
     tracked: list[_Tracked] = []
     for k, g in enumerate(gens):
-        cof = [Polynomial.zero(universe) for _ in gens]
-        cof[k] = one
         if g.is_zero():
             continue
+        cof = None
+        if track:
+            cof = [Polynomial.zero(universe) for _ in gens]
+            cof[k] = one
         item = _Tracked(g, cof)
         if g.is_constant():
             return certify(item)
@@ -154,15 +188,15 @@ def ideal_contains_one(
             mi = _mono(universe, tuple(x - y for x, y in zip(lcm, ei)), 1 / ci)
             mj = _mono(universe, tuple(x - y for x, y in zip(lcm, ej)), 1 / cj)
             spoly = mi * fi.poly - mj * fj.poly
-            cof = [mi * a - mj * b for a, b in zip(fi.cofactors, fj.cofactors)]
+            cof = None
+            if track:
+                cof = [mi * a - mj * b for a, b in zip(fi.cofactors, fj.cofactors)]
             reductions += 1
             red = _reduce(_Tracked(spoly, cof), basis, budget)
             if red.poly.is_zero():
                 continue
             if red.poly.is_constant():
-                res = certify(red)
-                res.reductions = reductions
-                return res
+                return certify(red, reductions)
             if red.poly.total_degree() > degree_cap:
                 return MembershipResult("inconclusive", None, [])
             basis.append(red)
@@ -171,12 +205,11 @@ def ideal_contains_one(
     except _Budget:
         return MembershipResult("inconclusive", None, [])
 
+    # every basis element is nonconstant and keeps its leading term when
+    # inter-reduced, so the reduced basis is never {1}
     reduced = _reduced_basis(basis, budget)
     if reduced is None:
         return MembershipResult("inconclusive", None, [])
-    if len(reduced) == 1 and reduced[0].is_constant():
-        # unreachable in practice (constants certify earlier), kept for safety
-        return MembershipResult("yes", None, [one])
     return MembershipResult("no", None, reduced, reductions)
 
 
@@ -194,9 +227,9 @@ def _reduced_basis(basis: list[_Tracked], budget: list[int]) -> list[Polynomial]
     # inter-reduce and make monic
     out: list[Polynomial] = []
     for k, p in enumerate(keep):
-        rest = [ _Tracked(q, []) for idx, q in enumerate(keep) if idx != k]
+        rest = [_Tracked(q, None) for idx, q in enumerate(keep) if idx != k]
         try:
-            red = _reduce(_Tracked(p, []), rest, budget)
+            red = _reduce(_Tracked(p, None), rest, budget)
         except _Budget:
             return None
         if red.poly.is_zero():

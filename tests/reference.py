@@ -7,9 +7,10 @@ exact base points, the exactness of a point, the largest principal angle
 of one pair, one matrix's clustered spectrum) and the per-matrix paths the
 stacked ones replaced (the Jacobi solver, the plane check over a grid,
 Procrustes alignment, curve extrapolation one curve at a time, the chart
-sampler's point-by-point scan) and the
-Bareiss determinant the Laplace minors replaced, kept frozen as their
-bit-for-bit references.
+sampler's point-by-point scan), the
+Bareiss determinant the Laplace minors replaced, and the exact chart layer
+without its shortcuts (the gcd, exact division and cofactor-tracking
+Buchberger run), kept frozen as their bit-for-bit references.
 """
 
 from __future__ import annotations
@@ -25,14 +26,19 @@ from pathlib import Path
 import numpy as np
 
 from eigenbouquet.algebra import (
+    MembershipResult,
+    NotDivisible,
     Polynomial,
     Scalar,
     VarUniverse,
     divexact,
     eval_matrix_rational,
     gcd_multivariate,
+    monic,
     scalar_matrix_rank,
 )
+from eigenbouquet.algebra.groebner import DEFAULT_DEGREE_CAP, DEFAULT_STEP_BUDGET
+from eigenbouquet.algebra.poly import grlex_key
 from eigenbouquet.bouquet import QuadForm, QuadSystem
 from eigenbouquet.frames import (
     EXTRAPOLATION_RADII,
@@ -685,3 +691,337 @@ def common_zeros_per_point(gens: list[Polynomial], universe: VarUniverse, seed: 
     for pt in sample_points(universe, seed):
         if all(not g.eval_scalar(pt) for g in gens):
             yield pt
+
+
+# -- the exact chart layer before its monomial and cofactor shortcuts --------
+# Copied as they were: the gcd recursing through every content, division by
+# the general leading-term loop, and Buchberger carrying a dense cofactor list
+# on every polynomial it touches.
+
+
+def divexact_reference(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient f/g; raises NotDivisible if the division has a remainder."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return f
+    f._check(g)
+    universe = f.universe
+    ge, gc = g.leading()
+    quotient: dict = {}
+    rem = f
+    last = None
+    while rem.terms:
+        re_, rc = rem.leading()
+        if re_ == last:
+            # an inexact coefficient division left the leading term in place
+            raise NotDivisible("leading term does not cancel")
+        last = re_
+        qe = tuple(a - b for a, b in zip(re_, ge))
+        if any(x < 0 for x in qe):
+            raise NotDivisible("leading monomial not divisible")
+        qc = rc / gc
+        quotient[qe] = qc
+        rem = rem - Polynomial(universe, {qe: qc}) * g
+    return Polynomial(universe, quotient)
+
+
+def _ref_coeffs_in(p: Polynomial, idx: int) -> dict[int, Polynomial]:
+    """View p as a polynomial in variable idx with polynomial coefficients."""
+    out: dict[int, dict] = {}
+    for e, c in p.terms.items():
+        d = e[idx]
+        ne = e[:idx] + (0,) + e[idx + 1 :]
+        bucket = out.setdefault(d, {})
+        s = bucket.get(ne)
+        bucket[ne] = c if s is None else s + c
+    return {d: Polynomial(p.universe, t) for d, t in out.items() if any(t.values())}
+
+
+def _ref_from_coeffs(coeffs: dict[int, Polynomial], idx: int, universe) -> Polynomial:
+    total = Polynomial.zero(universe)
+    for d, c in coeffs.items():
+        if c.is_zero():
+            continue
+        shift = {}
+        for e, k in c.terms.items():
+            shift[e[:idx] + (e[idx] + d,) + e[idx + 1 :]] = k
+        total = total + Polynomial(universe, shift)
+    return total
+
+
+def _ref_deg(coeffs: dict[int, Polynomial]) -> int:
+    return max(coeffs) if coeffs else -1
+
+
+def _ref_content_in(p: Polynomial, idx: int) -> Polynomial:
+    coeffs = _ref_coeffs_in(p, idx)
+    content = Polynomial.zero(p.universe)
+    for c in coeffs.values():
+        content = gcd_multivariate_reference(content, c)
+    return content
+
+
+def _ref_pseudo_rem(a: dict, b: dict, universe) -> dict:
+    """Pseudo-remainder of a by b, both univariate views in the same variable."""
+    da, db = _ref_deg(a), _ref_deg(b)
+    lb = b[db]
+    r = dict(a)
+    e = da - db + 1
+    while r and _ref_deg(r) >= db:
+        dr = _ref_deg(r)
+        lr = r[dr]
+        new: dict[int, Polynomial] = {}
+        for d, c in r.items():
+            new[d] = c * lb
+        for d, c in b.items():
+            shifted = d + dr - db
+            t = lr * c
+            s = new.get(shifted)
+            new[shifted] = -t if s is None else s - t
+        r = {d: c for d, c in new.items() if not c.is_zero()}
+        e -= 1
+    for _ in range(e):
+        r = {d: c * lb for d, c in r.items()}
+    return r
+
+
+def gcd_multivariate_reference(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd dividing both arguments with exact quotients.
+
+    gcd(p, 0) is the normalized p; constants are units of the coefficient
+    field, so any nonzero constant input forces gcd 1.
+    """
+    if a.is_zero():
+        return monic(b)
+    if b.is_zero():
+        return monic(a)
+    a._check(b)
+    universe = a.universe
+    sup = a.support_vars() | b.support_vars()
+    if not sup:
+        return Polynomial.constant(universe, 1)
+    # recurse on the last occurring variable in universe order
+    idx = max(universe.index(name) for name in sup)
+    ca = _ref_content_in(a, idx)
+    cb = _ref_content_in(b, idx)
+    content = gcd_multivariate_reference(ca, cb)
+    if a.degree_in(universe.names[idx]) == 0 or b.degree_in(universe.names[idx]) == 0:
+        return monic(content)
+    pa = _ref_coeffs_in(divexact_reference(a, ca), idx)
+    pb = _ref_coeffs_in(divexact_reference(b, cb), idx)
+    if _ref_deg(pa) < _ref_deg(pb):
+        pa, pb = pb, pa
+    one = Polynomial.constant(universe, 1)
+    g = one
+    h = one
+    while True:
+        delta = _ref_deg(pa) - _ref_deg(pb)
+        r = _ref_pseudo_rem(pa, pb, universe)
+        if not r:
+            result = _ref_from_coeffs(pb, idx, universe)
+            result = divexact_reference(result, _ref_content_in(result, idx))
+            break
+        if _ref_deg(r) == 0:
+            result = one
+            break
+        pa = pb
+        denom = g * h ** delta
+        pb = {d: divexact_reference(c, denom) for d, c in r.items()}
+        g = pa[_ref_deg(pa)]
+        if delta == 0:
+            pass
+        elif delta == 1:
+            h = g
+        else:
+            h = divexact_reference(g ** delta, h ** (delta - 1))
+    return monic(content * result)
+
+
+class _RefTracked:
+    __slots__ = ("poly", "cofactors")
+
+    def __init__(self, poly: Polynomial, cofactors: list[Polynomial]):
+        self.poly = poly
+        self.cofactors = cofactors
+
+
+def _ref_mono(universe, exps, coeff) -> Polynomial:
+    return Polynomial(universe, {exps: coeff})
+
+
+def _ref_divides_mono(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ref_reduce(f: _RefTracked, basis: list[_RefTracked], budget: list[int]) -> _RefTracked:
+    """Full multivariate division of f by the basis, cofactors maintained."""
+    universe = f.poly.universe
+    rem = Polynomial.zero(universe)
+    work = f.poly
+    cof = [c for c in f.cofactors]
+    while work.terms:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _RefBudget()
+        le, lc = work.leading()
+        hit = None
+        for g in basis:
+            ge, _ = g.poly.leading()
+            if _ref_divides_mono(ge, le):
+                hit = g
+                break
+        if hit is None:
+            t = _ref_mono(universe, le, lc)
+            rem = rem + t
+            work = work - t
+            continue
+        ge, gc = hit.poly.leading()
+        factor = _ref_mono(universe, tuple(x - y for x, y in zip(le, ge)), lc / gc)
+        work = work - factor * hit.poly
+        for k in range(len(cof)):
+            ck = hit.cofactors[k]
+            if not ck.is_zero():
+                cof[k] = cof[k] - factor * ck
+    return _RefTracked(rem, cof)
+
+
+class _RefBudget(Exception):
+    pass
+
+
+def ideal_contains_one_reference(
+    gens: list[Polynomial],
+    step_budget: int = DEFAULT_STEP_BUDGET,
+    degree_cap: int = DEFAULT_DEGREE_CAP,
+) -> MembershipResult:
+    """Certified test of 1-membership for an ideal over Q or Q(i).
+
+    "yes" certifies the generators have empty complex (hence real) common
+    zero set. "no" is a definite negative for 1-membership; a real common
+    zero may or may not exist and is probed elsewhere by sampling.
+    """
+    gens = [g for g in gens]
+    if not gens:
+        raise ValueError("empty generator list")
+    universe = gens[0].universe
+    one = Polynomial.constant(universe, 1)
+
+    def certify(tracked: _RefTracked) -> MembershipResult:
+        c = tracked.poly.constant_value()
+        inv = 1 / c
+        cert = [p.scale(inv) for p in tracked.cofactors]
+        return MembershipResult("yes", cert, [one])
+
+    tracked: list[_RefTracked] = []
+    for k, g in enumerate(gens):
+        cof = [Polynomial.zero(universe) for _ in gens]
+        cof[k] = one
+        if g.is_zero():
+            continue
+        item = _RefTracked(g, cof)
+        if g.is_constant():
+            return certify(item)
+        tracked.append(item)
+    if not tracked:
+        return MembershipResult("no", None, [])
+
+    budget = [step_budget]
+    basis: list[_RefTracked] = []
+    for item in tracked:
+        try:
+            red = _ref_reduce(item, basis, budget)
+        except _RefBudget:
+            return MembershipResult("inconclusive", None, [])
+        if red.poly.is_zero():
+            continue
+        if red.poly.is_constant():
+            return certify(red)
+        basis.append(red)
+
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    reductions = 0
+    try:
+        while pairs:
+            # normal strategy: smallest lcm of leading monomials first
+            def lcm_of(pair):
+                a, _ = basis[pair[0]].poly.leading()
+                b, _ = basis[pair[1]].poly.leading()
+                return tuple(max(x, y) for x, y in zip(a, b))
+
+            pair = min(pairs, key=lambda pr: (grlex_key(lcm_of(pr)), pr))
+            pairs.discard(pair)
+            i, j = pair
+            fi, fj = basis[i], basis[j]
+            ei, ci = fi.poly.leading()
+            ej, cj = fj.poly.leading()
+            lcm = tuple(max(x, y) for x, y in zip(ei, ej))
+            if all(x + y == z for x, y, z in zip(ei, ej, lcm)):
+                continue  # coprime leading monomials: s-poly reduces to zero
+            if sum(lcm) > degree_cap:
+                return MembershipResult("inconclusive", None, [])
+            mi = _ref_mono(universe, tuple(x - y for x, y in zip(lcm, ei)), 1 / ci)
+            mj = _ref_mono(universe, tuple(x - y for x, y in zip(lcm, ej)), 1 / cj)
+            spoly = mi * fi.poly - mj * fj.poly
+            cof = [mi * a - mj * b for a, b in zip(fi.cofactors, fj.cofactors)]
+            reductions += 1
+            red = _ref_reduce(_RefTracked(spoly, cof), basis, budget)
+            if red.poly.is_zero():
+                continue
+            if red.poly.is_constant():
+                res = certify(red)
+                res.reductions = reductions
+                return res
+            if red.poly.total_degree() > degree_cap:
+                return MembershipResult("inconclusive", None, [])
+            basis.append(red)
+            new_idx = len(basis) - 1
+            pairs.update((k, new_idx) for k in range(new_idx))
+    except _RefBudget:
+        return MembershipResult("inconclusive", None, [])
+
+    reduced = _ref_reduced_basis(basis, budget)
+    if reduced is None:
+        return MembershipResult("inconclusive", None, [])
+    if len(reduced) == 1 and reduced[0].is_constant():
+        # unreachable in practice (constants certify earlier), kept for safety
+        return MembershipResult("yes", None, [one])
+    return MembershipResult("no", None, reduced, reductions)
+
+
+def _ref_reduced_basis(basis: list[_RefTracked], budget: list[int]) -> list[Polynomial] | None:
+    # minimalize: drop polynomials whose leading monomial another one divides
+    polys = [b.poly for b in basis]
+    keep: list[Polynomial] = []
+    for k, p in enumerate(polys):
+        le, _ = p.leading()
+        others = polys[:k] + polys[k + 1 :]
+        if any(_ref_divides_mono(q.leading()[0], le) for q in others if not q.is_zero()):
+            polys[k] = Polynomial.zero(p.universe)
+        else:
+            keep.append(p)
+    # inter-reduce and make monic
+    out: list[Polynomial] = []
+    for k, p in enumerate(keep):
+        rest = [ _RefTracked(q, []) for idx, q in enumerate(keep) if idx != k]
+        try:
+            red = _ref_reduce(_RefTracked(p, []), rest, budget)
+        except _RefBudget:
+            return None
+        if red.poly.is_zero():
+            continue
+        _, lc = red.poly.leading()
+        out.append(red.poly.scale(1 / lc))
+    out.sort(key=lambda q: grlex_key(q.leading()[0]))
+    return out
+
+
+def exact_terms(p: Polynomial) -> list:
+    """A polynomial's terms in dict order, each with its coefficient's type."""
+    return [(e, type(c), c) for e, c in p.terms.items()]
+
+
+def membership_terms(res: MembershipResult) -> tuple:
+    """Everything a membership result says, with exact_terms polynomials."""
+    cert = None if res.certificate is None else [exact_terms(c) for c in res.certificate]
+    return res.status, [exact_terms(b) for b in res.basis], res.reductions, cert

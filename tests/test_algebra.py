@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eigenbouquet.algebra import (
+    MembershipResult,
     NotDivisible,
     ParseError,
     Polynomial,
@@ -19,7 +20,15 @@ from eigenbouquet.algebra import (
     monic,
     parse_polynomial,
 )
-from reference import bareiss_det
+from eigenbouquet.algebra import groebner
+from reference import (
+    bareiss_det,
+    divexact_reference,
+    exact_terms,
+    gcd_multivariate_reference,
+    ideal_contains_one_reference,
+    membership_terms,
+)
 
 U_XY = VarUniverse(("x", "y"), ("X", "Y"))
 U_UV = VarUniverse(("u", "v"), ("X", "Y"))
@@ -263,6 +272,192 @@ class TestIdealContainsOne:
         gens = [rand_poly(rng, u, max_deg=5, max_terms=6) for _ in range(4)]
         res = ideal_contains_one(gens, step_budget=3)
         assert res.status in {"inconclusive", "yes", "no"}
+
+
+def rand_monomial(rng, universe, max_deg=3, gaussian=False):
+    exps = [0] * universe.nvars
+    for _ in range(rng.randint(0, max_deg)):
+        exps[rng.randrange(universe.nvars)] += 1
+    coeff = Scalar(rng.choice([-3, -1, 1, 2]), rng.choice([-1, 1]) if gaussian else 0)
+    return Polynomial(universe, {tuple(exps): coeff})
+
+
+def outcome(fn, *args):
+    """exact_terms of the result, or the NotDivisible message."""
+    try:
+        return exact_terms(fn(*args))
+    except NotDivisible as err:
+        return ("NotDivisible", str(err))
+
+
+U3 = VarUniverse(("x", "y", "z"))
+
+
+class TestMonomialShortcuts:
+    """The gcd and exact division match their frozen references term for
+    term, dict order and coefficient types included."""
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_monomial_times_polynomial(self, gaussian):
+        rng = random.Random(61 + gaussian)
+        for _ in range(40):
+            m = rand_monomial(rng, U3, gaussian=gaussian)
+            m2 = rand_monomial(rng, U3, gaussian=gaussian)
+            f = rand_poly(rng, U3, max_deg=3, max_terms=4, gaussian=gaussian)
+            h = rand_poly(rng, U3, max_deg=3, max_terms=4, gaussian=gaussian)
+            if f.is_zero() or h.is_zero():
+                continue
+            unit = Polynomial.constant(U3, Scalar(rng.randint(1, 5), 1 if gaussian else 0))
+            pairs = [(m * f, m), (m, m * f), (m * f, m * h), (unit, m * f), (m * f, unit), (m, m2)]
+            for a, b in pairs:
+                assert outcome(gcd_multivariate, a, b) == outcome(gcd_multivariate_reference, a, b)
+            for f_, g_ in [(m * f, m), (m * f, m2), (m * f, unit), (m * m2, m2)]:
+                assert outcome(divexact, f_, g_) == outcome(divexact_reference, f_, g_)
+            assert divexact(m * f, m) == f
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_common_factor_gcd(self, gaussian):
+        # the content recursion meets monomial and constant contents
+        rng = random.Random(67 + gaussian)
+        for _ in range(25):
+            a = rand_poly(rng, U3, max_deg=3, max_terms=3, gaussian=gaussian)
+            b = rand_poly(rng, U3, max_deg=3, max_terms=3, gaussian=gaussian)
+            m = rand_poly(rng, U3, max_deg=2, max_terms=2, gaussian=gaussian)
+            if a.is_zero() or b.is_zero() or m.is_zero():
+                continue
+            a, b = a * m, b * m
+            g = gcd_multivariate(a, b)
+            assert exact_terms(g) == exact_terms(gcd_multivariate_reference(a, b))
+            for f in (a, b, m):
+                assert outcome(divexact, f, g) == outcome(divexact_reference, f, g)
+
+    def test_not_divisible_messages_match(self):
+        u = VarUniverse(("x",))
+        cases = [
+            (p("x*y + x"), p("y")),
+            (p("x + 1"), p("x")),
+            (p("x^2"), p("2*y")),
+            (p("x^2 + y"), p("x + y")),
+            # 1/49 * 49 is not 1 in floats, in the leading term or a later one
+            (Polynomial(u, {(1,): 1.0}), Polynomial(u, {(1,): 49.0})),
+            (Polynomial(u, {(2,): 49.0, (1,): 1.0}), Polynomial(u, {(1,): 49.0})),
+        ]
+        rng = random.Random(71)
+        for _ in range(30):
+            f = rand_poly(rng, U3, max_deg=3, max_terms=4)
+            if not f.is_zero():
+                cases.append((f, rand_monomial(rng, U3, max_deg=2)))
+        messages = set()
+        for f, g in cases:
+            ours = outcome(divexact, f, g)
+            assert ours == outcome(divexact_reference, f, g)
+            if ours[0] == "NotDivisible":
+                messages.add(ours[1])
+        assert messages == {"leading monomial not divisible", "leading term does not cancel"}
+
+
+U2 = VarUniverse(("x", "y"))
+
+
+def unit_ideal(rng, gaussian, count=3):
+    """count random quadrics with nonzero constants: 1-membership for count > 2."""
+    return [
+        rand_poly(rng, U2, max_deg=2, max_terms=3, gaussian=gaussian)
+        + Polynomial.constant(U2, rng.randint(1, 3))
+        for _ in range(count)
+    ]
+
+
+def sample_ideals():
+    """Seeded ideals that end "yes" only after S-pairs, "no" with a finite or
+    an infinite zero set, over Q and Q(i)."""
+    rng = random.Random(900)
+    out = {"yes": [], "no": []}
+    for trial in range(60):
+        gaussian = trial % 2 == 1
+        gens = unit_ideal(rng, gaussian, count=2 + trial % 3)
+        if trial % 5 == 4:
+            common = rand_poly(rng, U2, max_deg=1, max_terms=2, gaussian=gaussian)
+            gens = [g * common for g in gens]
+        ref = ideal_contains_one_reference(gens)
+        if ref.status == "no" or ref.reductions:
+            out[ref.status].append(gens)
+    return out
+
+
+class TestCofactorsOnlyForCertificate:
+    def test_sample_ideals_cover_both_answers(self):
+        ideals = sample_ideals()
+        assert len(ideals["yes"]) >= 8 and len(ideals["no"]) >= 8
+
+    @pytest.mark.parametrize("status", ["yes", "no"])
+    def test_runs_match_reference(self, status):
+        for gens in sample_ideals()[status]:
+            ref = ideal_contains_one_reference(gens)
+            assert ref.status == status
+            assert membership_terms(ideal_contains_one(gens)) == membership_terms(ref)
+
+    @pytest.mark.parametrize("status", ["yes", "no"])
+    def test_budgets_trip_at_the_same_step(self, status):
+        for gens in sample_ideals()[status][:4]:
+            budget = 1
+            while True:
+                ref = ideal_contains_one_reference(gens, step_budget=budget)
+                ours = ideal_contains_one(gens, step_budget=budget)
+                assert membership_terms(ours) == membership_terms(ref), budget
+                if ref.status != "inconclusive":
+                    break
+                budget += 1
+            assert budget > 1
+            for cap in range(5):
+                ref = ideal_contains_one_reference(gens, degree_cap=cap)
+                assert membership_terms(ideal_contains_one(gens, degree_cap=cap)) == membership_terms(ref)
+
+    def test_no_run_builds_no_cofactor(self, monkeypatch):
+        made = []
+
+        class Recording(groebner._Tracked):
+            __slots__ = ()
+
+            def __init__(self, poly, cofactors):
+                made.append(cofactors)
+                super().__init__(poly, cofactors)
+
+        monkeypatch.setattr(groebner, "_Tracked", Recording)
+        res = ideal_contains_one([p("x*y"), p("x^2 - y^2")])
+        assert res.status == "no" and res.reductions > 0
+        assert made and all(c is None for c in made)
+        # a "yes" builds cofactors in its rerun only
+        made.clear()
+        res = ideal_contains_one([p("x*y - 1"), p("x - y"), p("y^2 - 2")])
+        assert res.contains_one and res.reductions > 0
+        first = next(k for k, c in enumerate(made) if c is not None)
+        assert all(c is None for c in made[:first])
+        assert all(c is not None for c in made[first:])
+
+    def test_corrupt_certificate_raises(self, monkeypatch):
+        run = groebner._buchberger
+
+        def corrupt(*args, track):
+            res = run(*args, track=track)
+            if track:
+                res.certificate[0] = res.certificate[0] + Polynomial.constant(U_XY, 1)
+            return res
+
+        monkeypatch.setattr(groebner, "_buchberger", corrupt)
+        with pytest.raises(ArithmeticError, match="does not expand to 1"):
+            ideal_contains_one([p("x*y - 1"), p("x - y"), p("y^2 - 2")])
+
+    def test_rerun_must_end_yes(self, monkeypatch):
+        run = groebner._buchberger
+
+        def diverge(*args, track):
+            res = run(*args, track=track)
+            return MembershipResult("inconclusive", None, []) if track else res
+
+        monkeypatch.setattr(groebner, "_buchberger", diverge)
+        with pytest.raises(ArithmeticError, match="not 'yes'"):
+            ideal_contains_one([p("x*y - 1"), p("x - y"), p("y^2 - 2")])
 
 
 class TestNormalization:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eigenbouquet import cli, resolve
+from eigenbouquet import cli, family, resolve
 from eigenbouquet.algebra import Polynomial, Scalar, VarUniverse, parse_polynomial
 from eigenbouquet.bouquet import fitting_minors, generic_rank, wedge_quadratics
 from eigenbouquet.family import MatrixFamily, check_structure
@@ -21,7 +21,17 @@ from eigenbouquet.resolve import (
     run_sequence,
     weak_transform,
 )
-from reference import base_point, bench_jobs, common_zeros_per_point, sample_points
+from reference import (
+    base_point,
+    bench_jobs,
+    common_zeros_per_point,
+    divexact_reference,
+    exact_terms,
+    gcd_multivariate_reference,
+    ideal_contains_one_reference,
+    membership_terms,
+    sample_points,
+)
 
 
 def kupa_setup():
@@ -418,3 +428,42 @@ class TestSampler:
             list(common_zeros_per_point(gens, universe, 42))
         with pytest.raises(KeyError):
             list(resolve._common_zeros(gens, universe, 42))
+
+
+# -- the exact chart layer against its frozen references --------------------
+
+
+class TestExactLayerMatchesReference:
+    @pytest.mark.parametrize("seed", [42, 7, 38])
+    def test_benchmark_jobs(self, seed, monkeypatch):
+        # every gcd, exact division and principality run of the weak
+        # transforms (and of the squarefree characteristic polynomial) is
+        # checked against the frozen reference as it happens
+        checked = dict.fromkeys(["gcd", "divexact", "membership"], 0)
+
+        def shadow(kind, live, frozen, terms):
+            def both(*args):
+                ours = live(*args)
+                assert terms(ours) == terms(frozen(*args)), kind
+                checked[kind] += 1
+                return ours
+
+            return both
+
+        gcd = shadow("gcd", resolve.gcd_multivariate, gcd_multivariate_reference, exact_terms)
+        div = shadow("divexact", resolve.divexact, divexact_reference, exact_terms)
+        for module in (resolve, family):
+            monkeypatch.setattr(module, "gcd_multivariate", gcd)
+            monkeypatch.setattr(module, "divexact", div)
+        monkeypatch.setattr(
+            resolve,
+            "ideal_contains_one",
+            shadow("membership", resolve.ideal_contains_one, ideal_contains_one_reference, membership_terms),
+        )
+        for job in bench_jobs():
+            state = cli.RunState(cli.JobConfig.from_dict(dict(job.config, seed=seed)))
+            cli.stage_resolve(cli.stage_analyze(state))
+            charts = [] if state.outcome is None else list(_charts(state.outcome.root))
+            for node in charts:
+                assert node.groebner_status is not None, (job.name, node.path)
+        assert all(checked.values()), checked
