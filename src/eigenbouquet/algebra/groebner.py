@@ -33,14 +33,16 @@ class MembershipResult:
 
 
 class _Tracked:
-    """A polynomial and, when a certificate is being built, its cofactors
-    over the generators (None otherwise)."""
+    """A polynomial, its leading (exponents, coefficient) (None for zero) and,
+    when a certificate is being built, its cofactors over the generators
+    (None otherwise)."""
 
-    __slots__ = ("poly", "cofactors")
+    __slots__ = ("poly", "cofactors", "lead")
 
     def __init__(self, poly: Polynomial, cofactors: list[Polynomial] | None):
         self.poly = poly
         self.cofactors = cofactors
+        self.lead = poly.leading() if poly.terms else None
 
 
 def _mono(universe, exps, coeff) -> Polynomial:
@@ -53,35 +55,39 @@ def _divides_mono(a: tuple, b: tuple) -> bool:
 
 def _reduce(f: _Tracked, basis: list[_Tracked], budget: list[int]) -> _Tracked:
     """Full multivariate division of f by the basis, cofactors maintained
-    when f carries them."""
+    when f carries them. The remainder and the working polynomial are dicts
+    changed in place, in the term order the polynomial arithmetic gives."""
     universe = f.poly.universe
-    rem = Polynomial.zero(universe)
-    work = f.poly
+    rem: dict = {}
+    work = dict(f.poly.terms)
     cof = None if f.cofactors is None else list(f.cofactors)
-    while work.terms:
+    while work:
         budget[0] -= 1
         if budget[0] < 0:
             raise _Budget()
-        le, lc = work.leading()
-        hit = None
-        for g in basis:
-            ge, _ = g.poly.leading()
-            if _divides_mono(ge, le):
-                hit = g
-                break
+        le = max(work, key=grlex_key)
+        lc = work[le]
+        hit = next((g for g in basis if _divides_mono(g.lead[0], le)), None)
         if hit is None:
-            t = _mono(universe, le, lc)
-            rem = rem + t
-            work = work - t
+            rem[le] = lc
+            del work[le]
             continue
-        ge, gc = hit.poly.leading()
-        factor = _mono(universe, tuple(x - y for x, y in zip(le, ge)), lc / gc)
-        work = work - factor * hit.poly
+        ge, gc = hit.lead
+        shift, q = tuple(x - y for x, y in zip(le, ge)), lc / gc
+        for e, c in hit.poly.terms.items():  # work - q * x^shift * hit
+            e = tuple(x + y for x, y in zip(shift, e))
+            s = work.get(e)
+            d = -(q * c) if s is None else s - q * c
+            if d:
+                work[e] = d
+            else:
+                del work[e]
         if cof is not None:
+            factor = _mono(universe, shift, q)
             for k, ck in enumerate(hit.cofactors):
                 if not ck.is_zero():
                     cof[k] = cof[k] - factor * ck
-    return _Tracked(rem, cof)
+    return _Tracked(Polynomial(universe, rem), cof)
 
 
 class _Budget(Exception):
@@ -170,16 +176,14 @@ def _buchberger(
         while pairs:
             # normal strategy: smallest lcm of leading monomials first
             def lcm_of(pair):
-                a, _ = basis[pair[0]].poly.leading()
-                b, _ = basis[pair[1]].poly.leading()
+                a, b = basis[pair[0]].lead[0], basis[pair[1]].lead[0]
                 return tuple(max(x, y) for x, y in zip(a, b))
 
             pair = min(pairs, key=lambda pr: (grlex_key(lcm_of(pr)), pr))
             pairs.discard(pair)
             i, j = pair
             fi, fj = basis[i], basis[j]
-            ei, ci = fi.poly.leading()
-            ej, cj = fj.poly.leading()
+            (ei, ci), (ej, cj) = fi.lead, fj.lead
             lcm = tuple(max(x, y) for x, y in zip(ei, ej))
             if all(x + y == z for x, y, z in zip(ei, ej, lcm)):
                 continue  # coprime leading monomials: s-poly reduces to zero

@@ -9,8 +9,9 @@ there is the unique limit of the nearby eigenspace bouquets.
 Extraction runs per chart on whole arrays: off the discriminant a lockstep
 Jacobi solve, on it Richardson extrapolation along transversal curves checked
 against the recovered quadratics, all curves of a heading in one batch of
-solves, clusters, chains, Rayleigh values and residuals; the frames are
-checked against LAPACK.
+solves, clusters, chains, Rayleigh values and residuals. Labels, the
+alignment walk and the LAPACK check read the grid's frame stack, each
+point's subspace bases side by side.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
 
 import numpy as np
 
@@ -29,15 +30,18 @@ from .oracle import (
     Cluster,
     ExtrapolationError,
     JacobiNonConvergence,
+    _frobenius,
     by_shape,
     cluster_stack,
     eigh_jacobi,
     embed_hermitian,
     extrapolate_along_curve,
-    largest_angles,
+    gap_groups,
     nearest_of,
     nearest_subspace,
-    procrustes_align,
+    orthonormalize,
+    polar_factor,
+    principal_angles,
 )
 from .resolve import GOOD_STATUSES, ChartNode
 
@@ -167,6 +171,7 @@ class BouquetAtPoint:
     quad_residual: float  # worst |q(v)| over recovered quadratics and basis vectors
     gram_residual: float  # deviation of the assembled frame from orthonormality
     matrix: np.ndarray  # the family matrix at the base point
+    frame: np.ndarray  # the subspaces' bases side by side: a view into the grid's frame stack
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -199,10 +204,15 @@ def _spectra_at(section: PluckerSection, points: list[dict], where):
     return base, on_disc, matrices, off, spectra
 
 
-def _residuals(bouquets: list[list[Cluster]], quads, monomials):
-    """Per point, the assembled frame's deviation from orthonormality and the
+def frame_stack(bouquets: list[list[Cluster]]) -> np.ndarray:
+    """The (P, n, n) stack of assembled frames: each point's cluster bases
+    side by side, in cluster order."""
+    return np.stack([np.hstack([s.basis for s in subs]) for subs in bouquets])
+
+
+def _residuals(frames: np.ndarray, quads, monomials):
+    """Per assembled frame of a stack, its deviation from orthonormality and the
     worst |q(v)| / (1 + max |coefficient of q|) over quadratics q, columns v."""
-    frames = np.stack([np.hstack([s.basis for s in subs]) for subs in bouquets])
     eye = np.eye(frames.shape[2])
     gram = np.max(np.abs(np.swapaxes(frames, 1, 2) @ frames - eye), axis=(1, 2), initial=0.0)
     values = 0.0
@@ -254,19 +264,24 @@ def extract_bouquets(
     quads = section.recover_quadratics(points)
     base, on_disc, matrices, off, spectra = _spectra_at(section, points, "grid index {}".format)
     subspaces: list = [None] * len(points)
-    for i, clusters in zip(off, cluster_stack(spectra.eigenvalues, spectra.vectors, cluster_tol)):
+    n = matrices.shape[-1]
+    solved = np.zeros((len(off), n, n))  # off the discriminant, the frames come with the clusters
+    for i, clusters in zip(off, cluster_stack(spectra.eigenvalues, spectra.vectors, cluster_tol, solved)):
         subspaces[i] = clusters  # ascending values already
+    frames = np.zeros((len(points), n, n))
+    frames[off] = solved
     exc = np.flatnonzero(on_disc)
     if exc.size:
         limits = _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, direction)
         for i, found in zip(exc, limits):
             subspaces[i] = found
-    gram, quad = _residuals(subspaces, quads, section.system.monomials)
+        frames[exc] = frame_stack(limits)
+    gram, quad = _residuals(frames, quads, section.system.monomials)
     names = section.chart.universe.params
     columns = {k: v.tolist() for k, v in base.items()}
     return [
         BouquetAtPoint(tuple(point[n] for n in names), {k: c[i] for k, c in columns.items()},
-                       subspaces[i], bool(on_disc[i]), float(quad[i]), float(gram[i]), matrices[i])
+                       subspaces[i], bool(on_disc[i]), float(quad[i]), float(gram[i]), matrices[i], frames[i])
         for i, point in enumerate(points)
     ]
 
@@ -334,7 +349,7 @@ def _curve_limits(section, start, owners, delta, matrices, quads, cluster_tol) -
         bouquets[j].append(Cluster(value, m, b))
     for j, found in bouquets.items():
         out[j] = sorted(found, key=lambda s: (s.value, s.multiplicity))
-    _, worst = _residuals([out[j] for j in done], quads[owners[done]], section.system.monomials)
+    _, worst = _residuals(frame_stack([out[j] for j in done]), quads[owners[done]], section.system.monomials)
     for j, residual in zip(done, worst):
         if residual > QUAD_VANISH_TOL:
             out[j] = ExtrapolationError(
@@ -371,7 +386,7 @@ class GridSpec:
 class ComponentTrack:
     dim: int
     eigenvalues: list[float] = field(default_factory=list)
-    frames: list[np.ndarray] = field(default_factory=list)
+    frames: np.ndarray | None = None  # (P, n, dim): the aligned frame at each grid point
     invariance: list[float] = field(default_factory=list)
 
 
@@ -400,15 +415,20 @@ def local_frame_and_eigenvalues(
     angle_tol: float = DEFAULT_ANGLE_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> FrameReport:
-    """Continuously labeled frames and eigenvalues over a chart grid: the
-    bouquets and label angles come for the whole grid at once."""
+    """Continuously labeled frames and eigenvalues over a chart grid, all from
+    the grid's frame stack: per component, each point takes the subspace
+    nearest by largest principal angle to its predecessor's in the neighbour
+    tree, and the frames are aligned along the tree by one chain of polar
+    factors; angles, Rayleigh values and the LAPACK check run grid-wide."""
     names = section.chart.universe.params
     if len(grid.counts) != len(names):
         raise ValueError("grid dimension must match the chart parameter count")
     pts = grid.points()
     bouquets = extract_bouquets(section, [dict(zip(names, pt)) for pt in pts], cluster_tol)
-    previous = [None] + [_neighbor_index(idx, grid.counts) for idx in range(1, len(bouquets))]
-    angles = _label_angles(bouquets, previous)
+    frames = np.stack([b.frame for b in bouquets])
+    patterns = [b.multiplicities for b in bouquets]
+    previous, depth = _neighbor_tree(grid.counts)
+    angles = _label_angles(frames, patterns, previous)
     flags: list[tuple] = []  # (grid index, component, kind, message)
     first = bouquets[0].subspaces
     anchor = sorted(
@@ -417,11 +437,7 @@ def local_frame_and_eigenvalues(
     )
     components = [ComponentTrack(first[k].multiplicity) for k in anchor]
     labels = [anchor]  # per grid point, the subspace each component took
-    depth, levels = [0], {}  # grid points by their depth in the neighbour tree
-    for idx in range(1, len(bouquets)):
-        prev = previous[idx]
-        depth.append(depth[prev] + 1)
-        levels.setdefault(depth[idx], []).append(idx)
+    for idx, prev in enumerate(previous.tolist()[1:], start=1):
         taken: list[int] = []
         for c, comp in enumerate(components):
             k, angle, runner_up = nearest_of(
@@ -431,39 +447,35 @@ def local_frame_and_eigenvalues(
             if k is None:
                 raise LabelingError(
                     f"no component of dimension {comp.dim} at grid index {idx}: "
-                    f"multiplicities {bouquets[prev].multiplicities} at grid "
-                    f"index {prev}, {bouquets[idx].multiplicities} here"
+                    f"multiplicities {patterns[prev]} at grid index {prev}, {patterns[idx]} here"
                 )
             if runner_up is not None and runner_up - angle < 1e-6:
                 flags.append((idx, c, 0, f"ambiguous labeling at grid index {idx}"))
             taken.append(k)
         labels.append(taken)
-    # labels do not depend on alignment: each level's frames are aligned to
-    # their predecessors' in one Procrustes stack per component
+    # labels do not depend on alignment: each component's bases are gathered
+    # from the frame stack by their first columns and turned in one chain
+    starts = [list(accumulate(p, initial=0)) for p in patterns]
+    levels = [np.flatnonzero(depth == d) for d in range(1, int(depth.max()) + 1)]
     for c, comp in enumerate(components):
-        comp.frames = [_anchor_phase(first[anchor[c]].basis)] + [None] * (len(bouquets) - 1)
-        for at in levels.values():
-            bases = np.stack([bouquets[idx].subspaces[labels[idx][c]].basis for idx in at])
-            aligned, degenerate = procrustes_align(bases, np.stack([comp.frames[previous[idx]] for idx in at]))
-            for idx, frame, bad in zip(at, aligned, degenerate.tolist()):
-                comp.frames[idx] = frame
-                if bad:
-                    flags.append((idx, c, 1, f"frame alignment degenerate at grid index {idx}"))
+        cols = np.array([start[taken[c]] for start, taken in zip(starts, labels)])
+        comp.frames, degenerate = _aligned_frames(frames, cols, comp.dim, previous, levels)
+        flags += [(idx, c, 1, f"frame alignment degenerate at grid index {idx}") for idx in degenerate]
     # Rayleigh values and invariance residuals of all frames at once; each
     # member of the stack keeps one point's strides, so products round alike
-    n, step = first[0].basis.shape[0], bouquets[0].matrix.strides[-1] // 8
+    n, step = frames.shape[1], bouquets[0].matrix.strides[-1] // 8
     matrices = np.zeros((len(bouquets), n, n * step))[..., ::step]
     matrices[...] = [b.matrix for b in bouquets]
-    scale = 1.0 + np.array([np.linalg.norm(b.matrix) for b in bouquets])
+    scale = 1.0 + _frobenius(matrices)
     for comp in components:
-        stack = np.stack(comp.frames)
-        products = np.swapaxes(stack, 1, 2) @ matrices @ stack
+        products = np.swapaxes(comp.frames, 1, 2) @ matrices @ comp.frames
         rayleigh = np.add.reduce(np.diagonal(products, axis1=1, axis2=2), axis=1) / comp.dim
-        residual = matrices @ stack - rayleigh[:, None, None] * stack
+        residual = matrices @ comp.frames - rayleigh[:, None, None] * comp.frames
         comp.eigenvalues = rayleigh.tolist()
         comp.invariance = (np.sqrt(np.add.reduce(residual**2, axis=1)).max(axis=1) / scale).tolist()
 
-    max_oracle_angle = _oracle_angle(bouquets, components, cluster_tol)
+    off = np.flatnonzero([not b.exceptional for b in bouquets])
+    max_oracle_angle = _oracle_angle(matrices[off], [comp.frames[off] for comp in components], cluster_tol)
     smooth_val, smooth_frame = _smoothness(components, grid)
     max_quad = max((b.quad_residual for b in bouquets), default=0.0)
     max_gram = max((b.gram_residual for b in bouquets), default=0.0)
@@ -492,63 +504,107 @@ def local_frame_and_eigenvalues(
     )
 
 
-def _label_angles(bouquets: list[BouquetAtPoint], previous) -> np.ndarray:
+def _label_angles(frames: np.ndarray, patterns: list[tuple], previous: np.ndarray) -> np.ndarray:
     """angles[idx, i, j]: largest principal angle between subspace j at grid
-    point idx and subspace i of its dimension at its predecessor, else NaN."""
-    width = max(len(b.subspaces) for b in bouquets)
-    angles = np.full((len(bouquets), width, width), np.nan)
-    slots, cands, refs = array("q"), [], []
-    for idx in range(1, len(bouquets)):
-        for i, ref in enumerate(bouquets[previous[idx]].subspaces):
-            for j, cand in enumerate(bouquets[idx].subspaces):
-                if cand.multiplicity == ref.multiplicity:
-                    slots.append((idx * width + i) * width + j)
-                    cands.append(cand.basis)
-                    refs.append(ref.basis)
-    angles.flat[np.asarray(slots)] = largest_angles(cands, refs)
+    point idx and subspace i of its dimension at its predecessor, else NaN.
+    A (predecessor's, own) multiplicity pattern fixes each slot pair's
+    columns; all pairs of one dimension are one principal_angles stack."""
+    width = max(map(len, patterns))
+    angles = np.full((len(patterns), width, width), np.nan)
+    groups: dict[tuple, array] = {}
+    for idx, prev in enumerate(previous.tolist()[1:], start=1):
+        groups.setdefault((patterns[prev], patterns[idx]), array("q")).append(idx)
+    pairs: dict[int, list] = {}  # per dimension: points, flat slots, columns, predecessor's columns
+    for (before, here), members in groups.items():
+        at = np.asarray(members)
+        for (i, ref_col, m), (j, col, k) in product(_slots(before), _slots(here)):
+            if m == k:
+                part = (at, (at * width + i) * width + j, np.full(at.size, col), np.full(at.size, ref_col))
+                pairs.setdefault(m, []).append(part)
+    for m, parts in pairs.items():
+        at, slots, cols, ref_cols = (np.concatenate(column) for column in zip(*parts))
+        cands, refs = _columns(frames, at, cols, m), _columns(frames, previous[at], ref_cols, m)
+        angles.flat[slots] = principal_angles(cands, refs).max(axis=1)
     return angles
 
 
-def _oracle_angle(bouquets: list[BouquetAtPoint], components, cluster_tol: float) -> float:
-    """Worst angle between a labeled frame and the nearest LAPACK eigenspace
-    of its dimension off the discriminant: one np.linalg.eigh of the stack."""
-    off = [idx for idx, b in enumerate(bouquets) if not b.exceptional]
-    if not off:
+def _columns(frames: np.ndarray, at: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
+    """The (len(at), n, m) stack of columns cols[k] to cols[k] + m of frame at[k]."""
+    rows = np.arange(frames.shape[1])[:, None]
+    return frames[at[:, None, None], rows, cols[:, None, None] + np.arange(m)]
+
+
+def _slots(pattern: tuple) -> list[tuple[int, int, int]]:
+    """(index, first column, multiplicity) of each subspace of a pattern."""
+    return [(k, col, m) for k, (col, m) in enumerate(zip(accumulate(pattern, initial=0), pattern))]
+
+
+def _aligned_frames(frames: np.ndarray, cols: np.ndarray, dim: int, previous: np.ndarray, levels):
+    """One component's (P, n, dim) frames B_i R_i and the grid points whose
+    alignment is degenerate; B_i is columns cols[i] to cols[i] + dim of frame
+    i. R_0 is the anchor's column signs and R_i = Q_i R_prev(i), level by
+    level, with Q_i = polar(B_i^T B_prev(i)) from one stack: polar(M R) =
+    polar(M) R for orthogonal R, so B_i R_i is B_i Procrustes-aligned to the
+    aligned frame before it. A degenerate Q_i, or a line orthogonal to its
+    predecessor's, resets R_i = I: the point keeps its own basis."""
+    count = len(frames)
+    bases = _columns(frames, np.arange(count), cols, dim)
+    cross = np.swapaxes(bases[1:], 1, 2) @ bases[previous[1:]]
+    polar, degenerate = polar_factor(cross)
+    reset = degenerate | ~cross.any(axis=(1, 2))
+    turns = np.zeros((count, dim, dim))
+    turns[0] = np.diag(_anchor_signs(bases[0]))
+    for at in levels:
+        turns[at] = polar[at - 1] @ turns[previous[at]]
+        turns[at[reset[at - 1]]] = np.eye(dim)
+    # a line's turn is a sign: multiplied, as procrustes_align turns a line
+    aligned = bases * turns if dim == 1 else bases @ turns
+    return aligned, (np.flatnonzero(degenerate) + 1).tolist()
+
+
+def _oracle_angle(matrices: np.ndarray, frames: list[np.ndarray], cluster_tol: float) -> float:
+    """Worst angle between a labeled frame (frames: per component, the stack
+    at the points off the discriminant) and the nearest LAPACK eigenspace of
+    its dimension: one np.linalg.eigh of the matrices there, one
+    orthonormalize stack per cluster slot of each gap pattern and one
+    principal_angles stack per component."""
+    if not len(matrices):
         return 0.0
-    values, vectors = np.linalg.eigh(np.stack([bouquets[idx].matrix for idx in off]))
-    references = cluster_stack(values, vectors, cluster_tol)
+    values, vectors = np.linalg.eigh(matrices)
+    owners: dict[int, list] = {}  # per dimension: the members and bases of each slot
+    for members, bounds in gap_groups(values, cluster_tol):
+        for start, stop in zip(bounds, bounds[1:]):
+            owners.setdefault(stop - start, []).append((members, orthonormalize(vectors[members, :, start:stop])))
     worst = 0.0
-    for comp in components:
-        owners, refs = array("q"), []
-        for k, clusters in enumerate(references):
-            for ref in clusters:
-                if ref.multiplicity == comp.dim:
-                    owners.append(k)
-                    refs.append(ref.basis)
-        nearest = np.full(len(off), np.inf)
-        frames = [comp.frames[off[k]] for k in owners]
-        np.minimum.at(nearest, np.asarray(owners), largest_angles(refs, frames))
-        worst = max([worst, *nearest[np.isfinite(nearest)].tolist()])
+    for stack in frames:
+        slots = owners.get(stack.shape[2], [])
+        if slots:
+            at = np.concatenate([members for members, _ in slots])
+            refs = np.concatenate([bases for _, bases in slots])
+            nearest = np.full(len(matrices), np.inf)
+            np.minimum.at(nearest, at, principal_angles(refs, stack[at]).max(axis=1))
+            worst = max([worst, *nearest[np.isfinite(nearest)].tolist()])
     return worst
 
 
-def _neighbor_index(idx: int, counts) -> int:
-    """Previous grid point along the innermost axis with a positive index."""
-    multi = np.unravel_index(idx, counts)
-    for axis in range(len(counts) - 1, -1, -1):
-        if multi[axis] > 0:
-            return idx - math.prod(counts[axis + 1 :])
-    raise ValueError("no neighbor for the first grid point")
+def _neighbor_tree(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Predecessor and depth of every grid point in the neighbour tree: the
+    predecessor is the previous point along the innermost axis on which the
+    index is positive (the first point is its own), the depth is the sum of
+    the indices."""
+    strides = np.array([math.prod(counts[axis + 1 :]) for axis in range(len(counts))], dtype=int)
+    idx = np.arange(math.prod(counts))
+    multi = idx[:, None] // strides % np.array(counts, dtype=int)
+    innermost = np.max(np.where(multi > 0, np.arange(len(counts)), -1), axis=1, initial=-1)
+    # the first point has no positive index: -1 picks the appended 0 stride
+    return idx - np.append(strides, 0)[innermost], multi.sum(axis=1)
 
 
-def _anchor_phase(basis: np.ndarray) -> np.ndarray:
-    out = basis.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-8)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, k] = -col
-    return out
+def _anchor_signs(basis: np.ndarray) -> np.ndarray:
+    """Per column, the sign that makes its first entry above 1e-8 in size positive."""
+    big = np.abs(basis) > 1e-8
+    lead = basis[np.argmax(big, axis=0), np.arange(basis.shape[1])]
+    return np.where(big.any(axis=0) & (lead < 0), -1.0, 1.0)
 
 
 def _smoothness(components, grid: GridSpec):

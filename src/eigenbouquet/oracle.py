@@ -14,7 +14,6 @@ Complex Hermitian input is handled through the real 2n embedding
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,21 +139,18 @@ def orthonormalize(columns: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float) -> list[list[Cluster]]:
+def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float, frames=None) -> list[list[Cluster]]:
     """Greedy gap clustering of each member's ascending spectrum: a gap above
     tol * (1 + max|lambda|) starts a cluster, whose basis is its
-    orthonormalized eigenvectors. Members with the same gaps go together."""
-    count, n = values.shape
-    scale = 1.0 + (np.max(np.abs(values), axis=1) if n else 0.0)
-    gaps = values[:, 1:] - values[:, :-1] > tol * np.reshape(scale, (-1, 1))
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(gaps.tolist()):
-        groups.setdefault(tuple(row), []).append(i)
-    out: list[list[Cluster]] = [[] for _ in range(count)]
-    for pattern, members in groups.items():
-        bounds = [0] + [k + 1 for k, gap in enumerate(pattern) if gap] + [n]
+    orthonormalized eigenvectors. Members with the same gaps go together.
+    A (count, n, n) array frames, when given, receives each member's cluster
+    bases side by side."""
+    out: list[list[Cluster]] = [[] for _ in range(len(values))]
+    for members, bounds in gap_groups(values, tol):
         for start, stop in zip(bounds, bounds[1:]):
             bases = orthonormalize(vectors[members, :, start:stop])
+            if frames is not None:
+                frames[members, :, start:stop] = bases
             # np.mean: the sum, then one division by the count
             means = np.add.reduce(values[members, start:stop], axis=1) / (stop - start)
             whole = bases.any(axis=1).all(axis=1).tolist()
@@ -162,6 +158,22 @@ def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float) -> list[l
                 basis = basis if full else basis[:, basis.any(axis=0)]  # as one matrix drops it
                 out[i].append(Cluster(value, stop - start, basis))
     return out
+
+
+def gap_groups(values: np.ndarray, tol: float) -> list[tuple[list[int], list[int]]]:
+    """The members of a stack of ascending spectra grouped by their gaps above
+    tol * (1 + max|lambda|), each group with its cluster bounds
+    [0, ..., n]: cluster k holds eigenvalues bounds[k] to bounds[k + 1]."""
+    n = values.shape[1]
+    scale = 1.0 + (np.max(np.abs(values), axis=1) if n else 0.0)
+    gaps = values[:, 1:] - values[:, :-1] > tol * np.reshape(scale, (-1, 1))
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(gaps.tolist()):
+        groups.setdefault(tuple(row), []).append(i)
+    return [
+        (members, [0] + [k + 1 for k, gap in enumerate(pattern) if gap] + [n])
+        for pattern, members in groups.items()
+    ]
 
 
 def spectral_clusters(matrices: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> list[list[Cluster]]:
@@ -237,19 +249,6 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     raise JacobiNonConvergence(f"no convergence after {JACOBI_SWEEP_CAP} sweeps")
 
 
-def largest_angles(bases_a: list[np.ndarray], bases_b: list[np.ndarray]) -> np.ndarray:
-    """Largest principal angle between bases_a[k] and bases_b[k], 0 iff the
-    spans agree, for every k: one stacked principal_angles call per shape."""
-    out = np.zeros(len(bases_a))
-    groups: dict[tuple, array] = {}  # indices in int arrays: no object per pair
-    for k, (a, b) in enumerate(zip(bases_a, bases_b)):
-        groups.setdefault(a.shape + b.shape, array("q")).append(k)
-    for ks in groups.values():
-        stacks = [np.stack([bases[k] for k in ks]) for bases in (bases_a, bases_b)]
-        out[np.asarray(ks)] = principal_angles(*stacks).max(axis=1)
-    return out
-
-
 def nearest_of(angles) -> tuple:
     """(index, angle, runner_up) over (index, angle) pairs in order: a tie keeps
     the first index, runner_up is the next smallest angle; None if none gives it."""
@@ -278,20 +277,27 @@ def procrustes_align(basis: np.ndarray, reference: np.ndarray):
     (orthogonal subspaces), each of which keeps its basis. One pair gives one
     basis and one flag."""
     bases, refs = (np.array(m, dtype=float, ndmin=3) for m in (basis, reference))
-    cross = np.swapaxes(bases, 1, 2) @ refs
-    degenerate = np.zeros(len(bases), dtype=bool)
-    if cross.shape[1:] == (1, 1):
-        aligned = bases * np.copysign(1.0, np.where(cross == 0.0, 1.0, cross))
-    else:
-        right = eigh_jacobi(np.swapaxes(cross, 1, 2) @ cross).vectors
-        # match singular subspaces: U from cross @ right vectors
-        cols = [(cross @ right[:, :, k : k + 1])[:, :, 0] for k in range(cross.shape[2])]
-        norms = [np.sqrt(_dots(u, u)) for u in cols]
-        degenerate = np.min(norms, axis=0) < 1e-12
-        u_mat = np.stack([u / np.where(degenerate, 1.0, n)[:, None] for u, n in zip(cols, norms)], axis=2)
-        aligned = bases @ (u_mat @ np.swapaxes(right, 1, 2))
-        aligned[degenerate] = bases[degenerate]
+    turn, degenerate = polar_factor(np.swapaxes(bases, 1, 2) @ refs)
+    aligned = bases * turn if turn.shape[1:] == (1, 1) else bases @ turn
+    aligned[degenerate] = bases[degenerate]
     return (aligned[0], bool(degenerate[0])) if np.ndim(basis) == 2 else (aligned, degenerate)
+
+
+def polar_factor(cross: np.ndarray):
+    """Orthogonal polar factor U V^T of each member U S V^T of an (N, m, m)
+    stack, from one eigh_jacobi stack of cross^T cross, and which members are
+    degenerate (a singular value below 1e-12), whose factor means nothing.
+    For m = 1 the factor is the sign, +1 at 0, and never degenerate."""
+    degenerate = np.zeros(len(cross), dtype=bool)
+    if cross.shape[1:] == (1, 1):
+        return np.copysign(1.0, np.where(cross == 0.0, 1.0, cross)), degenerate
+    right = eigh_jacobi(np.swapaxes(cross, 1, 2) @ cross).vectors
+    # match singular subspaces: U from cross @ right vectors
+    cols = [(cross @ right[:, :, k : k + 1])[:, :, 0] for k in range(cross.shape[2])]
+    norms = [np.sqrt(_dots(u, u)) for u in cols]
+    degenerate = np.min(norms, axis=0) < 1e-12
+    u_mat = np.stack([u / np.where(degenerate, 1.0, n)[:, None] for u, n in zip(cols, norms)], axis=2)
+    return u_mat @ np.swapaxes(right, 1, 2), degenerate
 
 
 def richardson_limit(values: list[np.ndarray], order: int = 2) -> np.ndarray:

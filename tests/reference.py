@@ -6,8 +6,10 @@ operator's plane identities), small conveniences (the benchmark's jobs,
 exact base points, the exactness of a point, the largest principal angle
 of one pair, one matrix's clustered spectrum) and the per-matrix paths the
 stacked ones replaced (the Jacobi solver, the plane check over a grid,
-Procrustes alignment, curve extrapolation one curve at a time, the chart
-sampler's point-by-point scan), the
+Procrustes alignment, curve extrapolation one curve at a time, the grid
+walk's level-by-level Procrustes stacks, label angles and LAPACK
+cross-check from per-point clusters, the chart sampler's point-by-point
+scan), the
 Bareiss determinant the Laplace minors replaced, and the exact chart layer
 without its shortcuts (the gcd, exact division and cofactor-tracking
 Buchberger run), kept frozen as their bit-for-bit references.
@@ -19,6 +21,7 @@ import importlib.util
 import math
 import random
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +51,7 @@ from eigenbouquet.frames import (
     _spectra_at,
     _transversal_directions,
     family_matrix,
+    frame_stack,
 )
 from eigenbouquet.oracle import (
     DEFAULT_CLUSTER_TOL,
@@ -59,6 +63,7 @@ from eigenbouquet.oracle import (
     SpectralSample,
     cluster_stack,
     eigh_jacobi,
+    nearest_of,
     nearest_subspace,
     orthonormalize,
     principal_angles,
@@ -622,7 +627,7 @@ def curve_limits_per_curve(section, start, owners, delta, matrices, quads, clust
             Cluster(float(np.mean(np.diag(b.T @ matrix @ b))), m, b) for _, m, b, _ in limits
         ]
         found = sorted(rayleigh, key=lambda s: (s.value, s.multiplicity))
-        worst = _residuals([found], quads[owners[j], None], section.system.monomials)[1][0]
+        worst = _residuals(frame_stack([found]), quads[owners[j], None], section.system.monomials)[1][0]
         if worst > QUAD_VANISH_TOL:
             found = ExtrapolationError(
                 f"recovered quadratics do not vanish on the extrapolated bouquet "
@@ -656,6 +661,122 @@ def extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, cluste
     raise ExtrapolationError(
         f"extrapolation failed at {points[exc[q]]!r} in every direction: {errors[q]}"
     )
+
+
+# -- labels, the walk and the frame oracle from per-point clusters ------------
+
+
+def neighbor_index(idx: int, counts) -> int:
+    """Previous grid point along the innermost axis with a positive index."""
+    multi = np.unravel_index(idx, counts)
+    for axis in range(len(counts) - 1, -1, -1):
+        if multi[axis] > 0:
+            return idx - math.prod(counts[axis + 1 :])
+    raise ValueError("no neighbor for the first grid point")
+
+
+def largest_angles(bases_a: list[np.ndarray], bases_b: list[np.ndarray]) -> np.ndarray:
+    """Largest principal angle between bases_a[k] and bases_b[k], 0 iff the
+    spans agree, for every k: one stacked principal_angles call per shape."""
+    out = np.zeros(len(bases_a))
+    groups: dict[tuple, array] = {}  # indices in int arrays: no object per pair
+    for k, (a, b) in enumerate(zip(bases_a, bases_b)):
+        groups.setdefault(a.shape + b.shape, array("q")).append(k)
+    for ks in groups.values():
+        stacks = [np.stack([bases[k] for k in ks]) for bases in (bases_a, bases_b)]
+        out[np.asarray(ks)] = principal_angles(*stacks).max(axis=1)
+    return out
+
+
+def label_angles_per_pair(bouquets, previous) -> np.ndarray:
+    """angles[idx, i, j]: largest principal angle between subspace j at grid
+    point idx and subspace i of its dimension at its predecessor, else NaN;
+    every pair's Cluster bases stacked by shape."""
+    width = max(len(b.subspaces) for b in bouquets)
+    angles = np.full((len(bouquets), width, width), np.nan)
+    slots, cands, refs = array("q"), [], []
+    for idx in range(1, len(bouquets)):
+        for i, ref in enumerate(bouquets[previous[idx]].subspaces):
+            for j, cand in enumerate(bouquets[idx].subspaces):
+                if cand.multiplicity == ref.multiplicity:
+                    slots.append((idx * width + i) * width + j)
+                    cands.append(cand.basis)
+                    refs.append(ref.basis)
+    angles.flat[np.asarray(slots)] = largest_angles(cands, refs)
+    return angles
+
+
+def oracle_angle_per_cluster(bouquets, components, cluster_tol: float) -> float:
+    """Worst angle between a labeled frame and the nearest LAPACK eigenspace
+    of its dimension off the discriminant, one Cluster per eigenspace."""
+    off = [idx for idx, b in enumerate(bouquets) if not b.exceptional]
+    if not off:
+        return 0.0
+    values, vectors = np.linalg.eigh(np.stack([bouquets[idx].matrix for idx in off]))
+    references = cluster_stack(values, vectors, cluster_tol)
+    worst = 0.0
+    for comp in components:
+        owners, refs = array("q"), []
+        for k, clusters in enumerate(references):
+            for ref in clusters:
+                if ref.multiplicity == comp.dim:
+                    owners.append(k)
+                    refs.append(ref.basis)
+        nearest = np.full(len(off), np.inf)
+        frames = [comp.frames[off[k]] for k in owners]
+        np.minimum.at(nearest, np.asarray(owners), largest_angles(refs, frames))
+        worst = max([worst, *nearest[np.isfinite(nearest)].tolist()])
+    return worst
+
+
+def walk_level_by_level(bouquets, counts):
+    """Labels, frames and flags of the grid walk with one Procrustes stack per
+    component and level of the neighbour tree, each level aligned to its
+    predecessors' aligned frames: (labels, frames per component, flags)."""
+    previous = [None] + [neighbor_index(idx, counts) for idx in range(1, len(bouquets))]
+    angles = label_angles_per_pair(bouquets, previous)
+    flags: list[tuple] = []  # (grid index, component, kind, message)
+    first = bouquets[0].subspaces
+    anchor = sorted(
+        range(len(first)),
+        key=lambda k: (first[k].multiplicity, first[k].value, tuple(np.round(first[k].basis[:, 0], 9))),
+    )
+    dims = [first[k].multiplicity for k in anchor]
+    labels = [anchor]
+    depth, levels = [0], {}
+    for idx in range(1, len(bouquets)):
+        prev = previous[idx]
+        depth.append(depth[prev] + 1)
+        levels.setdefault(depth[idx], []).append(idx)
+        taken: list[int] = []
+        for c in range(len(dims)):
+            k, angle, runner_up = nearest_of(
+                (j, angle) for j, angle in enumerate(angles[idx, labels[prev][c]].tolist())
+                if not math.isnan(angle) and j not in taken
+            )
+            if k is None:
+                raise ValueError(f"no component of dimension {dims[c]} at grid index {idx}")
+            if runner_up is not None and runner_up - angle < 1e-6:
+                flags.append((idx, c, 0, f"ambiguous labeling at grid index {idx}"))
+            taken.append(k)
+        labels.append(taken)
+    frames = []
+    for c in range(len(dims)):
+        basis = first[anchor[c]].basis.copy()
+        for k in range(basis.shape[1]):  # the anchor's column signs
+            nz = np.nonzero(np.abs(basis[:, k]) > 1e-8)[0]
+            if nz.size and basis[nz[0], k] < 0:
+                basis[:, k] = -basis[:, k]
+        aligned = [basis] + [None] * (len(bouquets) - 1)
+        for at in levels.values():
+            bases = np.stack([bouquets[idx].subspaces[labels[idx][c]].basis for idx in at])
+            got, degenerate = procrustes_align(bases, np.stack([aligned[previous[idx]] for idx in at]))
+            for idx, frame, bad in zip(at, got, degenerate.tolist()):
+                aligned[idx] = frame
+                if bad:
+                    flags.append((idx, c, 1, f"frame alignment degenerate at grid index {idx}"))
+        frames.append(np.stack(aligned))
+    return labels, frames, [message for *_, message in sorted(flags)]
 
 
 # -- the point-by-point chart sampler ----------------------------------------

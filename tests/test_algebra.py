@@ -20,9 +20,11 @@ from eigenbouquet.algebra import (
     monic,
     parse_polynomial,
 )
+from eigenbouquet import cli, resolve
 from eigenbouquet.algebra import groebner
 from reference import (
     bareiss_det,
+    bench_jobs,
     divexact_reference,
     exact_terms,
     gcd_multivariate_reference,
@@ -271,7 +273,10 @@ class TestIdealContainsOne:
         rng = random.Random(29)
         gens = [rand_poly(rng, u, max_deg=5, max_terms=6) for _ in range(4)]
         res = ideal_contains_one(gens, step_budget=3)
-        assert res.status in {"inconclusive", "yes", "no"}
+        assert res.status == "inconclusive"
+        assert (res.certificate, res.basis, res.reductions) == (None, [], 0)
+        # the same generators do reach an answer within the default budget
+        assert ideal_contains_one(gens).status == "yes"
 
 
 def rand_monomial(rng, universe, max_deg=3, gaussian=False):
@@ -412,6 +417,24 @@ class TestCofactorsOnlyForCertificate:
             for cap in range(5):
                 ref = ideal_contains_one_reference(gens, degree_cap=cap)
                 assert membership_terms(ideal_contains_one(gens, degree_cap=cap)) == membership_terms(ref)
+
+    @pytest.mark.parametrize("seed", [42, 7, 38])
+    def test_workload_generator_sets_match_reference(self, monkeypatch, seed):
+        # every generator set the benchmark jobs' principality tests meet
+        seen = []
+        real = resolve.ideal_contains_one
+
+        def record(gens, *args, **kwargs):
+            seen.append(list(gens))
+            return real(gens, *args, **kwargs)
+
+        monkeypatch.setattr(resolve, "ideal_contains_one", record)
+        for job in bench_jobs():
+            cfg = cli.JobConfig.from_dict(dict(job.config, seed=seed))
+            cli.run_job(cfg, ("analyze", "resolve"))
+        assert len(seen) >= 18
+        for gens in seen:
+            assert membership_terms(ideal_contains_one(gens)) == membership_terms(ideal_contains_one_reference(gens))
 
     def test_no_run_builds_no_cofactor(self, monkeypatch):
         made = []

@@ -282,8 +282,8 @@ class TestWorkDoneOnce:
         log: dict[str, list] = {}
         frame_runs, extrapolations = [], []
         count_calls(monkeypatch, log, "eigh_jacobi", [oracle, frames])
-        count_calls(monkeypatch, log, "largest_angles", [oracle, frames])
-        count_calls(monkeypatch, log, "principal_angles", [oracle])
+        count_calls(monkeypatch, log, "principal_angles", [oracle, frames])
+        count_calls(monkeypatch, log, "polar_factor", [oracle, frames])
         count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base: base["x"].size)
         count_calls(monkeypatch, log, "eval_integer", [Polynomial], size=lambda p, nums, den, count: count)
         count_calls(monkeypatch, log, "substitute", [Polynomial], size=lambda *args: 1)
@@ -292,7 +292,7 @@ class TestWorkDoneOnce:
         )
         # a stack's size; None for one pair
         count_calls(
-            monkeypatch, log, "procrustes_align", [oracle, frames],
+            monkeypatch, log, "procrustes_align", [oracle],
             size=lambda basis, ref: len(basis) if np.ndim(basis) == 3 else None,
         )
 
@@ -366,19 +366,20 @@ class TestWorkDoneOnce:
             # two Jacobi stacks: the grid off the discriminant and the six
             # points of every curve
             assert calls["eigh_jacobi"] == [81 - exceptional, 6 * exceptional]
-            # one stack of angles for the labels and one per component for the
-            # oracle; in the curve chains one per (later radius, component,
-            # candidate slot), each over every curve of the heading
-            assert len(calls["largest_angles"]) == 1 + len(report.components)
-            assert calls["principal_angles"][:20] == [exceptional] * 20
-            assert len(calls["principal_angles"]) == 1 + len(report.components) + 20
+            # principal angles: in the curve chains one stack per (later
+            # radius, component, candidate slot), each over every curve of the
+            # heading; then one label stack of every line pair of the 80 points
+            # with their predecessors (2 x 2 each), and one oracle stack per
+            # component of both LAPACK lines at each point off the discriminant
+            assert len(report.components) == 2
+            off = 81 - exceptional
+            assert calls["principal_angles"] == [exceptional] * 20 + [80 * 4] + [2 * off] * 2
             # the curve chains align their five later radii in one stack of all
-            # curves per component and radius, never one pair at a time; then
-            # the walk aligns the 80 points after the first level by level
-            # (depths 1 to 16 of the neighbour tree), one stack per component
-            assert None not in calls["procrustes_align"]
-            walk = [min(d + 1, 17 - d) for d in range(1, 17)] * len(report.components)
-            assert calls["procrustes_align"] == [exceptional] * 10 + walk
+            # curves per component and radius, never one pair at a time
+            assert calls["procrustes_align"] == [exceptional] * 10
+            # polar factors: the curve chains' alignments, then the walk's one
+            # stack of the 80 points after the first per component
+            assert calls["polar_factor"] == [exceptional] * 10 + [80] * 2
         # one chain batch per chart, on the first heading: five later radii,
         # two lines, two candidate lines each
         assert [count for _, count, _ in extrapolations] == [sum(r.exceptional_mask) for _, r, _ in frame_runs]
@@ -540,9 +541,11 @@ class TestLabelingFlags:
 
     E = np.eye(3)
 
-    def bouquet(self, *spaces):
+    @staticmethod
+    def bouquet(*spaces):
         subspaces = [oracle.Cluster(value, basis.shape[1], basis) for value, basis in spaces]
-        return frames.BouquetAtPoint((), {}, subspaces, False, 0.0, 0.0, np.diag([1.0, 2.0, 3.0]))
+        frame = np.hstack([basis for _, basis in spaces])
+        return frames.BouquetAtPoint((), {}, subspaces, False, 0.0, 0.0, np.diag([1.0, 2.0, 3.0]), frame)
 
     def run_frames(self, monkeypatch, bouquets):
         calls = []
@@ -597,3 +600,142 @@ class TestLabelingFlags:
                     self.bouquet((1.0, e[:, [0, 1]]), (3.0, e[:, [2]])),
                 ],
             )
+
+    def test_missing_dimension_names_the_first_index(self, monkeypatch):
+        # on a 2 x 3 grid, point 2 (depth 2) and point 3 (depth 1) both lose
+        # their lines; the walk in index order stops at point 2 first
+        e = self.E
+        lines = self.bouquet((1.0, e[:, [0]]), (2.0, e[:, [1]]), (3.0, e[:, [2]]))
+        merged = self.bouquet((1.0, e[:, [0, 1]]), (3.0, e[:, [2]]))
+        bouquets = [lines, lines, merged, merged, lines, lines]
+        monkeypatch.setattr(frames, "extract_bouquets", lambda section, points, *args: list(bouquets))
+        with pytest.raises(frames.LabelingError, match=r"at grid index 2: .*\(1, 1, 1\) at grid index 1, "):
+            local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((2, 3)))
+        with pytest.raises(ValueError, match=r"at grid index 2$"):
+            reference.walk_level_by_level(bouquets, (2, 3))
+
+
+class TestFrameStackWalk:
+    """Labels, label angles, the walk and the frame oracle run on the grid's
+    frame stack; each matches its frozen per-point reference: the angles bit
+    for bit, the walk's labels and flags exactly and its frames within 1e-13."""
+
+    @pytest.mark.parametrize("seed", [42, 7, 38])
+    @pytest.mark.parametrize("job", FRAME_JOBS)
+    def test_every_chart_matches_the_references(self, monkeypatch, job, seed):
+        config = next(j.config for j in bench_jobs() if j.name == job)
+        seen: dict[str, list] = {}
+
+        def recording(owner, name):
+            real = getattr(owner, name)
+
+            def record(*args, **kwargs):
+                got = real(*args, **kwargs)
+                seen.setdefault(name, []).append((args, got))
+                return got
+
+            monkeypatch.setattr(owner, name, record)
+
+        for name in ("extract_bouquets", "_label_angles", "_aligned_frames"):
+            recording(frames, name)
+        recording(cli, "local_frame_and_eigenvalues")
+        cfg = cli.JobConfig.from_dict(dict(config, seed=seed))
+        assert cli.run_job(cfg, ("analyze", "resolve", "frames"))[0] == cli.EXIT_PASS
+        runs = [seen[name] for name in ("local_frame_and_eigenvalues", "extract_bouquets", "_label_angles")]
+        assert len({len(run) for run in runs}) == 1 and runs[0]
+        walks = iter(seen["_aligned_frames"])
+        for (_, ran), (_, bouquets), (_, angles) in zip(*runs):
+            counts = ran.grid.counts
+            previous = [None] + [reference.neighbor_index(i, counts) for i in range(1, len(bouquets))]
+            assert angles.tobytes() == reference.label_angles_per_pair(bouquets, previous).tobytes()
+            assert ran.max_oracle_angle == reference.oracle_angle_per_cluster(bouquets, ran.components, cfg.tol_cluster)
+            labels, want, flags = reference.walk_level_by_level(bouquets, counts)
+            assert ran.labeling_flags == flags
+            starts = [np.cumsum([0, *b.multiplicities]) for b in bouquets]
+            for c, comp in enumerate(ran.components):
+                (_, cols, dim, _, _), (aligned, _) = next(walks)
+                assert dim == comp.dim and cols.tolist() == [s[taken[c]] for s, taken in zip(starts, labels)]
+                assert aligned is comp.frames and np.abs(aligned - want[c]).max() <= 1e-13
+        assert next(walks, None) is None
+
+    @pytest.mark.parametrize(
+        "counts", [(1,), (6,), (1, 2), (2, 1), (3, 4), (9, 9), (2, 1, 3), (4, 1, 1), (7, 7, 7), (3, 2, 2, 3)]
+    )
+    def test_neighbor_tree_matches_the_per_point_walk(self, counts):
+        previous, depth = frames._neighbor_tree(counts)
+        assert previous.tolist() == [0] + [reference.neighbor_index(i, counts) for i in range(1, math.prod(counts))]
+        want = [0]
+        for i in range(1, math.prod(counts)):
+            want.append(want[reference.neighbor_index(i, counts)] + 1)
+        assert depth.tolist() == want
+
+    E = np.eye(3)
+
+    def crafted(self, monkeypatch, spaces_per_point):
+        """The frame report and the reference walk of crafted bouquets on a
+        1 x len(spaces_per_point) grid."""
+        bouquets = [TestLabelingFlags.bouquet(*spaces) for spaces in spaces_per_point]
+        monkeypatch.setattr(frames, "extract_bouquets", lambda section, points, *args: list(bouquets))
+        report = local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((1, len(bouquets))))
+        return report, reference.walk_level_by_level(bouquets, (1, len(bouquets)))
+
+    @staticmethod
+    def rotation(axis, angle):
+        axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+        k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+        return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
+
+    def test_plane_over_a_chain_of_levels(self, monkeypatch):
+        # a plane that tilts by 0.2 rad and turns its basis by 1 rad inside
+        # itself at each of five levels: the chained turns undo every twist
+        q, points = self.rotation([1, 2, 3], 0.7), []
+        for k in range(6):
+            q = q @ self.rotation([3, -1, 2 + k], 0.2)
+            twist = self.rotation([0, 0, 1], 1.0 * k)[:2, :2]
+            points.append(((1.0, q[:, :2] @ twist), (3.0, q[:, 2:] * (-1) ** k)))
+        report, (_, want, flags) = self.crafted(monkeypatch, points)
+        assert report.labeling_flags == flags == []
+        assert [c.dim for c in report.components] == [1, 2]
+        for comp, frame in zip(report.components, want):
+            assert np.abs(comp.frames - frame).max() <= 1e-13
+            # consecutive aligned frames stay close: no twist survives
+            steps = np.abs(np.diff(comp.frames, axis=0)).max()
+            assert steps < 0.5
+
+    def test_orthogonal_line_keeps_its_own_sign(self, monkeypatch):
+        # at point 1 the line e2 is orthogonal to the anchor's (M = 0): it
+        # keeps its own basis unflagged, not the anchor's sign flip, and the
+        # chain goes on from there; the plane span(e1, e3) against
+        # span(e2, e3) is degenerate and flagged
+        e, t = self.E, 0.3
+        tilted = -(math.cos(t) * e[:, [1]] + math.sin(t) * e[:, [0]])
+        plane = np.hstack([math.cos(t) * e[:, [0]] - math.sin(t) * e[:, [1]], e[:, [2]]])
+        report, (_, want, flags) = self.crafted(
+            monkeypatch,
+            [
+                ((1.0, -e[:, [0]]), (2.0, e[:, [1, 2]])),
+                ((1.0, e[:, [1]]), (2.0, e[:, [0, 2]])),
+                ((1.0, tilted), (2.0, plane)),
+                ((1.0, -tilted), (2.0, plane[:, ::-1])),
+            ],
+        )
+        assert report.labeling_flags == flags == ["frame alignment degenerate at grid index 1"]
+        line = report.components[0].frames
+        assert np.array_equal(line[:2], [e[:, [0]], e[:, [1]]])
+        assert np.allclose(line[2], -tilted) and np.allclose(line[3], -tilted)
+        for comp, frame in zip(report.components, want):
+            assert np.abs(comp.frames - frame).max() <= 1e-13
+
+    def test_degenerate_plane_matches_the_reference(self, monkeypatch):
+        e = self.E
+        report, (_, want, flags) = self.crafted(
+            monkeypatch,
+            [
+                ((1.0, e[:, [0, 1]]), (3.0, e[:, [2]])),
+                ((1.0, e[:, [0, 2]]), (2.0, e[:, [1]])),
+            ],
+        )
+        assert report.labeling_flags == flags == ["frame alignment degenerate at grid index 1"]
+        for comp, frame in zip(report.components, want):
+            assert comp.frames.tobytes() == frame.tobytes()
+
