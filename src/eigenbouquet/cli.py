@@ -450,7 +450,7 @@ def stage_frames(state: RunState) -> RunState:
                 arcp_over_grid(
                     analysis.split,
                     report.chart_path,
-                    report.base_points,
+                    report.base,
                     cfg.tol_cluster,
                     cfg.tol_residual,
                 )

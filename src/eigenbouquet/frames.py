@@ -6,12 +6,13 @@ resolved chart at least one coordinate survives at every point, so the
 subspace of quadratics extends across the exceptional set; its zero set
 there is the unique limit of the nearby eigenspace bouquets.
 
-Extraction runs per chart on whole arrays: off the discriminant a lockstep
-Jacobi solve, on it Richardson extrapolation along transversal curves checked
-against the recovered quadratics, all curves of a heading in one batch of
-solves, clusters, chains, Rayleigh values and residuals. Labels, the
-alignment walk and the LAPACK check read the grid's frame stack, each
-point's subspace bases side by side.
+Extraction runs per chart on whole arrays and returns one GridBouquet: the
+frame stack (each point's subspace bases side by side), each column's
+subspace value, the multiplicity patterns, base-point columns, matrices and
+residuals. Off the discriminant one lockstep Jacobi solve is clustered
+straight into it; on it Richardson extrapolation along transversal curves,
+checked against the recovered quadratics, runs all curves of a heading in
+one batch. Labels, the alignment walk and the LAPACK check read the arrays.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from .oracle import (
     JacobiNonConvergence,
     _frobenius,
     by_shape,
+    cluster_frames,
     cluster_stack,
     eigh_jacobi,
     embed_hermitian,
     extrapolate_along_curve,
-    gap_groups,
+    gather,
     nearest_of,
     nearest_subspace,
-    orthonormalize,
     polar_factor,
     principal_angles,
 )
@@ -162,20 +163,19 @@ def plucker_section(node: ChartNode, system: QuadSystem, ideal: FittingIdeal) ->
 # -- bouquet extraction ------------------------------------------------
 
 
-@dataclass(slots=True)
-class BouquetAtPoint:
-    point: tuple
-    base_point: dict  # base parameter name -> float value
-    subspaces: list[Cluster]  # off the discriminant the clusters, on it the limits
-    exceptional: bool
-    quad_residual: float  # worst |q(v)| over recovered quadratics and basis vectors
-    gram_residual: float  # deviation of the assembled frame from orthonormality
-    matrix: np.ndarray  # the family matrix at the base point
-    frame: np.ndarray  # the subspaces' bases side by side: a view into the grid's frame stack
+@dataclass
+class GridBouquet:
+    """The eigen-bouquets at P chart points: off the discriminant the
+    clustered eigenspaces, on it their limits."""
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(s.multiplicity for s in self.subspaces)
+    base: dict  # base parameter name -> (P,) float base-point column
+    exceptional: np.ndarray  # (P,) bool: on the pulled-back discriminant
+    matrices: np.ndarray  # (P, n, n) family matrices at the base points
+    frames: np.ndarray  # (P, n, n) each point's subspace bases side by side
+    values: np.ndarray  # (P, n) the value of each column's subspace
+    patterns: list[tuple[int, ...]]  # each point's multiplicities, in column order
+    quad_residual: np.ndarray  # (P,) worst |q(v)| over recovered quadratics and columns
+    gram_residual: np.ndarray  # (P,) deviation of each frame from orthonormality
 
 
 def _spectra_at(section: PluckerSection, points: list[dict], where):
@@ -251,49 +251,39 @@ def _transversal_directions(nparams: int):
         yield direction
 
 
-def extract_bouquets(
-    section: PluckerSection,
-    points: list[dict],
-    cluster_tol: float = 1e-6,
-    direction: np.ndarray | None = None,
-) -> list[BouquetAtPoint]:
-    """Bouquets of eigenspace limits at chart points, computed together: off
-    the pulled-back discriminant clustered eigendecompositions from one Jacobi
-    stack, on it limits along a transversal curve (direction, or each heading
-    in turn) certified against the recovered quadratics."""
+def extract_bouquets(section: PluckerSection, points: list[dict], cluster_tol: float = 1e-6) -> GridBouquet:
+    """The bouquets at chart points as one GridBouquet: off the pulled-back
+    discriminant clustered straight into the frame stack from one Jacobi
+    stack, on it limits along the transversal headings in turn, certified
+    against the recovered quadratics."""
     quads = section.recover_quadratics(points)
     base, on_disc, matrices, off, spectra = _spectra_at(section, points, "grid index {}".format)
-    subspaces: list = [None] * len(points)
-    n = matrices.shape[-1]
-    solved = np.zeros((len(off), n, n))  # off the discriminant, the frames come with the clusters
-    for i, clusters in zip(off, cluster_stack(spectra.eigenvalues, spectra.vectors, cluster_tol, solved)):
-        subspaces[i] = clusters  # ascending values already
-    frames = np.zeros((len(points), n, n))
-    frames[off] = solved
+    frames, values = np.zeros(matrices.shape), np.zeros(matrices.shape[:2])
+    patterns: list = [()] * len(points)
+    solved, means, slots = cluster_frames(spectra.eigenvalues, spectra.vectors, cluster_tol)
+    frames[off], values[off] = solved, means
+    for members, start, stop in slots:
+        for i in off[members].tolist():
+            patterns[i] += (stop - start,)
     exc = np.flatnonzero(on_disc)
     if exc.size:
-        limits = _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, direction)
-        for i, found in zip(exc, limits):
-            subspaces[i] = found
+        limits = _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol)
         frames[exc] = frame_stack(limits)
+        values[exc] = [[s.value for s in subs for _ in range(s.multiplicity)] for subs in limits]
+        for i, subs in zip(exc.tolist(), limits):
+            patterns[i] = tuple(s.multiplicity for s in subs)
     gram, quad = _residuals(frames, quads, section.system.monomials)
-    names = section.chart.universe.params
-    columns = {k: v.tolist() for k, v in base.items()}
-    return [
-        BouquetAtPoint(tuple(point[n] for n in names), {k: c[i] for k, c in columns.items()},
-                       subspaces[i], bool(on_disc[i]), float(quad[i]), float(gram[i]), matrices[i], frames[i])
-        for i, point in enumerate(points)
-    ]
+    return GridBouquet(base, on_disc, matrices, frames, values, patterns, quad, gram)
 
 
-def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol, direction):
-    """Limit bouquets, sorted by value, at the points exc: each heading in
-    turn (direction, or the transversal ones) for the points still pending."""
+def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol):
+    """Limit bouquets, sorted by value, at the points exc: each transversal
+    heading in turn for the points still pending."""
     names = section.chart.universe.params
     start = np.array([[float(points[i][name]) for name in names] for i in exc])
     found: dict[int, list[Cluster]] = {}
     pending = list(range(len(exc)))
-    for delta in [direction] if direction is not None else _transversal_directions(len(names)):
+    for delta in _transversal_directions(len(names)):
         limits = _curve_limits(section, start[pending], exc[pending], delta, matrices, quads, cluster_tol)
         outcome = dict(zip(pending, limits))
         found.update((q, got) for q, got in outcome.items() if not isinstance(got, ExtrapolationError))
@@ -334,14 +324,11 @@ def _curve_limits(section, start, owners, delta, matrices, quads, cluster_tol) -
     done = [j for j in chained if not isinstance(out[j], ExtrapolationError)]
     if not done:
         return out
-    # eigenvalue at the point itself: Rayleigh value on the limit basis, each
-    # matrix with one point's strides, so products round as one point's do
+    # eigenvalue at the point itself: Rayleigh value on the limit basis
     limits = [(j, m, b) for j in done for _, m, b in out[j]]
     rayleigh = np.zeros(len(limits))
-    n, step = matrices.shape[-1], matrices.strides[-1] // 8
     for ks, bases in by_shape([b for _, _, b in limits]):
-        at = np.zeros((len(ks), n, n * step))[..., ::step]
-        at[...] = matrices[[owners[limits[k][0]] for k in ks]]
+        at = gather(matrices, [owners[limits[k][0]] for k in ks])
         products = np.swapaxes(bases, 1, 2) @ at @ bases
         rayleigh[ks] = np.add.reduce(np.diagonal(products, axis1=1, axis2=2), axis=1) / bases.shape[2]
     bouquets: dict[int, list[Cluster]] = {j: [] for j in done}
@@ -395,7 +382,7 @@ class FrameReport:
     chart_path: tuple[str, ...]
     grid: GridSpec
     points: list[tuple]
-    base_points: list[dict]  # float base point of each grid point
+    base: dict  # base parameter name -> float base-point column over the grid
     exceptional_mask: list[bool]
     components: list[ComponentTrack]
     max_oracle_angle: float
@@ -424,18 +411,18 @@ def local_frame_and_eigenvalues(
     if len(grid.counts) != len(names):
         raise ValueError("grid dimension must match the chart parameter count")
     pts = grid.points()
-    bouquets = extract_bouquets(section, [dict(zip(names, pt)) for pt in pts], cluster_tol)
-    frames = np.stack([b.frame for b in bouquets])
-    patterns = [b.multiplicities for b in bouquets]
+    bouquet = extract_bouquets(section, [dict(zip(names, pt)) for pt in pts], cluster_tol)
+    frames, patterns = bouquet.frames, bouquet.patterns
+    starts = [list(accumulate(p, initial=0)) for p in patterns]
     previous, depth = _neighbor_tree(grid.counts)
     angles = _label_angles(frames, patterns, previous)
     flags: list[tuple] = []  # (grid index, component, kind, message)
-    first = bouquets[0].subspaces
+    first, columns = patterns[0], starts[0]
     anchor = sorted(
         range(len(first)),
-        key=lambda k: (first[k].multiplicity, first[k].value, tuple(np.round(first[k].basis[:, 0], 9))),
+        key=lambda k: (first[k], bouquet.values[0, columns[k]], tuple(np.round(frames[0][:, columns[k]], 9))),
     )
-    components = [ComponentTrack(first[k].multiplicity) for k in anchor]
+    components = [ComponentTrack(first[k]) for k in anchor]
     labels = [anchor]  # per grid point, the subspace each component took
     for idx, prev in enumerate(previous.tolist()[1:], start=1):
         taken: list[int] = []
@@ -455,17 +442,13 @@ def local_frame_and_eigenvalues(
         labels.append(taken)
     # labels do not depend on alignment: each component's bases are gathered
     # from the frame stack by their first columns and turned in one chain
-    starts = [list(accumulate(p, initial=0)) for p in patterns]
     levels = [np.flatnonzero(depth == d) for d in range(1, int(depth.max()) + 1)]
     for c, comp in enumerate(components):
         cols = np.array([start[taken[c]] for start, taken in zip(starts, labels)])
         comp.frames, degenerate = _aligned_frames(frames, cols, comp.dim, previous, levels)
         flags += [(idx, c, 1, f"frame alignment degenerate at grid index {idx}") for idx in degenerate]
-    # Rayleigh values and invariance residuals of all frames at once; each
-    # member of the stack keeps one point's strides, so products round alike
-    n, step = frames.shape[1], bouquets[0].matrix.strides[-1] // 8
-    matrices = np.zeros((len(bouquets), n, n * step))[..., ::step]
-    matrices[...] = [b.matrix for b in bouquets]
+    # Rayleigh values and invariance residuals of all frames at once
+    matrices = gather(bouquet.matrices, np.arange(len(pts)))
     scale = 1.0 + _frobenius(matrices)
     for comp in components:
         products = np.swapaxes(comp.frames, 1, 2) @ matrices @ comp.frames
@@ -474,11 +457,11 @@ def local_frame_and_eigenvalues(
         comp.eigenvalues = rayleigh.tolist()
         comp.invariance = (np.sqrt(np.add.reduce(residual**2, axis=1)).max(axis=1) / scale).tolist()
 
-    off = np.flatnonzero([not b.exceptional for b in bouquets])
+    off = np.flatnonzero(~bouquet.exceptional)
     max_oracle_angle = _oracle_angle(matrices[off], [comp.frames[off] for comp in components], cluster_tol)
     smooth_val, smooth_frame = _smoothness(components, grid)
-    max_quad = max((b.quad_residual for b in bouquets), default=0.0)
-    max_gram = max((b.gram_residual for b in bouquets), default=0.0)
+    max_quad = float(bouquet.quad_residual.max())
+    max_gram = float(bouquet.gram_residual.max())
     max_inv = max((max(c.invariance) for c in components if c.invariance), default=0.0)
     failing = (
         max_oracle_angle > angle_tol
@@ -490,8 +473,8 @@ def local_frame_and_eigenvalues(
         chart_path=section.chart.path,
         grid=grid,
         points=[tuple(p) for p in pts],
-        base_points=[b.base_point for b in bouquets],
-        exceptional_mask=[b.exceptional for b in bouquets],
+        base=bouquet.base,
+        exceptional_mask=bouquet.exceptional.tolist(),
         components=components,
         max_oracle_angle=max_oracle_angle,
         max_quad_residual=max_quad,
@@ -565,16 +548,14 @@ def _aligned_frames(frames: np.ndarray, cols: np.ndarray, dim: int, previous: np
 def _oracle_angle(matrices: np.ndarray, frames: list[np.ndarray], cluster_tol: float) -> float:
     """Worst angle between a labeled frame (frames: per component, the stack
     at the points off the discriminant) and the nearest LAPACK eigenspace of
-    its dimension: one np.linalg.eigh of the matrices there, one
-    orthonormalize stack per cluster slot of each gap pattern and one
-    principal_angles stack per component."""
+    its dimension: one np.linalg.eigh of the matrices there, clustered as the
+    grid is, and one principal_angles stack per component."""
     if not len(matrices):
         return 0.0
-    values, vectors = np.linalg.eigh(matrices)
+    references, _, slots = cluster_frames(*np.linalg.eigh(matrices), cluster_tol)
     owners: dict[int, list] = {}  # per dimension: the members and bases of each slot
-    for members, bounds in gap_groups(values, cluster_tol):
-        for start, stop in zip(bounds, bounds[1:]):
-            owners.setdefault(stop - start, []).append((members, orthonormalize(vectors[members, :, start:stop])))
+    for members, start, stop in slots:
+        owners.setdefault(stop - start, []).append((members, references[members, :, start:stop]))
     worst = 0.0
     for stack in frames:
         slots = owners.get(stack.shape[2], [])
@@ -633,22 +614,25 @@ def _worst_second_difference(a: np.ndarray, axis: int, h: float) -> float:
 # -- limit uniqueness ---------------------------------------------------
 
 
-def limit_uniqueness_check(
-    section: PluckerSection,
-    point: dict,
-    cluster_tol: float = 1e-6,
-) -> float:
-    """Max principal angle between the limit bouquets along the first three
-    transversal headings; the frame pass tries the first of them first."""
-    headings = islice(_transversal_directions(len(section.chart.universe.params)), 3)
-    first, *others = [
-        extract_bouquets(section, [point], cluster_tol, direction=d)[0] for d in headings
-    ]
+def limit_uniqueness_check(section: PluckerSection, point: dict, cluster_tol: float = 1e-6) -> float:
+    """Max principal angle between the limit bouquets at a chart point along
+    the first three transversal headings, the first of which the frame pass
+    tries first: one exact batch at the point, one curve batch per heading."""
+    names = section.chart.universe.params
+    quads = section.recover_quadratics([point])
+    _, _, matrices, _, _ = _spectra_at(section, [point], lambda i: repr(point))
+    start, owners = np.array([[float(point[name]) for name in names]]), np.zeros(1, dtype=int)
+    headings = islice(_transversal_directions(len(names)), 3)
+    limits = [_curve_limits(section, start, owners, d, matrices, quads, cluster_tol)[0] for d in headings]
+    for got in limits:
+        if isinstance(got, ExtrapolationError):
+            raise got
+    first, *others = limits
     worst = 0.0
     for other in others:
         used: set[int] = set()
-        for sub in first.subspaces:
-            k, angle, _ = nearest_subspace(sub.basis, other.subspaces, used)
+        for sub in first:
+            k, angle, _ = nearest_subspace(sub.basis, other, used)
             if k is None:
                 raise ExtrapolationError("bouquet structures differ across curves")
             used.add(k)

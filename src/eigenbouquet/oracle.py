@@ -31,7 +31,7 @@ class ExtrapolationError(RuntimeError):
     pass
 
 
-@dataclass(slots=True)  # many are alive at once: one per eigenspace of a grid
+@dataclass(slots=True)  # many are alive at once: one per eigenspace of a stack
 class Cluster:
     value: float
     multiplicity: int
@@ -109,6 +109,15 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
+def gather(stack: np.ndarray, at) -> np.ndarray:
+    """stack[at], its members keeping their element stride, so that a product
+    with one rounds as with that matrix alone."""
+    step = stack.strides[-1] // stack.itemsize
+    out = np.zeros((len(at),) + stack.shape[1:-1] + (stack.shape[-1] * step,))[..., ::step]
+    out[...] = stack[at]
+    return out
+
+
 def _rotation(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and sine columns of t = sign(tau) / (|tau| + hypot(1, tau)),
     by math.hypot, whose last bit np.hypot does not always match."""
@@ -139,24 +148,35 @@ def orthonormalize(columns: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float, frames=None) -> list[list[Cluster]]:
+def cluster_frames(values: np.ndarray, vectors: np.ndarray, tol: float):
     """Greedy gap clustering of each member's ascending spectrum: a gap above
-    tol * (1 + max|lambda|) starts a cluster, whose basis is its
-    orthonormalized eigenvectors. Members with the same gaps go together.
-    A (count, n, n) array frames, when given, receives each member's cluster
-    bases side by side."""
+    tol * (1 + max|lambda|) starts a cluster, its basis the orthonormalized
+    eigenvectors (a column orthonormalize zeroes stays zero), its value their
+    mean. Returns the (P, n, n) frames of bases side by side, the (P, n)
+    value of each column's cluster and the cluster slots (members, start,
+    stop) in column order: members with the same gaps share one
+    orthonormalize stack per slot."""
+    frames, means = np.zeros(vectors.shape), np.zeros(values.shape)
+    groups = gap_groups(values, tol)
+    slots = [(members, start, stop) for members, bounds in groups for start, stop in zip(bounds, bounds[1:])]
+    for members, start, stop in slots:
+        frames[members, :, start:stop] = orthonormalize(vectors[members, :, start:stop])
+        # np.mean: the sum, then one division by the count
+        mean = np.add.reduce(values[members, start:stop], axis=1) / (stop - start)
+        means[members, start:stop] = mean[:, None]
+    return frames, means, slots
+
+
+def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float) -> list[list[Cluster]]:
+    """cluster_frames as one Cluster per member and cluster."""
+    frames, means, slots = cluster_frames(values, vectors, tol)
     out: list[list[Cluster]] = [[] for _ in range(len(values))]
-    for members, bounds in gap_groups(values, tol):
-        for start, stop in zip(bounds, bounds[1:]):
-            bases = orthonormalize(vectors[members, :, start:stop])
-            if frames is not None:
-                frames[members, :, start:stop] = bases
-            # np.mean: the sum, then one division by the count
-            means = np.add.reduce(values[members, start:stop], axis=1) / (stop - start)
-            whole = bases.any(axis=1).all(axis=1).tolist()
-            for i, basis, value, full in zip(members, bases, means.tolist(), whole):
-                basis = basis if full else basis[:, basis.any(axis=0)]  # as one matrix drops it
-                out[i].append(Cluster(value, stop - start, basis))
+    for members, start, stop in slots:
+        bases = frames[members, :, start:stop]
+        whole = bases.any(axis=1).all(axis=1).tolist()
+        for i, basis, value, full in zip(members, bases, means[members, start].tolist(), whole):
+            basis = basis if full else basis[:, basis.any(axis=0)]  # as one matrix drops it
+            out[i].append(Cluster(value, stop - start, basis))
     return out
 
 

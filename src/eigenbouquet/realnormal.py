@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import Polynomial, VarUniverse
 from .family import MatrixFamily, check_structure
 from .frames import GRAM_TOL, family_matrix
-from .oracle import Cluster, _frobenius, by_shape, normal_spectrum, orthonormalize, spectral_clusters
+from .oracle import Cluster, _frobenius, by_shape, gather, normal_spectrum, orthonormalize, spectral_clusters
 
 KERNEL_TOL = 1e-9
 
@@ -131,15 +131,6 @@ def _halves(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (l_mat + transposed) / 2, (l_mat - transposed) / 2
 
 
-def _gather(stack: np.ndarray, at) -> np.ndarray:
-    """stack[at], its members keeping their element stride, so that a product
-    with one rounds as with that matrix alone."""
-    step = stack.strides[-1] // stack.itemsize
-    out = np.zeros((len(at),) + stack.shape[1:-1] + (stack.shape[-1] * step,))[..., ::step]
-    out[...] = stack[at]
-    return out
-
-
 def arcp_extract(l_mats: np.ndarray, cluster_tol: float = 1e-6):
     """Greedy descending extraction of invariant planes of a real normal L, or
     of each member of a (P, n, n) stack (then a list, one per member).
@@ -208,7 +199,7 @@ def _peel_planes(work, owners, values, l_stack, scale, planes, errors) -> None:
         errors.setdefault(i, "degenerate doubled eigenvector (zero half)")
     work, owners, values, f, nu, nv = (x[~bad] for x in (work, owners, values, f, nu, nv))
     u, v = f[:, :n] / nu[:, None], f[:, n:] / nv[:, None]
-    l_mat, a, b = _gather(l_stack, owners), values[:, :1], values[:, 1:]
+    l_mat, a, b = gather(l_stack, owners), values[:, :1], values[:, 1:]
     lu, lv = ((l_mat @ w[:, :, None])[:, :, 0] for w in (u, v))
     sim = np.maximum(_frobenius(lu - (a * u + b * v)), _frobenius(lv - (a * v - b * u)))
     basis = orthonormalize(np.stack([u, v], axis=2))
@@ -266,19 +257,21 @@ class ArcpReport:
 def arcp_over_grid(
     split: SplitFamily,
     chart_path: tuple[str, ...],
-    base_points: list[dict],
+    base: dict,
     cluster_tol: float,
     residual_tol: float,
 ) -> ArcpReport:
     """Plane decomposition of L at every grid point, checked against the
-    oracle: one stack of L for the grid, decomposed and solved as a whole."""
-    base = {name: np.array([p[name] for p in base_points]) for name in base_points[0]}
+    oracle: one stack of L at the base-point columns, decomposed and solved
+    as a whole. Without parameters the grid is one point."""
     l_mats = family_matrix(split.original, base)
-    l_mats = np.broadcast_to(l_mats, (len(base_points),) + l_mats.shape[-2:])  # no parameters
+    count = max((len(column) for column in base.values()), default=1)
+    l_mats = np.broadcast_to(l_mats, (count,) + l_mats.shape[-2:])
     try:
         decompositions = arcp_extract(l_mats, cluster_tol)
     except DecompositionError as err:
-        raise DecompositionError(f"{err} at {base_points[err.member]}") from err
+        point = {k: v[err.member].item() for k, v in base.items()}
+        raise DecompositionError(f"{err} at {point}") from err
     oracles = complexified_eigenvalues(l_mats, cluster_tol)
     planes = [p for dec in decompositions for p in dec.planes]
     worst_sim = max([0.0] + [max(p.similitude_residual, p.invariance_residual) for p in planes])

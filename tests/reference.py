@@ -6,10 +6,10 @@ operator's plane identities), small conveniences (the benchmark's jobs,
 exact base points, the exactness of a point, the largest principal angle
 of one pair, one matrix's clustered spectrum) and the per-matrix paths the
 stacked ones replaced (the Jacobi solver, the plane check over a grid,
-Procrustes alignment, curve extrapolation one curve at a time, the grid
-walk's level-by-level Procrustes stacks, label angles and LAPACK
-cross-check from per-point clusters, the chart sampler's point-by-point
-scan), the
+Procrustes alignment, curve extrapolation one curve at a time, one bouquet
+object per grid point with one Cluster per eigenspace, the grid walk's
+level-by-level Procrustes stacks, label angles and LAPACK cross-check from
+per-point clusters, the chart sampler's point-by-point scan), the
 Bareiss determinant the Laplace minors replaced, and the exact chart layer
 without its shortcuts (the gcd, exact division and cofactor-tracking
 Buchberger run), kept frozen as their bit-for-bit references.
@@ -47,6 +47,8 @@ from eigenbouquet.frames import (
     EXTRAPOLATION_RADII,
     GRAM_TOL,
     QUAD_VANISH_TOL,
+    GridBouquet,
+    _extrapolate_bouquets,
     _residuals,
     _spectra_at,
     _transversal_directions,
@@ -61,8 +63,8 @@ from eigenbouquet.oracle import (
     ExtrapolationError,
     JacobiNonConvergence,
     SpectralSample,
-    cluster_stack,
     eigh_jacobi,
+    gap_groups,
     nearest_of,
     nearest_subspace,
     orthonormalize,
@@ -158,7 +160,7 @@ class ClusteredSample:
 def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> ClusteredSample:
     """Eigenvalues, vectors and clusters of one matrix: a stack of one."""
     sample = eigh_jacobi(matrix)
-    clusters = cluster_stack(sample.eigenvalues[None], sample.vectors[None], tol)[0]
+    clusters = cluster_stack_per_point(sample.eigenvalues[None], sample.vectors[None], tol)[0]
     return ClusteredSample(sample.eigenvalues, sample.vectors, clusters)
 
 
@@ -616,7 +618,7 @@ def curve_limits_per_curve(section, start, owners, delta, matrices, quads, clust
             if None in at:
                 raise ExtrapolationError("curve runs inside the discriminant image")
             values, vectors = spectra.eigenvalues[at], spectra.vectors[at]
-            clusters = cluster_stack(values, vectors, cluster_tol)
+            clusters = cluster_stack_per_point(values, vectors, cluster_tol)
             limits = extrapolate_along_curve_per_curve(list(map(ClusteredSample, values, vectors, clusters)))
         except ExtrapolationError as err:
             out.append(err)
@@ -637,7 +639,7 @@ def curve_limits_per_curve(section, start, owners, delta, matrices, quads, clust
     return out
 
 
-def extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, cluster_tol, direction):
+def extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, cluster_tol):
     """``frames._extrapolate_bouquets`` over ``curve_limits_per_curve``: the
     frozen reference of the batched curve step."""
     names = section.chart.universe.params
@@ -645,7 +647,7 @@ def extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, cluste
     found: dict[int, list[Cluster]] = {}
     errors: dict[int, Exception] = {}
     pending = list(range(len(exc)))
-    for delta in [direction] if direction is not None else _transversal_directions(len(names)):
+    for delta in _transversal_directions(len(names)):
         limits = curve_limits_per_curve(
             section, start[pending], exc[pending], delta, matrices, quads, cluster_tol
         )
@@ -660,6 +662,90 @@ def extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, cluste
     q = pending[0]
     raise ExtrapolationError(
         f"extrapolation failed at {points[exc[q]]!r} in every direction: {errors[q]}"
+    )
+
+
+# -- one bouquet object per grid point ---------------------------------------
+
+
+def cluster_stack_per_point(values: np.ndarray, vectors: np.ndarray, tol: float, frames=None) -> list:
+    """Greedy gap clustering of each member's ascending spectrum: a gap above
+    tol * (1 + max|lambda|) starts a cluster, whose basis is its
+    orthonormalized eigenvectors. Members with the same gaps go together.
+    A (count, n, n) array frames, when given, receives each member's cluster
+    bases side by side. The clustering before it wrote the grid's arrays."""
+    out: list[list[Cluster]] = [[] for _ in range(len(values))]
+    for members, bounds in gap_groups(values, tol):
+        for start, stop in zip(bounds, bounds[1:]):
+            bases = orthonormalize(vectors[members, :, start:stop])
+            if frames is not None:
+                frames[members, :, start:stop] = bases
+            # np.mean: the sum, then one division by the count
+            means = np.add.reduce(values[members, start:stop], axis=1) / (stop - start)
+            whole = bases.any(axis=1).all(axis=1).tolist()
+            for i, basis, value, full in zip(members, bases, means.tolist(), whole):
+                basis = basis if full else basis[:, basis.any(axis=0)]  # as one matrix drops it
+                out[i].append(Cluster(value, stop - start, basis))
+    return out
+
+
+@dataclass(slots=True)
+class BouquetAtPoint:
+    point: tuple
+    base_point: dict  # base parameter name -> float value
+    subspaces: list[Cluster]  # off the discriminant the clusters, on it the limits
+    exceptional: bool
+    quad_residual: float  # worst |q(v)| over recovered quadratics and basis vectors
+    gram_residual: float  # deviation of the assembled frame from orthonormality
+    matrix: np.ndarray  # the family matrix at the base point
+    frame: np.ndarray  # the subspaces' bases side by side: a view into the grid's frame stack
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(s.multiplicity for s in self.subspaces)
+
+
+def extract_bouquets_per_point(section, points: list[dict], cluster_tol: float = 1e-6) -> list:
+    """One BouquetAtPoint per chart point, with its Clusters and base-point
+    dict: ``frames.extract_bouquets`` before it returned one GridBouquet."""
+    quads = section.recover_quadratics(points)
+    base, on_disc, matrices, off, spectra = _spectra_at(section, points, "grid index {}".format)
+    subspaces: list = [None] * len(points)
+    n = matrices.shape[-1]
+    solved = np.zeros((len(off), n, n))  # off the discriminant, the frames come with the clusters
+    clustered = cluster_stack_per_point(spectra.eigenvalues, spectra.vectors, cluster_tol, solved)
+    for i, clusters in zip(off, clustered):
+        subspaces[i] = clusters  # ascending values already
+    frames = np.zeros((len(points), n, n))
+    frames[off] = solved
+    exc = np.flatnonzero(on_disc)
+    if exc.size:
+        limits = _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol)
+        for i, found in zip(exc, limits):
+            subspaces[i] = found
+        frames[exc] = frame_stack(limits)
+    gram, quad = _residuals(frames, quads, section.system.monomials)
+    names = section.chart.universe.params
+    columns = {k: v.tolist() for k, v in base.items()}
+    return [
+        BouquetAtPoint(tuple(point[n] for n in names), {k: c[i] for k, c in columns.items()},
+                       subspaces[i], bool(on_disc[i]), float(quad[i]), float(gram[i]), matrices[i], frames[i])
+        for i, point in enumerate(points)
+    ]
+
+
+def as_grid(bouquets: list[BouquetAtPoint]) -> GridBouquet:
+    """The GridBouquet holding what per-point bouquets hold: each column's
+    value is its subspace's."""
+    return GridBouquet(
+        {k: np.array([b.base_point[k] for b in bouquets]) for k in bouquets[0].base_point},
+        np.array([b.exceptional for b in bouquets]),
+        np.stack([b.matrix for b in bouquets]),
+        np.stack([b.frame for b in bouquets]),
+        np.array([[s.value for s in b.subspaces for _ in range(s.multiplicity)] for b in bouquets]),
+        [b.multiplicities for b in bouquets],
+        np.array([b.quad_residual for b in bouquets]),
+        np.array([b.gram_residual for b in bouquets]),
     )
 
 
@@ -713,7 +799,7 @@ def oracle_angle_per_cluster(bouquets, components, cluster_tol: float) -> float:
     if not off:
         return 0.0
     values, vectors = np.linalg.eigh(np.stack([bouquets[idx].matrix for idx in off]))
-    references = cluster_stack(values, vectors, cluster_tol)
+    references = cluster_stack_per_point(values, vectors, cluster_tol)
     worst = 0.0
     for comp in components:
         owners, refs = array("q"), []

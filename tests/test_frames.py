@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -35,8 +36,36 @@ def build(entries, params, centers, fibers=None):
 
 
 def extract(section, point, **kwargs):
-    (bouquet,) = extract_bouquets(section, [point], **kwargs)
-    return bouquet
+    """The GridBouquet of one point."""
+    return extract_bouquets(section, [point], **kwargs)
+
+
+def spaces(bouquet, i=0):
+    """(value, basis) of each subspace at point i of a GridBouquet."""
+    starts = np.cumsum([0, *bouquet.patterns[i]]).tolist()
+    return [(bouquet.values[i, a], bouquet.frames[i][:, a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def bits(value):
+    """A field of a GridBouquet as comparable bits: dtype, shape and bytes."""
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return value
+    return np.asarray(value).dtype, np.shape(value), np.asarray(value).tobytes()
+
+
+def same_grid(got, want) -> bool:
+    """Equal GridBouquets, field by field and bit for bit."""
+    return all(bits(getattr(got, f.name)) == bits(getattr(want, f.name)) for f in dataclasses.fields(got))
+
+
+def at(bouquet, i):
+    """Point i of a GridBouquet, as a GridBouquet of one point."""
+    def cut(value):
+        return {k: v[i : i + 1] for k, v in value.items()} if isinstance(value, dict) else value[i : i + 1]
+
+    return frames.GridBouquet(**{f.name: cut(getattr(bouquet, f.name)) for f in dataclasses.fields(bouquet)})
 
 
 def quadratics(section, point):
@@ -102,25 +131,25 @@ class TestExtractBouquet:
     def test_generic_point_lines(self):
         section = kupa_chart_x()
         bouquet = extract(section, {"u": Fraction(1), "v": Fraction(2)})
-        assert bouquet.multiplicities == (1, 1)
+        assert bouquet.patterns == [(1, 1)]
         # eigenvalue 5 with direction (1, 2), eigenvalue 0 with (-2, 1)
-        by_value = {round(s.value, 9): s for s in bouquet.subspaces}
-        v5 = by_value[5.0].basis[:, 0]
-        v0 = by_value[0.0].basis[:, 0]
+        by_value = {round(value, 9): basis for value, basis in spaces(bouquet)}
+        v5 = by_value[5.0][:, 0]
+        v0 = by_value[0.0][:, 0]
         assert abs(abs(v5 @ np.array([1, 2]) / math.sqrt(5)) - 1) < 1e-10
         assert abs(abs(v0 @ np.array([-2, 1]) / math.sqrt(5)) - 1) < 1e-10
 
     def test_exceptional_point_axes(self):
         section = kupa_chart_x()
         bouquet = extract(section, {"u": Fraction(0), "v": Fraction(0)})
-        assert bouquet.exceptional
+        assert bouquet.exceptional.tolist() == [True]
         bases = sorted(
-            (s.basis[:, 0] for s in bouquet.subspaces),
+            (basis[:, 0] for _, basis in spaces(bouquet)),
             key=lambda b: abs(float(b[0])),
         )
         assert abs(abs(float(bases[1][0])) - 1) < 1e-7  # e1
         assert abs(abs(float(bases[0][1])) - 1) < 1e-7  # e2
-        assert bouquet.quad_residual <= 1e-7
+        assert bouquet.quad_residual[0] <= 1e-7
 
     def test_float_point_extraction_matches_exact(self):
         # a float is the dyadic rational it stands for: the same bouquet as
@@ -129,19 +158,15 @@ class TestExtractBouquet:
         for u, v in ((0.5, 0.75), (0.0, 1 / 3)):
             exact = extract(section, {"u": Fraction(u), "v": Fraction(v)})
             floated = extract(section, {"u": u, "v": v})
-            assert floated.exceptional == exact.exceptional == (u == 0)
-            assert floated.base_point == exact.base_point
-            assert floated.quad_residual == exact.quad_residual
-            assert floated.multiplicities == exact.multiplicities
-            for se, sf in zip(exact.subspaces, floated.subspaces):
-                assert sf.value == se.value and sf.basis.tobytes() == se.basis.tobytes()
+            assert floated.exceptional[0] == exact.exceptional[0] == (u == 0)
+            assert same_grid(floated, exact)
 
     def test_multiplicities_sum_to_fiber_dimension(self):
         section = kupa_chart_x()
         for pt in ({"u": Fraction(1), "v": Fraction(1, 3)}, {"u": Fraction(0), "v": Fraction(1)}):
             bouquet = extract(section, pt)
-            assert sum(bouquet.multiplicities) == 2
-            assert bouquet.multiplicities == (1, 1)  # generic tuple everywhere
+            assert sum(bouquet.patterns[0]) == 2
+            assert bouquet.patterns == [(1, 1)]  # generic tuple everywhere
 
     def test_scalar_like_full_fiber(self):
         # diag(x, y) at a point x = y is a discriminant point; the bouquet
@@ -149,11 +174,11 @@ class TestExtractBouquet:
         fam, system, ideal, outcome = build([["x", "0"], ["0", "y"]], ["x", "y"], [])
         section = plucker_section(outcome.root, system, ideal)
         bouquet = extract(section, {"x": Fraction(1), "y": Fraction(1)})
-        assert bouquet.exceptional
-        assert bouquet.multiplicities == (1, 1)
-        for s in bouquet.subspaces:
-            k = int(np.argmax(np.abs(s.basis[:, 0])))
-            assert abs(abs(float(s.basis[k, 0])) - 1) < 1e-7
+        assert bouquet.exceptional.tolist() == [True]
+        assert bouquet.patterns == [(1, 1)]
+        for _, basis in spaces(bouquet):
+            k = int(np.argmax(np.abs(basis[:, 0])))
+            assert abs(abs(float(basis[k, 0])) - 1) < 1e-7
 
 
 class TestBatchedExtraction:
@@ -163,13 +188,9 @@ class TestBatchedExtraction:
         section = kupa_chart_x()
         points = [{"u": Fraction(u, 3), "v": Fraction(v, 2)} for u in (-1, 0, 2) for v in (-2, 1)]
         together = extract_bouquets(section, points)
-        for point, bouquet in zip(points, together):
-            alone = extract(section, point)
-            assert alone.exceptional == bouquet.exceptional
-            assert alone.base_point == bouquet.base_point
-            assert alone.quad_residual == bouquet.quad_residual
-            for a, b in zip(alone.subspaces, bouquet.subspaces):
-                assert a.value == b.value and a.basis.tobytes() == b.basis.tobytes()
+        assert together.exceptional.tolist() == [u == 0 for u in (-1, 0, 2) for _ in (-2, 1)]
+        for i, point in enumerate(points):
+            assert same_grid(extract(section, point), at(together, i))
 
     def test_nonconvergence_names_the_grid_point(self, monkeypatch):
         # the 13th point off the discriminant of a 5 x 5 grid on kupa's chart,
@@ -452,10 +473,10 @@ class TestBatchedCurveStep:
         real = frames._extrapolate_bouquets
         charts = []
 
-        def both(section, points, exc, matrices, quads, cluster_tol, direction):
-            got = real(section, points, exc, matrices, quads, cluster_tol, direction)
+        def both(section, points, exc, matrices, quads, cluster_tol):
+            got = real(section, points, exc, matrices, quads, cluster_tol)
             want = reference.extrapolate_bouquets_per_curve(
-                section, points, exc, matrices, quads, cluster_tol, direction
+                section, points, exc, matrices, quads, cluster_tol
             )
             assert len(got) == len(want) == len(exc)
             assert all(same_bouquets(g, w) for g, w in zip(got, want))
@@ -495,9 +516,9 @@ class TestBatchedCurveStep:
         section, points, exc, matrices, quads = self.kupa_curves()
         quads[exc[[6, 2]]] = 1.0  # at two points, failing on every heading
         with pytest.raises(oracle.ExtrapolationError) as got:
-            frames._extrapolate_bouquets(section, points, exc, matrices, quads, 1e-6, None)
+            frames._extrapolate_bouquets(section, points, exc, matrices, quads, 1e-6)
         with pytest.raises(oracle.ExtrapolationError) as want:
-            reference.extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, 1e-6, None)
+            reference.extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, 1e-6)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"extrapolation failed at {points[exc[2]]!r} in every direction: ")
 
@@ -543,16 +564,18 @@ class TestLabelingFlags:
 
     @staticmethod
     def bouquet(*spaces):
+        """One crafted per-point bouquet, for the frozen reference walk;
+        reference.as_grid stacks them for the frame pass."""
         subspaces = [oracle.Cluster(value, basis.shape[1], basis) for value, basis in spaces]
         frame = np.hstack([basis for _, basis in spaces])
-        return frames.BouquetAtPoint((), {}, subspaces, False, 0.0, 0.0, np.diag([1.0, 2.0, 3.0]), frame)
+        return reference.BouquetAtPoint((), {}, subspaces, False, 0.0, 0.0, np.diag([1.0, 2.0, 3.0]), frame)
 
     def run_frames(self, monkeypatch, bouquets):
         calls = []
 
         def crafted(section, points, *args):
             calls.append(len(points))
-            return list(bouquets)
+            return reference.as_grid(bouquets)
 
         monkeypatch.setattr(frames, "extract_bouquets", crafted)
         report = local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((1, 2)))
@@ -608,7 +631,7 @@ class TestLabelingFlags:
         lines = self.bouquet((1.0, e[:, [0]]), (2.0, e[:, [1]]), (3.0, e[:, [2]]))
         merged = self.bouquet((1.0, e[:, [0, 1]]), (3.0, e[:, [2]]))
         bouquets = [lines, lines, merged, merged, lines, lines]
-        monkeypatch.setattr(frames, "extract_bouquets", lambda section, points, *args: list(bouquets))
+        monkeypatch.setattr(frames, "extract_bouquets", lambda *args: reference.as_grid(bouquets))
         with pytest.raises(frames.LabelingError, match=r"at grid index 2: .*\(1, 1, 1\) at grid index 1, "):
             local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((2, 3)))
         with pytest.raises(ValueError, match=r"at grid index 2$"):
@@ -616,9 +639,10 @@ class TestLabelingFlags:
 
 
 class TestFrameStackWalk:
-    """Labels, label angles, the walk and the frame oracle run on the grid's
-    frame stack; each matches its frozen per-point reference: the angles bit
-    for bit, the walk's labels and flags exactly and its frames within 1e-13."""
+    """The grid's bouquet, labels, label angles, the walk and the frame oracle
+    run on arrays; each matches its frozen per-point reference: the
+    GridBouquet and the angles bit for bit, the walk's labels and flags
+    exactly and its frames within 1e-13."""
 
     @pytest.mark.parametrize("seed", [42, 7, 38])
     @pytest.mark.parametrize("job", FRAME_JOBS)
@@ -644,7 +668,9 @@ class TestFrameStackWalk:
         runs = [seen[name] for name in ("local_frame_and_eigenvalues", "extract_bouquets", "_label_angles")]
         assert len({len(run) for run in runs}) == 1 and runs[0]
         walks = iter(seen["_aligned_frames"])
-        for (_, ran), (_, bouquets), (_, angles) in zip(*runs):
+        for (_, ran), (extracted, grid), (_, angles) in zip(*runs):
+            bouquets = reference.extract_bouquets_per_point(*extracted)
+            assert same_grid(grid, reference.as_grid(bouquets))
             counts = ran.grid.counts
             previous = [None] + [reference.neighbor_index(i, counts) for i in range(1, len(bouquets))]
             assert angles.tobytes() == reference.label_angles_per_pair(bouquets, previous).tobytes()
@@ -675,7 +701,7 @@ class TestFrameStackWalk:
         """The frame report and the reference walk of crafted bouquets on a
         1 x len(spaces_per_point) grid."""
         bouquets = [TestLabelingFlags.bouquet(*spaces) for spaces in spaces_per_point]
-        monkeypatch.setattr(frames, "extract_bouquets", lambda section, points, *args: list(bouquets))
+        monkeypatch.setattr(frames, "extract_bouquets", lambda *args: reference.as_grid(bouquets))
         report = local_frame_and_eigenvalues(kupa_chart_x(), GridSpec((1, len(bouquets))))
         return report, reference.walk_level_by_level(bouquets, (1, len(bouquets)))
 

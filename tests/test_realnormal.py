@@ -334,8 +334,10 @@ class TestStackedPlaneCheck:
         assert code == cli.EXIT_PASS
         assert len(calls) == len(extracted) == 1  # one chart, one stack
         (args, report), (l_mats, decompositions) = calls[0], extracted[0]
-        assert report == arcp_over_grid_per_point(*args)
-        assert len(l_mats) == len(args[2]) == 21 ** len(config["params"])
+        split, chart_path, base, *tols = args
+        points = [{k: v[i].item() for k, v in base.items()} for i in range(len(l_mats))]
+        assert report == arcp_over_grid_per_point(split, chart_path, points, *tols)
+        assert len(l_mats) == len(base["x"]) == 21 ** len(config["params"])
         for l_mat, dec in zip(l_mats, decompositions):
             assert_same_decomposition(dec, arcp_extract_per_point(l_mat))
 
@@ -372,7 +374,7 @@ class TestStackedPlaneCheck:
 
         monkeypatch.setattr(realnormal, "arcp_extract", one_small_plane)
         split = split_and_double(rotation_family())
-        base_points = [{"x": 0.25 * k, "y": 1.0} for k in range(6)]
+        base = {"x": 0.25 * np.arange(6), "y": np.ones(6)}
         message = r"spans 0 of 2 dimensions at \{'x': 0\.75, 'y': 1\.0\}$"
         with pytest.raises(DecompositionError, match=message):
-            realnormal.arcp_over_grid(split, (), base_points, 0.1, 1e-8)
+            realnormal.arcp_over_grid(split, (), base, 0.1, 1e-8)
