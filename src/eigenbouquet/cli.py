@@ -38,7 +38,7 @@ from .frames import (
     local_frame_and_eigenvalues,
     plucker_section,
 )
-from .oracle import ExtrapolationError, JacobiNonConvergence, spectral_clusters
+from .oracle import DEFAULT_CLUSTER_TOL, ExtrapolationError, JacobiNonConvergence, eigh_jacobi, gap_groups
 from .realnormal import (
     ArcpReport,
     DecompositionError,
@@ -96,7 +96,7 @@ class JobConfig:
     grid_points: int = 21
     grid_lo: Fraction = Fraction(-1)
     grid_hi: Fraction = Fraction(1)
-    tol_cluster: float = 1e-6
+    tol_cluster: float = DEFAULT_CLUSTER_TOL
     tol_angle: float = 1e-8
     tol_residual: float = 1e-8
     seed: int = 42
@@ -132,7 +132,7 @@ class JobConfig:
                 grid_points=int(grid.get("points_per_axis", 21)),
                 grid_lo=Fraction(str(grid.get("lo", -1))),
                 grid_hi=Fraction(str(grid.get("hi", 1))),
-                tol_cluster=float(tol.get("cluster", 1e-6)),
+                tol_cluster=float(tol.get("cluster", DEFAULT_CLUSTER_TOL)),
                 tol_angle=float(tol.get("angle", 1e-8)),
                 tol_residual=float(tol.get("residual", 1e-8)),
                 seed=int(data.get("seed", 42)),
@@ -514,8 +514,8 @@ def stage_check(state: RunState) -> RunState:
             matrices = family_matrix(analysis.family, base)
             if matrices.ndim == 2:  # no parameters
                 matrices = matrices[None].repeat(len(off), axis=0)
-            clusters = spectral_clusters(matrices, cfg.tol_cluster)
-            bad = sum(len(c) != summary.generic_distinct_eigenvalues for c in clusters)
+            for members, bounds in gap_groups(eigh_jacobi(matrices).eigenvalues, cfg.tol_cluster):
+                bad += len(members) if len(bounds) - 1 != summary.generic_distinct_eigenvalues else 0
         inv.append(
             {
                 "name": "oracle_cluster_count_off_discriminant",

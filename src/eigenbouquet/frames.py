@@ -28,13 +28,11 @@ import numpy as np
 from .bouquet import FittingIdeal, QuadSystem
 from .family import MatrixFamily
 from .oracle import (
-    Cluster,
+    DEFAULT_CLUSTER_TOL,
     ExtrapolationError,
     JacobiNonConvergence,
     _frobenius,
-    by_shape,
     cluster_frames,
-    cluster_stack,
     eigh_jacobi,
     embed_hermitian,
     extrapolate_along_curve,
@@ -43,6 +41,7 @@ from .oracle import (
     nearest_subspace,
     polar_factor,
     principal_angles,
+    slot_patterns,
 )
 from .resolve import GOOD_STATUSES, ChartNode
 
@@ -204,12 +203,6 @@ def _spectra_at(section: PluckerSection, points: list[dict], where):
     return base, on_disc, matrices, off, spectra
 
 
-def frame_stack(bouquets: list[list[Cluster]]) -> np.ndarray:
-    """The (P, n, n) stack of assembled frames: each point's cluster bases
-    side by side, in cluster order."""
-    return np.stack([np.hstack([s.basis for s in subs]) for subs in bouquets])
-
-
 def _residuals(frames: np.ndarray, quads, monomials):
     """Per assembled frame of a stack, its deviation from orthonormality and the
     worst |q(v)| / (1 + max |coefficient of q|) over quadratics q, columns v."""
@@ -251,7 +244,9 @@ def _transversal_directions(nparams: int):
         yield direction
 
 
-def extract_bouquets(section: PluckerSection, points: list[dict], cluster_tol: float = 1e-6) -> GridBouquet:
+def extract_bouquets(
+    section: PluckerSection, points: list[dict], cluster_tol: float = DEFAULT_CLUSTER_TOL
+) -> GridBouquet:
     """The bouquets at chart points as one GridBouquet: off the pulled-back
     discriminant clustered straight into the frame stack from one Jacobi
     stack, on it limits along the transversal headings in turn, certified
@@ -259,91 +254,101 @@ def extract_bouquets(section: PluckerSection, points: list[dict], cluster_tol: f
     quads = section.recover_quadratics(points)
     base, on_disc, matrices, off, spectra = _spectra_at(section, points, "grid index {}".format)
     frames, values = np.zeros(matrices.shape), np.zeros(matrices.shape[:2])
-    patterns: list = [()] * len(points)
-    solved, means, slots = cluster_frames(spectra.eigenvalues, spectra.vectors, cluster_tol)
+    solved, means, slots = cluster_frames(*spectra, cluster_tol)
     frames[off], values[off] = solved, means
-    for members, start, stop in slots:
-        for i in off[members].tolist():
-            patterns[i] += (stop - start,)
+    patterns = dict(zip(off.tolist(), slot_patterns(slots, len(off))))
     exc = np.flatnonzero(on_disc)
     if exc.size:
-        limits = _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol)
-        frames[exc] = frame_stack(limits)
-        values[exc] = [[s.value for s in subs for _ in range(s.multiplicity)] for subs in limits]
-        for i, subs in zip(exc.tolist(), limits):
-            patterns[i] = tuple(s.multiplicity for s in subs)
+        frames[exc], values[exc], limits = _extrapolate_bouquets(
+            section, points, exc, matrices, quads, cluster_tol
+        )
+        patterns.update(zip(exc.tolist(), limits))
     gram, quad = _residuals(frames, quads, section.system.monomials)
+    patterns = [patterns[i] for i in range(len(points))]
     return GridBouquet(base, on_disc, matrices, frames, values, patterns, quad, gram)
 
 
 def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol):
-    """Limit bouquets, sorted by value, at the points exc: each transversal
-    heading in turn for the points still pending."""
+    """Limit frames, column values and patterns, the subspaces sorted by
+    value, at the points exc: each transversal heading in turn for the
+    points still pending."""
     names = section.chart.universe.params
     start = np.array([[float(points[i][name]) for name in names] for i in exc])
-    found: dict[int, list[Cluster]] = {}
-    pending = list(range(len(exc)))
+    frames, values = np.zeros((len(exc),) + matrices.shape[1:]), np.zeros((len(exc), matrices.shape[-1]))
+    patterns: list = [None] * len(exc)
+    pending = np.arange(len(exc))
     for delta in _transversal_directions(len(names)):
-        limits = _curve_limits(section, start[pending], exc[pending], delta, matrices, quads, cluster_tol)
-        outcome = dict(zip(pending, limits))
-        found.update((q, got) for q, got in outcome.items() if not isinstance(got, ExtrapolationError))
-        pending = [q for q in pending if q not in found]
-        if not pending:
-            return [found[q] for q in range(len(exc))]
-    q = pending[0]
+        # a failed curve's row and error are written over by a later heading
+        frames[pending], values[pending], outcome = _curve_limits(
+            section, start[pending], exc[pending], delta, matrices, quads, cluster_tol
+        )
+        for q, got in zip(pending.tolist(), outcome):
+            patterns[q] = got
+        pending = pending[[isinstance(got, ExtrapolationError) for got in outcome]]
+        if not pending.size:
+            return frames, values, patterns
     raise ExtrapolationError(
-        f"extrapolation failed at {points[exc[q]]!r} in every direction: {outcome[q]}"
+        f"extrapolation failed at {points[exc[pending[0]]]!r} in every direction: {patterns[pending[0]]}"
     )
 
 
-def _curve_limits(section, start, owners, delta, matrices, quads, cluster_tol) -> list:
-    """Per curve from a start point along delta, its limit bouquet sorted by
-    value or the ExtrapolationError it failed with. All curves go through
-    one batch of base points, discriminant tests, matrices, Jacobi solves
-    and clusters, one extrapolate_along_curve, one stacked Rayleigh value
-    per limit shape and one quadratic residual check; owners name the grid
-    points the curves start from."""
+def _curve_limits(section, start, owners, delta, matrices, quads, cluster_tol):
+    """Per curve from a start point along delta, its limit bouquet: the
+    (C, n, n) frames and (C, n) Rayleigh values of the limit subspaces,
+    sorted by value, and per curve their pattern or the ExtrapolationError
+    it failed with. All curves go through one batch of base points,
+    discriminant tests, matrices, Jacobi solves and clusters, one
+    extrapolate_along_curve, one stacked Rayleigh value per limit pattern
+    and slot and one quadratic residual check; owners name the grid points
+    the curves start from."""
     radii, steps = EXTRAPOLATION_RADII, len(EXTRAPOLATION_RADII)
     names = section.chart.universe.params
     curves = start[:, None, :] + np.array(radii)[:, None] * delta
     on_curves = [dict(zip(names, row)) for row in curves.reshape(-1, len(names)).tolist()]
-    _, _, _, off, spectra = _spectra_at(
+    _, on_disc, _, _, spectra = _spectra_at(
         section,
         on_curves,
         lambda i: f"radius {radii[i % steps]} on the curve of grid index {owners[i // steps]}",
     )
-    # all curves' clusters at once: demo_frames peak_rss_mb 37.05 MB, against
-    # 37.01 MB clustered curve by curve (medians of ten benchmark runs)
-    sampled = dict(zip(off.tolist(), cluster_stack(spectra.eigenvalues, spectra.vectors, cluster_tol)))
-    samples = [[sampled.get(j * steps + r) for r in range(steps)] for j in range(len(start))]
-    out: list = [ExtrapolationError("curve runs inside the discriminant image") if None in at else None
-                 for at in samples]
-    chained = [j for j, got in enumerate(out) if got is None]
-    for j, got in zip(chained, extrapolate_along_curve([samples[j] for j in chained])):
-        out[j] = got
-    done = [j for j in chained if not isinstance(out[j], ExtrapolationError)]
+    rows = (np.cumsum(~on_disc) - 1).reshape(len(start), steps)  # each sample's row among the solved
+    inside = on_disc.reshape(len(start), steps).any(axis=1)
+    chained = np.flatnonzero(~inside)
+    # all curves' samples in one cluster_frames stack: demo_frames peak_rss_mb 36.29 MB, against
+    # 36.22 MB with one Cluster per sample and slot (medians of 3 benchmark runs, 2-core Xeon)
+    limits, values = np.zeros((len(start),) + matrices.shape[1:]), np.zeros((len(start), matrices.shape[-1]))
+    limits[chained], values[chained], found = extrapolate_along_curve(
+        cluster_frames(*spectra, cluster_tol), rows[chained]
+    )
+    found = iter(found)
+    out = [ExtrapolationError("curve runs inside the discriminant image") if bad else next(found)
+           for bad in inside]
+    done = [j for j, got in enumerate(out) if not isinstance(got, ExtrapolationError)]
     if not done:
-        return out
+        return limits, values, out
     # eigenvalue at the point itself: Rayleigh value on the limit basis
-    limits = [(j, m, b) for j in done for _, m, b in out[j]]
-    rayleigh = np.zeros(len(limits))
-    for ks, bases in by_shape([b for _, _, b in limits]):
-        at = gather(matrices, [owners[limits[k][0]] for k in ks])
-        products = np.swapaxes(bases, 1, 2) @ at @ bases
-        rayleigh[ks] = np.add.reduce(np.diagonal(products, axis1=1, axis2=2), axis=1) / bases.shape[2]
-    bouquets: dict[int, list[Cluster]] = {j: [] for j in done}
-    for (j, m, b), value in zip(limits, rayleigh.tolist()):
-        bouquets[j].append(Cluster(value, m, b))
-    for j, found in bouquets.items():
-        out[j] = sorted(found, key=lambda s: (s.value, s.multiplicity))
-    _, worst = _residuals(frame_stack([out[j] for j in done]), quads[owners[done]], section.system.monomials)
-    for j, residual in zip(done, worst):
+    groups: dict[tuple, list[int]] = {}
+    for j in done:
+        groups.setdefault(out[j], []).append(j)
+    for pattern, js in groups.items():
+        at = gather(matrices, owners[js])
+        for a, b in zip(accumulate(pattern, initial=0), accumulate(pattern)):
+            bases = limits[js, :, a:b]
+            products = np.swapaxes(bases, 1, 2) @ at @ bases
+            rayleigh = np.add.reduce(np.diagonal(products, axis1=1, axis2=2), axis=1) / (b - a)
+            values[js, a:b] = rayleigh[:, None]
+    for j in done:  # the subspaces sorted by (value, multiplicity), a tie in slot order
+        starts = list(accumulate(out[j], initial=0))[:-1]
+        spans = sorted(zip(values[j, starts].tolist(), out[j], starts))
+        cols = [col for _, m, a in spans for col in range(a, a + m)]
+        limits[j], values[j], out[j] = limits[j][:, cols], values[j][cols], tuple(m for _, m, _ in spans)
+    _, worst = _residuals(limits[done], quads[owners[done]], section.system.monomials)
+    for j, residual in zip(done, worst.tolist()):
         if residual > QUAD_VANISH_TOL:
             out[j] = ExtrapolationError(
                 f"recovered quadratics do not vanish on the extrapolated bouquet "
                 f"(residual {residual:.3e})"
             )
-    return out
+    return limits, values, out
 
 
 # -- frames over a grid ------------------------------------------------
@@ -398,7 +403,7 @@ class FrameReport:
 def local_frame_and_eigenvalues(
     section: PluckerSection,
     grid: GridSpec,
-    cluster_tol: float = 1e-6,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     angle_tol: float = DEFAULT_ANGLE_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> FrameReport:
@@ -614,7 +619,9 @@ def _worst_second_difference(a: np.ndarray, axis: int, h: float) -> float:
 # -- limit uniqueness ---------------------------------------------------
 
 
-def limit_uniqueness_check(section: PluckerSection, point: dict, cluster_tol: float = 1e-6) -> float:
+def limit_uniqueness_check(
+    section: PluckerSection, point: dict, cluster_tol: float = DEFAULT_CLUSTER_TOL
+) -> float:
     """Max principal angle between the limit bouquets at a chart point along
     the first three transversal headings, the first of which the frame pass
     tries first: one exact batch at the point, one curve batch per heading."""
@@ -623,16 +630,16 @@ def limit_uniqueness_check(section: PluckerSection, point: dict, cluster_tol: fl
     _, _, matrices, _, _ = _spectra_at(section, [point], lambda i: repr(point))
     start, owners = np.array([[float(point[name]) for name in names]]), np.zeros(1, dtype=int)
     headings = islice(_transversal_directions(len(names)), 3)
-    limits = [_curve_limits(section, start, owners, d, matrices, quads, cluster_tol)[0] for d in headings]
-    for got in limits:
+    limits = [_curve_limits(section, start, owners, d, matrices, quads, cluster_tol) for d in headings]
+    for _, _, (got,) in limits:
         if isinstance(got, ExtrapolationError):
             raise got
-    first, *others = limits
+    (first, _, (pattern,)), *others = limits
     worst = 0.0
-    for other in others:
+    for frame, _, (other,) in others:
         used: set[int] = set()
-        for sub in first:
-            k, angle, _ = nearest_subspace(sub.basis, other, used)
+        for a, b in zip(accumulate(pattern, initial=0), accumulate(pattern)):
+            k, angle, _ = nearest_subspace(first[0][:, a:b], frame[0], other, used)
             if k is None:
                 raise ExtrapolationError("bouquet structures differ across curves")
             used.add(k)

@@ -4,8 +4,10 @@ A cyclic Jacobi eigensolver for real symmetric matrices, greedy gap
 clustering, principal angles between subspaces and Richardson extrapolation
 of eigenspace bases along curves. Each kernel runs on stacks, every member
 rounded as it would be alone: the curves of one multiplicity pattern are
-matched, aligned and extrapolated together. This layer never touches the
-exact symbolic side; it exists to cross-validate it.
+matched, aligned and extrapolated together. Clustered stacks take one form,
+cluster_frames' (frames, values, slots), whose slot columns every caller
+reads. This layer never touches the exact symbolic side; it exists to
+cross-validate it.
 
 Complex Hermitian input is handled through the real 2n embedding
 [[Re, -Im], [Im, Re]], which doubles every eigenvalue.
@@ -14,7 +16,8 @@ Complex Hermitian input is handled through the real 2n embedding
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +34,7 @@ class ExtrapolationError(RuntimeError):
     pass
 
 
-@dataclass(slots=True)  # many are alive at once: one per eigenspace of a stack
-class Cluster:
-    value: float
-    multiplicity: int
-    basis: np.ndarray  # shape (n, multiplicity), orthonormal columns
-
-
-@dataclass(slots=True)
-class SpectralSample:
+class SpectralSample(NamedTuple):
     eigenvalues: np.ndarray
     vectors: np.ndarray  # column k pairs with eigenvalues[k]
 
@@ -167,23 +162,10 @@ def cluster_frames(values: np.ndarray, vectors: np.ndarray, tol: float):
     return frames, means, slots
 
 
-def cluster_stack(values: np.ndarray, vectors: np.ndarray, tol: float) -> list[list[Cluster]]:
-    """cluster_frames as one Cluster per member and cluster."""
-    frames, means, slots = cluster_frames(values, vectors, tol)
-    out: list[list[Cluster]] = [[] for _ in range(len(values))]
-    for members, start, stop in slots:
-        bases = frames[members, :, start:stop]
-        whole = bases.any(axis=1).all(axis=1).tolist()
-        for i, basis, value, full in zip(members, bases, means[members, start].tolist(), whole):
-            basis = basis if full else basis[:, basis.any(axis=0)]  # as one matrix drops it
-            out[i].append(Cluster(value, stop - start, basis))
-    return out
-
-
-def gap_groups(values: np.ndarray, tol: float) -> list[tuple[list[int], list[int]]]:
+def gap_groups(values: np.ndarray, tol: float) -> list[tuple[np.ndarray, list[int]]]:
     """The members of a stack of ascending spectra grouped by their gaps above
-    tol * (1 + max|lambda|), each group with its cluster bounds
-    [0, ..., n]: cluster k holds eigenvalues bounds[k] to bounds[k + 1]."""
+    tol * (1 + max|lambda|), each group (an index array) with its cluster
+    bounds [0, ..., n]: cluster k holds eigenvalues bounds[k] to bounds[k + 1]."""
     n = values.shape[1]
     scale = 1.0 + (np.max(np.abs(values), axis=1) if n else 0.0)
     gaps = values[:, 1:] - values[:, :-1] > tol * np.reshape(scale, (-1, 1))
@@ -191,23 +173,19 @@ def gap_groups(values: np.ndarray, tol: float) -> list[tuple[list[int], list[int
     for i, row in enumerate(gaps.tolist()):
         groups.setdefault(tuple(row), []).append(i)
     return [
-        (members, [0] + [k + 1 for k, gap in enumerate(pattern) if gap] + [n])
+        (np.array(members), [0] + [k + 1 for k, gap in enumerate(pattern) if gap] + [n])
         for pattern, members in groups.items()
     ]
 
 
-def spectral_clusters(matrices: np.ndarray, tol: float = DEFAULT_CLUSTER_TOL) -> list[list[Cluster]]:
-    """Clusters of each member of a (P, n, n) stack: one eigh_jacobi stack."""
-    sample = eigh_jacobi(matrices)
-    return cluster_stack(sample.eigenvalues, sample.vectors, tol)
-
-
-def by_shape(arrays: list[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
-    """Indices of the arrays grouped by shape, each group with its stack."""
-    groups: dict[tuple, list[int]] = {}
-    for k, m in enumerate(arrays):
-        groups.setdefault(m.shape, []).append(k)
-    return [(ks, np.stack([arrays[k] for k in ks])) for ks in groups.values()]
+def slot_patterns(slots, count: int) -> list[tuple[int, ...]]:
+    """Each of count members' multiplicities in column order, from the
+    slots of cluster_frames."""
+    out: list = [()] * count
+    for members, start, stop in slots:
+        for i in members.tolist():
+            out[i] += (stop - start,)
+    return out
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
@@ -281,13 +259,15 @@ def nearest_of(angles) -> tuple:
     return best, angle, runner_up
 
 
-def nearest_subspace(basis: np.ndarray, candidates: list[Cluster], skip=()):
-    """The candidate of basis's dimension, outside skip, spanning the subspace
-    nearest to basis's by largest angle, as ``nearest_of`` gives it."""
-    ks = [k for k, c in enumerate(candidates) if k not in skip and c.multiplicity == basis.shape[1]]
+def nearest_subspace(basis: np.ndarray, frame: np.ndarray, pattern: tuple, skip=()):
+    """The subspace of frame (its columns in pattern's slots) of basis's
+    dimension, outside skip, spanning the subspace nearest to basis's by
+    largest angle, as ``nearest_of`` gives it."""
+    starts = list(accumulate(pattern, initial=0))
+    ks = [k for k, m in enumerate(pattern) if k not in skip and m == basis.shape[1]]
     if not ks:
         return None, None, None
-    angles = principal_angles(np.stack([candidates[k].basis for k in ks]), basis[None])
+    angles = principal_angles(np.stack([frame[:, starts[k] : starts[k + 1]] for k in ks]), basis[None])
     return nearest_of(zip(ks, angles.max(axis=1).tolist()))
 
 
@@ -332,51 +312,55 @@ def richardson_limit(values: list[np.ndarray], order: int = 2) -> np.ndarray:
     return table[-1]
 
 
-def extrapolate_along_curve(curves: list[list[list[Cluster]]]) -> list:
+def extrapolate_along_curve(clustered, curves: np.ndarray):
     """Limits of matched cluster bases along shrinking-radius curves.
 
-    Each curve is the clusters of its samples, ordered from the largest
-    radius to the smallest, each cluster's basis with multiplicity columns.
-    The curves of one multiplicity pattern go together: per component and
-    radius step, one principal_angles stack per candidate slot matches them
-    (the first nearest, and ambiguous within 1e-3 of the runner-up), one
-    Procrustes stack aligns them; Richardson (order 2) and one
-    orthonormalize stack end each component.
+    clustered is cluster_frames' (frames, values, slots) of every sample;
+    curves is a (C, steps) array of its rows, each curve's samples ordered
+    from the largest radius to the smallest. The curves of one multiplicity
+    pattern go together: per component and radius step, one
+    principal_angles stack per candidate slot matches them (the first
+    nearest, and ambiguous within 1e-3 of the runner-up), one Procrustes
+    stack aligns them; Richardson (order 2) and one orthonormalize stack
+    end each component.
 
-    Returns per curve one (eigenvalue_limit, multiplicity, basis) per
-    component of its smallest-radius sample, or the ExtrapolationError it
-    failed with first, as it would alone; a failed curve leaves the stacks.
+    Returns the (C, n, n) limit frames and (C, n) limit values, each
+    component in its slot's columns, and per curve its pattern or the
+    ExtrapolationError it failed with first, as it would alone; a failed
+    curve leaves the stacks.
     """
-    out: list = [None] * len(curves)
+    frames, values, slots = clustered
+    patterns = slot_patterns(slots, len(frames))
+    found: list = [None] * len(curves)
+    out = (np.zeros((len(found),) + frames.shape[1:]), np.zeros((len(found),) + values.shape[1:]), found)
     groups: dict[tuple, list[int]] = {}
-    for i, curve in enumerate(curves):
-        patterns = {tuple(c.multiplicity for c in clusters) for clusters in curve}
-        if len(curve) < 4:
-            out[i] = ExtrapolationError("need at least 4 radii")
-        elif len(patterns) > 1:
-            out[i] = ExtrapolationError("cluster structure changes along the curve")
+    for j, rows in enumerate(curves.tolist()):
+        if len(rows) < 4:
+            found[j] = ExtrapolationError("need at least 4 radii")
+        elif len({patterns[r] for r in rows}) > 1:
+            found[j] = ExtrapolationError("cluster structure changes along the curve")
         else:
-            groups.setdefault((len(curve), *patterns), []).append(i)
-    for (steps, mults), members in groups.items():
-        limits = _extrapolate_group([curves[i] for i in members], steps, mults)
-        for i, found in zip(members, limits):
-            out[i] = found
+            groups.setdefault(patterns[rows[0]], []).append(j)
+    for mults, at in groups.items():
+        _extrapolate_group(frames, values, np.array(at), curves[at], mults, out)
     return out
 
 
-def _extrapolate_group(curves, steps: int, mults: tuple[int, ...]) -> list:
-    """extrapolate_along_curve for curves sharing their radii count and
-    multiplicity pattern; a failing member leaves every stack at once."""
-    out: list = [[] for _ in curves]
+def _extrapolate_group(frames, values, at: np.ndarray, rows: np.ndarray, mults: tuple[int, ...], out) -> None:
+    """extrapolate_along_curve for the curves at (their sample rows rows),
+    which share their multiplicity pattern: each writes its limit columns,
+    values and pattern into out, or its error; a failing member leaves
+    every stack at once."""
+    limits, limit_values, found = out
+    bounds = list(accumulate(mults, initial=0))
     # per radius, each cluster slot's bases and the values of all slots
-    bases = [[np.stack([curve[r][k].basis for curve in curves]) for k in range(len(mults))]
-             for r in range(steps)]
-    values = [np.array([[c.value for c in curve[r]] for curve in curves]) for r in range(steps)]
-    alive = np.arange(len(curves))  # the members still going, in stack order
+    bases = [[frames[rows[:, r], :, a:b] for a, b in zip(bounds, bounds[1:])] for r in range(rows.shape[1])]
+    vals = [values[rows[:, r]][:, bounds[:-1]] for r in range(rows.shape[1])]
+    alive = np.arange(len(rows))  # the members still going, in stack order
     for idx, dim in enumerate(mults):
         slots = [k for k, m in enumerate(mults) if m == dim]
-        chain, valchain = [bases[0][idx][alive]], [values[0][alive, idx]]
-        for r in range(1, steps):
+        chain, valchain = [bases[0][idx][alive]], [vals[0][alive, idx]]
+        for r in range(1, rows.shape[1]):
             candidates = np.stack([bases[r][k][alive] for k in slots], axis=1)
             angles = np.stack(
                 [principal_angles(candidates[:, s], chain[-1]).max(axis=1) for s in range(len(slots))], axis=1
@@ -386,29 +370,29 @@ def _extrapolate_group(curves, steps: int, mults: tuple[int, ...]) -> list:
             if len(slots) > 1:
                 runner_up = np.sort(angles, axis=1)[:, 1]
                 keep = ~(runner_up < angles[np.arange(alive.size), best] + 1e-3)
-                _fail(out, alive[~keep], "ambiguous component matching along curve")
+                _fail(found, at[alive[~keep]], "ambiguous component matching along curve")
             members = np.flatnonzero(keep)
             if not members.size:
-                return out
+                return
             matched = candidates[members, best[members]]
             aligned, degenerate = procrustes_align(matched, chain[-1][members])
-            _fail(out, alive[members[degenerate]], "degenerate alignment (orthogonal subspaces)")
+            _fail(found, at[alive[members[degenerate]]], "degenerate alignment (orthogonal subspaces)")
             members = members[~degenerate]
             alive = alive[members]
             if not alive.size:
-                return out
+                return
             chain = [c[members] for c in chain] + [aligned[~degenerate]]
-            valchain = [v[members] for v in valchain] + [values[r][alive, np.array(slots)[best[members]]]]
+            valchain = [v[members] for v in valchain] + [vals[r][alive, np.array(slots)[best[members]]]]
         limit = orthonormalize(richardson_limit(chain))
         lost = ~limit.any(axis=1).all(axis=1)
-        _fail(out, alive[lost], "extrapolated basis lost rank")
-        value = richardson_limit(valchain)
-        for i, v, basis in zip(alive[~lost].tolist(), value[~lost].tolist(), limit[~lost]):
-            out[i].append((v, dim, basis))
-        alive = alive[~lost]
+        _fail(found, at[alive[lost]], "extrapolated basis lost rank")
+        alive, value = alive[~lost], richardson_limit(valchain)[~lost]
+        limits[at[alive], :, bounds[idx] : bounds[idx + 1]] = limit[~lost]
+        limit_values[at[alive], bounds[idx] : bounds[idx + 1]] = value[:, None]
         if not alive.size:
-            return out
-    return out
+            return
+    for j in at[alive].tolist():
+        found[j] = mults
 
 
 def _fail(out: list, members: np.ndarray, message: str) -> None:
@@ -431,24 +415,24 @@ def normal_spectrum(sym_part: np.ndarray, skew_part: np.ndarray, tol: float = DE
     A-eigenspace is symmetric; its eigenvalues are the squared imaginary
     parts paired with that real part. Returns a list of (a, b >= 0, mult)
     with mult counting real dimensions (a plane contributes 2); for stacks
-    of halves, one list per member, from one solve per shape.
+    of halves, one list per member, from one solve per A-slot.
     """
     a, b = (np.array(m, dtype=float, ndmin=3) for m in (sym_part, skew_part))
     bbt = b @ np.swapaxes(b, 1, 2)
     floor = (1e-13 * (1.0 + _frobenius(bbt))).tolist()
-    jobs = [(i, c) for i, clusters in enumerate(spectral_clusters(a, tol)) for c in clusters]
+    frames, values, slots = cluster_frames(*eigh_jacobi(a), tol)
     out: list[list] = [[] for _ in range(len(a))]
-    for ks, bases in by_shape([c.basis for _, c in jobs]):
-        restricted = np.swapaxes(bases, 1, 2) @ bbt[[jobs[k][0] for k in ks]] @ bases
+    for members, start, stop in slots:
+        bases = frames[members, :, start:stop]
+        restricted = np.swapaxes(bases, 1, 2) @ bbt[members] @ bases
         # symmetric up to rounding, which on a kernel of B is all there is
         restricted = 0.5 * (restricted + np.swapaxes(restricted, 1, 2))
-        for k, subs in zip(ks, spectral_clusters(restricted, tol)):
-            i, cluster = jobs[k]
+        _, squares, subslots = cluster_frames(*eigh_jacobi(restricted), tol)
+        for subs, first, last in subslots:
+            at = members[subs]
             # B B^T is positive semidefinite: values below noise are zeros,
             # and the square root would otherwise amplify them to ~1e-8
-            out[i] += [
-                (cluster.value, 0.0 if sc.value <= floor[i] else math.sqrt(sc.value), sc.multiplicity)
-                for sc in subs
-            ]
+            for i, value, sq in zip(at.tolist(), values[at, start].tolist(), squares[subs, first].tolist()):
+                out[i].append((value, 0.0 if sq <= floor[i] else math.sqrt(sq), last - first))
     out = [sorted(spectrum) for spectrum in out]  # ascending a, then b: the clusters' order
     return out[0] if np.ndim(sym_part) == 2 else out

@@ -26,7 +26,9 @@ import numpy as np
 from .algebra import Polynomial, VarUniverse
 from .family import MatrixFamily, check_structure
 from .frames import GRAM_TOL, family_matrix
-from .oracle import Cluster, _frobenius, by_shape, gather, normal_spectrum, orthonormalize, spectral_clusters
+from .oracle import (
+    DEFAULT_CLUSTER_TOL, _frobenius, cluster_frames, eigh_jacobi, gather, normal_spectrum, orthonormalize
+)
 
 KERNEL_TOL = 1e-9
 
@@ -111,14 +113,9 @@ class ArcpPlane:
 @dataclass
 class ArcpDecomposition:
     planes: list[ArcpPlane]
-    real_spaces: list[Cluster]
+    frame: np.ndarray  # (n, n): the real eigenspaces' bases, then each plane's u and v
     gram_residual: float
     eigenvalues: list[tuple[float, float, int]]  # (a, b, real multiplicity)
-
-    def assembled(self) -> np.ndarray:
-        cols = [s.basis for s in self.real_spaces]
-        cols += [np.column_stack([p.u, p.v]) for p in self.planes]
-        return np.hstack(cols) if cols else np.zeros((0, 0))
 
 
 def _apply_j(f: np.ndarray) -> np.ndarray:
@@ -131,7 +128,7 @@ def _halves(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (l_mat + transposed) / 2, (l_mat - transposed) / 2
 
 
-def arcp_extract(l_mats: np.ndarray, cluster_tol: float = 1e-6):
+def arcp_extract(l_mats: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     """Greedy descending extraction of invariant planes of a real normal L, or
     of each member of a (P, n, n) stack (then a list, one per member).
 
@@ -139,46 +136,49 @@ def arcp_extract(l_mats: np.ndarray, cluster_tol: float = 1e-6):
     restriction of A (the halves commute), then peeled two dimensions at a
     time: each peeled eigenvector u + v contributes the plane span(u, v) and
     its J-image is removed with it. Kernel directions of B carry the real
-    eigenspaces, split by A. Each solve is one stacked call per shape; a
-    DecompositionError names the first failing member in ``member``.
+    eigenspaces, split by A. Each solve is one stacked call per cluster
+    slot; a DecompositionError names the first failing member in ``member``.
     """
     l_stack = np.asarray(l_mats, dtype=float).reshape((-1,) + np.shape(l_mats)[-2:])
     count, n = l_stack.shape[:2]
     a_mat, b_mat = _halves(l_stack)
     b2, bbt = doubled_matrix(b_mat), b_mat @ np.swapaxes(b_mat, 1, 2)
-    scale, floor = 1.0 + _frobenius(l_stack), (KERNEL_TOL * (1.0 + _frobenius(bbt))).tolist()
+    scale, floor = 1.0 + _frobenius(l_stack), KERNEL_TOL * (1.0 + _frobenius(bbt))
     a2 = np.zeros_like(b2)
     a2[:, :n, :n] = a2[:, n:, n:] = a_mat
-    positive = [  # negative values mirror positive ones; b^2 under B B^T's floor is kernel
-        (i, c) for i, found in enumerate(spectral_clusters(b2, cluster_tol)) for c in found
-        if c.value > 0 and c.value**2 > floor[i]
-    ]
-    spaces = []  # (member, value of A, value of B2, joint eigenspace)
-    for ks, bases in by_shape([c.basis for _, c in positive]):
-        restricted = np.swapaxes(bases, 1, 2) @ a2[[positive[k][0] for k in ks]] @ bases
-        for k, subs in zip(ks, spectral_clusters(restricted, cluster_tol)):
-            i, cluster = positive[k]
-            spaces += [(i, sub.value, cluster.value, cluster.basis @ sub.basis) for sub in subs]
+    frames, values, slots = cluster_frames(*eigh_jacobi(b2), cluster_tol)
+    # negative values mirror positive ones; b^2 under B B^T's floor is kernel
+    positive = (values > 0) & (values**2 > floor[:, None])
     planes: list[list[ArcpPlane]] = [[] for _ in range(count)]
     errors: dict[int, str] = {}
-    for ks, work in by_shape([space for *_, space in spaces]):
-        owners, values = (np.array([spaces[k][part] for k in ks]) for part in (0, slice(1, 3)))
-        _peel_planes(work, owners, values, l_stack, scale, planes, errors)
-    decompositions, frames = [], []
-    for i, found in enumerate(_real_spaces(a_mat, bbt, floor, cluster_tol)):
-        reals, flat = sorted(found, key=lambda s: s.value), sorted(planes[i], key=lambda p: (p.a, p.b))
-        eigenvalues = [(s.value, 0.0, s.multiplicity) for s in reals] + [(p.a, p.b, 2) for p in flat]
-        decompositions.append(dec := ArcpDecomposition(flat, reals, 0.0, eigenvalues))
-        if (frame := dec.assembled()).shape[1] != n:
-            errors.setdefault(i, f"decomposition spans {frame.shape[1]} of {n} dimensions")
-        frames.append(frame)
+    for members, start, stop in slots:
+        owners = members[positive[members, start]]
+        if not owners.size:
+            continue
+        bases = frames[owners, :, start:stop]
+        restricted = np.swapaxes(bases, 1, 2) @ a2[owners] @ bases
+        subframes, subvalues, subslots = cluster_frames(*eigh_jacobi(restricted), cluster_tol)
+        for subs, first, last in subslots:  # the joint eigenspaces of A and B2
+            joint = bases[subs] @ subframes[subs, :, first:last]
+            pair = np.stack([subvalues[subs, first], values[owners[subs], start]], axis=1)
+            _peel_planes(joint, owners[subs], pair, l_stack, scale, planes, errors)
+    frame = np.zeros(l_stack.shape)
+    widths, reals = _real_spaces(a_mat, bbt, floor, cluster_tol, frame)
+    for i, (width, flat) in enumerate(zip(widths.tolist(), planes)):
+        flat.sort(key=lambda p: (p.a, p.b))
+        if width + 2 * len(flat) == n:  # each plane's u and v as two columns
+            frame[i, :, width:] = np.reshape([(p.u, p.v) for p in flat], (-1, n)).T
+        else:
+            errors.setdefault(i, f"decomposition spans {width + 2 * len(flat)} of {n} dimensions")
     if errors:
         err = DecompositionError(errors[min(errors)])
         err.member = min(errors)
         raise err
-    gram = np.swapaxes(np.stack(frames), 1, 2) @ np.stack(frames)
-    for dec, residual in zip(decompositions, np.max(np.abs(gram - np.eye(n)), axis=(1, 2)).tolist()):
-        dec.gram_residual = residual
+    gram = np.max(np.abs(np.swapaxes(frame, 1, 2) @ frame - np.eye(n)), axis=(1, 2)).tolist()
+    decompositions = [
+        ArcpDecomposition(flat, frame[i], gram[i], reals[i] + [(p.a, p.b, 2) for p in flat])
+        for i, flat in enumerate(planes)
+    ]
     return decompositions[0] if np.ndim(l_mats) == 2 else decompositions
 
 
@@ -217,25 +217,28 @@ def _peel_planes(work, owners, values, l_stack, scale, planes, errors) -> None:
         _peel_planes(work[ks][:, :, list(kept)], owners[ks], values[ks], l_stack, scale, planes, errors)
 
 
-def _real_spaces(
-    a_mat: np.ndarray, bbt: np.ndarray, floor: list[float], cluster_tol: float
-) -> list[list[Cluster]]:
+def _real_spaces(a_mat: np.ndarray, bbt: np.ndarray, floor: np.ndarray, cluster_tol: float, frame):
     """Each member's real eigenspaces: the kernel of B (B B^T's eigenvalues
-    up to floor), split by A."""
-    kernels = [
-        np.hstack([c.basis for c in clusters if abs(c.value) <= floor[i]] or [np.zeros((len(bbt[i]), 0))])
-        for i, clusters in enumerate(spectral_clusters(bbt, cluster_tol))
-    ]
-    out: list[list[Cluster]] = [[] for _ in kernels]
-    for ks, kernel in by_shape(kernels):
-        if kernel.shape[2]:
-            refine = spectral_clusters(np.swapaxes(kernel, 1, 2) @ a_mat[ks] @ kernel, cluster_tol)
-            for i, basis, clusters in zip(ks, kernel, refine):
-                out[i] = [Cluster(c.value, c.multiplicity, basis @ c.basis) for c in clusters]
-    return out
+    up to floor), split by A. Their bases go side by side into the first
+    columns of frame; returns each member's count of those columns and the
+    (value, 0.0, multiplicity) of its spaces."""
+    frames, values, _ = cluster_frames(*eigh_jacobi(bbt), cluster_tol)
+    # B B^T is positive semidefinite: its kernel columns come first
+    widths = np.count_nonzero(np.abs(values) <= floor[:, None], axis=1)
+    eigenvalues: list[list] = [[] for _ in widths]
+    for width in sorted(set(widths.tolist()) - {0}):
+        ks = np.flatnonzero(widths == width)
+        kernel = frames[ks, :, :width]
+        refine = np.swapaxes(kernel, 1, 2) @ a_mat[ks] @ kernel
+        refined, means, slots = cluster_frames(*eigh_jacobi(refine), cluster_tol)
+        for members, start, stop in slots:
+            frame[ks[members], :, start:stop] = kernel[members] @ refined[members, :, start:stop]
+            for i, value in zip(ks[members].tolist(), means[members, start].tolist()):
+                eigenvalues[i].append((value, 0.0, stop - start))
+    return widths, eigenvalues
 
 
-def complexified_eigenvalues(l_mat: np.ndarray, cluster_tol: float = 1e-6):
+def complexified_eigenvalues(l_mat: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     """Independent oracle route: spectrum of L (or of each member of a stack)
     via nested symmetric solves."""
     return normal_spectrum(*_halves(l_mat), cluster_tol)

@@ -4,15 +4,18 @@ Checks of the paper's identities that no pipeline stage runs (the Jacobian
 and coefficient ranks, the diagonalizability classifier, the doubled
 operator's plane identities), small conveniences (the benchmark's jobs,
 exact base points, the exactness of a point, the largest principal angle
-of one pair, one matrix's clustered spectrum) and the per-matrix paths the
-stacked ones replaced (the Jacobi solver, the plane check over a grid,
-Procrustes alignment, curve extrapolation one curve at a time, one bouquet
-object per grid point with one Cluster per eigenspace, the grid walk's
-level-by-level Procrustes stacks, label angles and LAPACK cross-check from
-per-point clusters, the chart sampler's point-by-point scan), the
-Bareiss determinant the Laplace minors replaced, and the exact chart layer
-without its shortcuts (the gcd, exact division and cofactor-tracking
-Buchberger run), kept frozen as their bit-for-bit references.
+of one pair, one matrix's clustered spectrum, hand-built clusters as the
+arrays cluster_frames gives) and the per-matrix paths the stacked ones
+replaced (the Jacobi solver, the plane check over a grid, Procrustes
+alignment, curve extrapolation one curve at a time, one bouquet object per
+grid point with one Cluster per eigenspace, the grid walk's level-by-level
+Procrustes stacks, label angles and LAPACK cross-check from per-point
+clusters, the chart sampler's point-by-point scan), the Bareiss
+determinant the Laplace minors replaced, and the exact chart layer without
+its shortcuts (the gcd, exact division and cofactor-tracking Buchberger
+run), kept frozen as their bit-for-bit references. The package clusters
+into arrays only; the per-point references keep their own Cluster, one
+object per eigenspace, as the package had it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -48,25 +52,22 @@ from eigenbouquet.frames import (
     GRAM_TOL,
     QUAD_VANISH_TOL,
     GridBouquet,
-    _extrapolate_bouquets,
     _residuals,
     _spectra_at,
     _transversal_directions,
     family_matrix,
-    frame_stack,
 )
 from eigenbouquet.oracle import (
     DEFAULT_CLUSTER_TOL,
     JACOBI_OFF_TOL,
     JACOBI_SWEEP_CAP,
-    Cluster,
     ExtrapolationError,
     JacobiNonConvergence,
     SpectralSample,
     eigh_jacobi,
+    extrapolate_along_curve,
     gap_groups,
     nearest_of,
-    nearest_subspace,
     orthonormalize,
     principal_angles,
     procrustes_align,
@@ -142,6 +143,59 @@ def all_exact(values) -> bool:
 def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     """Largest canonical angle: 0 iff the spans agree."""
     return max(principal_angles(basis_a, basis_b))
+
+
+@dataclass(slots=True)
+class Cluster:
+    """One eigenspace of one matrix, as the package held it per point."""
+
+    value: float
+    multiplicity: int
+    basis: np.ndarray  # shape (n, multiplicity), orthonormal columns
+
+
+def frame_stack(bouquets: list[list[Cluster]]) -> np.ndarray:
+    """The (P, n, n) stack of assembled frames: each point's cluster bases
+    side by side, in cluster order."""
+    return np.stack([np.hstack([s.basis for s in subs]) for subs in bouquets])
+
+
+def clustered(samples) -> tuple:
+    """cluster_frames' (frames, values, slots) of hand-built samples, each a
+    list of (value, basis) pairs: the bases side by side, each one slot."""
+    frames = np.stack([np.hstack([basis for _, basis in sample]) for sample in samples])
+    values = np.array([[value for value, basis in sample for _ in range(basis.shape[1])] for sample in samples])
+    slots = [
+        (np.array([i]), start, start + basis.shape[1])
+        for i, sample in enumerate(samples)
+        for start, (_, basis) in zip(accumulate((b.shape[1] for _, b in sample), initial=0), sample)
+    ]
+    return frames, values, slots
+
+
+def limits_along(curves) -> list:
+    """extrapolate_along_curve on curves of hand-built samples (see
+    ``clustered``), each with as many samples, in one stack per matrix size:
+    per curve its limits as (value, multiplicity, basis) per component, or
+    its error."""
+    out: list = [None] * len(curves)
+    sizes: dict[int, list[int]] = {}
+    for j, curve in enumerate(curves):
+        sizes.setdefault(curve[0][0][1].shape[0], []).append(j)
+    for js in sizes.values():
+        samples = [sample for j in js for sample in curves[j]]
+        rows = np.arange(len(samples)).reshape(len(js), -1)
+        for j, frame, values, got in zip(js, *extrapolate_along_curve(clustered(samples), rows)):
+            if isinstance(got, ExtrapolationError):
+                out[j] = got
+            else:
+                out[j] = [(values[a].item(), m, frame[:, a : a + m]) for a, m in zip(accumulate(got, initial=0), got)]
+    return out
+
+
+def pairs(clusters: list[Cluster]) -> list[tuple]:
+    """(value, basis) of each cluster."""
+    return [(c.value, c.basis) for c in clusters]
 
 
 @dataclass(slots=True)
@@ -416,22 +470,15 @@ def arcp_extract_per_point(l_mat: np.ndarray, cluster_tol: float = 1e-6) -> Arcp
     if kernel.shape[1]:
         refine = spectral_sample(kernel.T @ a_mat @ kernel, tol=cluster_tol)
         real_spaces = [Cluster(c.value, c.multiplicity, kernel @ c.basis) for c in refine.clusters]
-    decomposition = ArcpDecomposition(
-        planes=sorted(planes, key=lambda p: (p.a, p.b)),
-        real_spaces=sorted(real_spaces, key=lambda s: s.value),
-        gram_residual=0.0,
-        eigenvalues=[],
-    )
-    assembled = decomposition.assembled()
+    planes = sorted(planes, key=lambda p: (p.a, p.b))
+    real_spaces = sorted(real_spaces, key=lambda s: s.value)
+    cols = [s.basis for s in real_spaces] + [np.column_stack([p.u, p.v]) for p in planes]
+    assembled = np.hstack(cols) if cols else np.zeros((0, 0))
     if assembled.shape[1] != n:
         raise DecompositionError(f"decomposition spans {assembled.shape[1]} of {n} dimensions")
     gram = assembled.T @ assembled
-    decomposition.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
-    for s in decomposition.real_spaces:
-        decomposition.eigenvalues.append((s.value, 0.0, s.multiplicity))
-    for p in decomposition.planes:
-        decomposition.eigenvalues.append((p.a, p.b, 2))
-    return decomposition
+    eigenvalues = [(s.value, 0.0, s.multiplicity) for s in real_spaces] + [(p.a, p.b, 2) for p in planes]
+    return ArcpDecomposition(planes, assembled, float(np.max(np.abs(gram - np.eye(n)))), eigenvalues)
 
 
 def _peel_planes(space: np.ndarray, a_value: float, b_value: float, l_mat, scale):
@@ -557,6 +604,17 @@ def richardson_limit_per_curve(values: list[np.ndarray], order: int = 2) -> tupl
     return table[-1], float(np.linalg.norm(table[-1] - table[-2]))
 
 
+def nearest_subspace_per_cluster(basis: np.ndarray, candidates: list[Cluster], skip=()):
+    """The candidate of basis's dimension, outside skip, spanning the subspace
+    nearest to basis's by largest angle, as ``nearest_of`` gives it: the
+    package's nearest_subspace while it took Cluster lists."""
+    ks = [k for k, c in enumerate(candidates) if k not in skip and c.multiplicity == basis.shape[1]]
+    if not ks:
+        return None, None, None
+    angles = principal_angles(np.stack([candidates[k].basis for k in ks]), basis[None])
+    return nearest_of(zip(ks, angles.max(axis=1).tolist()))
+
+
 def extrapolate_along_curve_per_curve(samples: list[ClusteredSample]) -> list[tuple]:
     """Limit of matched cluster bases along one shrinking-radius curve, as
     before ``extrapolate_along_curve`` took all curves of a heading together.
@@ -579,7 +637,7 @@ def extrapolate_along_curve_per_curve(samples: list[ClusteredSample]) -> list[tu
         chains: list[np.ndarray] = [samples[0].clusters[idx].basis]
         valchain: list[float] = [samples[0].clusters[idx].value]
         for s in samples[1:]:
-            best_k, best_angle, runner_up = nearest_subspace(chains[-1], s.clusters)
+            best_k, best_angle, runner_up = nearest_subspace_per_cluster(chains[-1], s.clusters)
             if runner_up is not None and runner_up < best_angle + 1e-3:
                 raise ExtrapolationError("ambiguous component matching along curve")
             aligned, degenerate = procrustes_align(s.clusters[best_k].basis, chains[-1])
@@ -707,7 +765,8 @@ class BouquetAtPoint:
 
 def extract_bouquets_per_point(section, points: list[dict], cluster_tol: float = 1e-6) -> list:
     """One BouquetAtPoint per chart point, with its Clusters and base-point
-    dict: ``frames.extract_bouquets`` before it returned one GridBouquet."""
+    dict: ``frames.extract_bouquets`` before it returned one GridBouquet,
+    its limits from the per-curve reference of the curve step."""
     quads = section.recover_quadratics(points)
     base, on_disc, matrices, off, spectra = _spectra_at(section, points, "grid index {}".format)
     subspaces: list = [None] * len(points)
@@ -720,7 +779,7 @@ def extract_bouquets_per_point(section, points: list[dict], cluster_tol: float =
     frames[off] = solved
     exc = np.flatnonzero(on_disc)
     if exc.size:
-        limits = _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol)
+        limits = extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, cluster_tol)
         for i, found in zip(exc, limits):
             subspaces[i] = found
         frames[exc] = frame_stack(limits)

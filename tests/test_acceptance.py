@@ -31,7 +31,6 @@ from eigenbouquet.frames import (
     local_frame_and_eigenvalues,
     plucker_section,
 )
-from eigenbouquet.oracle import extrapolate_along_curve
 from eigenbouquet.realnormal import (
     arcp_extract,
     complexified_eigenvalues,
@@ -41,6 +40,8 @@ from eigenbouquet.resolve import CenterSpec, run_sequence
 from reference import (
     expected_quadratic_dim,
     jacobian_rank_at,
+    limits_along,
+    pairs,
     plane_invariant_checks,
     rank_at,
     spectral_sample,
@@ -257,7 +258,7 @@ class TestAcceptance2Rellich:
             return np.array([[x, y], [y, -x]])
 
         def top_limit(curve):
-            (limits,) = extrapolate_along_curve([[spectral_sample(p).clusters for p in curve]])
+            (limits,) = limits_along([[pairs(spectral_sample(p).clusters) for p in curve]])
             return max(limits, key=lambda r: r[0])[2]
 
         ax_top = top_limit([m(t, 0.0) for t in radii])

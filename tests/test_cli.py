@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eigenbouquet import cli, frames, oracle, realnormal
@@ -170,6 +171,17 @@ class TestCheckSubcommand:
         assert "oracle_cluster_count_off_discriminant" in names
         assert all(item["pass"] for item in report["invariants"])
 
+    @pytest.mark.parametrize("tolerances, exit_code, failures", [({}, EXIT_PASS, 0), ({"cluster": 1.5}, EXIT_INVARIANT, 33)])
+    def test_cluster_count_fails_per_member(self, tolerances, exit_code, failures):
+        # rellich's eigenvalues +-r, r = |(x, y)|, lie 2 r apart: a cluster
+        # tolerance of 1.5 merges them where 2 r <= 1.5 (1 + r), at r <= 3,
+        # into one cluster where the generic count is two
+        data = dict(FIXTURES["rellich"], seed=42, tolerances=tolerances)
+        code, report = cli.run_job(JobConfig.from_dict(data), ("analyze", "check"))
+        (item,) = [i for i in report["invariants"] if i["name"] == "oracle_cluster_count_off_discriminant"]
+        assert code == exit_code
+        assert (item["count"], item["failures"], item["pass"]) == (100, failures, not failures)
+
 
 class TestProductResolution:
     def test_derived_charts_factor_the_local_generator(self):
@@ -251,8 +263,10 @@ class TestRunErrors:
         assert report["invariants"] and all(item["pass"] for item in report["invariants"])
 
     def test_extrapolation_error_exits_4(self, tmp_path, monkeypatch):
-        def fail(curves):
-            return [cli.ExtrapolationError("no limit along this curve") for _ in curves]
+        def fail(clustered, curves):
+            n = clustered[0].shape[-1]
+            error = cli.ExtrapolationError("no limit along this curve")
+            return np.zeros((len(curves), n, n)), np.zeros((len(curves), n)), [error] * len(curves)
 
         monkeypatch.setattr(frames, "extrapolate_along_curve", fail)
         code, report = self.run_check(tmp_path, FIXTURES["kupa"])

@@ -271,8 +271,7 @@ class TestFrameOracle:
             spectra = oracle.eigh_jacobi(matrices)
             rotation = np.eye(spectra.vectors.shape[1])
             rotation[:2, :2] = [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]]
-            spectra.vectors = rotation @ spectra.vectors
-            return spectra
+            return spectra._replace(vectors=rotation @ spectra.vectors)
 
         monkeypatch.setattr(frames, "eigh_jacobi", skewed_solver)
         # even grid counts miss the exceptional line u = 0
@@ -302,7 +301,7 @@ class TestWorkDoneOnce:
     def test_kupa_demo_counts(self, monkeypatch):
         log: dict[str, list] = {}
         frame_runs, extrapolations = [], []
-        count_calls(monkeypatch, log, "eigh_jacobi", [oracle, frames])
+        count_calls(monkeypatch, log, "eigh_jacobi", [oracle, frames, cli])
         count_calls(monkeypatch, log, "principal_angles", [oracle, frames])
         count_calls(monkeypatch, log, "polar_factor", [oracle, frames])
         count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base: base["x"].size)
@@ -327,15 +326,16 @@ class TestWorkDoneOnce:
 
         real_extrapolate = frames.extrapolate_along_curve
 
-        def counting_extrapolate(curves):
+        def counting_extrapolate(clustered, curves):
             before = {k: len(log.get(k, [])) for k in ("principal_angles", "procrustes_align")}
-            limits = real_extrapolate(curves)
+            limits = real_extrapolate(clustered, curves)
             # one angle per (curve, later radius, component, candidate)
+            patterns = oracle.slot_patterns(clustered[2], len(clustered[0]))
             expected = sum(
-                sum(1 for c in clusters if c.multiplicity == m)
-                for curve in curves
-                for clusters in curve[1:]
-                for m in (c.multiplicity for c in curve[0])
+                patterns[row].count(m)
+                for rows in curves.tolist()
+                for row in rows[1:]
+                for m in patterns[rows[0]]
             )
             extrapolations.append(({k: log[k][n:] for k, n in before.items()}, len(curves), expected))
             return limits
@@ -451,10 +451,13 @@ class TestWorkDoneOnce:
         ]
 
 
-def same_bouquets(got, want) -> bool:
-    """Equal limit bouquets: order, multiplicities, values and basis bits."""
-    return [(c.value, c.multiplicity) for c in got] == [(c.value, c.multiplicity) for c in want] and all(
-        a.basis.strides == b.basis.strides and a.basis.tobytes() == b.basis.tobytes() for a, b in zip(got, want)
+def same_bouquets(frame, values, pattern, want) -> bool:
+    """A limit bouquet as a frame, its column values and pattern equals the
+    reference's Clusters: order, multiplicities, values and basis bits."""
+    return (
+        pattern == tuple(c.multiplicity for c in want)
+        and values.tolist() == [c.value for c in want for _ in range(c.multiplicity)]
+        and frame.tobytes() == reference.frame_stack([want])[0].tobytes()
     )
 
 
@@ -478,8 +481,8 @@ class TestBatchedCurveStep:
             want = reference.extrapolate_bouquets_per_curve(
                 section, points, exc, matrices, quads, cluster_tol
             )
-            assert len(got) == len(want) == len(exc)
-            assert all(same_bouquets(g, w) for g, w in zip(got, want))
+            assert len(got[0]) == len(got[1]) == len(got[2]) == len(want) == len(exc)
+            assert all(same_bouquets(*g, w) for g, w in zip(zip(*got), want))
             charts.append(section.chart.path)
             return got
 
@@ -506,11 +509,11 @@ class TestBatchedCurveStep:
         names = section.chart.universe.params
         start = np.array([[float(points[i][n]) for n in names] for i in exc])
         delta = next(frames._transversal_directions(len(names)))
-        got = frames._curve_limits(section, start, exc, delta, matrices, quads, 1e-6)
+        limits, values, got = frames._curve_limits(section, start, exc, delta, matrices, quads, 1e-6)
         want = reference.curve_limits_per_curve(section, start, exc, delta, matrices, quads, 1e-6)
         assert str(got[4]).startswith("recovered quadratics do not vanish")
         assert isinstance(want[4], oracle.ExtrapolationError) and str(got[4]) == str(want[4])
-        assert all(same_bouquets(got[j], want[j]) for j in range(len(exc)) if j != 4)
+        assert all(same_bouquets(limits[j], values[j], got[j], want[j]) for j in range(len(exc)) if j != 4)
 
     def test_failing_every_heading_names_the_first_pending_point(self):
         section, points, exc, matrices, quads = self.kupa_curves()
@@ -532,17 +535,16 @@ class TestLimitUniqueness:
     def test_pre_blowup_direction_dependence(self):
         # approached along the x-axis vs the diagonal, the eigenspaces of the
         # base family have different limits at the origin: angle pi/4
-        from eigenbouquet.oracle import extrapolate_along_curve
-        from reference import spectral_sample
+        from reference import limits_along, pairs, spectral_sample
 
         radii = [2.0 ** -k for k in range(3, 9)]
         axis_samples = [
-            spectral_sample(np.array([[t * t, 0.0], [0.0, 0.0]])).clusters for t in radii
+            pairs(spectral_sample(np.array([[t * t, 0.0], [0.0, 0.0]])).clusters) for t in radii
         ]
         diag_samples = [
-            spectral_sample(t * t * np.array([[1.0, 1.0], [1.0, 1.0]])).clusters for t in radii
+            pairs(spectral_sample(t * t * np.array([[1.0, 1.0], [1.0, 1.0]])).clusters) for t in radii
         ]
-        ax, dg = extrapolate_along_curve([axis_samples, diag_samples])
+        ax, dg = limits_along([axis_samples, diag_samples])
         ax_top = max(ax, key=lambda r: r[0])[2]
         dg_top = max(dg, key=lambda r: r[0])[2]
         angle = subspace_angle(ax_top, dg_top)
@@ -566,9 +568,9 @@ class TestLabelingFlags:
     def bouquet(*spaces):
         """One crafted per-point bouquet, for the frozen reference walk;
         reference.as_grid stacks them for the frame pass."""
-        subspaces = [oracle.Cluster(value, basis.shape[1], basis) for value, basis in spaces]
-        frame = np.hstack([basis for _, basis in spaces])
-        return reference.BouquetAtPoint((), {}, subspaces, False, 0.0, 0.0, np.diag([1.0, 2.0, 3.0]), frame)
+        subspaces = [reference.Cluster(value, basis.shape[1], basis) for value, basis in spaces]
+        frames, _, _ = reference.clustered([spaces])
+        return reference.BouquetAtPoint((), {}, subspaces, False, 0.0, 0.0, np.diag([1.0, 2.0, 3.0]), frames[0])
 
     def run_frames(self, monkeypatch, bouquets):
         calls = []

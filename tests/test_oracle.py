@@ -6,24 +6,25 @@ import pytest
 
 from eigenbouquet import oracle
 from eigenbouquet.oracle import (
-    Cluster,
     ExtrapolationError,
+    cluster_frames,
     eigh_jacobi,
     embed_hermitian,
-    extrapolate_along_curve,
     nearest_subspace,
     normal_spectrum,
     JacobiNonConvergence,
     principal_angles,
     procrustes_align,
     richardson_limit,
-    cluster_stack,
+    slot_patterns,
 )
 import reference
 from reference import (
     ClusteredSample,
     eigh_jacobi_per_matrix,
     extrapolate_along_curve_per_curve,
+    limits_along,
+    pairs,
     procrustes_align_per_pair,
     spectral_sample,
     subspace_angle,
@@ -146,13 +147,22 @@ class TestStackedJacobi:
             assert np.all(np.abs(ours - np.linalg.eigvalsh(stack)) <= 1e-12 * scale)
 
     def test_clusters_match_single_matrix_clusters(self):
-        stack = symmetric_stack(np.random.default_rng(5), 4, 25)
-        spectra = eigh_jacobi(stack)
-        for clusters, matrix in zip(cluster_stack(spectra.eigenvalues, spectra.vectors, 1e-6), stack):
+        rng = np.random.default_rng(5)
+        stack = list(symmetric_stack(rng, 4, 25))
+        for spectrum in ([1.0, 1.0, 2.0, 3.0], [-1.0, 0.5, 0.5, 0.5], [2.0, 2.0, 2.0, 2.0], [0.0, 0.0, 4.0, 4.0]):
+            q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+            stack.insert(int(rng.integers(len(stack))), q @ np.diag(spectrum) @ q.T)
+        frames, values, slots = cluster_frames(*eigh_jacobi(np.array(stack)), 1e-6)
+        patterns = slot_patterns(slots, len(stack))
+        assert {len(p) for p in patterns} == {1, 2, 3, 4}
+        for i, matrix in enumerate(stack):
             alone = spectral_sample(matrix, 1e-6)
-            assert [c.multiplicity for c in clusters] == list(alone.multiplicities)
-            for a, b in zip(clusters, alone.clusters):
-                assert a.value == b.value and same_bits(a.basis, b.basis)
+            bounds = np.cumsum((0,) + alone.multiplicities).tolist()
+            assert patterns[i] == alone.multiplicities
+            assert [(a, b) for members, a, b in slots if i in members] == list(zip(bounds, bounds[1:]))
+            for a, b, cluster in zip(bounds, bounds[1:], alone.clusters):
+                assert values[i, a:b].tolist() == [cluster.value] * (b - a)
+                assert same_bits(frames[i][:, a:b], cluster.basis)
 
     def test_nonconverging_member_is_named(self, monkeypatch):
         monkeypatch.setattr(oracle, "JACOBI_SWEEP_CAP", 1)
@@ -303,37 +313,42 @@ class TestNearestSubspace:
 
     def line(self, *coords):
         v = np.array(coords, dtype=float)[:, None]
-        return Cluster(0.0, 1, v / np.linalg.norm(v))
+        return 0.0, v / np.linalg.norm(v)
+
+    @staticmethod
+    def nearest(basis, candidates, skip=()):
+        """nearest_subspace among hand-built (value, basis) candidates, laid
+        out side by side in one frame."""
+        frames, _, slots = reference.clustered([candidates])
+        return nearest_subspace(basis, frames[0], slot_patterns(slots, 1)[0], skip)
 
     def test_only_matching_dimension_competes(self):
-        plane = Cluster(0.0, 2, self.E[:, [0, 1]])
-        k, angle, runner_up = nearest_subspace(
-            self.E[:, [0]], [plane, self.line(0, 1, 1), self.line(0, 0, 1)]
-        )
+        plane = (0.0, self.E[:, [0, 1]])
+        k, angle, runner_up = self.nearest(self.E[:, [0]], [plane, self.line(0, 1, 1), self.line(0, 0, 1)])
         # the plane contains e1 but has the wrong dimension
         assert k == 1
         assert abs(angle - math.pi / 2) < 1e-12
         assert abs(runner_up - math.pi / 2) < 1e-12
-        assert nearest_subspace(self.E[:, [0, 2]], [self.line(1, 0, 0)]) == (None, None, None)
+        assert self.nearest(self.E[:, [0, 2]], [self.line(1, 0, 0)]) == (None, None, None)
 
     def test_runner_up_is_second_smallest(self):
         cands = [self.line(1, 1, 0), self.line(1, 0, 0), self.line(1, 0, 1), self.line(0, 1, 0)]
-        k, angle, runner_up = nearest_subspace(self.E[:, [0]], cands)
+        k, angle, runner_up = self.nearest(self.E[:, [0]], cands)
         assert k == 1 and angle < 1e-12
         assert abs(runner_up - math.pi / 4) < 1e-12
-        k, angle, runner_up = nearest_subspace(self.E[:, [0]], cands[1:2])
+        k, angle, runner_up = self.nearest(self.E[:, [0]], cands[1:2])
         assert (k, runner_up) == (0, None)
 
     def test_skip(self):
         cands = [self.line(1, 0, 0), self.line(2, 1, 0), self.line(0, 0, 1)]
-        k, angle, runner_up = nearest_subspace(self.E[:, [0]], cands, skip={0})
+        k, angle, runner_up = self.nearest(self.E[:, [0]], cands, skip={0})
         assert k == 1
         assert abs(angle - math.atan(0.5)) < 1e-12
         assert abs(runner_up - math.pi / 2) < 1e-12
 
     def test_tie_keeps_first_index(self):
         cands = [self.line(0, 0, 1), self.line(1, 1, 0), self.line(1, -1, 0)]
-        k, angle, runner_up = nearest_subspace(self.E[:, [0]], cands)
+        k, angle, runner_up = self.nearest(self.E[:, [0]], cands)
         assert k == 1
         assert angle == runner_up
 
@@ -355,13 +370,14 @@ RADII = [2.0 ** -k for k in range(3, 9)]
 
 
 def curve(matrix_fn, radii=RADII, tol=1e-6):
-    """The clusters of one curve's samples, from the largest radius down."""
-    return [spectral_sample(matrix_fn(t), tol).clusters for t in radii]
+    """The (value, basis) clusters of one curve's samples, from the largest
+    radius down."""
+    return [pairs(spectral_sample(matrix_fn(t), tol).clusters) for t in radii]
 
 
-def limits_of(clusters):
+def limits_of(samples):
     """extrapolate_along_curve on one curve: its limits, or its error."""
-    (got,) = extrapolate_along_curve([clusters])
+    (got,) = limits_along([samples])
     return got
 
 
@@ -387,8 +403,8 @@ class TestExtrapolation:
         samples = curve(lambda t: m)
         limits = limits_of(samples)
         # the chain is constant: the limit is the samples' basis itself
-        for (value, mult, basis), cluster in zip(limits, samples[-1]):
-            assert mult == 1 and float(np.abs(basis - cluster.basis).max()) < 1e-12
+        for (value, mult, basis), (_, sampled) in zip(limits, samples[-1]):
+            assert mult == 1 and float(np.abs(basis - sampled).max()) < 1e-12
         values = sorted(v for v, _, _ in limits)
         assert np.allclose(values, [2.0, 5.0], atol=1e-12)
 
@@ -418,8 +434,11 @@ class TestBatchedChains:
     curve gets, bit for bit, what the per-curve reference gives it alone, and
     a curve that fails gets the reference's error and leaves the others be."""
 
-    def reference_of(self, clusters):
-        samples = [ClusteredSample(np.zeros(0), np.zeros(0), c) for c in clusters]
+    def reference_of(self, curve):
+        samples = [
+            ClusteredSample(np.zeros(0), np.zeros(0), [reference.Cluster(v, b.shape[1], b) for v, b in sample])
+            for sample in curve
+        ]
         try:
             return extrapolate_along_curve_per_curve(samples)
         except ExtrapolationError as err:
@@ -434,7 +453,7 @@ class TestBatchedChains:
                 continue
             assert [(v, m) for v, m, _ in limits] == [(v, m) for v, m, _, _ in want]
             for (_, _, basis), (_, _, expected, _) in zip(limits, want):
-                assert basis.strides == expected.strides and same_bits(basis, expected)
+                assert same_bits(basis, expected)
 
     def healthy_curves(self, seed, count):
         """2x2 curves with a smooth eigenbasis and 3x3 ones with a plane."""
@@ -451,19 +470,19 @@ class TestBatchedChains:
 
     def test_members_match_the_per_curve_reference(self):
         curves = self.healthy_curves(3, 24)
-        got = extrapolate_along_curve(curves)
+        got = limits_along(curves)
         assert not any(isinstance(limits, ExtrapolationError) for limits in got)
         self.assert_matches_reference(curves, got)
         # and do not depend on their stack
         for members in ([5], [23, 0, 11, 2], list(range(1, 24, 2))):
-            for k, limits in zip(members, extrapolate_along_curve([curves[k] for k in members])):
+            for k, limits in zip(members, limits_along([curves[k] for k in members])):
                 for (v, m, basis), (v2, m2, whole) in zip(limits, got[k]):
                     assert (v, m) == (v2, m2) and same_bits(basis, whole)
 
     def test_structure_change(self):
         curves = self.healthy_curves(4, 7)
         curves[3] = curve(lambda t: np.diag([1.0, 1.0 + (t > 0.01)]))  # one line pair, then a plane
-        got = extrapolate_along_curve(curves)
+        got = limits_along(curves)
         assert str(got[3]) == "cluster structure changes along the curve"
         self.assert_matches_reference(curves, got)
 
@@ -474,7 +493,7 @@ class TestBatchedChains:
         # the samples Richardson reads of the curves after it would show a
         # stack compacted wrongly
         curves[3] = curve(lambda t: turned(rotation(math.pi / 4 * (t == RADII[4])), [1.0, 2.0 + t]))
-        got = extrapolate_along_curve(curves)
+        got = limits_along(curves)
         assert str(got[3]) == "ambiguous component matching along curve"
         self.assert_matches_reference(curves, got)
 
@@ -485,7 +504,7 @@ class TestBatchedChains:
         # Procrustes cross product has rank one
         swap = np.eye(3)[[0, 2, 1]]
         curves[5] = curve(lambda t: turned(swap if t == RADII[4] else np.eye(3), [3.0, 3.0, 1.0 + t]))
-        got = extrapolate_along_curve(curves)
+        got = limits_along(curves)
         assert str(got[5]) == "degenerate alignment (orthogonal subspaces)"
         self.assert_matches_reference(curves, got)
 
@@ -495,7 +514,7 @@ class TestBatchedChains:
         # orthonormalize loses one column of one curve's first limit instead
         curves = self.healthy_curves(7, 7)
         curves[4] = curve(lambda t: np.diag([2.0, 5.0]))
-        target = curves[4][0][0].basis
+        target = curves[4][0][0][1]
         real = oracle.orthonormalize
 
         def losing(columns):
@@ -510,7 +529,7 @@ class TestBatchedChains:
 
         monkeypatch.setattr(oracle, "orthonormalize", losing)
         monkeypatch.setattr(reference, "orthonormalize", losing)
-        got = extrapolate_along_curve(curves)
+        got = limits_along(curves)
         assert str(got[4]) == "extrapolated basis lost rank"
         self.assert_matches_reference(curves, got)
 
