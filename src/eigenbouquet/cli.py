@@ -21,13 +21,14 @@ from .algebra import Polynomial
 from .bouquet import (
     FittingIdeal,
     QuadSystem,
-    ScalarOperator,
     fitting_minors,
     generic_rank,
     wedge_quadratics,
 )
 from .family import MatrixFamily, StructureViolation, analyze_spectrum, check_structure
 from .frames import (
+    DEFAULT_ANGLE_TOL,
+    DEFAULT_RESIDUAL_TOL,
     FrameReport,
     GridSpec,
     LabelingError,
@@ -48,6 +49,7 @@ from .realnormal import (
 )
 from .report import canonical_json, emit_report
 from .resolve import (
+    DEFAULT_DEPTH_CAP,
     GOOD_STATUSES,
     CenterError,
     CenterSpec,
@@ -97,10 +99,10 @@ class JobConfig:
     grid_lo: Fraction = Fraction(-1)
     grid_hi: Fraction = Fraction(1)
     tol_cluster: float = DEFAULT_CLUSTER_TOL
-    tol_angle: float = 1e-8
-    tol_residual: float = 1e-8
+    tol_angle: float = DEFAULT_ANGLE_TOL
+    tol_residual: float = DEFAULT_RESIDUAL_TOL
     seed: int = 42
-    depth_cap: int = 6
+    depth_cap: int = DEFAULT_DEPTH_CAP
     report_path: str | None = None
 
     def __post_init__(self):
@@ -133,10 +135,10 @@ class JobConfig:
                 grid_lo=Fraction(str(grid.get("lo", -1))),
                 grid_hi=Fraction(str(grid.get("hi", 1))),
                 tol_cluster=float(tol.get("cluster", DEFAULT_CLUSTER_TOL)),
-                tol_angle=float(tol.get("angle", 1e-8)),
-                tol_residual=float(tol.get("residual", 1e-8)),
+                tol_angle=float(tol.get("angle", DEFAULT_ANGLE_TOL)),
+                tol_residual=float(tol.get("residual", DEFAULT_RESIDUAL_TOL)),
                 seed=int(data.get("seed", 42)),
-                depth_cap=int(data.get("depth_cap", 6)),
+                depth_cap=int(data.get("depth_cap", DEFAULT_DEPTH_CAP)),
                 report_path=data.get("report"),
             )
         except ConfigError:
@@ -425,8 +427,6 @@ def stage_frames(state: RunState) -> RunState:
         cfg.grid_hi,
     )
     for leaf in state.outcome.leaves():
-        if leaf.status == "ScalarOperator":
-            continue
         twin = (
             derive_chart_for(leaf, [g for g in primary.ideal.gens], cfg.seed)
             if len(analysis.bundles) > 1
@@ -511,9 +511,7 @@ def stage_check(state: RunState) -> RunState:
         bad = 0
         if off:
             base = {name: (numerators[name][off] / den).astype(float) for name in names}
-            matrices = family_matrix(analysis.family, base)
-            if matrices.ndim == 2:  # no parameters
-                matrices = matrices[None].repeat(len(off), axis=0)
+            matrices = family_matrix(analysis.family, base, len(off))
             for members, bounds in gap_groups(eigh_jacobi(matrices).eigenvalues, cfg.tol_cluster):
                 bad += len(members) if len(bounds) - 1 != summary.generic_distinct_eigenvalues else 0
         inv.append(
@@ -599,20 +597,15 @@ def _load_config(args) -> JobConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config: {err}") from err
-    cfg = JobConfig.from_dict(data)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.grid is not None:
-        cfg = replace(cfg, grid_points=args.grid)
-    if args.tol_angle is not None:
-        cfg = replace(cfg, tol_angle=args.tol_angle)
-    if args.tol_residual is not None:
-        cfg = replace(cfg, tol_residual=args.tol_residual)
-    if args.depth_cap is not None:
-        cfg = replace(cfg, depth_cap=args.depth_cap)
-    if args.report is not None:
-        cfg = replace(cfg, report_path=args.report)
-    return cfg
+    flags = {
+        "seed": args.seed,
+        "grid_points": args.grid,
+        "tol_angle": args.tol_angle,
+        "tol_residual": args.tol_residual,
+        "depth_cap": args.depth_cap,
+        "report_path": args.report,
+    }
+    return replace(JobConfig.from_dict(data), **{k: v for k, v in flags.items() if v is not None})
 
 
 def run_job(cfg: JobConfig, stages: tuple[str, ...]) -> tuple[int, dict]:
@@ -632,10 +625,6 @@ def run_job(cfg: JobConfig, stages: tuple[str, ...]) -> tuple[int, dict]:
         state.report["verdict"] = "Unresolved"
         _maybe_emit(state)
         return EXIT_UNRESOLVED, state.report
-    except ScalarOperator:
-        state.report["verdict"] = "ScalarOperator"
-        _maybe_emit(state)
-        return EXIT_PASS, state.report
     except RUN_ERRORS as err:
         state.report["error"] = {"type": type(err).__name__, "message": str(err)}
         state.report["verdict"] = "error"

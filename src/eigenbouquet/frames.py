@@ -64,12 +64,14 @@ class LabelingError(RuntimeError):
     """A grid point has no component of a tracked component's dimension."""
 
 
-def family_matrix(fam: MatrixFamily, base_point: dict) -> np.ndarray:
-    """Float matrix of the family at a point, real-embedded when gaussian; a
-    base point of float arrays of shape (P,) gives the (P, n, n) stack."""
-    grid = np.array([[p.eval_complex(base_point) for p in row] for row in fam.entries])
+def family_matrix(fam: MatrixFamily, base: dict, count: int) -> np.ndarray:
+    """The (count, n, n) float stack of the family at base-point columns of
+    shape (count,), real-embedded when gaussian; without parameters every
+    member is the one matrix of the family."""
+    grid = np.array([[p.eval_complex(base) for p in row] for row in fam.entries], dtype=complex)
+    grid = np.broadcast_to(grid.reshape(fam.n, fam.n, -1), (fam.n, fam.n, count))
     # each member laid out as one point's matrix is: products round alike
-    grid = np.ascontiguousarray(np.moveaxis(grid, (0, 1), (-2, -1)), dtype=complex)
+    grid = np.ascontiguousarray(np.moveaxis(grid, (0, 1), (-2, -1)))
     if fam.fld == "gaussian":
         return embed_hermitian(grid)
     return grid.real
@@ -191,8 +193,7 @@ def _spectra_at(section: PluckerSection, points: list[dict], where):
     on_disc = np.ones(count, dtype=bool)
     for g in chart.pulled_minors:
         on_disc &= g.eval_integer(numerators, den, count)[0] == 0
-    matrices = family_matrix(section.family, base)
-    matrices = np.broadcast_to(matrices, (count,) + matrices.shape[-2:])  # no parameters
+    matrices = family_matrix(section.family, base, count)
     off = np.flatnonzero(~on_disc)
     try:
         spectra = eigh_jacobi(matrices[off])
@@ -545,7 +546,7 @@ def _aligned_frames(frames: np.ndarray, cols: np.ndarray, dim: int, previous: np
     for at in levels:
         turns[at] = polar[at - 1] @ turns[previous[at]]
         turns[at[reset[at - 1]]] = np.eye(dim)
-    # a line's turn is a sign: multiplied, as procrustes_align turns a line
+    # a line's turn is a sign: multiplied, as the curve chains turn a line
     aligned = bases * turns if dim == 1 else bases @ turns
     return aligned, (np.flatnonzero(degenerate) + 1).tolist()
 

@@ -24,6 +24,7 @@ import numpy as np
 DEFAULT_CLUSTER_TOL = 1e-6
 JACOBI_SWEEP_CAP = 60
 JACOBI_OFF_TOL = 1e-13
+RICHARDSON_ORDER = 2
 
 
 class JacobiNonConvergence(RuntimeError):
@@ -40,15 +41,14 @@ class SpectralSample(NamedTuple):
 
 
 def eigh_jacobi(matrices) -> SpectralSample:
-    """Cyclic Jacobi sweeps on a real symmetric matrix or a (P, n, n) stack,
+    """Cyclic Jacobi sweeps on a (P, n, n) stack of real symmetric matrices,
     in lockstep: each member skips pairs below its own threshold and stops at
     off-diagonal mass 1e-13 * ||M||_F, ending bit for bit as it would alone.
     A member unconverged after 60 sweeps raises, naming its stack index.
-    Eigenvalues ascending, vectors as columns, shaped like the input."""
-    single = np.ndim(matrices) == 2
-    a = np.array(matrices, dtype=float, ndmin=3)
+    Per member, eigenvalues ascending (P, n) and vectors as columns (P, n, n)."""
+    a = np.array(matrices, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("matrix must be square")
+        raise ValueError("expected a (P, n, n) stack of square matrices")
     n = a.shape[1]
     scale = _frobenius(a)
     asym = np.max(np.abs(a - np.swapaxes(a, 1, 2)), axis=(1, 2), initial=0.0)
@@ -89,7 +89,7 @@ def eigh_jacobi(matrices) -> SpectralSample:
     members = np.arange(len(a))[:, None]
     values = a[members, order, order]
     vecs = vecs[members[:, :, None], diag[:, None], order[:, None, :]]
-    return SpectralSample(values[0], vecs[0]) if single else SpectralSample(values, vecs)
+    return SpectralSample(values, vecs)
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -127,20 +127,17 @@ def _rotate(m: np.ndarray, at_p, at_q, c: np.ndarray, s: np.ndarray) -> None:
 
 
 def orthonormalize(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt (two passes) on an (n, m) matrix or each member of
-    a stack; a column left 1e-12 or shorter is dropped, or zeroed in a stack."""
-    single = np.ndim(columns) == 2
-    stack = np.array(columns, dtype=float, ndmin=3)
+    """Modified Gram-Schmidt (two passes) on each (n, m) member of a stack; a
+    column left 1e-12 or shorter is zeroed, so the shape is kept."""
+    stack = np.asarray(columns, dtype=float)
     kept: list[np.ndarray] = []
     for k in range(stack.shape[2]):
         v = stack[:, :, k].copy()
         for u in kept + kept:
             v = v - _dots(u, v)[:, None] * u
         norm = np.sqrt(_dots(v, v))[:, None]
-        if not (single and norm[0, 0] <= 1e-12):
-            kept.append(np.divide(v, norm, out=np.zeros_like(v), where=norm > 1e-12))
-    out = np.stack(kept, axis=2) if kept else np.zeros(stack.shape[:2] + (0,))
-    return out[0] if single else out
+        kept.append(np.divide(v, norm, out=np.zeros_like(v), where=norm > 1e-12))
+    return np.stack(kept, axis=2) if kept else np.zeros(stack.shape)
 
 
 def cluster_frames(values: np.ndarray, vectors: np.ndarray, tol: float):
@@ -189,8 +186,8 @@ def slot_patterns(slots, count: int) -> list[tuple[int, ...]]:
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
-    """Canonical angles between two subspaces given orthonormal bases: a
-    sorted list for two (n, k) bases, an (N, k) array for two stacks.
+    """Canonical angles between the subspaces of two (N, n, k) stacks of
+    orthonormal bases, member by member: an (N, k) array, each row sorted.
 
     With A the smaller basis, cosines are the singular values of B^T A and
     sines those of A - B B^T A; the k-th largest cosine pairs with the k-th
@@ -199,8 +196,7 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
     one-sided Jacobi (one rotation for a plane) gives them as column norms,
     which keeps a small sine beside a large one that Gram eigenvalues lose.
     """
-    single = np.ndim(basis_a) < 3
-    a, b = (np.array(m, dtype=float, ndmin=3, copy=None) for m in (basis_a, basis_b))
+    a, b = (np.asarray(m, dtype=float) for m in (basis_a, basis_b))
     if a.shape[2] == 0 or b.shape[2] == 0:
         raise ValueError("empty basis")
     for m in (a, b):
@@ -218,8 +214,7 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray):
     else:
         sines, cosines = _singular_values(residual), _singular_values(cross)[:, ::-1]
     angles = np.fromiter(map(math.atan2, sines.ravel(), cosines.ravel()), float, sines.size)
-    angles = np.sort(angles.reshape(sines.shape), axis=1)
-    return angles[0].tolist() if single else angles
+    return np.sort(angles.reshape(sines.shape), axis=1)
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
@@ -271,23 +266,14 @@ def nearest_subspace(basis: np.ndarray, frame: np.ndarray, pattern: tuple, skip=
     return nearest_of(zip(ks, angles.max(axis=1).tolist()))
 
 
-def procrustes_align(basis: np.ndarray, reference: np.ndarray):
-    """Rotate each basis (orthonormal columns) of a stack to best match its
-    reference frame: the aligned stack and which members are degenerate
-    (orthogonal subspaces), each of which keeps its basis. One pair gives one
-    basis and one flag."""
-    bases, refs = (np.array(m, dtype=float, ndmin=3) for m in (basis, reference))
-    turn, degenerate = polar_factor(np.swapaxes(bases, 1, 2) @ refs)
-    aligned = bases * turn if turn.shape[1:] == (1, 1) else bases @ turn
-    aligned[degenerate] = bases[degenerate]
-    return (aligned[0], bool(degenerate[0])) if np.ndim(basis) == 2 else (aligned, degenerate)
-
-
 def polar_factor(cross: np.ndarray):
     """Orthogonal polar factor U V^T of each member U S V^T of an (N, m, m)
     stack, from one eigh_jacobi stack of cross^T cross, and which members are
     degenerate (a singular value below 1e-12), whose factor means nothing.
-    For m = 1 the factor is the sign, +1 at 0, and never degenerate."""
+    For m = 1 the factor is the sign, +1 at 0, and never degenerate.
+
+    The one alignment kernel: for bases B and references R, B @ polar(B^T R)
+    (B times that sign, for a line) is B Procrustes-aligned to R."""
     degenerate = np.zeros(len(cross), dtype=bool)
     if cross.shape[1:] == (1, 1):
         return np.copysign(1.0, np.where(cross == 0.0, 1.0, cross)), degenerate
@@ -300,13 +286,13 @@ def polar_factor(cross: np.ndarray):
     return u_mat @ np.swapaxes(right, 1, 2), degenerate
 
 
-def richardson_limit(values: list[np.ndarray], order: int = 2) -> np.ndarray:
-    """Richardson extrapolation to 0 of samples at radii r, r/2, r/4, ...,
-    entrywise: each sample may be a whole stack."""
+def richardson_limit(values: list[np.ndarray]) -> np.ndarray:
+    """Richardson extrapolation (order 2) to 0 of samples at radii r, r/2,
+    r/4, ..., entrywise: each sample may be a whole stack."""
     table = [np.asarray(v, dtype=float) for v in values]
-    if len(table) < order + 2:
-        raise ExtrapolationError("not enough radii for the requested order")
-    for level in range(1, order + 1):
+    if len(table) < RICHARDSON_ORDER + 2:
+        raise ExtrapolationError(f"order {RICHARDSON_ORDER} needs at least {RICHARDSON_ORDER + 2} radii")
+    for level in range(1, RICHARDSON_ORDER + 1):
         factor = 2.0 ** level
         table = [(factor * table[k + 1] - table[k]) / (factor - 1.0) for k in range(len(table) - 1)]
     return table[-1]
@@ -320,7 +306,7 @@ def extrapolate_along_curve(clustered, curves: np.ndarray):
     from the largest radius to the smallest. The curves of one multiplicity
     pattern go together: per component and radius step, one
     principal_angles stack per candidate slot matches them (the first
-    nearest, and ambiguous within 1e-3 of the runner-up), one Procrustes
+    nearest, and ambiguous within 1e-3 of the runner-up), one polar_factor
     stack aligns them; Richardson (order 2) and one orthonormalize stack
     end each component.
 
@@ -375,12 +361,13 @@ def _extrapolate_group(frames, values, at: np.ndarray, rows: np.ndarray, mults: 
             if not members.size:
                 return
             matched = candidates[members, best[members]]
-            aligned, degenerate = procrustes_align(matched, chain[-1][members])
+            turn, degenerate = polar_factor(np.swapaxes(matched, 1, 2) @ chain[-1][members])
             _fail(found, at[alive[members[degenerate]]], "degenerate alignment (orthogonal subspaces)")
             members = members[~degenerate]
             alive = alive[members]
             if not alive.size:
                 return
+            aligned = matched * turn if dim == 1 else matched @ turn
             chain = [c[members] for c in chain] + [aligned[~degenerate]]
             valchain = [v[members] for v in valchain] + [vals[r][alive, np.array(slots)[best[members]]]]
         limit = orthonormalize(richardson_limit(chain))
@@ -401,8 +388,8 @@ def _fail(out: list, members: np.ndarray, message: str) -> None:
 
 
 def embed_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """Real 2n symmetric embedding [[Re, -Im], [Im, Re]] of a Hermitian
-    matrix, or of each member of a (P, n, n) stack."""
+    """Real 2n symmetric embedding [[Re, -Im], [Im, Re]] of each member of a
+    (P, n, n) stack of Hermitian matrices."""
     m = np.asarray(matrix, dtype=complex)
     halves = np.concatenate([m.real, -m.imag], -1), np.concatenate([m.imag, m.real], -1)
     return np.concatenate(halves, -2)
@@ -413,11 +400,11 @@ def normal_spectrum(sym_part: np.ndarray, skew_part: np.ndarray, tol: float = DE
 
     A and B commute for a normal matrix, so B*B^T restricted to each
     A-eigenspace is symmetric; its eigenvalues are the squared imaginary
-    parts paired with that real part. Returns a list of (a, b >= 0, mult)
-    with mult counting real dimensions (a plane contributes 2); for stacks
-    of halves, one list per member, from one solve per A-slot.
+    parts paired with that real part. Takes (P, n, n) stacks of halves and
+    returns per member a list of (a, b >= 0, mult) with mult counting real
+    dimensions (a plane contributes 2), from one solve per A-slot.
     """
-    a, b = (np.array(m, dtype=float, ndmin=3) for m in (sym_part, skew_part))
+    a, b = (np.asarray(m, dtype=float) for m in (sym_part, skew_part))
     bbt = b @ np.swapaxes(b, 1, 2)
     floor = (1e-13 * (1.0 + _frobenius(bbt))).tolist()
     frames, values, slots = cluster_frames(*eigh_jacobi(a), tol)
@@ -434,5 +421,4 @@ def normal_spectrum(sym_part: np.ndarray, skew_part: np.ndarray, tol: float = DE
             # and the square root would otherwise amplify them to ~1e-8
             for i, value, sq in zip(at.tolist(), values[at, start].tolist(), squares[subs, first].tolist()):
                 out[i].append((value, 0.0 if sq <= floor[i] else math.sqrt(sq), last - first))
-    out = [sorted(spectrum) for spectrum in out]  # ascending a, then b: the clusters' order
-    return out[0] if np.ndim(sym_part) == 2 else out
+    return [sorted(spectrum) for spectrum in out]  # ascending a, then b: the clusters' order

@@ -129,8 +129,8 @@ def _halves(l_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def arcp_extract(l_mats: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL):
-    """Greedy descending extraction of invariant planes of a real normal L, or
-    of each member of a (P, n, n) stack (then a list, one per member).
+    """Greedy descending extraction of the invariant planes of each real
+    normal member L of a (P, n, n) stack: a list of P decompositions.
 
     Positive eigenvalue clusters of the doubled operator are refined by the
     restriction of A (the halves commute), then peeled two dimensions at a
@@ -139,7 +139,7 @@ def arcp_extract(l_mats: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     eigenspaces, split by A. Each solve is one stacked call per cluster
     slot; a DecompositionError names the first failing member in ``member``.
     """
-    l_stack = np.asarray(l_mats, dtype=float).reshape((-1,) + np.shape(l_mats)[-2:])
+    l_stack = np.asarray(l_mats, dtype=float)
     count, n = l_stack.shape[:2]
     a_mat, b_mat = _halves(l_stack)
     b2, bbt = doubled_matrix(b_mat), b_mat @ np.swapaxes(b_mat, 1, 2)
@@ -175,11 +175,10 @@ def arcp_extract(l_mats: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL):
         err.member = min(errors)
         raise err
     gram = np.max(np.abs(np.swapaxes(frame, 1, 2) @ frame - np.eye(n)), axis=(1, 2)).tolist()
-    decompositions = [
+    return [
         ArcpDecomposition(flat, frame[i], gram[i], reals[i] + [(p.a, p.b, 2) for p in flat])
         for i, flat in enumerate(planes)
     ]
-    return decompositions[0] if np.ndim(l_mats) == 2 else decompositions
 
 
 def _peel_planes(work, owners, values, l_stack, scale, planes, errors) -> None:
@@ -239,8 +238,8 @@ def _real_spaces(a_mat: np.ndarray, bbt: np.ndarray, floor: np.ndarray, cluster_
 
 
 def complexified_eigenvalues(l_mat: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL):
-    """Independent oracle route: spectrum of L (or of each member of a stack)
-    via nested symmetric solves."""
+    """Independent oracle route: the spectrum of each member L of a (P, n, n)
+    stack via nested symmetric solves, one list per member."""
     return normal_spectrum(*_halves(l_mat), cluster_tol)
 
 
@@ -267,9 +266,8 @@ def arcp_over_grid(
     """Plane decomposition of L at every grid point, checked against the
     oracle: one stack of L at the base-point columns, decomposed and solved
     as a whole. Without parameters the grid is one point."""
-    l_mats = family_matrix(split.original, base)
     count = max((len(column) for column in base.values()), default=1)
-    l_mats = np.broadcast_to(l_mats, (count,) + l_mats.shape[-2:])
+    l_mats = family_matrix(split.original, base, count)
     try:
         decompositions = arcp_extract(l_mats, cluster_tol)
     except DecompositionError as err:

@@ -37,10 +37,9 @@ POOL_DEN = 840  # lcm(1..8): a multiple of every pool denominator
 RESOLVED_CERTIFIED = "ResolvedCertified"
 RESOLVED_PROBABLE = "ResolvedProbable"
 UNRESOLVED = "Unresolved"
-SCALAR_OPERATOR = "ScalarOperator"
 INCONCLUSIVE = "Inconclusive"
 
-GOOD_STATUSES = {RESOLVED_CERTIFIED, RESOLVED_PROBABLE, SCALAR_OPERATOR}
+GOOD_STATUSES = {RESOLVED_CERTIFIED, RESOLVED_PROBABLE}
 
 # fresh chart coordinate names, preferred order
 _NAME_POOL = ("u", "v", "w", "a", "b", "c", "d", "e", "f", "g", "h")
@@ -288,7 +287,7 @@ def principality_status(node: ChartNode, seed: int = 42) -> str:
 @dataclass
 class ResolutionOutcome:
     root: ChartNode | None
-    verdict: str  # "Resolved" | "Unresolved" | "ScalarOperator"
+    verdict: str  # "Resolved" | "Unresolved"
     warnings: list[str] = field(default_factory=list)
 
     def leaves(self):

@@ -6,11 +6,13 @@ operator's plane identities), small conveniences (the benchmark's jobs,
 exact base points, the exactness of a point, the largest principal angle
 of one pair, one matrix's clustered spectrum, hand-built clusters as the
 arrays cluster_frames gives) and the per-matrix paths the stacked ones
-replaced (the Jacobi solver, the plane check over a grid, Procrustes
-alignment, curve extrapolation one curve at a time, one bouquet object per
-grid point with one Cluster per eigenspace, the grid walk's level-by-level
-Procrustes stacks, label angles and LAPACK cross-check from per-point
-clusters, the chart sampler's point-by-point scan), the Bareiss
+replaced (the Jacobi solver, the plane check over a grid, the
+single-matrix Gram-Schmidt that drops short columns, Procrustes alignment
+of one pair or a stack, curve extrapolation one curve at a time, one
+bouquet object per grid point with one Cluster per eigenspace, the grid
+walk's level-by-level Procrustes stacks, label angles and LAPACK
+cross-check from per-point clusters, the chart sampler's point-by-point
+scan), the Bareiss
 determinant the Laplace minors replaced, and the exact chart layer without
 its shortcuts (the gcd, exact division and cofactor-tracking Buchberger
 run), kept frozen as their bit-for-bit references. The package clusters
@@ -64,13 +66,14 @@ from eigenbouquet.oracle import (
     ExtrapolationError,
     JacobiNonConvergence,
     SpectralSample,
+    _dots,
     eigh_jacobi,
     extrapolate_along_curve,
     gap_groups,
     nearest_of,
     orthonormalize,
+    polar_factor,
     principal_angles,
-    procrustes_align,
 )
 from eigenbouquet.realnormal import (
     KERNEL_TOL,
@@ -141,8 +144,8 @@ def all_exact(values) -> bool:
 
 
 def subspace_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
-    """Largest canonical angle: 0 iff the spans agree."""
-    return max(principal_angles(basis_a, basis_b))
+    """Largest canonical angle of one pair of bases: 0 iff the spans agree."""
+    return float(principal_angles(basis_a[None], basis_b[None]).max())
 
 
 @dataclass(slots=True)
@@ -213,9 +216,9 @@ class ClusteredSample:
 
 def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> ClusteredSample:
     """Eigenvalues, vectors and clusters of one matrix: a stack of one."""
-    sample = eigh_jacobi(matrix)
-    clusters = cluster_stack_per_point(sample.eigenvalues[None], sample.vectors[None], tol)[0]
-    return ClusteredSample(sample.eigenvalues, sample.vectors, clusters)
+    sample = eigh_jacobi(np.asarray(matrix)[None])
+    clusters = cluster_stack_per_point(sample.eigenvalues, sample.vectors, tol)[0]
+    return ClusteredSample(sample.eigenvalues[0], sample.vectors[0], clusters)
 
 
 # -- ranks of the quadratic system ----------------------------------------
@@ -267,8 +270,7 @@ def jacobian_rank_at(system: QuadSystem, point: dict, fiber, tol: float = 1e-7) 
     if not jac.size:
         return 0
     normal = jac.T @ jac
-    sample = eigh_jacobi(normal)
-    sv = np.sqrt(np.clip(sample.eigenvalues, 0.0, None))
+    sv = np.sqrt(np.clip(eigh_jacobi(normal[None]).eigenvalues[0], 0.0, None))
     cut = tol * (1.0 + (float(sv.max()) if sv.size else 0.0))
     return int(np.sum(sv > cut))
 
@@ -355,7 +357,7 @@ def plane_invariant_checks(
     if abs(b_value) <= KERNEL_TOL:
         raise ValueError("checks require a nonzero eigenvalue")
     n = split.n
-    b_mat = family_matrix(split.skew, point)
+    b_mat = family_matrix(split.skew, point, 1)[0]
     b2 = doubled_matrix(b_mat)
     scale = 1.0 + float(np.linalg.norm(b2))
     f = np.asarray(fvec, dtype=float)
@@ -378,7 +380,7 @@ def plane_invariant_checks(
     for cluster in sample.clusters:
         if abs(cluster.value - b_value) <= cluster_tol * scale:
             basis = cluster.basis
-            j_basis = orthonormalize(np.column_stack([apply_j(basis[:, k]) for k in range(basis.shape[1])]))
+            j_basis = orthonormalize_columns(np.column_stack([apply_j(basis[:, k]) for k in range(basis.shape[1])]))
             residual = float(
                 np.linalg.norm(j_basis - basis @ (basis.T @ j_basis))
             )
@@ -501,12 +503,12 @@ def _peel_planes(space: np.ndarray, a_value: float, b_value: float, l_mat, scale
             float(np.linalg.norm(lu - (a_value * u + b_value * v))),
             float(np.linalg.norm(lv - (a_value * v - b_value * u))),
         )
-        plane_basis = orthonormalize(np.column_stack([u, v]))
+        plane_basis = orthonormalize_columns(np.column_stack([u, v]))
         image = np.column_stack([l_mat @ plane_basis[:, 0], l_mat @ plane_basis[:, 1]])
         inv = float(np.linalg.norm(image - plane_basis @ (plane_basis.T @ image)))
         planes.append(ArcpPlane(a_value, b_value, u, v, sim / scale, inv / scale))
-        drop = orthonormalize(np.column_stack([f, jf]))
-        work = orthonormalize(work - drop @ (drop.T @ work))
+        drop = orthonormalize_columns(np.column_stack([f, jf]))
+        work = orthonormalize_columns(work - drop @ (drop.T @ work))
     if work.shape[1]:
         raise DecompositionError("odd dimension left while peeling planes")
     return planes
@@ -549,7 +551,7 @@ def arcp_over_grid_per_point(
     worst_sim = worst_gram = worst_eig = 0.0
     plane_count = 0
     for base in base_points:
-        l_mat = family_matrix(split.original, base)
+        l_mat = family_matrix(split.original, base, 1)[0]
         try:
             dec = arcp_extract_per_point(l_mat, cluster_tol)
         except DecompositionError as err:
@@ -576,15 +578,44 @@ def procrustes_align_per_pair(basis: np.ndarray, reference: np.ndarray) -> np.nd
     cross = basis.T @ reference
     if cross.shape == (1, 1):
         return basis * math.copysign(1.0, float(cross[0, 0]) or 1.0)
-    right = eigh_jacobi(cross.T @ cross)
+    right = eigh_jacobi((cross.T @ cross)[None]).vectors[0]
     cols = []
     for k in range(cross.shape[1]):
-        u = cross @ right.vectors[:, k]
+        u = cross @ right[:, k]
         norm = float(np.linalg.norm(u))
         if norm < 1e-12:
             raise ExtrapolationError("degenerate alignment (orthogonal subspaces)")
         cols.append(u / norm)
-    return basis @ (np.column_stack(cols) @ right.vectors.T)
+    return basis @ (np.column_stack(cols) @ right.T)
+
+
+def procrustes_align(basis: np.ndarray, reference: np.ndarray):
+    """Rotate each basis (orthonormal columns) of a stack to best match its
+    reference frame: the aligned stack and which members are degenerate
+    (orthogonal subspaces), each of which keeps its basis. One pair gives one
+    basis and one flag. The package's own kernel until it aligned with
+    ``polar_factor`` directly."""
+    bases, refs = (np.array(m, dtype=float, ndmin=3) for m in (basis, reference))
+    turn, degenerate = polar_factor(np.swapaxes(bases, 1, 2) @ refs)
+    aligned = bases * turn if turn.shape[1:] == (1, 1) else bases @ turn
+    aligned[degenerate] = bases[degenerate]
+    return (aligned[0], bool(degenerate[0])) if np.ndim(basis) == 2 else (aligned, degenerate)
+
+
+def orthonormalize_columns(columns: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt (two passes) on one (n, m) matrix, a column left
+    1e-12 or shorter dropped: the single-matrix path ``orthonormalize`` had
+    before it took stacks only, which zero such a column instead."""
+    stack = np.array(columns, dtype=float, ndmin=3)
+    kept: list[np.ndarray] = []
+    for k in range(stack.shape[2]):
+        v = stack[:, :, k].copy()
+        for u in kept + kept:
+            v = v - _dots(u, v)[:, None] * u
+        norm = np.sqrt(_dots(v, v))[:, None]
+        if not norm[0, 0] <= 1e-12:
+            kept.append(v / norm)
+    return np.stack(kept, axis=2)[0] if kept else np.zeros((stack.shape[1], 0))
 
 
 # -- curve extrapolation one curve at a time ----------------------------------
@@ -647,7 +678,7 @@ def extrapolate_along_curve_per_curve(samples: list[ClusteredSample]) -> list[tu
             valchain.append(s.clusters[best_k].value)
         limit, corr = richardson_limit_per_curve(chains)
         value, _ = richardson_limit_per_curve([np.array([v]) for v in valchain])
-        basis = orthonormalize(limit)
+        basis = orthonormalize_columns(limit)
         if basis.shape[1] != dim:
             raise ExtrapolationError("extrapolated basis lost rank")
         results.append((float(value[0]), dim, basis, corr))

@@ -440,11 +440,11 @@ class TestAcceptance5RealNormalSuite:
             points = 0
             while points < 4:
                 pt = {k: float(Fraction(rng.randint(-8, 8), rng.randint(1, 4))) for k in names}
-                b2 = family_matrix(split.doubled, pt)
+                b2 = family_matrix(split.doubled, pt, 1)[0]
                 sample = spectral_sample(b2, tol=1e-6)
                 vals = np.sort(sample.eigenvalues)
                 scale = 1.0 + float(np.abs(vals).max())
-                a_vals = np.sort(spectral_sample(family_matrix(split.sym, pt)).eigenvalues)
+                a_vals = np.sort(spectral_sample(family_matrix(split.sym, pt, 1)[0]).eigenvalues)
                 a_scale = 1.0 + float(np.abs(a_vals).max())
                 gap_sets = [
                     (np.diff(vals), scale),
@@ -463,7 +463,7 @@ class TestAcceptance5RealNormalSuite:
                     worst_pairing, float(np.max(np.abs(vals + vals[::-1]))) / scale
                 )
                 # squares match the spectrum of B B^T, doubled
-                b = family_matrix(split.skew, pt)
+                b = family_matrix(split.skew, pt, 1)[0]
                 bbt = b @ b.T
                 bbt_vals = np.sort(spectral_sample(bbt).eigenvalues)
                 doubled = np.sort(np.concatenate([bbt_vals, bbt_vals]))
@@ -471,14 +471,14 @@ class TestAcceptance5RealNormalSuite:
                     worst_pairing,
                     float(np.max(np.abs(np.sort(vals**2) - doubled))) / (1.0 + doubled.max()),
                 )
-                l_mat = family_matrix(split.original, pt)
-                dec = arcp_extract(l_mat)
+                l_mat = family_matrix(split.original, pt, 1)
+                (dec,) = arcp_extract(l_mat)
                 for plane in dec.planes:
                     worst_arcp = max(
                         worst_arcp, plane.similitude_residual, plane.invariance_residual
                     )
                 worst_arcp = max(worst_arcp, dec.gram_residual)
-                oracle = complexified_eigenvalues(l_mat)
+                (oracle,) = complexified_eigenvalues(l_mat)
                 worst_eig = max(worst_eig, _eig_match(dec.eigenvalues, oracle))
                 for cluster in sample.clusters:
                     if cluster.value <= 1e-9 * scale:

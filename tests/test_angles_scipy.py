@@ -56,7 +56,7 @@ def reference_angles(a, b):
 
 def assert_matches(a, b):
     expected = reference_angles(a, b)
-    for got in (principal_angles(a, b), principal_angles(b, a)):
+    for (got,) in (principal_angles(a[None], b[None]), principal_angles(b[None], a[None])):
         assert len(got) == len(expected)
         assert max(abs(x - y) for x, y in zip(got, expected)) <= TOL, (got, expected)
     return expected

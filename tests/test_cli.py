@@ -182,6 +182,34 @@ class TestCheckSubcommand:
         assert code == exit_code
         assert (item["count"], item["failures"], item["pass"]) == (100, failures, not failures)
 
+    @pytest.mark.parametrize(
+        "structure, matrix, verdict, invariants",
+        [
+            ("symmetric", [["1", "0"], ["0", "2"]], "pass", [("weak", 1), ("oracle", 100), ("frame", 1)]),
+            ("symmetric", [["1", "1"], ["1", "1"]], "pass", [("weak", 1), ("oracle", 100), ("frame", 1)]),
+            ("symmetric", [["2", "0"], ["0", "2"]], "ScalarOperator", [("oracle", 100)]),
+            ("normal", [["1", "2"], ["-2", "1"]], "pass", [("weak", 1), ("frame", 1), ("arcp", 1)]),
+            ("skew", [["0", "3"], ["-3", "0"]], "pass", [("weak", 1), ("frame", 1), ("arcp", 1)]),
+        ],
+        ids=["diagonal", "rank_one", "scalar", "normal", "skew"],
+    )
+    def test_parameterless_family(self, structure, matrix, verdict, invariants):
+        # without parameters the grid is one point and check's 100 draws are
+        # 100 copies of the one matrix: family_matrix repeats it count times
+        names = {
+            "weak": "weak_transform_exactness",
+            "oracle": "oracle_cluster_count_off_discriminant",
+            "frame": "frame_invariants_root",
+            "arcp": "arcp_invariants_root",
+        }
+        data = {"structure": structure, "params": [], "matrix": matrix}
+        stack = frames.family_matrix(cli.build_family(JobConfig.from_dict(data)), {}, 3)
+        assert stack.shape == (3, 2, 2) and (stack == np.array(matrix, dtype=float)).all()
+        code, report = cli.run_job(JobConfig.from_dict(data), ("analyze", "resolve", "frames", "check"))
+        assert (code, report["verdict"]) == (EXIT_PASS, verdict)
+        got = [(item["name"], item["count"], item["failures"]) for item in report["invariants"]]
+        assert got == [(names[kind], count, 0) for kind, count in invariants]
+
 
 class TestProductResolution:
     def test_derived_charts_factor_the_local_generator(self):

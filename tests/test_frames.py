@@ -304,16 +304,11 @@ class TestWorkDoneOnce:
         count_calls(monkeypatch, log, "eigh_jacobi", [oracle, frames, cli])
         count_calls(monkeypatch, log, "principal_angles", [oracle, frames])
         count_calls(monkeypatch, log, "polar_factor", [oracle, frames])
-        count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base: base["x"].size)
+        count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base, count: count)
         count_calls(monkeypatch, log, "eval_integer", [Polynomial], size=lambda p, nums, den, count: count)
         count_calls(monkeypatch, log, "substitute", [Polynomial], size=lambda *args: 1)
         count_calls(
             monkeypatch, log, "recover_quadratics", [frames.PluckerSection], size=lambda s, pts: len(pts)
-        )
-        # a stack's size; None for one pair
-        count_calls(
-            monkeypatch, log, "procrustes_align", [oracle],
-            size=lambda basis, ref: len(basis) if np.ndim(basis) == 3 else None,
         )
 
         real_frames = cli.local_frame_and_eigenvalues
@@ -327,7 +322,7 @@ class TestWorkDoneOnce:
         real_extrapolate = frames.extrapolate_along_curve
 
         def counting_extrapolate(clustered, curves):
-            before = {k: len(log.get(k, [])) for k in ("principal_angles", "procrustes_align")}
+            before = {k: len(log.get(k, [])) for k in ("principal_angles", "polar_factor")}
             limits = real_extrapolate(clustered, curves)
             # one angle per (curve, later radius, component, candidate)
             patterns = oracle.slot_patterns(clustered[2], len(clustered[0]))
@@ -395,22 +390,21 @@ class TestWorkDoneOnce:
             assert len(report.components) == 2
             off = 81 - exceptional
             assert calls["principal_angles"] == [exceptional] * 20 + [80 * 4] + [2 * off] * 2
-            # the curve chains align their five later radii in one stack of all
-            # curves per component and radius, never one pair at a time
-            assert calls["procrustes_align"] == [exceptional] * 10
-            # polar factors: the curve chains' alignments, then the walk's one
-            # stack of the 80 points after the first per component
+            # polar factors: the curve chains align their five later radii in
+            # one stack of all curves per component and radius, never one pair
+            # at a time; then the walk's one stack of the 80 points after the
+            # first per component
             assert calls["polar_factor"] == [exceptional] * 10 + [80] * 2
         # one chain batch per chart, on the first heading: five later radii,
         # two lines, two candidate lines each
         assert [count for _, count, _ in extrapolations] == [sum(r.exceptional_mask) for _, r, _ in frame_runs]
         for stacks, count, expected in extrapolations:
             assert sum(stacks["principal_angles"]) == expected == 20 * count
-            assert stacks == {"principal_angles": [count] * 20, "procrustes_align": [count] * 10}
+            assert stacks == {"principal_angles": [count] * 20, "polar_factor": [count] * 10}
 
     def test_normal_rotation_counts(self, monkeypatch):
         log: dict[str, list] = {}
-        count_calls(monkeypatch, log, "family_matrix", [realnormal], size=lambda fam, base: base["x"].size)
+        count_calls(monkeypatch, log, "family_matrix", [realnormal], size=lambda fam, base, count: count)
         count_calls(monkeypatch, log, "arcp_extract", [realnormal])
         count_calls(monkeypatch, log, "complexified_eigenvalues", [realnormal])
         real_recover = frames.PluckerSection.recover_quadratics

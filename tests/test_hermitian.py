@@ -127,7 +127,7 @@ class TestHermitianPipeline:
 
     def test_embedding_matches_structure(self):
         fam = hermitian_vortex()
-        m = family_matrix(fam, {"x": 0.3, "y": 0.7})
+        (m,) = family_matrix(fam, {"x": 0.3, "y": 0.7}, 1)
         assert m.shape == (4, 4)
         assert np.allclose(m, m.T)
         sample = spectral_sample(m)

@@ -13,8 +13,8 @@ from eigenbouquet.oracle import (
     nearest_subspace,
     normal_spectrum,
     JacobiNonConvergence,
+    polar_factor,
     principal_angles,
-    procrustes_align,
     richardson_limit,
     slot_patterns,
 )
@@ -38,20 +38,20 @@ def random_symmetric(rng, n):
 
 class TestJacobi:
     def test_diagonal_fixed_point(self):
-        s = eigh_jacobi(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(s.eigenvalues, [1, 2, 3])
-        assert np.allclose(np.abs(s.vectors), np.eye(3))
+        s = eigh_jacobi(np.diag([1.0, 2.0, 3.0])[None])
+        assert np.allclose(s.eigenvalues[0], [1, 2, 3])
+        assert np.allclose(np.abs(s.vectors[0]), np.eye(3))
 
     def test_worked_example_point(self):
         # M(1,2) for the rank-one family [[x^2, xy], [xy, y^2]]
-        s = eigh_jacobi(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert np.allclose(s.eigenvalues, [0.0, 5.0], atol=1e-12)
+        s = eigh_jacobi(np.array([[[1.0, 2.0], [2.0, 4.0]]]))
+        assert np.allclose(s.eigenvalues[0], [0.0, 5.0], atol=1e-12)
 
     def test_classic_offdiagonal(self):
-        s = eigh_jacobi(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(s.eigenvalues, [-1.0, 1.0])
+        s = eigh_jacobi(np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+        assert np.allclose(s.eigenvalues[0], [-1.0, 1.0])
         for k, sign in ((0, -1), (1, 1)):
-            v = s.vectors[:, k]
+            v = s.vectors[0, :, k]
             assert abs(abs(v @ np.array([1, sign]) / math.sqrt(2)) - 1) < 1e-12
 
     def test_reconstruction_and_orthogonality_random(self):
@@ -61,8 +61,8 @@ class TestJacobi:
         for _ in range(1000):
             n = rng.randint(1, 8)
             m = random_symmetric(rng, n)
-            s = eigh_jacobi(m)
-            q, lam = s.vectors, s.eigenvalues
+            s = eigh_jacobi(m[None])
+            q, lam = s.vectors[0], s.eigenvalues[0]
             scale = max(1e-30, float(np.linalg.norm(m)))
             worst_recon = max(
                 worst_recon, float(np.linalg.norm(q @ np.diag(lam) @ q.T - m)) / scale
@@ -75,13 +75,15 @@ class TestJacobi:
         rng = random.Random(102)
         for _ in range(50):
             m = random_symmetric(rng, rng.randint(2, 6))
-            ours = eigh_jacobi(m).eigenvalues
+            ours = eigh_jacobi(m[None]).eigenvalues[0]
             ref = np.linalg.eigvalsh(m)
             assert np.allclose(ours, ref, atol=1e-10 * (1 + np.abs(ref).max()))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            eigh_jacobi(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            eigh_jacobi(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+        with pytest.raises(ValueError, match="stack"):  # one matrix is a stack of one
+            eigh_jacobi(np.eye(2))
 
 
 def symmetric_stack(rng, n, count):
@@ -120,11 +122,9 @@ class TestStackedJacobi:
         got = eigh_jacobi(stack)
         for k, matrix in enumerate(stack):
             want = eigh_jacobi_per_matrix(matrix)
-            alone = eigh_jacobi(matrix)  # a stack of one
-            for sample in (alone, eigh_jacobi(matrix[None])):
-                sample_values = sample.eigenvalues.reshape(-1)
-                assert same_bits(sample_values, want.eigenvalues)
-            assert same_bits(alone.vectors, want.vectors)
+            alone = eigh_jacobi(matrix[None])  # a stack of one
+            assert same_bits(alone.eigenvalues[0], want.eigenvalues)
+            assert same_bits(alone.vectors[0], want.vectors)
             assert same_bits(got.eigenvalues[k], want.eigenvalues)
             assert same_bits(got.vectors[k], want.vectors)
 
@@ -191,18 +191,18 @@ class TestClustering:
 class TestPrincipalAngles:
     def test_same_line(self):
         e1 = np.array([[1.0], [0.0]])
-        assert principal_angles(e1, e1) == [0.0]
+        assert principal_angles(e1[None], e1[None]).tolist() == [[0.0]]
 
     def test_diagonal_line(self):
         e1 = np.array([[1.0], [0.0]])
         diag = np.array([[1.0], [1.0]]) / math.sqrt(2)
-        (angle,) = principal_angles(e1, diag)
+        ((angle,),) = principal_angles(e1[None], diag[None])
         assert abs(angle - math.pi / 4) < 1e-12
 
     def test_shared_and_orthogonal(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         b = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        angles = principal_angles(a, b)
+        (angles,) = principal_angles(a[None], b[None])
         assert abs(angles[0]) < 1e-9 and abs(angles[1] - math.pi / 2) < 1e-9
 
     def test_symmetry_and_zero_iff_equal(self):
@@ -210,8 +210,8 @@ class TestPrincipalAngles:
         for _ in range(20):
             a = np.linalg.qr(rng.normal(size=(5, 2)))[0]
             b = np.linalg.qr(rng.normal(size=(5, 2)))[0]
-            ab = principal_angles(a, b)
-            ba = principal_angles(b, a)
+            ab = principal_angles(a[None], b[None])
+            ba = principal_angles(b[None], a[None])
             assert np.allclose(ab, ba, atol=1e-10)
         rot = np.linalg.qr(rng.normal(size=(2, 2)))[0]
         spun = a @ rot
@@ -219,7 +219,7 @@ class TestPrincipalAngles:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            principal_angles(np.zeros((3, 0)), np.eye(3))
+            principal_angles(np.zeros((1, 3, 0)), np.eye(3)[None])
 
     def test_stacks_give_each_pair_its_own_angles(self):
         rng = np.random.default_rng(9)
@@ -229,7 +229,7 @@ class TestPrincipalAngles:
             stacked = principal_angles(a, b)
             assert stacked.shape == (30, k)
             for i in range(30):
-                assert stacked[i].tolist() == principal_angles(a[i], b[i])
+                assert stacked[i].tolist() == principal_angles(a[i][None], b[i][None])[0].tolist()
 
     def test_non_orthonormal_rejected_on_line_and_plane_paths(self):
         e = np.eye(4)
@@ -243,8 +243,7 @@ class TestPrincipalAngles:
             (plane, skewed_plane),
         ):
             with pytest.raises(ValueError):
-                principal_angles(a, b)
-
+                principal_angles(a[None], b[None])
 
     def test_bases_of_the_whole_space_are_at_angle_zero(self):
         # the residual A - B B^T A is rounding noise when k = n; seed 170 made
@@ -253,16 +252,26 @@ class TestPrincipalAngles:
         for seed in range(300):
             rng = np.random.default_rng(seed)
             a, b = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
-            assert max(principal_angles(a, b)) <= 1e-12
+            assert principal_angles(a[None], b[None]).max() <= 1e-12
             pairs.append((a, b))
         stacked = principal_angles(*map(np.array, zip(*pairs)))
         assert stacked.shape == (300, 3) and float(stacked.max()) <= 1e-12
         # a line against the whole space, both ways round
-        line = pairs[170][0][:, :1]
-        assert principal_angles(line, pairs[170][1]) == principal_angles(pairs[170][1], line) == [0.0]
+        line, whole = pairs[170][0][None, :, :1], pairs[170][1][None]
+        assert principal_angles(line, whole).tolist() == principal_angles(whole, line).tolist() == [[0.0]]
+
+
+def align(bases, refs):
+    """Each basis of a stack turned by the polar factor of its cross product
+    with its reference, as the curve chains are aligned, and the flags."""
+    turn, degenerate = polar_factor(np.swapaxes(bases, 1, 2) @ refs)
+    return bases * turn if bases.shape[2] == 1 else bases @ turn, degenerate
 
 
 class TestProcrustesStacks:
+    """polar_factor is the one alignment kernel: each member of a stack is
+    aligned as the per-pair Procrustes reference aligns it alone."""
+
     def pairs(self, seed, n, k, count):
         rng = np.random.default_rng(seed)
         bases = [np.linalg.qr(rng.normal(size=(n, k)))[0] for _ in range(count)]
@@ -273,37 +282,36 @@ class TestProcrustesStacks:
     @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 3)])
     def test_members_match_single_calls_and_the_per_pair_reference(self, n, k):
         bases, refs = self.pairs(31 + n, n, k, 40)
-        aligned, degenerate = procrustes_align(bases, refs)
+        aligned, degenerate = align(bases, refs)
         assert aligned.shape == bases.shape and not degenerate.any()
         for basis, ref, got in zip(bases, refs, aligned):
-            alone, flag = procrustes_align(basis, ref)  # a pair is a stack of one
-            assert not flag and alone.tobytes() == got.tobytes()
+            alone, flag = align(basis[None], ref[None])  # a pair is a stack of one
+            assert not flag[0] and alone[0].tobytes() == got.tobytes()
             assert procrustes_align_per_pair(basis, ref).tobytes() == got.tobytes()
 
     def test_members_do_not_depend_on_their_stack(self):
         bases, refs = self.pairs(7, 4, 2, 30)
-        whole, _ = procrustes_align(bases, refs)
+        whole, _ = align(bases, refs)
         rng = np.random.default_rng(8)
         for members in (rng.permutation(30), np.arange(5, 17), np.array([29, 0, 3])):
-            part, _ = procrustes_align(bases[members], refs[members])
+            part, _ = align(bases[members], refs[members])
             for got, k in zip(part, members):
                 assert got.tobytes() == whole[k].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_a_degenerate_member_keeps_its_basis_and_spares_the_others(self, k):
+    def test_a_degenerate_member_is_flagged_and_spares_the_others(self, k):
         bases, refs = self.pairs(12, 4, k, 6)
         e = np.eye(4)
         bases[2], refs[2] = e[:, :k], e[:, 2 : 2 + k]  # orthogonal subspaces
-        aligned, degenerate = procrustes_align(bases, refs)
+        aligned, degenerate = align(bases, refs)
         if k == 1:  # a line never degenerates: it keeps or flips its sign
             assert not degenerate.any()
             return
         assert degenerate.tolist() == [False, False, True, False, False, False]
-        assert aligned[2].tobytes() == bases[2].tobytes()
         for i in (0, 1, 3, 4, 5):
             assert aligned[i].tobytes() == procrustes_align_per_pair(bases[i], refs[i]).tobytes()
-        alone, flag = procrustes_align(bases[2], refs[2])
-        assert flag and alone.tobytes() == bases[2].tobytes()
+        _, flag = align(bases[2:3], refs[2:3])
+        assert flag.tolist() == [True]
         with pytest.raises(ExtrapolationError, match="degenerate alignment"):
             procrustes_align_per_pair(bases[2], refs[2])
 
@@ -360,8 +368,8 @@ class TestHermitianEmbedding:
             n = int(rng.integers(2, 5))
             h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             h = 0.5 * (h + h.conj().T)
-            emb = embed_hermitian(h)
-            ours = eigh_jacobi(emb).eigenvalues
+            emb = embed_hermitian(h[None])
+            ours = eigh_jacobi(emb).eigenvalues[0]
             ref = np.repeat(np.sort(np.linalg.eigvalsh(h)), 2)
             assert np.allclose(np.sort(ours), ref, atol=1e-10 * (1 + np.abs(ref).max()))
 
@@ -511,24 +519,30 @@ class TestBatchedChains:
     def test_lost_rank(self, monkeypatch):
         # from orthonormal samples the limit (8 T5 - 6 T4 + T3) / 3 has
         # smallest singular value at least 1/3, so no real curve loses rank:
-        # orthonormalize loses one column of one curve's first limit instead
+        # orthonormalize loses one column of one curve's first limit instead:
+        # a stack zeroes it, the reference's one matrix drops it
         curves = self.healthy_curves(7, 7)
         curves[4] = curve(lambda t: np.diag([2.0, 5.0]))
         target = curves[4][0][0][1]
-        real = oracle.orthonormalize
+        real, real_columns = oracle.orthonormalize, reference.orthonormalize_columns
+
+        def hits(columns):
+            if np.shape(columns)[-2:] != target.shape:
+                return False
+            return np.all(np.abs(np.asarray(columns) - target) < 1e-9, axis=(-2, -1))
 
         def losing(columns):
             out = real(columns)
-            if np.shape(columns)[-2:] != target.shape:
-                return out
-            hit = np.all(np.abs(np.asarray(columns) - target) < 1e-9, axis=(-2, -1))
-            if np.ndim(columns) == 2:
-                return out[:, :0] if hit else out
-            out[hit, :, -1] = 0.0
+            out[hits(columns), :, -1] = 0.0
             return out
+
+        def losing_columns(columns):
+            out = real_columns(columns)
+            return out[:, :0] if hits(columns) else out
 
         monkeypatch.setattr(oracle, "orthonormalize", losing)
         monkeypatch.setattr(reference, "orthonormalize", losing)
+        monkeypatch.setattr(reference, "orthonormalize_columns", losing_columns)
         got = limits_along(curves)
         assert str(got[4]) == "extrapolated basis lost rank"
         self.assert_matches_reference(curves, got)
@@ -539,7 +553,7 @@ class TestNormalSpectrum:
         # a = 3, b = 2 similitude on the plane
         sym = 3.0 * np.eye(2)
         skew = np.array([[0.0, 2.0], [-2.0, 0.0]])
-        spec = normal_spectrum(sym, skew)
+        (spec,) = normal_spectrum(sym[None], skew[None])
         assert len(spec) == 1
         a, b, mult = spec[0]
         assert abs(a - 3) < 1e-12 and abs(b - 2) < 1e-12 and mult == 2
@@ -582,7 +596,7 @@ class TestNormalSpectrum:
 def assert_matches_eigvals(sym, skew):
     """normal_spectrum(sym, skew), checked against numpy's eigenvalues of
     sym + skew."""
-    spec = normal_spectrum(sym, skew)
+    (spec,) = normal_spectrum(sym[None], skew[None])
     recovered = []
     for aa, bb, mult in spec:
         if bb < 1e-10:

@@ -116,8 +116,8 @@ class TestDoubledMatrix:
             rational = {n: Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for n in "xy"}
             real = {n: rng.uniform(-2, 2) for n in "xy"}
             for pt in (rational, real, {"x": 0.0, "y": 0.0}):
-                got = doubled_matrix(family_matrix(split.skew, pt))
-                want = family_matrix(split.doubled, pt)
+                got = doubled_matrix(family_matrix(split.skew, pt, 1))
+                want = family_matrix(split.doubled, pt, 1)
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -128,15 +128,15 @@ class TestDoubledEigenstructure:
         rng = random.Random(3)
         for _ in range(20):
             pt = {"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2)}
-            vals = np.sort(spectral_sample(family_matrix(split.doubled, pt)).eigenvalues)
+            vals = np.sort(spectral_sample(family_matrix(split.doubled, pt, 1)[0]).eigenvalues)
             paired = vals + vals[::-1]
             assert np.max(np.abs(paired)) <= 1e-10 * (1 + np.abs(vals).max())
 
     def test_squares_match_bbt(self):
         split = split_and_double(rotation_family())
         pt = {"x": 0.4, "y": -1.2}
-        b2_vals = spectral_sample(family_matrix(split.doubled, pt)).eigenvalues
-        b = family_matrix(split.skew, pt)
+        b2_vals = spectral_sample(family_matrix(split.doubled, pt, 1)[0]).eigenvalues
+        b = family_matrix(split.skew, pt, 1)[0]
         bbt_vals = spectral_sample(b @ b.T).eigenvalues
         doubled = np.sort(np.concatenate([bbt_vals, bbt_vals]))
         assert np.allclose(np.sort(b2_vals**2), doubled, atol=1e-8)
@@ -145,7 +145,7 @@ class TestDoubledEigenstructure:
 class TestArcpExtract:
     def test_constant_skew_single_plane(self):
         split = split_and_double(constant_skew(2))
-        dec = arcp_extract(family_matrix(split.original, {"x": 0.3}))
+        (dec,) = arcp_extract(family_matrix(split.original, {"x": 0.3}, 1))
         assert len(dec.planes) == 1 and not reals(dec)
         plane = dec.planes[0]
         assert abs(plane.a - 0.0) < 1e-10
@@ -155,7 +155,7 @@ class TestArcpExtract:
 
     def test_rotation_family_plane(self):
         split = split_and_double(rotation_family())
-        dec = arcp_extract(family_matrix(split.original, {"x": 0.7, "y": 1.1}))
+        (dec,) = arcp_extract(family_matrix(split.original, {"x": 0.7, "y": 1.1}, 1))
         assert len(dec.planes) == 1
         plane = dec.planes[0]
         assert abs(plane.a - 0.7) < 1e-9
@@ -166,7 +166,7 @@ class TestArcpExtract:
             MatrixFamily.from_strings([["x", "y"], ["y", "x"]], ["x", "y"], "normal")
         )
         split = split_and_double(fam)
-        dec = arcp_extract(family_matrix(split.original, {"x": 1.0, "y": 0.5}))
+        (dec,) = arcp_extract(family_matrix(split.original, {"x": 1.0, "y": 0.5}, 1))
         assert not dec.planes
         values = sorted(a for a, _, _ in reals(dec))
         assert np.allclose(values, [0.5, 1.5], atol=1e-10)
@@ -185,7 +185,7 @@ class TestArcpExtract:
             )
         )
         split = split_and_double(fam)
-        dec = arcp_extract(family_matrix(split.original, {"x": 0.9, "y": 0.6}))
+        (dec,) = arcp_extract(family_matrix(split.original, {"x": 0.9, "y": 0.6}, 1))
         assert len(dec.planes) == 2
         got = sorted((round(p.a, 8), round(abs(p.b), 8)) for p in dec.planes)
         assert got == [(0.9, 0.6), (1.8, 0.54)]
@@ -198,9 +198,9 @@ class TestArcpExtract:
         rng = random.Random(17)
         for _ in range(10):
             pt = {"x": rng.uniform(0.3, 2), "y": rng.uniform(0.3, 2)}
-            l_mat = family_matrix(split.original, pt)
-            dec = arcp_extract(l_mat)
-            oracle = complexified_eigenvalues(l_mat)
+            l_mat = family_matrix(split.original, pt, 1)
+            (dec,) = arcp_extract(l_mat)
+            (oracle,) = complexified_eigenvalues(l_mat)
             got = sorted((round(a, 8), round(b, 8)) for a, b, _ in dec.eigenvalues)
             want = sorted((round(a, 8), round(b, 8)) for a, b, _ in oracle)
             assert got == want
@@ -211,7 +211,7 @@ class TestPlaneChecks:
         split = split_and_double(constant_skew(2))
         # B e2 = 2 e1 and B e1 = -2 e2, so (e2 + e1-part) pairs as u = e2, v = e1
         f = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2)
-        b2 = family_matrix(split.doubled, {"x": 0.0})
+        b2 = family_matrix(split.doubled, {"x": 0.0}, 1)[0]
         assert np.allclose(b2 @ f, 2.0 * f)
         record = plane_invariant_checks(split, {"x": 0.0}, 2.0, f)
         assert record.passes(1e-12)
@@ -219,7 +219,7 @@ class TestPlaneChecks:
     def test_swapped_pair_negative_eigenvalue(self):
         split = split_and_double(constant_skew(2))
         f = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)  # u = e1, v = e2
-        b2 = family_matrix(split.doubled, {"x": 0.0})
+        b2 = family_matrix(split.doubled, {"x": 0.0}, 1)[0]
         assert np.allclose(b2 @ f, -2.0 * f)
         record = plane_invariant_checks(split, {"x": 0.0}, -2.0, f)
         assert record.passes(1e-12)
@@ -300,9 +300,9 @@ class TestStackedPlaneCheck:
             assert_same_decomposition(dec, arcp_extract_per_point(l_mat))
             halves = (l_mat + l_mat.T) / 2, (l_mat - l_mat.T) / 2
             assert spectrum == normal_spectrum_per_point(*halves, 1e-6)
-            # a single matrix is a stack of one
-            assert_same_decomposition(arcp_extract(l_mat), dec)
-            assert complexified_eigenvalues(l_mat) == spectrum
+            # alone, a member is a stack of one
+            assert_same_decomposition(arcp_extract(l_mat[None])[0], dec)
+            assert complexified_eigenvalues(l_mat[None]) == [spectrum]
         # every kind made it into the stack
         counts = [(len(d.planes), len(reals(d))) for d in decompositions]
         assert (0, 1) in counts  # B = 0 with one value: the zero member
@@ -366,7 +366,7 @@ class TestStackedPlaneCheck:
         # a plane whose b^2 is under B B^T's floor (b below about 3.2e-5) is
         # real, one above it a plane; never both
         l_mat = np.array([[1.0, b], [-b, 1.0]])
-        for dec in (arcp_extract(l_mat), arcp_extract(as_family_output([l_mat, l_mat]))[1]):
+        for dec in (arcp_extract(l_mat[None])[0], arcp_extract(as_family_output([l_mat, l_mat]))[1]):
             assert sum(mult for _, _, mult in dec.eigenvalues) == dec.frame.shape[1] == 2
             assert len(dec.planes) == (1 if b**2 > 1e-9 else 0)
 
