@@ -60,18 +60,6 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
 # -- univariate view helpers -------------------------------------------
 
 
-def _coeffs_in(p: Polynomial, idx: int) -> dict[int, Polynomial]:
-    """View p as a polynomial in variable idx with polynomial coefficients."""
-    out: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        d = e[idx]
-        ne = e[:idx] + (0,) + e[idx + 1 :]
-        bucket = out.setdefault(d, {})
-        s = bucket.get(ne)
-        bucket[ne] = c if s is None else s + c
-    return {d: Polynomial(p.universe, t) for d, t in out.items() if any(t.values())}
-
-
 def _from_coeffs(coeffs: dict[int, Polynomial], idx: int, universe) -> Polynomial:
     total = Polynomial.zero(universe)
     for d, c in coeffs.items():
@@ -89,7 +77,7 @@ def _deg(coeffs: dict[int, Polynomial]) -> int:
 
 
 def _content_in(p: Polynomial, idx: int) -> Polynomial:
-    coeffs = _coeffs_in(p, idx)
+    coeffs = p.coeffs_in(idx)
     content = Polynomial.zero(p.universe)
     for c in coeffs.values():
         content = gcd_multivariate(content, c)
@@ -144,8 +132,8 @@ def gcd_multivariate(a: Polynomial, b: Polynomial) -> Polynomial:
     content = gcd_multivariate(ca, cb)
     if a.degree_in(universe.names[idx]) == 0 or b.degree_in(universe.names[idx]) == 0:
         return monic(content)
-    pa = _coeffs_in(divexact(a, ca), idx)
-    pb = _coeffs_in(divexact(b, cb), idx)
+    pa = divexact(a, ca).coeffs_in(idx)
+    pb = divexact(b, cb).coeffs_in(idx)
     if _deg(pa) < _deg(pb):
         pa, pb = pb, pa
     one = Polynomial.constant(universe, 1)

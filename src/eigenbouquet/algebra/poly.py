@@ -160,6 +160,14 @@ class Polynomial:
         idx = self.universe.index(name)
         return max(e[idx] for e in self.terms)
 
+    def coeffs_in(self, idx: int) -> dict[int, "Polynomial"]:
+        """View as a polynomial in variable idx: degree -> its coefficient,
+        a polynomial free of that variable (only nonzero ones)."""
+        out: dict[int, dict] = {}
+        for e, c in self.terms.items():
+            out.setdefault(e[idx], {})[e[:idx] + (0,) + e[idx + 1 :]] = c
+        return {d: Polynomial(self.universe, t) for d, t in out.items()}
+
     def support_vars(self) -> set[str]:
         names = self.universe.names
         out: set[str] = set()

@@ -9,9 +9,12 @@ point. Expanded in the fiber monomial basis V_a V_b (a <= b, row-major)
 they form a coefficient matrix of parameter polynomials whose generic rank
 and maximal-minor ideal drive the whole resolution pipeline.
 
-Complex (gaussian) families are rewritten over 2n real fiber coordinates,
-real and imaginary parts of each quadratic doubling the row count, so the
-exact layer stays over Q.
+One builder serves both fields. It forms each Q[i,j] as a polynomial in
+parameters and fibers and reads one coefficient-matrix row off it per fiber
+monomial. A complex (gaussian) family takes the fiber v = x + i*y over 2n
+real coordinates V_k_re, V_k_im; the real and imaginary parts of each
+quadratic give two rows, so the exact layer stays over Q. The coefficient
+matrix, with its row labels, is the system's one stored form.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from itertools import combinations
 
 from .algebra import (
     Polynomial,
+    Scalar,
     VarUniverse,
     bareiss_rank,
     laplace_minors,
@@ -45,20 +49,11 @@ def quad_pairs(n: int) -> list[tuple[int, int]]:
 
 
 @dataclass
-class QuadForm:
-    """A quadratic in the fiber variables with parameter-polynomial coefficients."""
-
-    universe: VarUniverse
-    coeffs: dict[tuple[int, int], Polynomial]
-
-
-@dataclass
 class QuadSystem:
     family: MatrixFamily
     fiber_universe: VarUniverse  # fiber coordinates the quadratics live over
     row_labels: list[tuple]  # ("re"|"im", i, j) for gaussian, (i, j) otherwise
-    quads: list[QuadForm]
-    coeff_matrix: list[list[Polynomial]]
+    coeff_matrix: list[list[Polynomial]]  # rows by row_labels, columns by monomials
     generic_rank: int = -1
 
     @property
@@ -77,87 +72,47 @@ def _real_doubled_universe(universe: VarUniverse) -> VarUniverse:
 
 
 def wedge_quadratics(family: MatrixFamily) -> QuadSystem:
-    """Expand (Mv)_i v_j - (Mv)_j v_i into the fiber monomial basis."""
+    """Expand (Mv)_i v_j - (Mv)_j v_i into the fiber monomial basis.
+
+    Each quadratic is formed as one polynomial in parameters and fibers,
+    v_k = V_k_re + i*V_k_im for a gaussian family, and read off by fiber
+    monomial: one coefficient-matrix row, or its real then imaginary part.
+    """
     if not family.verified:
         check_structure(family)
     n = family.n
-    universe = family.universe
-    if family.fld == "gaussian":
-        return _wedge_quadratics_gaussian(family)
-    mono_index = {m: k for k, m in enumerate(quad_monomials(n))}
-    rows: list[QuadForm] = []
-    labels: list[tuple] = []
-    matrix: list[list[Polynomial]] = []
-    zero = Polynomial.zero(universe)
-    for i, j in quad_pairs(n):
-        coeffs: dict[tuple[int, int], Polynomial] = {}
-
-        def add(a, b, poly):
-            key = (a, b) if a <= b else (b, a)
-            coeffs[key] = coeffs.get(key, zero) + poly
-
-        # (Mv)_i v_j = sum_k M[i][k] v_k v_j ; minus the (i <-> j) swap
-        for k in range(n):
-            add(k, j, family.entries[i][k])
-            add(k, i, -family.entries[j][k])
-        coeffs = {key: p for key, p in coeffs.items() if not p.is_zero()}
-        rows.append(QuadForm(universe, coeffs))
-        labels.append((i, j))
-        matrix.append([coeffs.get(m, zero) for m in quad_monomials(n)])
-    return QuadSystem(family, universe, labels, rows, matrix)
-
-
-def _wedge_quadratics_gaussian(family: MatrixFamily) -> QuadSystem:
-    """Real/imaginary split over doubled real fiber coordinates."""
-    n = family.n
-    target = _real_doubled_universe(family.universe)
-    nn = 2 * n
+    gaussian = family.fld == "gaussian"
+    target = _real_doubled_universe(family.universe) if gaussian else family.universe
+    nparams, nfibers = len(target.params), len(target.fibers)
+    v = [Polynomial.variable(target, f) for f in target.fibers]
+    if gaussian:
+        v = [x + y.scale(Scalar(0, 1)) for x, y in zip(v[:n], v[n:])]
     zero = Polynomial.zero(target)
-
-    def part(poly: Polynomial, which: str) -> Polynomial:
-        terms = {}
-        for e, c in poly.terms.items():
-            v = c.real if which == "re" else c.imag
-            if v:
-                terms[e] = v
-        return Polynomial(family.universe, terms).in_universe(target)
-
-    re_m = [[part(family.entries[r][c], "re") for c in range(n)] for r in range(n)]
-    im_m = [[part(family.entries[r][c], "im") for c in range(n)] for r in range(n)]
-
-    rows: list[QuadForm] = []
+    mv = [sum((family.entries[r][k].in_universe(target) * v[k] for k in range(n)), zero) for r in range(n)]
+    # a term's fiber exponents name its column, the rest are its coefficient's
+    monomials = quad_monomials(nfibers)
+    columns = {
+        tuple((k == a) + (k == b) for k in range(nfibers)): col for col, (a, b) in enumerate(monomials)
+    }
+    pad = (0,) * nfibers
     labels: list[tuple] = []
     matrix: list[list[Polynomial]] = []
-    monos = quad_monomials(nn)
     for i, j in quad_pairs(n):
-        re_coeffs: dict[tuple[int, int], Polynomial] = {}
-        im_coeffs: dict[tuple[int, int], Polynomial] = {}
-
-        def add(store, a, b, poly):
-            if poly.is_zero():
-                return
-            key = (a, b) if a <= b else (b, a)
-            store[key] = store.get(key, zero) + poly
-
-        # fiber v = x + i y with x_k at index k and y_k at index n + k.
-        # (Mv)_i v_j - (Mv)_j v_i, split into real and imaginary parts:
-        for k in range(n):
-            for (this, other, sign) in ((k, j, 1), (k, i, -1)):
-                row = i if sign > 0 else j
-                add(re_coeffs, this, other, re_m[row][this].scale(sign))
-                add(re_coeffs, n + this, n + other, re_m[row][this].scale(-sign))
-                add(re_coeffs, n + this, other, im_m[row][this].scale(-sign))
-                add(re_coeffs, this, n + other, im_m[row][this].scale(-sign))
-                add(im_coeffs, this, n + other, re_m[row][this].scale(sign))
-                add(im_coeffs, n + this, other, re_m[row][this].scale(sign))
-                add(im_coeffs, this, other, im_m[row][this].scale(sign))
-                add(im_coeffs, n + this, n + other, im_m[row][this].scale(-sign))
-        for which, coeffs in (("re", re_coeffs), ("im", im_coeffs)):
-            coeffs = {key: p for key, p in coeffs.items() if not p.is_zero()}
-            rows.append(QuadForm(target, coeffs))
-            labels.append((which, i, j))
-            matrix.append([coeffs.get(m, zero) for m in monos])
-    return QuadSystem(family, target, labels, rows, matrix)
+        q = (mv[i] * v[j] - mv[j] * v[i]).terms
+        if gaussian:
+            parts = {
+                ("re", i, j): {e: c.real for e, c in q.items()},
+                ("im", i, j): {e: c.imag for e, c in q.items()},
+            }
+        else:
+            parts = {(i, j): q}
+        for label, terms in parts.items():
+            row: list[dict] = [{} for _ in monomials]
+            for e, c in terms.items():
+                row[columns[e[nparams:]]][e[:nparams] + pad] = c
+            labels.append(label)
+            matrix.append([Polynomial(target, t) for t in row])
+    return QuadSystem(family, target, labels, matrix)
 
 
 def generic_rank(system: QuadSystem, seed: int = 20240601) -> int:

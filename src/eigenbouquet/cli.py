@@ -500,9 +500,10 @@ def stage_check(state: RunState) -> RunState:
         rng = random.Random(cfg.seed)
         summary = analysis.summary
         names = analysis.family.universe.params
+        # a family without parameters has one matrix: one draw
         drawn = [
             {name: Fraction(rng.randint(-15, 15), rng.randint(1, 6)) for name in names}
-            for _ in range(100)
+            for _ in range(100 if names else 1)
         ]
         # skipped where every discriminant generator vanishes: one exact batch
         numerators, den = common_denominator(drawn, names)

@@ -173,11 +173,7 @@ def reduced_char_poly(family: MatrixFamily) -> tuple[Polynomial, Polynomial, int
     reduced = divexact(char, g)
     # scalar leading coefficient in the auxiliary variable; make it monic there
     top = reduced.degree_in(aux)
-    idx = universe.index(aux)
-    lead_terms = {
-        e[:idx] + (0,) + e[idx + 1 :]: c for e, c in reduced.terms.items() if e[idx] == top
-    }
-    lead = Polynomial(universe, lead_terms)
+    lead = reduced.coeffs_in(universe.index(aux))[top]
     if not lead.is_constant():
         raise AssertionError("squarefree part has non-scalar leading coefficient")
     reduced = reduced.scale(1 / lead.constant_value())
@@ -196,25 +192,15 @@ def _sylvester_resultant(p: Polynomial, q: Polynomial, var: str) -> Polynomial:
     dp, dq = p.degree_in(var), q.degree_in(var)
     if dp < 0 or dq < 0:
         raise ValueError("resultant of a zero polynomial")
-
-    def coeff_list(poly, deg):
-        out = [Polynomial.zero(universe) for _ in range(deg + 1)]
-        for e, c in poly.terms.items():
-            k = e[idx]
-            ne = e[:idx] + (0,) + e[idx + 1 :]
-            out[k] = out[k] + Polynomial(universe, {ne: c})
-        return out  # out[k] multiplies var^k
-
-    pc = coeff_list(p, dp)
-    qc = coeff_list(q, dq)
+    pc, qc = p.coeffs_in(idx), q.coeffs_in(idx)  # degree -> coefficient of var^degree
     size = dp + dq
     grid = [[Polynomial.zero(universe) for _ in range(size)] for _ in range(size)]
     for r in range(dq):
-        for k in range(dp + 1):
-            grid[r][r + dp - k] = pc[k]
+        for k, c in pc.items():
+            grid[r][r + dp - k] = c
     for r in range(dp):
-        for k in range(dq + 1):
-            grid[dq + r][r + dq - k] = qc[k]
+        for k, c in qc.items():
+            grid[dq + r][r + dq - k] = c
     return _det(grid)
 
 

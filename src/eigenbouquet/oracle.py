@@ -288,10 +288,9 @@ def polar_factor(cross: np.ndarray):
 
 def richardson_limit(values: list[np.ndarray]) -> np.ndarray:
     """Richardson extrapolation (order 2) to 0 of samples at radii r, r/2,
-    r/4, ..., entrywise: each sample may be a whole stack."""
+    r/4, ..., entrywise: each sample may be a whole stack. Its callers pass
+    at least four: extrapolate_along_curve refuses a shorter curve."""
     table = [np.asarray(v, dtype=float) for v in values]
-    if len(table) < RICHARDSON_ORDER + 2:
-        raise ExtrapolationError(f"order {RICHARDSON_ORDER} needs at least {RICHARDSON_ORDER + 2} radii")
     for level in range(1, RICHARDSON_ORDER + 1):
         factor = 2.0 ** level
         table = [(factor * table[k + 1] - table[k]) / (factor - 1.0) for k in range(len(table) - 1)]

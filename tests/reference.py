@@ -1,7 +1,7 @@
 """Definitions only the tests use.
 
-Checks of the paper's identities that no pipeline stage runs (the Jacobian
-and coefficient ranks, the diagonalizability classifier, the doubled
+Checks of the paper's identities that no pipeline stage runs (the
+quadratics as polynomials, the Jacobian and coefficient ranks, the diagonalizability classifier, the doubled
 operator's plane identities), small conveniences (the benchmark's jobs,
 exact base points, the exactness of a point, the largest principal angle
 of one pair, one matrix's clustered spectrum, hand-built clusters as the
@@ -13,8 +13,9 @@ bouquet object per grid point with one Cluster per eigenspace, the grid
 walk's level-by-level Procrustes stacks, label angles and LAPACK
 cross-check from per-point clusters, the chart sampler's point-by-point
 scan), the Bareiss
-determinant the Laplace minors replaced, and the exact chart layer without
-its shortcuts (the gcd, exact division and cofactor-tracking Buchberger
+determinant the Laplace minors replaced, the two quadratic-system builders
+(over Q, and over Q(i) by a hand-written real and imaginary split) the one
+builder replaced, and the exact chart layer without its shortcuts (the gcd, exact division and cofactor-tracking Buchberger
 run), kept frozen as their bit-for-bit references. The package clusters
 into arrays only; the per-point references keep their own Cluster, one
 object per eigenspace, as the package had it.
@@ -48,7 +49,8 @@ from eigenbouquet.algebra import (
 )
 from eigenbouquet.algebra.groebner import DEFAULT_DEGREE_CAP, DEFAULT_STEP_BUDGET
 from eigenbouquet.algebra.poly import grlex_key
-from eigenbouquet.bouquet import QuadForm, QuadSystem
+from eigenbouquet.bouquet import QuadSystem, _real_doubled_universe, quad_monomials, quad_pairs
+from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.frames import (
     EXTRAPOLATION_RADII,
     GRAM_TOL,
@@ -224,17 +226,98 @@ def spectral_sample(matrix, tol: float = DEFAULT_CLUSTER_TOL) -> ClusteredSample
 # -- ranks of the quadratic system ----------------------------------------
 
 
-def as_polynomial(quad: QuadForm) -> Polynomial:
-    """The quadratic as one polynomial in parameters and fiber variables."""
-    u = quad.universe
-    total = Polynomial.zero(u)
+def quadratics(system: QuadSystem) -> list[Polynomial]:
+    """Each coefficient-matrix row as one polynomial in parameters and fibers."""
+    u = system.fiber_universe
     nparams = len(u.params)
-    for (a, b), p in quad.coeffs.items():
+    monomials = []
+    for a, b in system.monomials:
         exps = [0] * u.nvars
         exps[nparams + a] += 1
         exps[nparams + b] += 1
-        total = total + p * Polynomial(u, {tuple(exps): Fraction(1)})
-    return total
+        monomials.append(Polynomial(u, {tuple(exps): Fraction(1)}))
+    return [sum((p * m for p, m in zip(row, monomials)), Polynomial.zero(u)) for row in system.coeff_matrix]
+
+
+def wedge_quadratics_reference(family: MatrixFamily) -> QuadSystem:
+    """The two-builder quadratic system: (Mv)_i v_j - (Mv)_j v_i expanded
+    entry by entry, over Q directly and over Q(i) by a hand-written real and
+    imaginary split."""
+    if not family.verified:
+        check_structure(family)
+    n = family.n
+    universe = family.universe
+    if family.fld == "gaussian":
+        return _wedge_quadratics_gaussian_reference(family)
+    labels: list[tuple] = []
+    matrix: list[list[Polynomial]] = []
+    zero = Polynomial.zero(universe)
+    for i, j in quad_pairs(n):
+        coeffs: dict[tuple[int, int], Polynomial] = {}
+
+        def add(a, b, poly):
+            key = (a, b) if a <= b else (b, a)
+            coeffs[key] = coeffs.get(key, zero) + poly
+
+        # (Mv)_i v_j = sum_k M[i][k] v_k v_j ; minus the (i <-> j) swap
+        for k in range(n):
+            add(k, j, family.entries[i][k])
+            add(k, i, -family.entries[j][k])
+        coeffs = {key: p for key, p in coeffs.items() if not p.is_zero()}
+        labels.append((i, j))
+        matrix.append([coeffs.get(m, zero) for m in quad_monomials(n)])
+    return QuadSystem(family, universe, labels, matrix)
+
+
+def _wedge_quadratics_gaussian_reference(family: MatrixFamily) -> QuadSystem:
+    """Real/imaginary split over doubled real fiber coordinates."""
+    n = family.n
+    target = _real_doubled_universe(family.universe)
+    nn = 2 * n
+    zero = Polynomial.zero(target)
+
+    def part(poly: Polynomial, which: str) -> Polynomial:
+        terms = {}
+        for e, c in poly.terms.items():
+            v = c.real if which == "re" else c.imag
+            if v:
+                terms[e] = v
+        return Polynomial(family.universe, terms).in_universe(target)
+
+    re_m = [[part(family.entries[r][c], "re") for c in range(n)] for r in range(n)]
+    im_m = [[part(family.entries[r][c], "im") for c in range(n)] for r in range(n)]
+
+    labels: list[tuple] = []
+    matrix: list[list[Polynomial]] = []
+    monos = quad_monomials(nn)
+    for i, j in quad_pairs(n):
+        re_coeffs: dict[tuple[int, int], Polynomial] = {}
+        im_coeffs: dict[tuple[int, int], Polynomial] = {}
+
+        def add(store, a, b, poly):
+            if poly.is_zero():
+                return
+            key = (a, b) if a <= b else (b, a)
+            store[key] = store.get(key, zero) + poly
+
+        # fiber v = x + i y with x_k at index k and y_k at index n + k.
+        # (Mv)_i v_j - (Mv)_j v_i, split into real and imaginary parts:
+        for k in range(n):
+            for (this, other, sign) in ((k, j, 1), (k, i, -1)):
+                row = i if sign > 0 else j
+                add(re_coeffs, this, other, re_m[row][this].scale(sign))
+                add(re_coeffs, n + this, n + other, re_m[row][this].scale(-sign))
+                add(re_coeffs, n + this, other, im_m[row][this].scale(-sign))
+                add(re_coeffs, this, n + other, im_m[row][this].scale(-sign))
+                add(im_coeffs, this, n + other, re_m[row][this].scale(sign))
+                add(im_coeffs, n + this, other, re_m[row][this].scale(sign))
+                add(im_coeffs, this, other, im_m[row][this].scale(sign))
+                add(im_coeffs, n + this, n + other, im_m[row][this].scale(-sign))
+        for which, coeffs in (("re", re_coeffs), ("im", im_coeffs)):
+            coeffs = {key: p for key, p in coeffs.items() if not p.is_zero()}
+            labels.append((which, i, j))
+            matrix.append([coeffs.get(m, zero) for m in monos])
+    return QuadSystem(family, target, labels, matrix)
 
 
 def rank_at(system: QuadSystem, point: dict) -> int:
@@ -262,8 +345,7 @@ def jacobian_rank_at(system: QuadSystem, point: dict, fiber, tol: float = 1e-7) 
     """
     fibers = system.fiber_universe.fibers
     at = {**point, **dict(zip(fibers, fiber))}
-    polys = [as_polynomial(q) for q in system.quads]
-    rows = [[p.derivative(f) for f in fibers] for p in polys]
+    rows = [[p.derivative(f) for f in fibers] for p in quadratics(system)]
     if all_exact(point.values()) and all_exact(fiber):
         return scalar_matrix_rank(eval_matrix_rational(rows, at))
     jac = np.array([[d.eval_complex(at).real for d in row] for row in rows])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eigenbouquet import cli
-from eigenbouquet.algebra import Scalar, eval_matrix_rational, parse_polynomial
+from eigenbouquet.algebra import Polynomial, Scalar, VarUniverse, eval_matrix_rational, parse_polynomial
 from eigenbouquet.bouquet import (
     ScalarOperator,
     fitting_minors,
@@ -19,15 +19,16 @@ from eigenbouquet.bouquet import (
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.realnormal import split_and_double
 from reference import (
-    as_polynomial,
     bareiss_det,
     bench_jobs,
     diagonalizability,
     expected_quadratic_dim,
     jacobian_rank_at,
+    quadratics,
     rank_at,
     spectral_sample,
     submatrix,
+    wedge_quadratics_reference,
 )
 
 
@@ -40,9 +41,9 @@ def kupa():
 
 
 def quad_value(quad, point, fiber):
-    """Float value of a quadratic form at (point, fiber)."""
+    """Float value of a quadratic at (point, fiber)."""
     at = {**point, **dict(zip(quad.universe.fibers, fiber))}
-    return as_polynomial(quad).eval_complex(at).real
+    return quad.eval_complex(at).real
 
 
 def diag_family(*entries):
@@ -57,7 +58,7 @@ class TestWedgeQuadratics:
         system = wedge_quadratics(kupa())
         assert system.row_labels == [(0, 1)]
         u = system.fiber_universe
-        got = as_polynomial(system.quads[0])
+        got = quadratics(system)[0]
         expected = parse_polynomial("-x*y*X^2 + (x^2 - y^2)*X*Y + x*y*Y^2", u)
         assert got == expected
         # unit multiple of the product of the two line forms
@@ -69,12 +70,101 @@ class TestWedgeQuadratics:
             MatrixFamily.from_strings([["x", "0"], ["0", "x"]], ["x"], "symmetric")
         )
         system = wedge_quadratics(fam)
-        assert all(as_polynomial(q).is_zero() for q in system.quads)
+        assert all(q.is_zero() for q in quadratics(system))
 
     def test_diag_two(self):
         system = wedge_quadratics(diag_family("x", "y"))
         u = system.fiber_universe
-        assert as_polynomial(system.quads[0]) == parse_polynomial("(x - y)*V1*V2", u)
+        assert quadratics(system)[0] == parse_polynomial("(x - y)*V1*V2", u)
+
+
+def random_entry(rng, u, gaussian=False):
+    """Up to three terms of degree at most 2 in the parameters x, y; a
+    gaussian entry has at least one, each with a nonzero imaginary part."""
+    terms = {}
+    for _ in range(rng.randint(int(gaussian), 3)):
+        e = rng.choice([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]) + (0,) * len(u.fibers)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        terms[e] = Scalar(c, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))) if gaussian else c
+    return Polynomial(u, terms)
+
+
+def random_family(rng, n, structure):
+    """A seeded family of the structure: hermitian ones over Q(i); normal ones
+    H D H for a rational Householder reflection H and D of 2 x 2 blocks
+    [[p, q], [-q, p]] and a 1 x 1 block when n is odd."""
+    u = VarUniverse(("x", "y"), tuple(f"V{k + 1}" for k in range(n)))
+    zero = Polynomial.zero(u)
+    m = [[zero] * n for _ in range(n)]
+    if structure == "normal":
+        for r in range(0, n - 1, 2):
+            m[r][r] = m[r + 1][r + 1] = random_entry(rng, u)
+            m[r][r + 1] = random_entry(rng, u)
+            m[r + 1][r] = -m[r][r + 1]
+        if n % 2:
+            m[n - 1][n - 1] = random_entry(rng, u)
+        w = [rng.randint(-3, 3) for _ in range(n - 1)] + [1]
+        h = [[int(r == c) - Fraction(2 * w[r] * w[c], sum(x * x for x in w)) for c in range(n)] for r in range(n)]
+        m = [
+            [sum((m[k][l].scale(h[r][k] * h[l][c]) for k in range(n) for l in range(n)), zero) for c in range(n)]
+            for r in range(n)
+        ]
+    for r in range(n):
+        if structure in ("symmetric", "hermitian"):
+            m[r][r] = random_entry(rng, u)
+        for c in range(r + 1, n):
+            if structure == "symmetric":
+                m[r][c] = m[c][r] = random_entry(rng, u)
+            elif structure == "skew":
+                m[r][c] = random_entry(rng, u)
+                m[c][r] = -m[r][c]
+            elif structure == "hermitian":
+                m[r][c] = random_entry(rng, u, gaussian=True)
+                m[c][r] = Polynomial(u, {e: k.conjugate() for e, k in m[r][c].terms.items()})
+    fld = "gaussian" if structure == "hermitian" else "rational"
+    return check_structure(MatrixFamily(n, u, m, structure, fld))
+
+
+def split_halves(job):
+    """The symmetric and doubled halves split_and_double gives for a job."""
+    fam = cli.build_family(cli.JobConfig.from_dict(job.config))
+    split = split_and_double(check_structure(MatrixFamily(fam.n, fam.universe, fam.entries, "normal")))
+    return [split.sym, split.doubled]
+
+
+class TestBuilderDifferential:
+    """The one builder against the frozen two: the same coefficient matrix
+    entry by entry, the same row labels and fiber universe."""
+
+    @staticmethod
+    def assert_same(fam):
+        got, want = wedge_quadratics(fam), wedge_quadratics_reference(fam)
+        assert got.row_labels == want.row_labels
+        assert got.fiber_universe == want.fiber_universe
+        assert len(got.coeff_matrix) == len(want.coeff_matrix)
+        for got_row, want_row in zip(got.coeff_matrix, want.coeff_matrix):
+            assert got_row == want_row
+
+    @pytest.mark.parametrize("structure", ["symmetric", "skew", "normal"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rational(self, structure, n):
+        rng = random.Random(f"{structure}{n}")
+        for _ in range(4):
+            self.assert_same(random_family(rng, n, structure))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gaussian_hermitian(self, n):
+        rng = random.Random(n)
+        for _ in range(4):
+            fam = random_family(rng, n, "hermitian")
+            assert any(c.imag for row in fam.entries for p in row for c in p.terms.values())
+            self.assert_same(fam)
+
+    @pytest.mark.parametrize("name", ["skew2", "normal_rotation"])
+    def test_split_halves(self, name):
+        (job,) = [job for job in bench_jobs() if job.name == name]
+        for fam in split_halves(job):
+            self.assert_same(fam)
 
 
 class TestGenericRank:
@@ -296,10 +386,9 @@ class TestJacobianRank:
         vec = rng.normal(size=2)
         at = {**pt, **dict(zip(fibers, vec))}
         h = 1e-6
-        for quad in system.quads:
-            poly = as_polynomial(quad)
+        for quad in quadratics(system):
             for k, name in enumerate(fibers):
-                grad = poly.derivative(name).eval_complex(at).real
+                grad = quad.derivative(name).eval_complex(at).real
                 step = np.zeros(2)
                 step[k] = h
                 fd = (quad_value(quad, pt, vec + step) - quad_value(quad, pt, vec - step)) / (2 * h)
@@ -398,5 +487,5 @@ class TestRankInvariants:
             for cluster in sample.clusters:
                 for k in range(cluster.multiplicity):
                     w = cluster.basis[:, k]
-                    for quad in system.quads:
+                    for quad in quadratics(system):
                         assert abs(quad_value(quad, pt, w)) <= 1e-10 * (1 + np.linalg.norm(m))

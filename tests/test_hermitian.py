@@ -19,13 +19,13 @@ from eigenbouquet.frames import (
     plucker_section,
 )
 from eigenbouquet.resolve import CenterSpec, run_sequence
-from reference import as_polynomial, rank_at, spectral_sample
+from reference import quadratics, rank_at, spectral_sample
 
 
 def quad_value(quad, point, fiber):
-    """Float value of a quadratic form at (point, fiber)."""
+    """Float value of a quadratic at (point, fiber)."""
     at = {**point, **dict(zip(quad.universe.fibers, fiber))}
-    return as_polynomial(quad).eval_complex(at).real
+    return quad.eval_complex(at).real
 
 
 def hermitian_vortex():
@@ -60,7 +60,7 @@ class TestHermitianQuadratics:
                     np.concatenate([z.real, z.imag]),
                     np.concatenate([-z.imag, z.real]),  # multiplication by i
                 ):
-                    for quad in system.quads:
+                    for quad in quadratics(system):
                         assert abs(quad_value(quad, pt, real_vec)) <= 1e-12 * scale
 
     def test_rank_counts_real_dimensions(self):
