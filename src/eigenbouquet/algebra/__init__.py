@@ -1,13 +1,14 @@
 """Exact polynomial arithmetic substrate: scalars, universes, polynomials,
-parsing, gcd, fraction-free linear algebra and 1-membership certification."""
+parsing, gcd, fraction-free linear algebra and 1-membership certification.
+The names imported here are the substrate's public interface."""
 
 from .scalars import Scalar, as_scalar
 from .universe import VarUniverse
 from .poly import (
+    ExponentOverflow,
     NotDivisible,
     Polynomial,
     UniverseMismatch,
-    grlex_key,
     monic,
     primitive_normalize,
 )
@@ -20,26 +21,3 @@ from .linalg import (
     scalar_matrix_rank,
 )
 from .groebner import MembershipResult, ideal_contains_one
-
-__all__ = [
-    "Scalar",
-    "as_scalar",
-    "VarUniverse",
-    "Polynomial",
-    "NotDivisible",
-    "UniverseMismatch",
-    "grlex_key",
-    "monic",
-    "primitive_normalize",
-    "ParseError",
-    "UnknownVariable",
-    "parse_polynomial",
-    "divexact",
-    "gcd_multivariate",
-    "bareiss_rank",
-    "eval_matrix_rational",
-    "laplace_minors",
-    "scalar_matrix_rank",
-    "MembershipResult",
-    "ideal_contains_one",
-]

@@ -10,13 +10,18 @@ monomials under it, so its gcd with any polynomial is the monomial of the
 column-wise least exponents (1 for a constant); the content recursion meets
 it whenever a running gcd has become a monomial. Division by a monomial
 shifts every term, in the order the general loop would produce them.
+
+Division runs on the integer numerators. Where the divisor's leading
+coefficient does not divide the remainder's, the remainder and the quotient
+so far are scaled by the least integer that makes it divide, and the
+quotient is divided by the product of those integers at the end.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
-from .poly import NotDivisible, Polynomial, monic
+from .poly import NotDivisible, Polynomial, _layout, monic
 
 
 def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -27,49 +32,51 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
         return f
     f._check(g)
     universe = f.universe
-    ge, gc = g.leading()
-    quotient: dict = {}
-    if len(g.terms) == 1:
+    divides = _layout(universe).divides
+    gt = g._t
+    gk = max(gt)
+    gc = gt[gk]
+    if len(gt) == 1:
         # each term of f is its own leading term once the larger ones are gone
-        for re_, rc in f.sorted_terms():
-            qe = tuple(a - b for a, b in zip(re_, ge))
-            if any(x < 0 for x in qe):
+        ft = f._t
+        quotient = {}
+        for k in sorted(ft, reverse=True):
+            if not divides(gk, k):
                 raise NotDivisible("leading monomial not divisible")
-            qc = rc / gc
-            if qc * gc != rc:
-                raise NotDivisible("leading term does not cancel")
-            quotient[qe] = qc
-        return Polynomial(universe, quotient)
-    rem = f
-    last = None
-    while rem.terms:
-        re_, rc = rem.leading()
-        if re_ == last:
-            # an inexact coefficient division left the leading term in place
-            raise NotDivisible("leading term does not cancel")
-        last = re_
-        qe = tuple(a - b for a, b in zip(re_, ge))
-        if any(x < 0 for x in qe):
+            quotient[k - gk] = ft[k]
+        return Polynomial._make(universe, quotient, f.den)._over(gc).scale(g.den)
+    rem = dict(f._t)
+    quotient = {}
+    scale = 1  # rem and quotient are scale times the remainder and quotient
+    while rem:
+        rk = max(rem)
+        if not divides(gk, rk):
             raise NotDivisible("leading monomial not divisible")
-        qc = rc / gc
-        quotient[qe] = qc
-        rem = rem - Polynomial(universe, {qe: qc}) * g
-    return Polynomial(universe, quotient)
+        m = gcd(rem[rk].real, rem[rk].imag, gc.real, gc.imag)
+        a, qc = gc // m, rem[rk] // m
+        if a == -1:
+            a, qc = 1, -qc
+        if a != 1:  # a * rem has a leading coefficient that gc divides
+            rem = {k: c * a for k, c in rem.items()}
+            quotient = {k: c * a for k, c in quotient.items()}
+            scale = scale * a
+        quotient[rk - gk] = qc
+        for k, c in gt.items():
+            k += rk - gk
+            v = rem.get(k, 0) - qc * c
+            if v:
+                rem[k] = v
+            else:
+                del rem[k]
+    return Polynomial._make(universe, quotient, f.den)._over(scale).scale(g.den)
 
 
 # -- univariate view helpers -------------------------------------------
 
 
 def _from_coeffs(coeffs: dict[int, Polynomial], idx: int, universe) -> Polynomial:
-    total = Polynomial.zero(universe)
-    for d, c in coeffs.items():
-        if c.is_zero():
-            continue
-        shift = {}
-        for e, k in c.terms.items():
-            shift[e[:idx] + (e[idx] + d,) + e[idx + 1 :]] = k
-        total = total + Polynomial(universe, shift)
-    return total
+    x = Polynomial.variable(universe, universe.names[idx])
+    return sum((c * x ** d for d, c in coeffs.items()), Polynomial.zero(universe))
 
 
 def _deg(coeffs: dict[int, Polynomial]) -> int:
@@ -121,9 +128,9 @@ def gcd_multivariate(a: Polynomial, b: Polynomial) -> Polynomial:
         return monic(a)
     a._check(b)
     universe = a.universe
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        least = tuple(map(min, zip(*a.terms, *b.terms)))
-        return Polynomial(universe, {least: Fraction(1)})
+    if len(a) == 1 or len(b) == 1:
+        least = tuple(map(min, a.monomial_content(), b.monomial_content()))
+        return Polynomial._make(universe, {_layout(universe).pack(least): 1})
     sup = a.support_vars() | b.support_vars()
     # recurse on the last occurring variable in universe order
     idx = max(universe.index(name) for name in sup)
@@ -153,10 +160,8 @@ def gcd_multivariate(a: Polynomial, b: Polynomial) -> Polynomial:
         denom = g * h ** delta
         pb = {d: divexact(c, denom) for d, c in r.items()}
         g = pa[_deg(pa)]
-        if delta == 0:
-            pass
-        elif delta == 1:
+        if delta == 1:
             h = g
-        else:
+        elif delta > 1:
             h = divexact(g ** delta, h ** (delta - 1))
     return monic(content * result)

@@ -8,13 +8,20 @@ returned. Cofactors are built only for that certificate: the run carries
 none, and only when it reaches a constant does it repeat the same
 deterministic steps with cofactors tracked. Budget overruns surface as
 "inconclusive", never as a wrong answer.
+
+The run is fraction-free: a division step scales by the least integer that
+cancels the leading term, S-polynomials are formed over integers, and each
+basis element is an integer multiple of the rational one, with its
+cofactors scaled alike. Leading terms, step counts, the monic reduced basis
+and the certificate are those of rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
-from .poly import Polynomial, grlex_key
+from .poly import Polynomial, _layout, monic
 
 DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_DEGREE_CAP = 40
@@ -33,49 +40,49 @@ class MembershipResult:
 
 
 class _Tracked:
-    """A polynomial, its leading (exponents, coefficient) (None for zero) and,
-    when a certificate is being built, its cofactors over the generators
-    (None otherwise)."""
+    """An integer polynomial, its leading (key, numerator) (None for zero)
+    and its cofactors over the generators (None unless a certificate)."""
 
     __slots__ = ("poly", "cofactors", "lead")
 
     def __init__(self, poly: Polynomial, cofactors: list[Polynomial] | None):
         self.poly = poly
         self.cofactors = cofactors
-        self.lead = poly.leading() if poly.terms else None
-
-
-def _mono(universe, exps, coeff) -> Polynomial:
-    return Polynomial(universe, {exps: coeff})
-
-
-def _divides_mono(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+        self.lead = (k := max(poly._t), poly._t[k]) if poly._t else None
 
 
 def _reduce(f: _Tracked, basis: list[_Tracked], budget: list[int]) -> _Tracked:
     """Full multivariate division of f by the basis, cofactors maintained
-    when f carries them. The remainder and the working polynomial are dicts
-    changed in place, in the term order the polynomial arithmetic gives."""
+    when f carries them, fraction-free; the remainder comes out primitive.
+    The remainder and the working polynomial are dicts changed in place, in
+    the term order the polynomial arithmetic gives."""
     universe = f.poly.universe
+    guard = _layout(universe).guard
     rem: dict = {}
-    work = dict(f.poly.terms)
+    work = dict(f.poly._t)
     cof = None if f.cofactors is None else list(f.cofactors)
     while work:
         budget[0] -= 1
         if budget[0] < 0:
             raise _Budget()
-        le = max(work, key=grlex_key)
+        le = max(work)
         lc = work[le]
-        hit = next((g for g in basis if _divides_mono(g.lead[0], le)), None)
+        hit = next((g for g in basis if ((le | guard) - g.lead[0]) & guard == guard), None)
         if hit is None:
             rem[le] = lc
             del work[le]
             continue
         ge, gc = hit.lead
-        shift, q = tuple(x - y for x, y in zip(le, ge)), lc / gc
-        for e, c in hit.poly.terms.items():  # work - q * x^shift * hit
-            e = tuple(x + y for x, y in zip(shift, e))
+        m = gcd(lc.real, lc.imag, gc.real, gc.imag)
+        a, q = gc // m, lc // m
+        if a == -1:
+            a, q = 1, -q
+        if a != 1:  # a * work - q * x^shift * hit cancels the leading term
+            work = {e: c * a for e, c in work.items()}
+            rem = {e: c * a for e, c in rem.items()}
+        shift = le - ge
+        for e, c in hit.poly._t.items():
+            e += shift
             s = work.get(e)
             d = -(q * c) if s is None else s - q * c
             if d:
@@ -83,11 +90,16 @@ def _reduce(f: _Tracked, basis: list[_Tracked], budget: list[int]) -> _Tracked:
             else:
                 del work[e]
         if cof is not None:
-            factor = _mono(universe, shift, q)
+            factor = Polynomial._make(universe, {shift: q})
             for k, ck in enumerate(hit.cofactors):
+                if a != 1:
+                    cof[k] = cof[k].scale(a)
                 if not ck.is_zero():
                     cof[k] = cof[k] - factor * ck
-    return _Tracked(Polynomial(universe, rem), cof)
+    content = gcd(*(part for c in rem.values() for part in (c.real, c.imag))) or 1
+    if cof is not None:
+        cof = [c._over(content) for c in cof]
+    return _Tracked(Polynomial._make(universe, rem, content), cof)
 
 
 class _Budget(Exception):
@@ -121,9 +133,8 @@ def _check_certificate(gens: list[Polynomial], result: MembershipResult):
     """Raise unless result is a "yes" whose certificate expands to 1."""
     if not result.contains_one or result.certificate is None:
         raise ArithmeticError(f"cofactor rerun ended {result.status!r}, not 'yes'")
-    total = Polynomial.zero(gens[0].universe)
-    for c, g in zip(result.certificate, gens, strict=True):
-        total = total + c * g
+    terms = zip(result.certificate, gens, strict=True)
+    total = sum((c * g for c, g in terms), Polynomial.zero(gens[0].universe))
     if total != Polynomial.constant(total.universe, 1):
         raise ArithmeticError("Buchberger certificate does not expand to 1")
 
@@ -133,13 +144,13 @@ def _buchberger(
 ) -> MembershipResult:
     """One deterministic Buchberger run; cofactors only when track is set."""
     universe = gens[0].universe
+    lay = _layout(universe)
     one = Polynomial.constant(universe, 1)
 
     def certify(item: _Tracked, reductions: int = 0) -> MembershipResult:
         cert = None
         if item.cofactors is not None:
-            inv = 1 / item.poly.constant_value()
-            cert = [p.scale(inv) for p in item.cofactors]
+            cert = [p._over(item.lead[1]) for p in item.cofactors]
         return MembershipResult("yes", cert, [one], reductions)
 
     tracked: list[_Tracked] = []
@@ -147,10 +158,10 @@ def _buchberger(
         if g.is_zero():
             continue
         cof = None
-        if track:
+        if track:  # cofactors of g times its denominator, as the run holds g
             cof = [Polynomial.zero(universe) for _ in gens]
-            cof[k] = one
-        item = _Tracked(g, cof)
+            cof[k] = Polynomial.constant(universe, g.den)
+        item = _Tracked(Polynomial._make(universe, g._t), cof)
         if g.is_constant():
             return certify(item)
         tracked.append(item)
@@ -170,27 +181,30 @@ def _buchberger(
             return certify(red)
         basis.append(red)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    pairs: dict[tuple[int, int], int] = {}  # (i, j) -> lcm of their leading monomials
+
+    def pair_with(j: int):
+        for i in range(j):
+            lead_i, lead_j = lay.unpack(basis[i].lead[0]), lay.unpack(basis[j].lead[0])
+            pairs[i, j] = lay.pack(tuple(map(max, lead_i, lead_j)))
+
+    for j in range(len(basis)):
+        pair_with(j)
     reductions = 0
     try:
         while pairs:
-            # normal strategy: smallest lcm of leading monomials first
-            def lcm_of(pair):
-                a, b = basis[pair[0]].lead[0], basis[pair[1]].lead[0]
-                return tuple(max(x, y) for x, y in zip(a, b))
-
-            pair = min(pairs, key=lambda pr: (grlex_key(lcm_of(pr)), pr))
-            pairs.discard(pair)
-            i, j = pair
+            # normal strategy: smallest lcm of leading monomials first, ties by pair
+            i, j = min(pairs, key=lambda pr: (pairs[pr], pr))
+            lcm = pairs.pop((i, j))
             fi, fj = basis[i], basis[j]
             (ei, ci), (ej, cj) = fi.lead, fj.lead
-            lcm = tuple(max(x, y) for x, y in zip(ei, ej))
-            if all(x + y == z for x, y, z in zip(ei, ej, lcm)):
+            if lcm == ei + ej:
                 continue  # coprime leading monomials: s-poly reduces to zero
-            if sum(lcm) > degree_cap:
+            if lcm >> lay.top > degree_cap:
                 return MembershipResult("inconclusive", None, [])
-            mi = _mono(universe, tuple(x - y for x, y in zip(lcm, ei)), 1 / ci)
-            mj = _mono(universe, tuple(x - y for x, y in zip(lcm, ej)), 1 / cj)
+            m = gcd(ci.real, ci.imag, cj.real, cj.imag)
+            mi = Polynomial._make(universe, {lcm - ei: cj // m})
+            mj = Polynomial._make(universe, {lcm - ej: ci // m})
             spoly = mi * fi.poly - mj * fj.poly
             cof = None
             if track:
@@ -204,8 +218,7 @@ def _buchberger(
             if red.poly.total_degree() > degree_cap:
                 return MembershipResult("inconclusive", None, [])
             basis.append(red)
-            new_idx = len(basis) - 1
-            pairs.update((k, new_idx) for k in range(new_idx))
+            pair_with(len(basis) - 1)
     except _Budget:
         return MembershipResult("inconclusive", None, [])
 
@@ -219,26 +232,21 @@ def _buchberger(
 
 def _reduced_basis(basis: list[_Tracked], budget: list[int]) -> list[Polynomial] | None:
     # minimalize: drop polynomials whose leading monomial another one divides
-    polys = [b.poly for b in basis]
-    keep: list[Polynomial] = []
-    for k, p in enumerate(polys):
-        le, _ = p.leading()
-        others = polys[:k] + polys[k + 1 :]
-        if any(_divides_mono(q.leading()[0], le) for q in others if not q.is_zero()):
-            polys[k] = Polynomial.zero(p.universe)
-        else:
-            keep.append(p)
+    divides = _layout(basis[0].poly.universe).divides
+    keep: list[_Tracked] = []
+    for k, item in enumerate(basis):
+        if not any(divides(o.lead[0], item.lead[0]) for o in keep + basis[k + 1 :]):
+            keep.append(item)
     # inter-reduce and make monic
     out: list[Polynomial] = []
-    for k, p in enumerate(keep):
-        rest = [_Tracked(q, None) for idx, q in enumerate(keep) if idx != k]
+    for k, item in enumerate(keep):
+        rest = [_Tracked(q.poly, None) for idx, q in enumerate(keep) if idx != k]
         try:
-            red = _reduce(_Tracked(p, None), rest, budget)
+            red = _reduce(_Tracked(item.poly, None), rest, budget)
         except _Budget:
             return None
         if red.poly.is_zero():
             continue
-        _, lc = red.poly.leading()
-        out.append(red.poly.scale(1 / lc))
-    out.sort(key=lambda q: grlex_key(q.leading()[0]))
+        out.append(monic(red.poly))
+    out.sort(key=lambda q: max(q._t))
     return out

@@ -7,7 +7,6 @@ fraction field of the parameter ring come out exactly.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -49,36 +48,12 @@ def laplace_minors(matrix: Matrix, rows, col_sets) -> dict[tuple[int, ...], Poly
 
 
 def _strip_row_content(row: list[Polynomial]) -> list[Polynomial]:
-    """Divide a row by its monomial and integer content (rank-preserving)."""
-    nonzero = [p for p in row if not p.is_zero()]
+    """Divide a row by the monomial its entries share (rank-preserving)."""
+    nonzero = [p for p in row if p]
     if not nonzero:
         return row
-    nvars = nonzero[0].universe.nvars
-    mins = [min(e[k] for p in nonzero for e in p.terms) for k in range(nvars)]
-    num = 0
-    den = 1
-    real_only = True
-    for p in nonzero:
-        for c in p.terms.values():
-            if c.imag:
-                real_only = False
-                break
-            num = math.gcd(num, c.numerator)
-            den = math.lcm(den, c.denominator)
-        if not real_only:
-            break
-    out = []
-    factor = Fraction(den, num) if (real_only and num) else Fraction(1)
-    for p in row:
-        if p.is_zero():
-            out.append(p)
-            continue
-        terms = {
-            tuple(e[k] - mins[k] for k in range(nvars)): c * factor
-            for e, c in p.terms.items()
-        }
-        out.append(Polynomial(p.universe, terms))
-    return out
+    least = tuple(map(min, zip(*(p.monomial_content() for p in nonzero))))
+    return [divexact(p, Polynomial(p.universe, {least: 1})) if p else p for p in row]
 
 
 def eval_matrix_rational(matrix: Matrix, point: dict[str, Fraction]) -> list[list[Fraction | Scalar]]:
@@ -121,7 +96,7 @@ def _symbolic_rank(matrix: Matrix) -> int:
             for j in range(r, cols):
                 if m[i][j].is_zero():
                     continue
-                key = (len(m[i][j].terms), m[i][j].total_degree(), i, j)
+                key = (len(m[i][j]), m[i][j].total_degree(), i, j)
                 if best is None or key < best[0]:
                     best = (key, i, j)
         if best is None:

@@ -1,20 +1,21 @@
-"""Exact scalars: rationals are Fractions, non-real Gaussian rationals Scalars.
+"""Exact scalars: ints and Fractions for Q, Scalars for the rest of Q(i).
 
-Every exact coefficient in the package is either a ``fractions.Fraction``
-(any element of Q) or a ``Scalar``, an element real + imag*i of Q(i) with a
-nonzero imaginary part. Arithmetic on a Scalar that lands back in Q returns
-a plain Fraction, so real values never carry a wrapper. Both kinds follow
-Python's numeric protocol (``+ - * /``, ``conjugate()``, ``complex()``,
-``.real``/``.imag``), so code handles them alike without type tests.
+A polynomial's numerators (``poly``) are ints, or Scalars with int parts
+(Gaussian integers); at the boundary its coefficients are Fractions, or
+Scalars with Fraction parts. Arithmetic on a Scalar that lands back in Q
+returns the plain real part. All follow Python's numeric protocol (``+ - *
+/``, ``//`` by an int, ``conjugate()``, ``complex()``, ``.real``/``.imag``),
+so the kernels run one loop for both fields.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 
-def _gaussian(real: Fraction, imag: Fraction):
-    """real + imag*i from exact parts: a Fraction when imag is zero."""
+def _gaussian(real, imag):
+    """real + imag*i from exact parts: the plain real part when imag is zero."""
     if not imag:
         return real
     z = object.__new__(Scalar)
@@ -35,13 +36,13 @@ class Scalar:
 
     def __eq__(self, other) -> bool:
         # never equal to a rational: a Scalar is not real
-        return isinstance(other, Scalar) and (self.real, self.imag) == (other.real, other.imag)
+        return isinstance(other, Scalar) and self.real == other.real and self.imag == other.imag
 
     def __hash__(self) -> int:
         return hash((self.real, self.imag))
 
     def __add__(self, other):
-        if isinstance(other, Scalar):
+        if type(other) is Scalar:
             return _gaussian(self.real + other.real, self.imag + other.imag)
         if isinstance(other, (int, Fraction)):
             return _gaussian(self.real + other, self.imag)
@@ -59,7 +60,7 @@ class Scalar:
         return _gaussian(-self.real, -self.imag)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
+        if type(other) is Scalar:
             return _gaussian(
                 self.real * other.real - self.imag * other.imag,
                 self.real * other.imag + self.imag * other.real,
@@ -72,19 +73,27 @@ class Scalar:
 
     def __truediv__(self, other):
         if isinstance(other, Scalar):
-            n = other.real * other.real + other.imag * other.imag
+            n = Fraction(other.real * other.real + other.imag * other.imag)
             return _gaussian(
                 (self.real * other.real + self.imag * other.imag) / n,
                 (self.imag * other.real - self.real * other.imag) / n,
             )
         if isinstance(other, (int, Fraction)):
-            return _gaussian(self.real / other, self.imag / other)
+            return _gaussian(Fraction(self.real) / other, Fraction(self.imag) / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            n = self.real * self.real + self.imag * self.imag
+            n = Fraction(self.real * self.real + self.imag * self.imag)
             return _gaussian(other * self.real / n, -other * self.imag / n)
+        return NotImplemented
+
+    def __pow__(self, p: int):
+        return prod([self] * p)
+
+    def __floordiv__(self, other):
+        if isinstance(other, int):
+            return _gaussian(self.real // other, self.imag // other)
         return NotImplemented
 
     def conjugate(self) -> "Scalar":

@@ -77,41 +77,36 @@ def wedge_quadratics(family: MatrixFamily) -> QuadSystem:
     Each quadratic is formed as one polynomial in parameters and fibers,
     v_k = V_k_re + i*V_k_im for a gaussian family, and read off by fiber
     monomial: one coefficient-matrix row, or its real then imaginary part.
+    The coefficient of V_a V_b in a quadratic form is its second derivative
+    in V_a and V_b, halved when a = b.
     """
     if not family.verified:
         check_structure(family)
     n = family.n
     gaussian = family.fld == "gaussian"
     target = _real_doubled_universe(family.universe) if gaussian else family.universe
-    nparams, nfibers = len(target.params), len(target.fibers)
-    v = [Polynomial.variable(target, f) for f in target.fibers]
+    fibers, half = target.fibers, Fraction(1, 2)
+    v = [Polynomial.variable(target, f) for f in fibers]
     if gaussian:
         v = [x + y.scale(Scalar(0, 1)) for x, y in zip(v[:n], v[n:])]
     zero = Polynomial.zero(target)
     mv = [sum((family.entries[r][k].in_universe(target) * v[k] for k in range(n)), zero) for r in range(n)]
-    # a term's fiber exponents name its column, the rest are its coefficient's
-    monomials = quad_monomials(nfibers)
-    columns = {
-        tuple((k == a) + (k == b) for k in range(nfibers)): col for col, (a, b) in enumerate(monomials)
-    }
-    pad = (0,) * nfibers
     labels: list[tuple] = []
     matrix: list[list[Polynomial]] = []
     for i, j in quad_pairs(n):
-        q = (mv[i] * v[j] - mv[j] * v[i]).terms
-        if gaussian:
+        q = mv[i] * v[j] - mv[j] * v[i]
+        parts = {(i, j): q}
+        if gaussian:  # the real part (q + conj q) / 2, the imaginary part (q - conj q) / 2i
             parts = {
-                ("re", i, j): {e: c.real for e, c in q.items()},
-                ("im", i, j): {e: c.imag for e, c in q.items()},
+                ("re", i, j): (q + q.conjugate()).scale(half),
+                ("im", i, j): (q - q.conjugate()).scale(Scalar(0, -half)),
             }
-        else:
-            parts = {(i, j): q}
-        for label, terms in parts.items():
-            row: list[dict] = [{} for _ in monomials]
-            for e, c in terms.items():
-                row[columns[e[nparams:]]][e[:nparams] + pad] = c
+        for label, part in parts.items():
             labels.append(label)
-            matrix.append([Polynomial(target, t) for t in row])
+            matrix.append([
+                part.derivative(fibers[a]).derivative(fibers[b]).scale(half if a == b else 1)
+                for a, b in quad_monomials(len(fibers))
+            ])
     return QuadSystem(family, target, labels, matrix)
 
 
@@ -156,7 +151,7 @@ def fitting_minors(system: QuadSystem) -> FittingIdeal:
         {c for c in range(cols) if not system.coeff_matrix[r][c].is_zero()} for r in range(rows)
     ]
     gens: list[Polynomial] = []
-    keys: dict[tuple, int] = {}
+    keys: dict[Polynomial, int] = {}
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, Fraction]] = {}
     for rset in combinations(range(rows), d):
         if not all(support[r] for r in rset):
@@ -172,13 +167,10 @@ def fitting_minors(system: QuadSystem) -> FittingIdeal:
             if minor is None:
                 continue
             normal = _canonical_gen(minor, system.family.fld)
-            key = normal.sort_key()
-            if key not in keys:
-                keys[key] = len(gens)
+            if normal not in keys:  # canonical forms: equal exactly when their sort keys are
+                keys[normal] = len(gens)
                 gens.append(normal)
-            idx = keys[key]
-            scale = _leading_ratio(minor, normal)
-            table[(rset, cset)] = (idx, scale)
+            table[(rset, cset)] = (keys[normal], _leading_ratio(minor, normal))
     order = sorted(range(len(gens)), key=lambda k: gens[k].sort_key())
     remap = {old: new for new, old in enumerate(order)}
     gens = [gens[k] for k in order]

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .algebra import Polynomial
+from .algebra import ExponentOverflow, Polynomial
 from .bouquet import (
     FittingIdeal,
     QuadSystem,
@@ -76,6 +76,7 @@ RUN_ERRORS = (
     DecompositionError,
     NonHermitianFamily,
     LabelingError,
+    ExponentOverflow,
 )
 
 # Sub-minors the Laplace expansion may store: per row set of the generic

@@ -59,7 +59,7 @@ class MatrixFamily:
         if self.fld == "rational":
             for row in self.entries:
                 for p in row:
-                    if any(c.imag for c in p.terms.values()):
+                    if p != p.conjugate():
                         raise ValueError("rational-field family has complex coefficients")
 
     @classmethod
@@ -79,8 +79,7 @@ class MatrixFamily:
         return cls(n, universe, entries, structure, fld)
 
     def entry_conj(self, r: int, c: int) -> Polynomial:
-        p = self.entries[r][c]
-        return Polynomial(p.universe, {e: k.conjugate() for e, k in p.terms.items()})
+        return self.entries[r][c].conjugate()
 
 
 def default_fiber_names(n: int) -> list[str]:

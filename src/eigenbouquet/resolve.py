@@ -149,8 +149,7 @@ def _record_exceptional_multiplicities(node: ChartNode):
 def _min_exponent(p: Polynomial, name: str) -> int:
     if p.is_zero():
         return 0
-    idx = p.universe.index(name)
-    return min(e[idx] for e in p.terms)
+    return p.monomial_content()[p.universe.index(name)]
 
 
 def _fresh_names(universe: VarUniverse, count: int) -> list[str]:

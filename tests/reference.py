@@ -15,8 +15,11 @@ cross-check from per-point clusters, the chart sampler's point-by-point
 scan), the Bareiss
 determinant the Laplace minors replaced, the two quadratic-system builders
 (over Q, and over Q(i) by a hand-written real and imaginary split) the one
-builder replaced, and the exact chart layer without its shortcuts (the gcd, exact division and cofactor-tracking Buchberger
-run), kept frozen as their bit-for-bit references. The package clusters
+builder replaced, the polynomial class before packed monomials
+(``PolynomialReference``: exponent tuples mapped to Fraction objects) and
+the exact chart layer on it without its shortcuts (the gcd, exact division
+and cofactor-tracking Buchberger run), kept frozen as their bit-for-bit
+references. The package clusters
 into arrays only; the per-point references keep their own Cluster, one
 object per eigenspace, as the package had it.
 """
@@ -40,15 +43,15 @@ from eigenbouquet.algebra import (
     NotDivisible,
     Polynomial,
     Scalar,
+    UniverseMismatch,
     VarUniverse,
+    as_scalar,
     divexact,
     eval_matrix_rational,
     gcd_multivariate,
-    monic,
     scalar_matrix_rank,
 )
 from eigenbouquet.algebra.groebner import DEFAULT_DEGREE_CAP, DEFAULT_STEP_BUDGET
-from eigenbouquet.algebra.poly import grlex_key
 from eigenbouquet.bouquet import QuadSystem, _real_doubled_universe, quad_monomials, quad_pairs
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.frames import (
@@ -1072,14 +1075,417 @@ def common_zeros_per_point(gens: list[Polynomial], universe: VarUniverse, seed: 
             yield pt
 
 
+# -- the polynomial class before packed monomials ---------------------------
+# Copied as it was: exponent tuples mapped to Fraction (or Scalar) objects, one
+# per term. The package's Polynomial holds integer numerators on packed
+# monomials; its terms view and every kernel must agree with this class term
+# for term, dict order and coefficient types included.
+
+
+def grlex_key(exps: tuple[int, ...]):
+    return (sum(exps), exps)
+
+
+def _power(x, p: int):
+    """x**p as CPython raises complex (x, 0) to an int power: by squaring."""
+    result = None
+    while p:
+        if p & 1:
+            result = x if result is None else result * x
+        p >>= 1
+        x = x * x if p else x
+    return result
+
+
+class PolynomialReference:
+    __slots__ = ("universe", "terms")
+
+    def __init__(self, universe: VarUniverse, terms: dict):
+        self.universe = universe
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls, universe: VarUniverse) -> "PolynomialReference":
+        return cls(universe, {})
+
+    @classmethod
+    def constant(cls, universe: VarUniverse, value) -> "PolynomialReference":
+        c = as_scalar(value)
+        if not c:
+            return cls.zero(universe)
+        return cls(universe, {(0,) * universe.nvars: c})
+
+    @classmethod
+    def variable(cls, universe: VarUniverse, name: str) -> "PolynomialReference":
+        idx = universe.index(name)
+        exps = tuple(1 if k == idx else 0 for k in range(universe.nvars))
+        return cls(universe, {exps: Fraction(1)})
+
+    # -- predicates ---------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_constant(self) -> bool:
+        return all(not any(e) for e in self.terms)
+
+    def constant_value(self) -> Fraction | Scalar:
+        if self.is_zero():
+            return Fraction(0)
+        if not self.is_constant():
+            raise ValueError("polynomial is not constant")
+        return next(iter(self.terms.values()))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolynomialReference):
+            return NotImplemented
+        return self.universe == other.universe and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.universe, frozenset(self.terms.items())))
+
+    # -- ring arithmetic ----------------------------------------------
+
+    def _check(self, other: "PolynomialReference"):
+        if self.universe != other.universe:
+            raise UniverseMismatch("polynomials live in different universes")
+
+    def __add__(self, other: "PolynomialReference") -> "PolynomialReference":
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = terms.get(e)
+            terms[e] = c if s is None else s + c
+        return PolynomialReference(self.universe, terms)
+
+    def __sub__(self, other: "PolynomialReference") -> "PolynomialReference":
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = terms.get(e)
+            terms[e] = -c if s is None else s - c
+        return PolynomialReference(self.universe, terms)
+
+    def __neg__(self) -> "PolynomialReference":
+        return PolynomialReference(self.universe, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other: "PolynomialReference") -> "PolynomialReference":
+        self._check(other)
+        if not self.terms or not other.terms:
+            return PolynomialReference.zero(self.universe)
+        out: dict = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                c = ca * cb
+                s = out.get(e)
+                out[e] = c if s is None else s + c
+        return PolynomialReference(self.universe, out)
+
+    def scale(self, value) -> "PolynomialReference":
+        c = as_scalar(value)
+        if not c:
+            return PolynomialReference.zero(self.universe)
+        return PolynomialReference(self.universe, {e: k * c for e, k in self.terms.items()})
+
+    def __pow__(self, k: int) -> "PolynomialReference":
+        if k < 0:
+            raise ValueError("negative polynomial power")
+        result = PolynomialReference.constant(self.universe, 1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    # -- structure ----------------------------------------------------
+
+    def total_degree(self) -> int:
+        if not self.terms:
+            return -1
+        return max(sum(e) for e in self.terms)
+
+    def degree_in(self, name: str) -> int:
+        if not self.terms:
+            return -1
+        idx = self.universe.index(name)
+        return max(e[idx] for e in self.terms)
+
+    def coeffs_in(self, idx: int) -> dict[int, "PolynomialReference"]:
+        """View as a polynomial in variable idx: degree -> its coefficient,
+        a polynomial free of that variable (only nonzero ones)."""
+        out: dict[int, dict] = {}
+        for e, c in self.terms.items():
+            out.setdefault(e[idx], {})[e[:idx] + (0,) + e[idx + 1 :]] = c
+        return {d: PolynomialReference(self.universe, t) for d, t in out.items()}
+
+    def support_vars(self) -> set[str]:
+        names = self.universe.names
+        out: set[str] = set()
+        for e in self.terms:
+            for k, p in enumerate(e):
+                if p:
+                    out.add(names[k])
+        return out
+
+    def leading(self) -> tuple[tuple[int, ...], Fraction | Scalar]:
+        """Leading (exponents, coefficient) under graded lex."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        e = max(self.terms, key=grlex_key)
+        return e, self.terms[e]
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction | Scalar]]:
+        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+
+    def sort_key(self):
+        """A deterministic total-order key on canonical forms."""
+        return tuple(
+            (e, str(c.real), str(c.imag)) for e, c in self.sorted_terms()
+        )
+
+    def derivative(self, name: str) -> "PolynomialReference":
+        idx = self.universe.index(name)
+        out: dict = {}
+        for e, c in self.terms.items():
+            p = e[idx]
+            if not p:
+                continue
+            ne = e[:idx] + (p - 1,) + e[idx + 1 :]
+            nc = c * p
+            s = out.get(ne)
+            out[ne] = nc if s is None else s + nc
+        return PolynomialReference(self.universe, out)
+
+    # -- substitution and evaluation ----------------------------------
+
+    def in_universe(self, target: VarUniverse) -> "PolynomialReference":
+        """Transport by variable name into a universe containing our support."""
+        if target == self.universe:
+            return self
+        names = self.universe.names
+        idx_map = {}
+        for k, name in enumerate(names):
+            if any(e[k] for e in self.terms):
+                idx_map[k] = target.index(name)
+        out: dict = {}
+        for e, c in self.terms.items():
+            ne = [0] * target.nvars
+            for k, p in enumerate(e):
+                if p:
+                    ne[idx_map[k]] = p
+            key = tuple(ne)
+            s = out.get(key)
+            out[key] = c if s is None else s + c
+        return PolynomialReference(target, out)
+
+    def substitute(self, mapping: dict[str, "PolynomialReference"], target: VarUniverse | None = None) -> "PolynomialReference":
+        """Exact composition; unmapped variables carry over by name."""
+        for name in mapping:
+            self.universe.index(name)
+        if target is None:
+            if mapping:
+                target = next(iter(mapping.values())).universe
+            else:
+                target = self.universe
+        images: dict[int, PolynomialReference] = {}
+        for k, name in enumerate(self.universe.names):
+            if name in mapping:
+                img = mapping[name]
+                if img.universe != target:
+                    img = img.in_universe(target)
+                images[k] = img
+        one = PolynomialReference.constant(target, 1)
+        pow_cache: dict[int, list[PolynomialReference]] = {}
+
+        def img_power(k: int, p: int) -> PolynomialReference:
+            cache = pow_cache.setdefault(k, [one, images[k]])
+            while len(cache) <= p:
+                cache.append(cache[-1] * images[k])
+            return cache[p]
+
+        # one accumulator, dropping a sum that cancels: the term order is that
+        # of adding the substituted terms one by one
+        out: dict = {}
+        for e, c in self.terms.items():
+            passthrough = [0] * target.nvars
+            part = one
+            for k, p in enumerate(e):
+                if not p:
+                    continue
+                if k in images:
+                    f = img_power(k, p)
+                    part = f if part is one else part * f
+                else:
+                    passthrough[target.index(self.universe.names[k])] = p
+            for pe, pc in part.terms.items():
+                key = tuple(x + y for x, y in zip(passthrough, pe))
+                v = out.get(key, 0) + c * pc
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        return PolynomialReference(target, out)
+
+    def eval_scalar(self, assignment: dict[str, Fraction | Scalar | int]) -> Fraction | Scalar:
+        """Exact evaluation; every variable in the support must be assigned."""
+        vals: dict[int, Fraction | Scalar] = {}
+        for name, v in assignment.items():
+            vals[self.universe.index(name)] = as_scalar(v)
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            acc = c
+            for k, p in enumerate(e):
+                if not p:
+                    continue
+                if k not in vals:
+                    raise KeyError(f"unassigned variable {self.universe.names[k]!r}")
+                base = vals[k]
+                for _ in range(p):
+                    acc = acc * base
+            total = total + acc
+        return total
+
+    def eval_complex(self, assignment: dict):
+        """Float evaluation at real values, numbers or float arrays of one
+        shape (then elementwise, into a complex array). Each point rounds as
+        Python's complex arithmetic on (v, 0) alone would round it."""
+        import numpy as np  # here: imported with the package, it adds 0.6 MB to peak RSS
+        names = self.universe.names
+        re = im = 0.0
+        for e, c in self.terms.items():
+            part_re, part_im = float(c.real), float(c.imag)
+            for k, p in enumerate(e):
+                if p:
+                    v = assignment[names[k]]
+                    f = _power(v if isinstance(v, np.ndarray) else float(v), p)
+                    part_re, part_im = part_re * f, part_im * f
+            re, im = re + part_re, im + part_im
+        out = np.empty(np.broadcast_shapes(*(np.shape(v) for v in assignment.values())), complex)
+        out.real, out.imag = re, im
+        return out if out.shape else complex(out)
+
+    def eval_integer(self, numerators: dict, den: int, count: int):
+        """Exact values at count rational points x = numerators[x] / den,
+        numerators mapping each variable to an object array of ints: returns
+        an object array of ints (Scalars over Q(i)) and its denominator."""
+        import numpy as np
+        names = self.universe.names
+        degree = max(self.total_degree(), 0)
+        lcd = math.lcm(*(part.denominator for c in self.terms.values() for part in (c.real, c.imag)))
+        total = 0
+        for e, c in self.terms.items():
+            term = c * lcd * den ** (degree - sum(e))
+            term = term if term.imag else int(term)
+            for k, p in enumerate(e):
+                if p:
+                    term = term * numerators[names[k]] ** p
+            total = total + term
+        return np.broadcast_to(np.asarray(total, dtype=object), (count,)), lcd * den ** degree
+
+    # -- printing -----------------------------------------------------
+
+    def _monomial_str(self, e: tuple[int, ...]) -> str:
+        names = self.universe.names
+        parts = []
+        for k, p in enumerate(e):
+            if p == 1:
+                parts.append(names[k])
+            elif p > 1:
+                parts.append(f"{names[k]}^{p}")
+        return "*".join(parts)
+
+    def to_string(self) -> str:
+        if not self.terms:
+            return "0"
+        pieces: list[str] = []
+        for e, c in self.sorted_terms():
+            mono = self._monomial_str(e)
+            if not c.imag:
+                neg = c < 0
+                mag = abs(c)
+                if mono:
+                    body = mono if mag == 1 else f"{mag}*{mono}"
+                else:
+                    body = str(mag)
+            elif not c.real:
+                neg = c.imag < 0
+                mag = abs(c.imag)
+                itxt = "i" if mag == 1 else f"{mag}*i"
+                body = f"{itxt}*{mono}" if mono else itxt
+            else:
+                neg = False
+                body = f"{c}*{mono}" if mono else str(c)
+            if not pieces:
+                pieces.append(f"-{body}" if neg else body)
+            else:
+                pieces.append(f"- {body}" if neg else f"+ {body}")
+        return " ".join(pieces)
+
+    def __str__(self) -> str:
+        return self.to_string()
+
+    def __repr__(self) -> str:
+        return f"PolynomialReference({self.to_string()!r})"
+
+
+
+
+def monic_reference(p: PolynomialReference) -> PolynomialReference:
+    """Scale so the graded-lex leading coefficient is 1."""
+    if p.is_zero():
+        return p
+    _, lc = p.leading()
+    return p.scale(1 / lc)
+
+
+def primitive_normalize_reference(p: PolynomialReference) -> PolynomialReference:
+    """Integer-primitive representative with positive leading coefficient.
+
+    For real-coefficient polynomials: clear denominators, divide by the
+    integer content and make the graded-lex leading coefficient positive.
+    Falls back to monic for genuinely complex coefficients.
+    """
+    if p.is_zero():
+        return p
+    if any(c.imag for c in p.terms.values()):
+        return monic_reference(p)
+    den = 1
+    for c in p.terms.values():
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    num = 0
+    for c in p.terms.values():
+        num = math.gcd(num, abs(c.numerator * (den // c.denominator)))
+    factor = Fraction(den, num)
+    _, lc = p.leading()
+    if lc < 0:
+        factor = -factor
+    return p.scale(factor)
+
+
+def as_reference(p):
+    """The PolynomialReference with p's terms (p itself if it is one)."""
+    if isinstance(p, PolynomialReference):
+        return p
+    return PolynomialReference(p.universe, dict(p.terms))
+
+
 # -- the exact chart layer before its monomial and cofactor shortcuts --------
 # Copied as they were: the gcd recursing through every content, division by
 # the general leading-term loop, and Buchberger carrying a dense cofactor list
-# on every polynomial it touches.
+# on every polynomial it touches, all on PolynomialReference.
 
 
-def divexact_reference(f: Polynomial, g: Polynomial) -> Polynomial:
+def divexact_reference(f: PolynomialReference, g: PolynomialReference) -> PolynomialReference:
     """Exact quotient f/g; raises NotDivisible if the division has a remainder."""
+    f, g = as_reference(f), as_reference(g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
@@ -1101,11 +1507,11 @@ def divexact_reference(f: Polynomial, g: Polynomial) -> Polynomial:
             raise NotDivisible("leading monomial not divisible")
         qc = rc / gc
         quotient[qe] = qc
-        rem = rem - Polynomial(universe, {qe: qc}) * g
-    return Polynomial(universe, quotient)
+        rem = rem - PolynomialReference(universe, {qe: qc}) * g
+    return PolynomialReference(universe, quotient)
 
 
-def _ref_coeffs_in(p: Polynomial, idx: int) -> dict[int, Polynomial]:
+def _ref_coeffs_in(p: PolynomialReference, idx: int) -> dict[int, PolynomialReference]:
     """View p as a polynomial in variable idx with polynomial coefficients."""
     out: dict[int, dict] = {}
     for e, c in p.terms.items():
@@ -1114,28 +1520,28 @@ def _ref_coeffs_in(p: Polynomial, idx: int) -> dict[int, Polynomial]:
         bucket = out.setdefault(d, {})
         s = bucket.get(ne)
         bucket[ne] = c if s is None else s + c
-    return {d: Polynomial(p.universe, t) for d, t in out.items() if any(t.values())}
+    return {d: PolynomialReference(p.universe, t) for d, t in out.items() if any(t.values())}
 
 
-def _ref_from_coeffs(coeffs: dict[int, Polynomial], idx: int, universe) -> Polynomial:
-    total = Polynomial.zero(universe)
+def _ref_from_coeffs(coeffs: dict[int, PolynomialReference], idx: int, universe) -> PolynomialReference:
+    total = PolynomialReference.zero(universe)
     for d, c in coeffs.items():
         if c.is_zero():
             continue
         shift = {}
         for e, k in c.terms.items():
             shift[e[:idx] + (e[idx] + d,) + e[idx + 1 :]] = k
-        total = total + Polynomial(universe, shift)
+        total = total + PolynomialReference(universe, shift)
     return total
 
 
-def _ref_deg(coeffs: dict[int, Polynomial]) -> int:
+def _ref_deg(coeffs: dict[int, PolynomialReference]) -> int:
     return max(coeffs) if coeffs else -1
 
 
-def _ref_content_in(p: Polynomial, idx: int) -> Polynomial:
+def _ref_content_in(p: PolynomialReference, idx: int) -> PolynomialReference:
     coeffs = _ref_coeffs_in(p, idx)
-    content = Polynomial.zero(p.universe)
+    content = PolynomialReference.zero(p.universe)
     for c in coeffs.values():
         content = gcd_multivariate_reference(content, c)
     return content
@@ -1150,7 +1556,7 @@ def _ref_pseudo_rem(a: dict, b: dict, universe) -> dict:
     while r and _ref_deg(r) >= db:
         dr = _ref_deg(r)
         lr = r[dr]
-        new: dict[int, Polynomial] = {}
+        new: dict[int, PolynomialReference] = {}
         for d, c in r.items():
             new[d] = c * lb
         for d, c in b.items():
@@ -1165,33 +1571,34 @@ def _ref_pseudo_rem(a: dict, b: dict, universe) -> dict:
     return r
 
 
-def gcd_multivariate_reference(a: Polynomial, b: Polynomial) -> Polynomial:
+def gcd_multivariate_reference(a: PolynomialReference, b: PolynomialReference) -> PolynomialReference:
     """Monic gcd dividing both arguments with exact quotients.
 
     gcd(p, 0) is the normalized p; constants are units of the coefficient
     field, so any nonzero constant input forces gcd 1.
     """
+    a, b = as_reference(a), as_reference(b)
     if a.is_zero():
-        return monic(b)
+        return monic_reference(b)
     if b.is_zero():
-        return monic(a)
+        return monic_reference(a)
     a._check(b)
     universe = a.universe
     sup = a.support_vars() | b.support_vars()
     if not sup:
-        return Polynomial.constant(universe, 1)
+        return PolynomialReference.constant(universe, 1)
     # recurse on the last occurring variable in universe order
     idx = max(universe.index(name) for name in sup)
     ca = _ref_content_in(a, idx)
     cb = _ref_content_in(b, idx)
     content = gcd_multivariate_reference(ca, cb)
     if a.degree_in(universe.names[idx]) == 0 or b.degree_in(universe.names[idx]) == 0:
-        return monic(content)
+        return monic_reference(content)
     pa = _ref_coeffs_in(divexact_reference(a, ca), idx)
     pb = _ref_coeffs_in(divexact_reference(b, cb), idx)
     if _ref_deg(pa) < _ref_deg(pb):
         pa, pb = pb, pa
-    one = Polynomial.constant(universe, 1)
+    one = PolynomialReference.constant(universe, 1)
     g = one
     h = one
     while True:
@@ -1214,19 +1621,19 @@ def gcd_multivariate_reference(a: Polynomial, b: Polynomial) -> Polynomial:
             h = g
         else:
             h = divexact_reference(g ** delta, h ** (delta - 1))
-    return monic(content * result)
+    return monic_reference(content * result)
 
 
 class _RefTracked:
     __slots__ = ("poly", "cofactors")
 
-    def __init__(self, poly: Polynomial, cofactors: list[Polynomial]):
+    def __init__(self, poly: PolynomialReference, cofactors: list[PolynomialReference]):
         self.poly = poly
         self.cofactors = cofactors
 
 
-def _ref_mono(universe, exps, coeff) -> Polynomial:
-    return Polynomial(universe, {exps: coeff})
+def _ref_mono(universe, exps, coeff) -> PolynomialReference:
+    return PolynomialReference(universe, {exps: coeff})
 
 
 def _ref_divides_mono(a: tuple, b: tuple) -> bool:
@@ -1236,7 +1643,7 @@ def _ref_divides_mono(a: tuple, b: tuple) -> bool:
 def _ref_reduce(f: _RefTracked, basis: list[_RefTracked], budget: list[int]) -> _RefTracked:
     """Full multivariate division of f by the basis, cofactors maintained."""
     universe = f.poly.universe
-    rem = Polynomial.zero(universe)
+    rem = PolynomialReference.zero(universe)
     work = f.poly
     cof = [c for c in f.cofactors]
     while work.terms:
@@ -1270,7 +1677,7 @@ class _RefBudget(Exception):
 
 
 def ideal_contains_one_reference(
-    gens: list[Polynomial],
+    gens: list[PolynomialReference],
     step_budget: int = DEFAULT_STEP_BUDGET,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> MembershipResult:
@@ -1280,11 +1687,11 @@ def ideal_contains_one_reference(
     zero set. "no" is a definite negative for 1-membership; a real common
     zero may or may not exist and is probed elsewhere by sampling.
     """
-    gens = [g for g in gens]
+    gens = [as_reference(g) for g in gens]
     if not gens:
         raise ValueError("empty generator list")
     universe = gens[0].universe
-    one = Polynomial.constant(universe, 1)
+    one = PolynomialReference.constant(universe, 1)
 
     def certify(tracked: _RefTracked) -> MembershipResult:
         c = tracked.poly.constant_value()
@@ -1294,7 +1701,7 @@ def ideal_contains_one_reference(
 
     tracked: list[_RefTracked] = []
     for k, g in enumerate(gens):
-        cof = [Polynomial.zero(universe) for _ in gens]
+        cof = [PolynomialReference.zero(universe) for _ in gens]
         cof[k] = one
         if g.is_zero():
             continue
@@ -1368,19 +1775,19 @@ def ideal_contains_one_reference(
     return MembershipResult("no", None, reduced, reductions)
 
 
-def _ref_reduced_basis(basis: list[_RefTracked], budget: list[int]) -> list[Polynomial] | None:
+def _ref_reduced_basis(basis: list[_RefTracked], budget: list[int]) -> list[PolynomialReference] | None:
     # minimalize: drop polynomials whose leading monomial another one divides
     polys = [b.poly for b in basis]
-    keep: list[Polynomial] = []
+    keep: list[PolynomialReference] = []
     for k, p in enumerate(polys):
         le, _ = p.leading()
         others = polys[:k] + polys[k + 1 :]
         if any(_ref_divides_mono(q.leading()[0], le) for q in others if not q.is_zero()):
-            polys[k] = Polynomial.zero(p.universe)
+            polys[k] = PolynomialReference.zero(p.universe)
         else:
             keep.append(p)
     # inter-reduce and make monic
-    out: list[Polynomial] = []
+    out: list[PolynomialReference] = []
     for k, p in enumerate(keep):
         rest = [ _RefTracked(q, []) for idx, q in enumerate(keep) if idx != k]
         try:
@@ -1393,6 +1800,29 @@ def _ref_reduced_basis(basis: list[_RefTracked], budget: list[int]) -> list[Poly
         out.append(red.poly.scale(1 / lc))
     out.sort(key=lambda q: grlex_key(q.leading()[0]))
     return out
+
+
+def laplace_minors_reference(matrix, rows, col_sets) -> dict[tuple[int, ...], PolynomialReference]:
+    """``laplace_minors`` on the matrix's entries as PolynomialReference."""
+    matrix = [[as_reference(p) for p in row] for row in matrix]
+    needed = [set(col_sets)]
+    for r in reversed(rows[1:]):
+        needed.append({
+            cols[:j] + cols[j + 1 :] for cols in needed[-1] for j, c in enumerate(cols) if matrix[r][c]
+        })
+    first, zero = matrix[rows[0]], PolynomialReference.zero(matrix[rows[0]][0].universe)
+    level = {cols: first[cols[0]] for cols in needed.pop() if first[cols[0]]}
+    for k, r in enumerate(rows[1:], start=1):
+        below, level, row = level, {}, matrix[r]
+        for cols in needed.pop():
+            minor = zero
+            for j, c in enumerate(cols):
+                sub = below.get(cols[:j] + cols[j + 1 :])
+                if sub is not None and row[c]:
+                    minor = minor - row[c] * sub if (k + j) % 2 else minor + row[c] * sub
+            if minor:
+                level[cols] = minor
+    return level
 
 
 def exact_terms(p: Polynomial) -> list:
