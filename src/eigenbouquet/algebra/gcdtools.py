@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .poly import NotDivisible, Polynomial, _layout, monic
+from .poly import NotDivisible, Polynomial, _add_into, _layout, monic
 
 
 def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -61,13 +61,7 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
             quotient = {k: c * a for k, c in quotient.items()}
             scale = scale * a
         quotient[rk - gk] = qc
-        for k, c in gt.items():
-            k += rk - gk
-            v = rem.get(k, 0) - qc * c
-            if v:
-                rem[k] = v
-            else:
-                del rem[k]
+        _add_into(rem, -qc, rk - gk, gt)
     return Polynomial._make(universe, quotient, f.den)._over(scale).scale(g.den)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .poly import Polynomial, _layout, monic
+from .poly import Polynomial, _add_into, _layout, monic
 
 DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_DEGREE_CAP = 40
@@ -81,14 +81,7 @@ def _reduce(f: _Tracked, basis: list[_Tracked], budget: list[int]) -> _Tracked:
             work = {e: c * a for e, c in work.items()}
             rem = {e: c * a for e, c in rem.items()}
         shift = le - ge
-        for e, c in hit.poly._t.items():
-            e += shift
-            s = work.get(e)
-            d = -(q * c) if s is None else s - q * c
-            if d:
-                work[e] = d
-            else:
-                del work[e]
+        _add_into(work, -q, shift, hit.poly._t)
         if cof is not None:
             factor = Polynomial._make(universe, {shift: q})
             for k, ck in enumerate(hit.cofactors):

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .gcdtools import divexact
-from .poly import Polynomial
+from .poly import Polynomial, _add_into
 from .scalars import Scalar
 
 Matrix = list[list[Polynomial]]
@@ -27,23 +28,31 @@ def laplace_minors(matrix: Matrix, rows, col_sets) -> dict[tuple[int, ...], Poly
     Bottom up, det(rows[:k], C) = sum_j (-1)^(k-1+j) a[rows[k-1]][C[j]]
     det(rows[:k-1], C minus C[j]); only the level below is kept alive.
     """
+    support = {r: {c for c, p in enumerate(matrix[r]) if p} for r in rows[1:]}
     needed = [set(col_sets)]
     for r in reversed(rows[1:]):
         needed.append({
-            cols[:j] + cols[j + 1 :] for cols in needed[-1] for j, c in enumerate(cols) if matrix[r][c]
+            cols[:j] + cols[j + 1 :] for cols in needed[-1] for j, c in enumerate(cols) if c in support[r]
         })
-    first, zero = matrix[rows[0]], Polynomial.zero(matrix[rows[0]][0].universe)
+    first = matrix[rows[0]]
+    universe = first[0].universe
     level = {cols: first[cols[0]] for cols in needed.pop() if first[cols[0]]}
     for k, r in enumerate(rows[1:], start=1):
-        below, level, row = level, {}, matrix[r]
+        below, level, row, live = level, {}, matrix[r], support[r]
         for cols in needed.pop():
-            minor = zero
-            for j, c in enumerate(cols):
-                sub = below.get(cols[:j] + cols[j + 1 :])
-                if sub is not None and row[c]:
-                    minor = minor - row[c] * sub if (k + j) % 2 else minor + row[c] * sub
-            if minor:
-                level[cols] = minor
+            products = [
+                (-1 if (k + j) % 2 else 1, row[c] * sub)
+                for j, c in enumerate(cols)
+                if c in live and (sub := below.get(cols[:j] + cols[j + 1 :])) is not None
+            ]
+            # one accumulator over one denominator: the terms land in the
+            # order adding the signed products one by one gives them
+            den = lcm(*(p.den for _, p in products))
+            out: dict = {}
+            for sign, p in products:
+                _add_into(out, sign * (den // p.den), 0, p._t)
+            if out:
+                level[cols] = Polynomial._make(universe, out, den)
     return level
 
 

@@ -11,6 +11,11 @@ with int parts when not real. Numerators and denominator share no factor,
 so equal polynomials store equal terms, in the order the arithmetic
 inserts them; ``terms`` shows them as exponent tuples mapped to Fractions
 or Scalars.
+
+Every sum but the product's goes through one accumulator, ``_add_into``,
+which adds c*x^shift*t into a numerator dict in place and deletes a sum
+that reaches 0: the term order is that of adding the terms one by one. The
+product keeps a cancelled sum's slot and drops the zeros at the end.
 """
 
 from __future__ import annotations
@@ -162,12 +167,10 @@ class Polynomial:
         """self + sign * other, over the lcm of the denominators."""
         self._check(other)
         den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den * sign
+        fa = den // self.den
         terms = dict(self._t) if fa == 1 else {k: c * fa for k, c in self._t.items()}
-        for k, c in other._t.items():
-            s = terms.get(k)
-            terms[k] = c * fb if s is None else s + c * fb
-        return Polynomial._make(self.universe, {k: c for k, c in terms.items() if c}, den)
+        _add_into(terms, den // other.den * sign, 0, other._t)
+        return Polynomial._make(self.universe, terms, den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._combine(other, 1)
@@ -312,17 +315,9 @@ class Polynomial:
                 lay.check(passthrough + max(part._t))
             parts.append((c, passthrough, part))
         common = lcm(*(part.den for _, _, part in parts))
-        # one accumulator over one denominator, dropping a sum that cancels:
-        # the term order is that of adding the substituted terms one by one
         out: dict = {}
         for c, passthrough, part in parts:
-            c *= common // part.den
-            for pk, pc in part._t.items():
-                v = out.get(passthrough + pk, 0) + c * pc
-                if v:
-                    out[passthrough + pk] = v
-                else:
-                    del out[passthrough + pk]
+            _add_into(out, c * (common // part.den), passthrough, part._t)
         return Polynomial._make(target, out, self.den * common)
 
     def eval_scalar(self, assignment: dict[str, Fraction | Scalar | int]) -> Fraction | Scalar:
@@ -398,6 +393,20 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()!r})"
+
+
+def _add_into(out: dict, c, shift: int, t: dict) -> None:
+    """out += c * x^shift * t on packed numerators, in place, for a nonzero
+    c: a sum that reaches 0 is deleted, so a key that comes back later goes
+    to the end, as if the terms were added one by one."""
+    get = out.get
+    for k, v in t.items():
+        k += shift
+        s = get(k, 0) + c * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
 
 
 def _reduced(t: dict, den: int) -> tuple[dict, int]:

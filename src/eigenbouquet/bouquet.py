@@ -132,8 +132,11 @@ class FittingIdeal:
 def fitting_minors(system: QuadSystem) -> FittingIdeal:
     """All generic-rank-sized minors, deduplicated up to scalar multiples.
 
-    Only row and column sets with a perfect matching in the nonzero support
-    are computed: any other minor is identically zero.
+    Per row set, every column set of the columns its rows reach is handed
+    to the Laplace expansion. The expansion's top-down pass keeps only the
+    sub-minors a nonzero entry leads to, so a column set whose rows cannot
+    pair off with its columns inside the nonzero support costs no product
+    and gives no minor.
 
     Generators are kept in canonical normalized form (integer-primitive with
     positive leading coefficient over Q, monic over Q(i)); the minor table
@@ -152,49 +155,27 @@ def fitting_minors(system: QuadSystem) -> FittingIdeal:
     ]
     gens: list[Polynomial] = []
     keys: dict[Polynomial, int] = {}
+    scaled: dict[Polynomial, tuple[int, Fraction]] = {}  # raw minor -> its table entry
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, Fraction]] = {}
     for rset in combinations(range(rows), d):
         if not all(support[r] for r in rset):
             continue
-        # only reachable columns can be matched; sorted, the column sets come
-        # in the order combinations(range(cols), d) gives them
+        # a column no row reaches gives a zero minor
         reach = sorted(set().union(*(support[r] for r in rset)))
-        # a column set without a matching has a zero factor in every term
-        csets = [c for c in combinations(reach, d) if _perfect_matching(rset, set(c), support)]
-        minors = laplace_minors(system.coeff_matrix, rset, csets)
-        for cset in csets:
-            minor = minors.get(cset)
-            if minor is None:
-                continue
-            normal = _canonical_gen(minor, system.family.fld)
-            if normal not in keys:  # canonical forms: equal exactly when their sort keys are
-                keys[normal] = len(gens)
-                gens.append(normal)
-            table[(rset, cset)] = (keys[normal], _leading_ratio(minor, normal))
+        minors = laplace_minors(system.coeff_matrix, rset, combinations(reach, d))
+        for cset, minor in sorted(minors.items()):  # as combinations(range(cols), d) orders them
+            if minor not in scaled:  # the same minor recurs under many row and column sets
+                normal = _canonical_gen(minor, system.family.fld)
+                if normal not in keys:  # canonical forms: equal exactly when their sort keys are
+                    keys[normal] = len(gens)
+                    gens.append(normal)
+                scaled[minor] = (keys[normal], _leading_ratio(minor, normal))
+            table[(rset, cset)] = scaled[minor]
     order = sorted(range(len(gens)), key=lambda k: gens[k].sort_key())
     remap = {old: new for new, old in enumerate(order)}
     gens = [gens[k] for k in order]
     table = {key: (remap[idx], sc) for key, (idx, sc) in table.items()}
     return FittingIdeal(gens, d, table)
-
-
-def _perfect_matching(rset, cset: set[int], support: list[set[int]]) -> bool:
-    """Whether the rows of rset pair off with the columns of cset inside the
-    nonzero support (Kuhn's augmenting paths); if not, the minor vanishes."""
-    owner: dict[int, int] = {}  # column -> row
-    return all(_augment(r, set(), owner, cset, support) for r in rset)
-
-
-def _augment(r: int, seen: set[int], owner: dict[int, int], cset: set[int], support) -> bool:
-    """Match row r, re-matching owners along an augmenting path (a plain
-    function: a nested one calling itself would be a reference cycle)."""
-    for c in sorted(support[r] & cset):
-        if c not in seen:
-            seen.add(c)
-            if c not in owner or _augment(owner[c], seen, owner, cset, support):
-                owner[c] = r
-                return True
-    return False
 
 
 def _canonical_gen(p: Polynomial, fld: str) -> Polynomial:

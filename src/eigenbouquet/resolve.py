@@ -214,7 +214,9 @@ def blowup_charts(node: ChartNode, center: tuple[str, ...], warn=None) -> list[C
             path=node.path + (pivot,),
             universe=chart_universe,
             to_base=to_base,
-            exceptional=[(rename.get(n, n), m) for n, m in node.exceptional]
+            # the pivot's own old divisor pulls back into the new one: its
+            # strict transform is not visible in this chart
+            exceptional=[(rename.get(n, n), m) for n, m in node.exceptional if n != pivot]
             + [(pivot_new, 0)],
             pulled_minors=[m.substitute(mapping, chart_universe) for m in node.pulled_minors],
         )

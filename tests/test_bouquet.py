@@ -282,9 +282,10 @@ def sparse_family(rng, n, structure):
     return check_structure(MatrixFamily.from_strings(entries, ["x", "y"], structure))
 
 
-class TestMatchedMinors:
-    """Only row and column sets with a perfect matching in the support are
-    computed; the table and generators are those of all sets."""
+class TestReachableMinors:
+    """Per row set, every column set of the columns its rows reach goes to
+    the expansion; the table and generators are those of all row and column
+    sets, by brute force."""
 
     def test_seeded_sparse_families(self):
         rng = random.Random(7)
@@ -346,8 +347,7 @@ class TestFittingScale:
             cli.analyze(cli.JobConfig.from_dict(config))
 
     def test_no_garbage_cycle(self):
-        """Nothing the expansion or the matching builds waits for the cyclic
-        collector."""
+        """Nothing the expansion builds waits for the cyclic collector."""
         job = next(job for job in bench_jobs() if job.name == "sym4_generic")
         system = cli.analyze(cli.JobConfig.from_dict(job.config)).primary.system
         gc.collect()

@@ -198,11 +198,22 @@ class TestKernelsMatchReference:
                 assert outcome(divexact, f, g) == outcome(divexact_reference, f, g)
             am, bm = a * m, b * m
             assert outcome(gcd_multivariate, am, bm) == outcome(gcd_multivariate_reference, am, bm)
+        # (x^2 + x + 1)(x^2 + 2x - 2): the first step cancels the remainder's
+        # x^2 term, the second brings it back
+        x, one = Polynomial.variable(universe, "x"), Polynomial.constant(universe, 1)
+        f, g = (x * x + x + one) * (x * x + x.scale(2) - one.scale(2)), x * x + x + one
+        assert outcome(divexact, f, g) == outcome(divexact_reference, f, g)
 
     def test_laplace_minors(self, universe, gaussian):
         rng = random.Random(600 + universe.nvars + 10 * gaussian)
-        for _ in range(3):
-            matrix = [[small(rng, universe, gaussian, 2) for _ in range(4)] for _ in range(3)]
+        matrices = [[[small(rng, universe, gaussian, 2) for _ in range(4)] for _ in range(3)] for _ in range(3)]
+        # every 2 x 2 minor of the first two rows is 1, so the minor on columns
+        # (0, 1, 2) adds c*x + 1, takes c*x away and adds c*x + 2: x cancels
+        # mid-sum and comes back after the constant
+        x, one = Polynomial.variable(universe, "x"), Polynomial.constant(universe, 1)
+        cx, zero = x.scale(Scalar(0, 1) if gaussian else 1), Polynomial.zero(universe)
+        matrices.append([[one, one, zero, one], [zero, one, one, x], [cx + one, cx, cx + one.scale(2), one]])
+        for matrix in matrices:
             col_sets = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
             ours = laplace_minors(matrix, (0, 1, 2), col_sets)
             ref = laplace_minors_reference(matrix, (0, 1, 2), col_sets)

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,8 @@ from reference import (
     membership_terms,
     sample_points,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def kupa_setup():
@@ -327,6 +331,25 @@ class TestDeeperTree:
         for minor, weak in zip(deep.pulled_minors, deep.weak_gens):
             assert deep.local_generator * weak == minor
         assert [name for name, _ in deep.exceptional][-1] == "w"
+        assert_distinct_divisors(outcome.root)
+
+    def test_pivot_on_an_old_divisor_lists_it_once(self):
+        """Blowing up [u, v] on chart y, where v is the first exceptional
+        divisor: in the pivot-v chart v pulls back into the new divisor a,
+        so a is listed once."""
+        config = json.loads((DATA / "double_blowup.json").read_text())
+        state = cli.RunState(cli.JobConfig.from_dict(config))
+        cli.stage_resolve(cli.stage_analyze(state))
+        assert state.outcome.verdict == "Resolved"
+        assert state.outcome.root.find(("y", "v")).exceptional == [("a", 4)]
+        assert state.outcome.root.find(("y", "u")).exceptional == [("a", 2), ("w", 4)]
+        assert_distinct_divisors(state.outcome.root)
+
+
+def assert_distinct_divisors(root):
+    for chart in _charts(root):
+        names = [name for name, _ in chart.exceptional]
+        assert len(set(names)) == len(names), (chart.path, chart.exceptional)
 
 
 class TestProposeCenter:
