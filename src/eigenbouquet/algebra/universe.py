@@ -2,13 +2,13 @@
 
 Every polynomial carries a reference to its universe; exponent tuples are
 indexed by the concatenation params + fibers. Parameters live on the base
-space, fibers on the vector-space fiber, and a subset of parameters can be
-flagged as exceptional-divisor coordinates on blowup charts.
+space, fibers on the vector-space fiber. A blowup chart's exceptional
+divisors are recorded on its ChartNode, not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _RESERVED = {"i"}
 
@@ -25,20 +25,16 @@ def _valid_name(name: str) -> bool:
 class VarUniverse:
     params: tuple[str, ...]
     fibers: tuple[str, ...] = ()
-    exceptional: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "fibers", tuple(self.fibers))
-        object.__setattr__(self, "exceptional", frozenset(self.exceptional))
         names = self.params + self.fibers
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
         for name in names:
             if not _valid_name(name):
                 raise ValueError(f"invalid variable name {name!r}")
-        if not self.exceptional <= set(self.params):
-            raise ValueError("exceptional variables must be parameters")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -55,7 +51,7 @@ class VarUniverse:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def with_extra_param(self, name: str) -> "VarUniverse":
-        return VarUniverse(self.params + (name,), self.fibers, self.exceptional)
+        return VarUniverse(self.params + (name,), self.fibers)
 
     def fresh_param_name(self, stem: str) -> str:
         """A parameter name based on stem that collides with nothing."""

@@ -68,7 +68,7 @@ class QuadSystem:
 def _real_doubled_universe(universe: VarUniverse) -> VarUniverse:
     fibers = universe.fibers
     doubled = tuple(f"{f}_re" for f in fibers) + tuple(f"{f}_im" for f in fibers)
-    return VarUniverse(universe.params, doubled, universe.exceptional)
+    return VarUniverse(universe.params, doubled)
 
 
 def wedge_quadratics(family: MatrixFamily) -> QuadSystem:

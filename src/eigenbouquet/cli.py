@@ -238,9 +238,7 @@ def analyze(cfg: JobConfig) -> Analysis:
     fam = build_family(cfg)
     split = None
     if cfg.fld == "rational" and cfg.structure in {"normal", "skew"}:
-        as_normal = MatrixFamily(fam.n, fam.universe, fam.entries, "normal", fam.fld)
-        check_structure(as_normal)
-        split = split_and_double(as_normal)
+        split = split_and_double(fam)
         sym_bundle = _make_bundle("sym", split.sym, cfg.seed)
         if all(p.is_zero() for row in split.skew.entries for p in row):
             bundles, split = [sym_bundle], None

@@ -21,7 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .oracle import (
     extrapolate_along_curve,
     gather,
     nearest_of,
-    nearest_subspace,
     polar_factor,
     principal_angles,
     slot_patterns,
@@ -295,13 +294,14 @@ def _extrapolate_bouquets(section, points, exc, matrices, quads, cluster_tol):
 
 def _curve_limits(section, start, owners, delta, matrices, quads, cluster_tol):
     """Per curve from a start point along delta, its limit bouquet: the
-    (C, n, n) frames and (C, n) Rayleigh values of the limit subspaces,
-    sorted by value, and per curve their pattern or the ExtrapolationError
-    it failed with. All curves go through one batch of base points,
-    discriminant tests, matrices, Jacobi solves and clusters, one
-    extrapolate_along_curve, one stacked Rayleigh value per limit pattern
-    and slot and one quadratic residual check; owners name the grid points
-    the curves start from."""
+    (C, n, n) frames of the limit subspaces, sorted by value, their (C, n)
+    Rayleigh values at the start point, the only limit eigenvalues (the
+    curve kernel extrapolates frames alone), and per curve their pattern or
+    the ExtrapolationError it failed with. All curves go through one batch
+    of base points, discriminant tests, matrices, Jacobi solves and
+    clusters, one extrapolate_along_curve, one stacked Rayleigh value per
+    limit pattern and slot and one quadratic residual check; owners name
+    the grid points the curves start from."""
     radii, steps = EXTRAPOLATION_RADII, len(EXTRAPOLATION_RADII)
     names = section.chart.universe.params
     curves = start[:, None, :] + np.array(radii)[:, None] * delta
@@ -317,9 +317,7 @@ def _curve_limits(section, start, owners, delta, matrices, quads, cluster_tol):
     # all curves' samples in one cluster_frames stack: demo_frames peak_rss_mb 36.29 MB, against
     # 36.22 MB with one Cluster per sample and slot (medians of 3 benchmark runs, 2-core Xeon)
     limits, values = np.zeros((len(start),) + matrices.shape[1:]), np.zeros((len(start), matrices.shape[-1]))
-    limits[chained], values[chained], found = extrapolate_along_curve(
-        cluster_frames(*spectra, cluster_tol), rows[chained]
-    )
+    limits[chained], found = extrapolate_along_curve(cluster_frames(*spectra, cluster_tol), rows[chained])
     found = iter(found)
     out = [ExtrapolationError("curve runs inside the discriminant image") if bad else next(found)
            for bad in inside]
@@ -615,34 +613,3 @@ def _smoothness(components, grid: GridSpec):
 def _worst_second_difference(a: np.ndarray, axis: int, h: float) -> float:
     b = np.moveaxis(a, axis, 0)
     return float(np.max(np.abs((b[:-2] - 2 * b[1:-1] + b[2:]) / (h * h))))
-
-
-# -- limit uniqueness ---------------------------------------------------
-
-
-def limit_uniqueness_check(
-    section: PluckerSection, point: dict, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> float:
-    """Max principal angle between the limit bouquets at a chart point along
-    the first three transversal headings, the first of which the frame pass
-    tries first: one exact batch at the point, one curve batch per heading."""
-    names = section.chart.universe.params
-    quads = section.recover_quadratics([point])
-    _, _, matrices, _, _ = _spectra_at(section, [point], lambda i: repr(point))
-    start, owners = np.array([[float(point[name]) for name in names]]), np.zeros(1, dtype=int)
-    headings = islice(_transversal_directions(len(names)), 3)
-    limits = [_curve_limits(section, start, owners, d, matrices, quads, cluster_tol) for d in headings]
-    for _, _, (got,) in limits:
-        if isinstance(got, ExtrapolationError):
-            raise got
-    (first, _, (pattern,)), *others = limits
-    worst = 0.0
-    for frame, _, (other,) in others:
-        used: set[int] = set()
-        for a, b in zip(accumulate(pattern, initial=0), accumulate(pattern)):
-            k, angle, _ = nearest_subspace(first[0][:, a:b], frame[0], other, used)
-            if k is None:
-                raise ExtrapolationError("bouquet structures differ across curves")
-            used.add(k)
-            worst = max(worst, angle)
-    return worst

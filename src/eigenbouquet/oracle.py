@@ -254,18 +254,6 @@ def nearest_of(angles) -> tuple:
     return best, angle, runner_up
 
 
-def nearest_subspace(basis: np.ndarray, frame: np.ndarray, pattern: tuple, skip=()):
-    """The subspace of frame (its columns in pattern's slots) of basis's
-    dimension, outside skip, spanning the subspace nearest to basis's by
-    largest angle, as ``nearest_of`` gives it."""
-    starts = list(accumulate(pattern, initial=0))
-    ks = [k for k, m in enumerate(pattern) if k not in skip and m == basis.shape[1]]
-    if not ks:
-        return None, None, None
-    angles = principal_angles(np.stack([frame[:, starts[k] : starts[k + 1]] for k in ks]), basis[None])
-    return nearest_of(zip(ks, angles.max(axis=1).tolist()))
-
-
 def polar_factor(cross: np.ndarray):
     """Orthogonal polar factor U V^T of each member U S V^T of an (N, m, m)
     stack, from one eigh_jacobi stack of cross^T cross, and which members are
@@ -309,15 +297,16 @@ def extrapolate_along_curve(clustered, curves: np.ndarray):
     stack aligns them; Richardson (order 2) and one orthonormalize stack
     end each component.
 
-    Returns the (C, n, n) limit frames and (C, n) limit values, each
-    component in its slot's columns, and per curve its pattern or the
-    ExtrapolationError it failed with first, as it would alone; a failed
-    curve leaves the stacks.
+    Returns the (C, n, n) limit frames, each component in its slot's
+    columns, and per curve its pattern or the ExtrapolationError it failed
+    with first, as it would alone; a failed curve leaves the stacks. The
+    limit eigenvalues are not extrapolated: the caller takes them from the
+    limit frames.
     """
-    frames, values, slots = clustered
+    frames, _, slots = clustered
     patterns = slot_patterns(slots, len(frames))
     found: list = [None] * len(curves)
-    out = (np.zeros((len(found),) + frames.shape[1:]), np.zeros((len(found),) + values.shape[1:]), found)
+    out = (np.zeros((len(found),) + frames.shape[1:]), found)
     groups: dict[tuple, list[int]] = {}
     for j, rows in enumerate(curves.tolist()):
         if len(rows) < 4:
@@ -327,24 +316,23 @@ def extrapolate_along_curve(clustered, curves: np.ndarray):
         else:
             groups.setdefault(patterns[rows[0]], []).append(j)
     for mults, at in groups.items():
-        _extrapolate_group(frames, values, np.array(at), curves[at], mults, out)
+        _extrapolate_group(frames, np.array(at), curves[at], mults, out)
     return out
 
 
-def _extrapolate_group(frames, values, at: np.ndarray, rows: np.ndarray, mults: tuple[int, ...], out) -> None:
+def _extrapolate_group(frames, at: np.ndarray, rows: np.ndarray, mults: tuple[int, ...], out) -> None:
     """extrapolate_along_curve for the curves at (their sample rows rows),
-    which share their multiplicity pattern: each writes its limit columns,
-    values and pattern into out, or its error; a failing member leaves
-    every stack at once."""
-    limits, limit_values, found = out
+    which share their multiplicity pattern: each writes its limit columns
+    and pattern into out, or its error; a failing member leaves every stack
+    at once."""
+    limits, found = out
     bounds = list(accumulate(mults, initial=0))
-    # per radius, each cluster slot's bases and the values of all slots
+    # per radius, each cluster slot's bases
     bases = [[frames[rows[:, r], :, a:b] for a, b in zip(bounds, bounds[1:])] for r in range(rows.shape[1])]
-    vals = [values[rows[:, r]][:, bounds[:-1]] for r in range(rows.shape[1])]
     alive = np.arange(len(rows))  # the members still going, in stack order
     for idx, dim in enumerate(mults):
         slots = [k for k, m in enumerate(mults) if m == dim]
-        chain, valchain = [bases[0][idx][alive]], [vals[0][alive, idx]]
+        chain = [bases[0][idx][alive]]
         for r in range(1, rows.shape[1]):
             candidates = np.stack([bases[r][k][alive] for k in slots], axis=1)
             angles = np.stack(
@@ -368,15 +356,9 @@ def _extrapolate_group(frames, values, at: np.ndarray, rows: np.ndarray, mults: 
                 return
             aligned = matched * turn if dim == 1 else matched @ turn
             chain = [c[members] for c in chain] + [aligned[~degenerate]]
-            valchain = [v[members] for v in valchain] + [vals[r][alive, np.array(slots)[best[members]]]]
-        limit = orthonormalize(richardson_limit(chain))
-        lost = ~limit.any(axis=1).all(axis=1)
-        _fail(found, at[alive[lost]], "extrapolated basis lost rank")
-        alive, value = alive[~lost], richardson_limit(valchain)[~lost]
-        limits[at[alive], :, bounds[idx] : bounds[idx + 1]] = limit[~lost]
-        limit_values[at[alive], bounds[idx] : bounds[idx + 1]] = value[:, None]
-        if not alive.size:
-            return
+        # (8 T5 - 6 T4 + T3) / 3 of orthonormal samples keeps |L v| >= 1/3:
+        # orthonormalize never zeroes a column of it
+        limits[at[alive], :, bounds[idx] : bounds[idx + 1]] = orthonormalize(richardson_limit(chain))
     for j in at[alive].tolist():
         found[j] = mults
 

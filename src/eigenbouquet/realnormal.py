@@ -64,8 +64,10 @@ def _doubled_fiber_names(universe: VarUniverse) -> tuple[str, ...]:
 
 
 def split_and_double(family: MatrixFamily) -> SplitFamily:
-    """Exact halves A, B and the symmetric doubling of B."""
-    if family.structure != "normal" or family.fld != "rational":
+    """Exact halves A, B and the symmetric doubling of B, of a rational
+    normal or skew family. The halves and the doubling are symmetric or
+    skew by construction, so they come out verified."""
+    if family.structure not in {"normal", "skew"} or family.fld != "rational":
         raise ValueError("splitting applies to real normal families")
     if not family.verified:
         check_structure(family)
@@ -80,20 +82,16 @@ def split_and_double(family: MatrixFamily) -> SplitFamily:
         [(family.entries[r][c] - family.entries[c][r]).scale(half) for c in range(n)]
         for r in range(n)
     ]
-    doubled_universe = VarUniverse(
-        universe.params, _doubled_fiber_names(universe), universe.exceptional
-    )
+    doubled_universe = VarUniverse(universe.params, _doubled_fiber_names(universe))
     zero = Polynomial.zero(doubled_universe)
     doubled_entries = [[zero for _ in range(2 * n)] for _ in range(2 * n)]
     for r in range(n):
         for c in range(n):
             doubled_entries[r][n + c] = (-skew_entries[r][c]).in_universe(doubled_universe)
             doubled_entries[n + r][c] = skew_entries[r][c].in_universe(doubled_universe)
-    sym = check_structure(MatrixFamily(n, universe, sym_entries, "symmetric"))
-    skew = check_structure(MatrixFamily(n, universe, skew_entries, "skew"))
-    doubled = check_structure(
-        MatrixFamily(2 * n, doubled_universe, doubled_entries, "symmetric")
-    )
+    sym = MatrixFamily(n, universe, sym_entries, "symmetric", verified=True)
+    skew = MatrixFamily(n, universe, skew_entries, "skew", verified=True)
+    doubled = MatrixFamily(2 * n, doubled_universe, doubled_entries, "symmetric", verified=True)
     return SplitFamily(family, sym, skew, doubled)
 
 

@@ -195,8 +195,7 @@ def blowup_charts(node: ChartNode, center: tuple[str, ...], warn=None) -> list[C
     for pivot in variables:
         new_params = tuple(rename.get(name, name) for name in node.universe.params)
         pivot_new = rename[pivot]
-        new_exc = (frozenset(rename.get(n, n) for n in node.universe.exceptional)) | {pivot_new}
-        chart_universe = VarUniverse(new_params, node.universe.fibers, new_exc)
+        chart_universe = VarUniverse(new_params, node.universe.fibers)
         pivot_poly = Polynomial.variable(chart_universe, pivot_new)
         mapping = {}
         for name in node.universe.params:

@@ -2,7 +2,8 @@
 
 Checks of the paper's identities that no pipeline stage runs (the
 quadratics as polynomials, the Jacobian and coefficient ranks, the diagonalizability classifier, the doubled
-operator's plane identities), small conveniences (the benchmark's jobs,
+operator's plane identities, the limit bouquet's uniqueness across
+transversal headings, with the nearest-subspace matching it compares by), small conveniences (the benchmark's jobs,
 exact base points, the exactness of a point, the largest principal angle
 of one pair, one matrix's clustered spectrum, hand-built clusters as the
 arrays cluster_frames gives) and the per-matrix paths the stacked ones
@@ -33,7 +34,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,8 @@ from eigenbouquet.frames import (
     GRAM_TOL,
     QUAD_VANISH_TOL,
     GridBouquet,
+    PluckerSection,
+    _curve_limits,
     _residuals,
     _spectra_at,
     _transversal_directions,
@@ -184,8 +187,8 @@ def clustered(samples) -> tuple:
 def limits_along(curves) -> list:
     """extrapolate_along_curve on curves of hand-built samples (see
     ``clustered``), each with as many samples, in one stack per matrix size:
-    per curve its limits as (value, multiplicity, basis) per component, or
-    its error."""
+    per curve its limits as (multiplicity, basis) per component, in slot
+    order (ascending sample eigenvalue), or its error."""
     out: list = [None] * len(curves)
     sizes: dict[int, list[int]] = {}
     for j, curve in enumerate(curves):
@@ -193,11 +196,11 @@ def limits_along(curves) -> list:
     for js in sizes.values():
         samples = [sample for j in js for sample in curves[j]]
         rows = np.arange(len(samples)).reshape(len(js), -1)
-        for j, frame, values, got in zip(js, *extrapolate_along_curve(clustered(samples), rows)):
+        for j, frame, got in zip(js, *extrapolate_along_curve(clustered(samples), rows)):
             if isinstance(got, ExtrapolationError):
                 out[j] = got
             else:
-                out[j] = [(values[a].item(), m, frame[:, a : a + m]) for a, m in zip(accumulate(got, initial=0), got)]
+                out[j] = [(m, frame[:, a : a + m]) for a, m in zip(accumulate(got, initial=0), got)]
     return out
 
 
@@ -722,8 +725,8 @@ def richardson_limit_per_curve(values: list[np.ndarray], order: int = 2) -> tupl
 
 def nearest_subspace_per_cluster(basis: np.ndarray, candidates: list[Cluster], skip=()):
     """The candidate of basis's dimension, outside skip, spanning the subspace
-    nearest to basis's by largest angle, as ``nearest_of`` gives it: the
-    package's nearest_subspace while it took Cluster lists."""
+    nearest to basis's by largest angle, as ``nearest_of`` gives it:
+    ``nearest_subspace`` while it took Cluster lists."""
     ks = [k for k, c in enumerate(candidates) if k not in skip and c.multiplicity == basis.shape[1]]
     if not ks:
         return None, None, None
@@ -837,6 +840,49 @@ def extrapolate_bouquets_per_curve(section, points, exc, matrices, quads, cluste
     raise ExtrapolationError(
         f"extrapolation failed at {points[exc[q]]!r} in every direction: {errors[q]}"
     )
+
+
+# -- the limit bouquet's uniqueness across headings ----------------------------
+
+
+def nearest_subspace(basis: np.ndarray, frame: np.ndarray, pattern: tuple, skip=()):
+    """The subspace of frame (its columns in pattern's slots) of basis's
+    dimension, outside skip, spanning the subspace nearest to basis's by
+    largest angle, as ``nearest_of`` gives it."""
+    starts = list(accumulate(pattern, initial=0))
+    ks = [k for k, m in enumerate(pattern) if k not in skip and m == basis.shape[1]]
+    if not ks:
+        return None, None, None
+    angles = principal_angles(np.stack([frame[:, starts[k] : starts[k + 1]] for k in ks]), basis[None])
+    return nearest_of(zip(ks, angles.max(axis=1).tolist()))
+
+
+def limit_uniqueness_check(
+    section: PluckerSection, point: dict, cluster_tol: float = DEFAULT_CLUSTER_TOL
+) -> float:
+    """Max principal angle between the limit bouquets at a chart point along
+    the first three transversal headings, the first of which the frame pass
+    tries first: one exact batch at the point, one curve batch per heading."""
+    names = section.chart.universe.params
+    quads = section.recover_quadratics([point])
+    _, _, matrices, _, _ = _spectra_at(section, [point], lambda i: repr(point))
+    start, owners = np.array([[float(point[name]) for name in names]]), np.zeros(1, dtype=int)
+    headings = islice(_transversal_directions(len(names)), 3)
+    limits = [_curve_limits(section, start, owners, d, matrices, quads, cluster_tol) for d in headings]
+    for _, _, (got,) in limits:
+        if isinstance(got, ExtrapolationError):
+            raise got
+    (first, _, (pattern,)), *others = limits
+    worst = 0.0
+    for frame, _, (other,) in others:
+        used: set[int] = set()
+        for a, b in zip(accumulate(pattern, initial=0), accumulate(pattern)):
+            k, angle, _ = nearest_subspace(first[0][:, a:b], frame[0], other, used)
+            if k is None:
+                raise ExtrapolationError("bouquet structures differ across curves")
+            used.add(k)
+            worst = max(worst, angle)
+    return worst
 
 
 # -- one bouquet object per grid point ---------------------------------------

@@ -27,7 +27,6 @@ from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.frames import (
     GridSpec,
     family_matrix,
-    limit_uniqueness_check,
     local_frame_and_eigenvalues,
     plucker_section,
 )
@@ -40,6 +39,7 @@ from eigenbouquet.resolve import CenterSpec, run_sequence
 from reference import (
     expected_quadratic_dim,
     jacobian_rank_at,
+    limit_uniqueness_check,
     limits_along,
     pairs,
     plane_invariant_checks,
@@ -258,8 +258,9 @@ class TestAcceptance2Rellich:
             return np.array([[x, y], [y, -x]])
 
         def top_limit(curve):
+            # the last component in slot order: the top sample eigenvalue's
             (limits,) = limits_along([[pairs(spectral_sample(p).clusters) for p in curve]])
-            return max(limits, key=lambda r: r[0])[2]
+            return limits[-1][1]
 
         ax_top = top_limit([m(t, 0.0) for t in radii])
         dg_top = top_limit([m(t, t) for t in radii])

@@ -294,7 +294,7 @@ class TestRunErrors:
         def fail(clustered, curves):
             n = clustered[0].shape[-1]
             error = cli.ExtrapolationError("no limit along this curve")
-            return np.zeros((len(curves), n, n)), np.zeros((len(curves), n)), [error] * len(curves)
+            return np.zeros((len(curves), n, n)), [error] * len(curves)
 
         monkeypatch.setattr(frames, "extrapolate_along_curve", fail)
         code, report = self.run_check(tmp_path, FIXTURES["kupa"])

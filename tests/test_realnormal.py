@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -79,7 +80,7 @@ class TestSplitAndDouble:
         u = d.universe
         assert d.entries[0][3] == parse_polynomial("-(x^2 - 1)", u)
         assert d.entries[2][1] == parse_polynomial("x^2 - 1", u)
-        # doubled operator is exactly symmetric (checked at construction)
+        # doubled operator is exactly symmetric by construction
         assert d.verified
 
     def test_recomposition_identity(self):
@@ -89,23 +90,60 @@ class TestSplitAndDouble:
                 total = split.sym.entries[r][c] + split.skew.entries[r][c]
                 assert total == split.original.entries[r][c]
 
+    def test_halves_of_random_families_pass_the_structure_check(self):
+        # split_and_double marks its halves verified without checking them:
+        # a fresh check of each confirms that they hold by construction
+        rng = random.Random(22)
+        for _ in range(10):
+            n = rng.choice([2, 3, 4])
+            for fam in (random_normal_family(rng, n), random_block_family(rng, n), random_skew_family(rng, n)):
+                split = split_and_double(fam)
+                for half in (split.sym, split.skew, split.doubled):
+                    assert half.verified
+                    check_structure(dataclasses.replace(half, verified=False))
+
 
 def random_normal_family(rng, n):
     """a * Id + B with B a random polynomial skew matrix: always normal."""
-    monos = ["1", "x", "y", "x*y", "x^2"]
-
-    def poly():
-        picks = rng.sample(monos, k=rng.randint(1, 3))
-        return " + ".join(f"({rng.randint(-4, 4)})*{m}" for m in picks)
-
-    diag = poly()
+    diag = random_poly(rng)
     rows = [["0"] * n for _ in range(n)]
     for r in range(n):
         rows[r][r] = diag
         for c in range(r + 1, n):
-            entry = poly() if rng.random() < 0.8 else "0"
+            entry = random_poly(rng) if rng.random() < 0.8 else "0"
             rows[r][c], rows[c][r] = entry, f"-({entry})"
     return check_structure(MatrixFamily.from_strings(rows, ["x", "y"], "normal"))
+
+
+def random_poly(rng):
+    monos = ["1", "x", "y", "x*y", "x^2"]
+    picks = rng.sample(monos, k=rng.randint(1, 3))
+    return " + ".join(f"({rng.randint(-4, 4)})*{m}" for m in picks)
+
+
+def random_block_family(rng, n):
+    """Similitude blocks [[p, q], [-q, p]], a 1 x 1 block [p] for odd n,
+    rows and columns permuted alike: normal, its symmetric half p on each
+    block, each block's p its own."""
+    blocks = [["0"] * n for _ in range(n)]
+    for k in range(0, n - 1, 2):
+        p, q = random_poly(rng), random_poly(rng)
+        blocks[k][k] = blocks[k + 1][k + 1] = p
+        blocks[k][k + 1], blocks[k + 1][k] = q, f"-({q})"
+    if n % 2:
+        blocks[n - 1][n - 1] = random_poly(rng)
+    perm = rng.sample(range(n), n)
+    rows = [[blocks[perm[r]][perm[c]] for c in range(n)] for r in range(n)]
+    return check_structure(MatrixFamily.from_strings(rows, ["x", "y"], "normal"))
+
+
+def random_skew_family(rng, n):
+    rows = [["0"] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r + 1, n):
+            entry = random_poly(rng)
+            rows[r][c], rows[c][r] = entry, f"-({entry})"
+    return check_structure(MatrixFamily.from_strings(rows, ["x", "y"], "skew"))
 
 
 class TestDoubledMatrix:
