@@ -12,11 +12,14 @@ back to the identical polynomial.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .poly import Polynomial
 from .scalars import Scalar
 from .universe import VarUniverse
+
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*^/()])|(?P<bad>\S))")
 
 
 class ParseError(ValueError):
@@ -31,127 +34,88 @@ class UnknownVariable(ParseError):
         self.name = name
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
+class _Parser:
+    def __init__(self, text: str, universe: VarUniverse):
+        # the whole text is tokenized first: a bad character is reported
+        # before any syntax error
+        self.tokens: list[tuple[str, str, int]] = []  # (kind, text, position)
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.tokens.append((m[kind] if kind == "op" else kind, m[kind], m.start(kind)))
+        self.tokens.append(("end", "", len(text)))
         self.k = 0
+        self.universe = universe
 
-    def _scan(self):
-        text = self.text
-        n = len(text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("num", text[i:j], i))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-            elif c in "+-*^/()":
-                self.tokens.append((c, c, i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {c!r}", i)
-        self.tokens.append(("end", "", n))
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.k]
-
-    def next(self) -> tuple[str, str, int]:
+    def accept(self, kind: str):
         tok = self.tokens[self.k]
+        if tok[0] != kind:
+            return None
         self.k += 1
         return tok
 
-    def accept(self, kind: str):
-        if self.tokens[self.k][0] == kind:
-            return self.next()
-        return None
-
     def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
+        tok = self.tokens[self.k]
+        self.k += 1
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-
-class _Parser:
-    def __init__(self, text: str, universe: VarUniverse):
-        self.lex = _Lexer(text)
-        self.universe = universe
-
     def parse(self) -> Polynomial:
         p = self.expr()
-        tok = self.lex.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        kind, text, pos = self.tokens[self.k]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return p
 
     def expr(self) -> Polynomial:
-        negate = False
-        if self.lex.accept("-"):
-            negate = True
-        else:
-            self.lex.accept("+")
+        negate = self.accept("-")
+        if not negate:
+            self.accept("+")
         total = self.term()
         if negate:
             total = -total
         while True:
-            if self.lex.accept("+"):
+            if self.accept("+"):
                 total = total + self.term()
-            elif self.lex.accept("-"):
+            elif self.accept("-"):
                 total = total - self.term()
             else:
                 return total
 
     def term(self) -> Polynomial:
         total = self.factor()
-        while self.lex.accept("*"):
+        while self.accept("*"):
             total = total * self.factor()
         return total
 
     def factor(self) -> Polynomial:
         base = self.base()
-        if self.lex.accept("^"):
-            tok = self.lex.expect("num")
-            base = base ** int(tok[1])
+        if self.accept("^"):
+            base = base ** int(self.expect("num")[1])
         return base
 
     def base(self) -> Polynomial:
-        kind, text, pos = self.lex.peek()
-        if kind == "num":
-            self.lex.next()
+        kind, text, pos = self.tokens[self.k]
+        if self.accept("num"):
             value = Fraction(int(text))
-            if self.lex.accept("/"):
-                den = self.lex.expect("num")
+            if self.accept("/"):
+                den = self.expect("num")
                 if int(den[1]) == 0:
                     raise ParseError("zero denominator", den[2])
                 value = Fraction(int(text), int(den[1]))
             return Polynomial.constant(self.universe, value)
-        if kind == "ident":
-            self.lex.next()
+        if self.accept("ident"):
             if text == "i":
                 return Polynomial.constant(self.universe, Scalar(0, 1))
             try:
                 return Polynomial.variable(self.universe, text)
             except KeyError:
                 raise UnknownVariable(text, pos) from None
-        if kind == "(":
-            self.lex.next()
+        if self.accept("("):
             inner = self.expr()
-            self.lex.expect(")")
+            self.expect(")")
             return inner
         raise ParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", pos)
 

@@ -77,6 +77,7 @@ RUN_ERRORS = (
     NonHermitianFamily,
     LabelingError,
     ExponentOverflow,
+    OverflowError,
 )
 
 # Sub-minors the Laplace expansion may store: per row set of the generic
@@ -111,6 +112,10 @@ class JobConfig:
             raise ConfigError(f"grid points_per_axis must be at least 1, got {self.grid_points}")
         if not self.grid_lo < self.grid_hi:
             raise ConfigError(f"grid lo {self.grid_lo} must be below hi {self.grid_hi}")
+        for name in ("cluster", "angle", "residual"):
+            value = getattr(self, f"tol_{name}")
+            if not 0 <= value < math.inf:  # false for NaN as well
+                raise ConfigError(f"{name} tolerance must be finite and nonnegative, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobConfig":
@@ -119,6 +124,9 @@ class JobConfig:
             n = len(matrix)
             if any(len(row) != n for row in matrix) or n == 0:
                 raise ConfigError("matrix must be square and nonempty")
+            fibers = tuple(data["fibers"]) if data.get("fibers") else None
+            if fibers is not None and len(fibers) != n:
+                raise ConfigError(f"fibers must name one variable per matrix row: {n} rows, {len(fibers)} names")
             resolution = tuple(
                 CenterSpec(tuple(step.get("path", ())), tuple(step["center"]))
                 for step in data.get("resolution", ())
@@ -130,7 +138,7 @@ class JobConfig:
                 structure=data["structure"],
                 params=tuple(data["params"]),
                 matrix=matrix,
-                fibers=tuple(data["fibers"]) if data.get("fibers") else None,
+                fibers=fibers,
                 resolution=resolution,
                 grid_points=int(grid.get("points_per_axis", 21)),
                 grid_lo=Fraction(str(grid.get("lo", -1))),
@@ -144,7 +152,7 @@ class JobConfig:
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad config: {err}") from err
 
     def to_dict(self) -> dict:
@@ -460,14 +468,12 @@ def stage_frames(state: RunState) -> RunState:
     return state
 
 
+def _invariant(name: str, count: int, failures: int, **worst) -> dict:
+    return {"name": name, "count": count, "failures": failures, **worst, "pass": failures == 0}
+
+
 def _graded(kind: str, chart_path, count: int, failing: bool, **worst) -> dict:
-    return {
-        "name": f"{kind}_invariants_{'_'.join(chart_path) or 'root'}",
-        "count": count,
-        "failures": int(failing),
-        **worst,
-        "pass": not failing,
-    }
+    return _invariant(f"{kind}_invariants_{'_'.join(chart_path) or 'root'}", count, int(failing), **worst)
 
 
 def stage_check(state: RunState) -> RunState:
@@ -486,14 +492,7 @@ def stage_check(state: RunState) -> RunState:
                 count += 1
                 if node.local_generator * weak != minor:
                     failures += 1
-        inv.append(
-            {
-                "name": "weak_transform_exactness",
-                "count": count,
-                "failures": failures,
-                "pass": failures == 0,
-            }
-        )
+        inv.append(_invariant("weak_transform_exactness", count, failures))
 
     if cfg.structure in {"symmetric", "hermitian"} or cfg.fld == "gaussian":
         rng = random.Random(cfg.seed)
@@ -514,14 +513,7 @@ def stage_check(state: RunState) -> RunState:
             matrices = family_matrix(analysis.family, base, len(off))
             for members, bounds in gap_groups(eigh_jacobi(matrices).eigenvalues, cfg.tol_cluster):
                 bad += len(members) if len(bounds) - 1 != summary.generic_distinct_eigenvalues else 0
-        inv.append(
-            {
-                "name": "oracle_cluster_count_off_discriminant",
-                "count": len(off),
-                "failures": bad,
-                "pass": bad == 0,
-            }
-        )
+        inv.append(_invariant("oracle_cluster_count_off_discriminant", len(off), bad))
 
     for report in state.frame_reports:
         inv.append(
@@ -623,23 +615,16 @@ def run_job(cfg: JobConfig, stages: tuple[str, ...]) -> tuple[int, dict]:
     except UnresolvedChart as err:
         state.report["error"] = str(err)
         state.report["verdict"] = "Unresolved"
-        _maybe_emit(state)
-        return EXIT_UNRESOLVED, state.report
+        code = EXIT_UNRESOLVED
     except RUN_ERRORS as err:
         state.report["error"] = {"type": type(err).__name__, "message": str(err)}
         state.report["verdict"] = "error"
-        _maybe_emit(state)
-        return EXIT_ERROR, state.report
-    _maybe_emit(state)
-    verdict = state.report["verdict"]
-    if verdict in {"pass", "ScalarOperator"}:
-        return EXIT_PASS, state.report
-    return EXIT_INVARIANT, state.report
-
-
-def _maybe_emit(state: RunState):
-    if state.cfg.report_path:
-        emit_report(state.report, state.cfg.report_path)
+        code = EXIT_ERROR
+    else:
+        code = EXIT_PASS if state.report["verdict"] in {"pass", "ScalarOperator"} else EXIT_INVARIANT
+    if cfg.report_path:
+        emit_report(state.report, cfg.report_path)
+    return code, state.report
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, count, islice
 
 from .algebra import (
     Polynomial,
@@ -133,42 +133,16 @@ def weak_transform(node: ChartNode) -> ChartNode:
         g = gcd_multivariate(g, m)
     node.local_generator = g
     node.weak_gens = [divexact(m, g) for m in minors]
-    _record_exceptional_multiplicities(node)
+    # each divisor's multiplicity: its exponent in the local generator
+    content = g.monomial_content()
+    node.exceptional = [(name, content[g.universe.index(name)]) for name, _ in node.exceptional]
     return node
 
 
-def _record_exceptional_multiplicities(node: ChartNode):
-    g = node.local_generator
-    updated = []
-    for name, _ in node.exceptional:
-        mult = _min_exponent(g, name)
-        updated.append((name, mult))
-    node.exceptional = updated
-
-
-def _min_exponent(p: Polynomial, name: str) -> int:
-    if p.is_zero():
-        return 0
-    return p.monomial_content()[p.universe.index(name)]
-
-
-def _fresh_names(universe: VarUniverse, count: int) -> list[str]:
+def _fresh_names(universe: VarUniverse, how_many: int) -> list[str]:
     taken = set(universe.names)
-    out = []
-    for cand in _NAME_POOL:
-        if cand not in taken:
-            out.append(cand)
-            taken.add(cand)
-            if len(out) == count:
-                return out
-    k = 1
-    while len(out) < count:
-        cand = f"w{k}"
-        if cand not in taken:
-            out.append(cand)
-            taken.add(cand)
-        k += 1
-    return out
+    names = chain(_NAME_POOL, (f"w{k}" for k in count(1)))
+    return list(islice((n for n in names if n not in taken), how_many))
 
 
 def blowup_charts(node: ChartNode, center: tuple[str, ...], warn=None) -> list[ChartNode]:
@@ -323,11 +297,12 @@ def run_sequence(
 
 
 def propose_center(node: ChartNode, seed: int = 42) -> tuple[str, ...] | None:
-    """Heuristic: smallest coordinate subspace containing sampled common zeros."""
+    """Heuristic: smallest coordinate subspace containing sampled common zeros,
+    drawn from the pool ``principality_status`` grades the chart on."""
     gens = [g for g in node.weak_gens if not g.is_zero()]
     if not gens:
         return None
-    witnesses = list(islice(_common_zeros(gens, node.universe, seed + 1718), 25))
+    witnesses = list(islice(_common_zeros(gens, node.universe, seed + len(node.path)), 25))
     if not witnesses:
         return None
     zero_everywhere = [

@@ -13,7 +13,7 @@ of one pair or a stack, curve extrapolation one curve at a time, one
 bouquet object per grid point with one Cluster per eigenspace, the grid
 walk's level-by-level Procrustes stacks, label angles and LAPACK
 cross-check from per-point clusters, the chart sampler's point-by-point
-scan), the Bareiss
+scan), the polynomial text parser's character-loop lexer, the Bareiss
 determinant the Laplace minors replaced, the two quadratic-system builders
 (over Q, and over Q(i) by a hand-written real and imaginary split) the one
 builder replaced, the polynomial class before packed monomials
@@ -53,6 +53,7 @@ from eigenbouquet.algebra import (
     scalar_matrix_rank,
 )
 from eigenbouquet.algebra.groebner import DEFAULT_DEGREE_CAP, DEFAULT_STEP_BUDGET
+from eigenbouquet.algebra.parser import ParseError, UnknownVariable
 from eigenbouquet.bouquet import QuadSystem, _real_doubled_universe, quad_monomials, quad_pairs
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.frames import (
@@ -1119,6 +1120,140 @@ def common_zeros_per_point(gens: list[Polynomial], universe: VarUniverse, seed: 
     for pt in sample_points(universe, seed):
         if all(not g.eval_scalar(pt) for g in gens):
             yield pt
+
+
+# -- the polynomial text parser before one compiled token pattern -----------
+# Copied as it was: a character loop tokenizes the whole text, then the
+# recursive descent reads the tokens through peek, next, accept and expect.
+
+
+class _LexerReference:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.tokens: list[tuple[str, str, int]] = []
+        self._scan()
+        self.k = 0
+
+    def _scan(self):
+        text = self.text
+        n = len(text)
+        i = 0
+        while i < n:
+            c = text[i]
+            if c.isspace():
+                i += 1
+                continue
+            if c.isdigit():
+                j = i
+                while j < n and text[j].isdigit():
+                    j += 1
+                self.tokens.append(("num", text[i:j], i))
+                i = j
+            elif c.isalpha() or c == "_":
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                self.tokens.append(("ident", text[i:j], i))
+                i = j
+            elif c in "+-*^/()":
+                self.tokens.append((c, c, i))
+                i += 1
+            else:
+                raise ParseError(f"unexpected character {c!r}", i)
+        self.tokens.append(("end", "", n))
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.k]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def accept(self, kind: str):
+        if self.tokens[self.k][0] == kind:
+            return self.next()
+        return None
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+
+class _ParserReference:
+    def __init__(self, text: str, universe: VarUniverse):
+        self.lex = _LexerReference(text)
+        self.universe = universe
+
+    def parse(self) -> Polynomial:
+        p = self.expr()
+        tok = self.lex.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        return p
+
+    def expr(self) -> Polynomial:
+        negate = False
+        if self.lex.accept("-"):
+            negate = True
+        else:
+            self.lex.accept("+")
+        total = self.term()
+        if negate:
+            total = -total
+        while True:
+            if self.lex.accept("+"):
+                total = total + self.term()
+            elif self.lex.accept("-"):
+                total = total - self.term()
+            else:
+                return total
+
+    def term(self) -> Polynomial:
+        total = self.factor()
+        while self.lex.accept("*"):
+            total = total * self.factor()
+        return total
+
+    def factor(self) -> Polynomial:
+        base = self.base()
+        if self.lex.accept("^"):
+            tok = self.lex.expect("num")
+            base = base ** int(tok[1])
+        return base
+
+    def base(self) -> Polynomial:
+        kind, text, pos = self.lex.peek()
+        if kind == "num":
+            self.lex.next()
+            value = Fraction(int(text))
+            if self.lex.accept("/"):
+                den = self.lex.expect("num")
+                if int(den[1]) == 0:
+                    raise ParseError("zero denominator", den[2])
+                value = Fraction(int(text), int(den[1]))
+            return Polynomial.constant(self.universe, value)
+        if kind == "ident":
+            self.lex.next()
+            if text == "i":
+                return Polynomial.constant(self.universe, Scalar(0, 1))
+            try:
+                return Polynomial.variable(self.universe, text)
+            except KeyError:
+                raise UnknownVariable(text, pos) from None
+        if kind == "(":
+            self.lex.next()
+            inner = self.expr()
+            self.lex.expect(")")
+            return inner
+        raise ParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", pos)
+
+
+def parse_polynomial_reference(text: str, universe: VarUniverse) -> Polynomial:
+    return _ParserReference(text, universe).parse()
 
 
 # -- the polynomial class before packed monomials ---------------------------

@@ -30,6 +30,7 @@ from reference import (
     gcd_multivariate_reference,
     ideal_contains_one_reference,
     membership_terms,
+    parse_polynomial_reference,
 )
 
 U_XY = VarUniverse(("x", "y"), ("X", "Y"))
@@ -91,6 +92,106 @@ class TestParsePrint:
     def test_no_bare_slash_after_variable(self):
         with pytest.raises(ParseError):
             p("x/2")
+
+
+# pieces of random parser input: the grammar's operators, numbers, ASCII
+# whitespace, ``i``, known and unknown identifiers; and, more rarely,
+# characters no token starts with
+_PIECES = (
+    list("+-*^/()") * 2
+    + ["0", "1", "2", "3", "7", "12", "840"]
+    + [" ", "  ", "\t", "\n"]
+    + ["i", "x", "y", "X", "Y"] * 2
+    + ["z", "_a", "x1", "xy"]
+)
+_BAD = list(".#$%=[!~")
+
+
+def _random_pieces(rng: random.Random) -> str:
+    """Pieces in random order. A number after '^' is one small digit and no
+    number follows a digit directly, so no power grows past degree 4."""
+    out: list[str] = []
+    last = ""  # the last piece that is not whitespace
+    for _ in range(rng.randint(0, 14)):
+        piece = rng.choice(_BAD) if rng.random() < 0.04 else rng.choice(_PIECES)
+        if piece[0].isdigit():
+            if out and out[-1][-1].isdigit():
+                continue
+            if last == "^":
+                piece = str(rng.randint(0, 4))
+        out.append(piece)
+        if not piece.isspace():
+            last = piece
+    return "".join(out)
+
+
+def _random_expr(rng: random.Random, depth: int = 1) -> str:
+    """A text of the grammar with random spacing, parentheses nested to
+    ``depth``, and exponents of at most 2."""
+
+    def spaced(op):
+        return rng.choice(["", " ", "\t"]) + op + rng.choice(["", " ", "\n"])
+
+    def base():
+        r = rng.random()
+        if depth and r < 0.25:
+            return "(" + _random_expr(rng, depth - 1) + ")"
+        if r < 0.55:
+            num = rng.choice(["0", "1", "2", "3", "7", "12", "840"])
+            return num + spaced("/") + rng.choice("0123789") if rng.random() < 0.3 else num
+        return rng.choice("ixyXYixyz")
+
+    def factor():
+        return base() + spaced("^") + rng.choice("012") if rng.random() < 0.2 else base()
+
+    terms = [spaced("*").join(factor() for _ in range(rng.randint(1, 2))) for _ in range(rng.randint(1, 3))]
+    text = terms[0]
+    for t in terms[1:]:
+        text += spaced(rng.choice("+-")) + t
+    return rng.choice(["", "-", "+"]) + text
+
+
+def _random_text(rng: random.Random) -> str:
+    """Random pieces, or a grammar text that half the time has one piece
+    (never a digit or '^') put in or put in place of one character."""
+    if rng.random() < 0.5:
+        return _random_pieces(rng)
+    text = _random_expr(rng)
+    if rng.random() < 0.5:
+        piece = rng.choice([p for p in _PIECES if p != "^" and not p[0].isdigit()] + _BAD)
+        k = rng.randrange(len(text) + 1)
+        text = text[:k] + piece + text[k + rng.randint(0, 1):]
+    return text
+
+
+def _parsed(parse, text: str, universe: VarUniverse):
+    """The stored terms in order and the denominator, or the exception's
+    class, message and position."""
+    try:
+        q = parse(text, universe)
+    except ParseError as err:
+        return type(err), str(err), err.pos
+    return list(q._t.items()), q.den
+
+
+class TestParserMatchesReference:
+    def test_random_text_matches_character_loop_lexer(self):
+        rng = random.Random(2023)
+        outcomes = set()
+        for _ in range(4000):
+            text = _random_text(rng)
+            got = _parsed(parse_polynomial, text, U_XY)
+            assert got == _parsed(parse_polynomial_reference, text, U_XY), repr(text)
+            outcomes.add(got[0] if isinstance(got[0], type) else "polynomial")
+        # the strings reach every outcome: polynomials, bad characters and
+        # syntax errors, unknown variables
+        assert outcomes == {"polynomial", ParseError, UnknownVariable}
+
+    @pytest.mark.parametrize("text", ["x + * #", "(x $", "x y .", "1/0 + ~", "i*x\t^ 2 + z ["])
+    def test_bad_character_reported_before_syntax_errors(self, text):
+        assert _parsed(parse_polynomial, text, U_XY) == _parsed(parse_polynomial_reference, text, U_XY)
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_polynomial(text, U_XY)
 
 
 class TestArithmetic:

@@ -118,6 +118,53 @@ class TestDispatch:
     def test_unknown_demo(self):
         assert run_cli(["demo", "nope"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"fibers": ["X"]},  # fewer fiber names than matrix rows
+            {"fibers": ["X", "Y", "Z"]},  # more fiber names than matrix rows
+            {"resolution": {"a": 1}},  # an object where the list of centers goes
+        ],
+    )
+    def test_malformed_config_exit_2(self, change, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(FIXTURES["kupa"], **change)))
+        assert run_cli(["check", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestTolerances:
+    """Each tolerance must be finite and nonnegative: a comparison with NaN is
+    always false, so a NaN tolerance could never fail its gate, and an
+    infinite one passes every grid."""
+
+    RELLICH = dict(FIXTURES["rellich"], grid={"points_per_axis": 5})
+
+    @pytest.mark.parametrize("name", ["cluster", "angle", "residual"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", -1e-12])
+    def test_config_key_exit_2(self, name, value, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(self.RELLICH, tolerances={name: value})))
+        assert run_cli(["check", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"{name} tolerance must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol-angle", "--tol-residual"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_cli_flag_exit_2(self, flag, value, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(self.RELLICH))
+        assert run_cli(["check", "--config", str(cfg), flag, value]) == EXIT_CONFIG
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_tiny_angle_tolerance_still_fails_the_gate(self, tmp_path):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(dict(self.RELLICH, tolerances={"angle": 1e-30})))
+        assert run_cli(["check", "--config", str(cfg)]) == EXIT_INVARIANT
+
+    def test_zero_is_allowed(self):
+        cfg = JobConfig.from_dict(dict(self.RELLICH, tolerances={"cluster": 0, "angle": 0, "residual": 0}))
+        assert (cfg.tol_cluster, cfg.tol_angle, cfg.tol_residual) == (0.0, 0.0, 0.0)
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
@@ -371,6 +418,15 @@ class TestRunErrors:
         )
         assert report["resolution"]["verdict"] == "Resolved"
         assert "frames" not in report
+
+    def test_float_overflow_exits_4(self, tmp_path):
+        # grid points of size 1e200: the float frames overflow
+        data = dict(FIXTURES["kupa"], grid={"lo": -1e200, "hi": 1e200})
+        code, report = self.run_check(tmp_path, data)
+        assert code == EXIT_ERROR
+        assert report["verdict"] == "error"
+        assert report["error"]["type"] == "OverflowError"
+        assert report["resolution"]["verdict"] == "Resolved"
 
     def test_other_errors_still_raise(self, monkeypatch):
         def broken(state):

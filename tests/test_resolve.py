@@ -404,16 +404,34 @@ class TestSampler:
             if state.outcome is None:
                 continue
             for node in _charts(state.outcome.root):
-                # the pools principality_status and propose_center draw
+                # the one pool principality_status and propose_center draw
                 gens = [g for g in node.weak_gens if not g.is_zero()]
-                _assert_sampler_matches(gens, node.universe, seed + len(node.path))
+                expected = _assert_sampler_matches(gens, node.universe, seed + len(node.path))
                 if node.status != UNRESOLVED:
                     continue
-                expected = _assert_sampler_matches(gens, node.universe, seed + 1718)
                 center = propose_center(node, seed)
                 with monkeypatch.context() as patch:
                     patch.setattr(resolve, "_common_zeros", lambda *args: iter(expected))
                     assert propose_center(node, seed) == center, (job.name, node.path)
+
+    def test_propose_center_samples_the_grading_pool(self, monkeypatch):
+        # kupa's root and, after its center, both charts: each proposal draws
+        # the pool principality_status graded the chart on
+        state = cli.RunState(cli.JobConfig.from_dict(dict(cli.FIXTURES["kupa"], seed=11)))
+        cli.stage_resolve(cli.stage_analyze(state))
+        seeds = []
+        sample = resolve._common_zeros
+
+        def recording(gens, universe, seed):
+            seeds.append(seed)
+            return sample(gens, universe, seed)
+
+        monkeypatch.setattr(resolve, "_common_zeros", recording)
+        charts = list(_charts(state.outcome.root))
+        assert len(charts) == 3
+        for node in charts:
+            propose_center(node, 11)
+        assert seeds == [11 + len(node.path) for node in charts]
 
     @pytest.mark.parametrize("trial", range(12))
     def test_planted_zeros_match_per_point_scan(self, trial):
