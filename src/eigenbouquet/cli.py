@@ -407,7 +407,7 @@ def stage_resolve(state: RunState) -> RunState:
     if outcome.verdict != "Resolved":
         for leaf in outcome.leaves():
             if leaf.status == "Unresolved":
-                center = propose_center(leaf, cfg.seed)
+                center = propose_center(leaf)
                 if center:
                     proposals["/".join(leaf.path) or "root"] = list(center)
     state.report["resolution"] = {

@@ -12,7 +12,9 @@ by their gcd (the local generator carrying the exceptional factor); the
 quotients are the weak transform. The chart is resolved once the weak
 transform visibly contains a unit: certified by a Groebner 1-membership
 certificate, or probable when dense seeded sampling finds no common real
-zero.
+zero. When Buchberger ends "no", the sample is taken on its reduced basis,
+which has the weak transform's zeros; one run draws each seeded pool once,
+and a center proposal reads the zeros its chart was graded on.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .algebra import (
 DEFAULT_DEPTH_CAP = 6
 SAMPLE_COUNT = 2000
 POOL_DEN = 840  # lcm(1..8): a multiple of every pool denominator
+KEPT_ZEROS = 25  # sampled common zeros a chart keeps for its center proposal
 
 RESOLVED_CERTIFIED = "ResolvedCertified"
 RESOLVED_PROBABLE = "ResolvedProbable"
@@ -77,11 +80,15 @@ class ChartNode:
     local_generator: Polynomial | None = None
     weak_gens: list[Polynomial] = field(default_factory=list)
     status: str = INCONCLUSIVE
-    witness: dict[str, Fraction] | None = None
+    zeros: list[dict[str, Fraction]] = field(default_factory=list)  # sampled, pool order
     certificate: list[Polynomial] | None = None
     groebner_status: str = ""
     children: list["ChartNode"] = field(default_factory=list)
     center: tuple[str, ...] | None = None  # center blown up inside this chart
+
+    @property
+    def witness(self) -> dict[str, Fraction] | None:
+        return self.zeros[0] if self.zeros else None
 
     @property
     def depth(self) -> int:
@@ -205,41 +212,67 @@ def blowup_charts(node: ChartNode, center: tuple[str, ...], warn=None) -> list[C
 
 def _pool_numerators(names: tuple[str, ...], seed: int, count: int = SAMPLE_COUNT):
     """Deterministic pool of rational points biased toward coordinate subspaces,
-    each a tuple of integers over POOL_DEN (every drawn denominator divides it)."""
+    each a tuple of integers over POOL_DEN (every drawn denominator divides it).
+
+    The numerators are ``randint(-12, 12) * (POOL_DEN // randint(1, 8))`` drawn
+    as CPython's ``randint`` draws them: the fewest bits that hold the range,
+    redrawn while out of it."""
     u = len(names)
     pts = [(0,) * u]
     for k in range(u):
         pts += [(0,) * k + (s,) + (0,) * (u - k - 1) for s in (POOL_DEN, -POOL_DEN)]
     rng = random.Random(seed)
+    bits, uniform = rng.getrandbits, rng.random
+    steps = [POOL_DEN // (b + 1) for b in range(8)]
     while len(pts) < count:
-        zero_mask = rng.random() < 0.35
-        pts.append(tuple(
-            0 if zero_mask and rng.random() < 0.5
-            else rng.randint(-12, 12) * (POOL_DEN // rng.randint(1, 8))
-            for _ in names
-        ))
+        zero_mask = uniform() < 0.35
+        pt = []
+        for _ in names:
+            if zero_mask and uniform() < 0.5:
+                pt.append(0)
+                continue
+            a = bits(5)
+            while a >= 25:
+                a = bits(5)
+            b = bits(4)
+            while b >= 8:
+                b = bits(4)
+            pt.append((a - 12) * steps[b])
+        pts.append(tuple(pt))
     return pts[:count]
 
 
-def _common_zeros(gens: list[Polynomial], universe: VarUniverse, seed: int):
+def _common_zeros(gens: list[Polynomial], universe: VarUniverse, seed: int, pools: dict | None = None):
     """Sample points, in pool order, at which every generator vanishes exactly:
-    each generator evaluated once on the integer columns of the points left."""
+    each generator evaluated once on the integer columns of the points left.
+
+    ``pools`` maps (parameter count, seed) to a drawn pool and its columns;
+    the charts of one run share it, so each pool is drawn once per run."""
     import numpy as np
     names = universe.params
-    pool = _pool_numerators(names, seed)
-    columns = {n: np.array([pt[k] for pt in pool], dtype=object) for k, n in enumerate(names)}
+    pools = {} if pools is None else pools
+    key = (len(names), seed)
+    if key not in pools:
+        pool = _pool_numerators(names, seed)
+        pools[key] = pool, [np.array(col, dtype=object) for col in zip(*pool)]
+    pool, columns = pools[key]
     alive = np.arange(len(pool))
     for g in gens:
         if not alive.size:
             return
-        values = g.eval_integer({n: col[alive] for n, col in columns.items()}, POOL_DEN, alive.size)[0]
+        values = g.eval_integer({n: col[alive] for n, col in zip(names, columns)}, POOL_DEN, alive.size)[0]
         alive = alive[values == 0]
     for i in alive.tolist():
         yield {n: Fraction(v, POOL_DEN) for n, v in zip(names, pool[i])}
 
 
-def principality_status(node: ChartNode, seed: int = 42) -> str:
-    """Certify or probe emptiness of the weak transform's common zero set."""
+def principality_status(node: ChartNode, seed: int = 42, pools: dict | None = None) -> str:
+    """Certify or probe emptiness of the weak transform's common zero set.
+
+    A "no" is sampled on Buchberger's reduced basis, an "inconclusive" on the
+    weak generators: both generate the ideal, so they share its real zeros.
+    The chart keeps its first KEPT_ZEROS sampled zeros; ``pools`` is the
+    run's pool map (see ``_common_zeros``)."""
     gens = [g for g in node.weak_gens if not g.is_zero()]
     if not gens:
         raise DegenerateChart(f"no nonzero weak generators on chart {node.path!r}")
@@ -248,10 +281,12 @@ def principality_status(node: ChartNode, seed: int = 42) -> str:
     if membership.contains_one:
         node.status = RESOLVED_CERTIFIED
         node.certificate = membership.certificate
-        node.witness = None
+        node.zeros = []
         return node.status
-    node.witness = next(_common_zeros(gens, node.universe, seed + len(node.path)), None)
-    node.status = RESOLVED_PROBABLE if node.witness is None else UNRESOLVED
+    sampled = membership.basis or gens
+    zeros = _common_zeros(sampled, node.universe, seed + len(node.path), pools)
+    node.zeros = list(islice(zeros, KEPT_ZEROS))
+    node.status = UNRESOLVED if node.zeros else RESOLVED_PROBABLE
     return node.status
 
 
@@ -277,8 +312,9 @@ def run_sequence(
 ) -> ResolutionOutcome:
     """Apply the configured centers in order and grade every leaf."""
     warnings: list[str] = []
+    pools: dict = {}  # one draw per (parameter count, seed) in this run
     root = root_chart(fitting_gens, universe)
-    principality_status(root, seed)
+    principality_status(root, seed, pools)
     for spec in centers:
         node = root.find(tuple(spec.chart_path))
         if not node.is_leaf():
@@ -290,25 +326,21 @@ def run_sequence(
             continue
         children = blowup_charts(node, spec.variables, warn=warnings.append)
         for child in children:
-            principality_status(child, seed)
+            principality_status(child, seed, pools)
     statuses = {leaf.status for leaf in root.leaves()}
     verdict = "Resolved" if statuses <= GOOD_STATUSES else "Unresolved"
     return ResolutionOutcome(root, verdict, warnings)
 
 
-def propose_center(node: ChartNode, seed: int = 42) -> tuple[str, ...] | None:
-    """Heuristic: smallest coordinate subspace containing sampled common zeros,
-    drawn from the pool ``principality_status`` grades the chart on."""
-    gens = [g for g in node.weak_gens if not g.is_zero()]
-    if not gens:
-        return None
-    witnesses = list(islice(_common_zeros(gens, node.universe, seed + len(node.path)), 25))
-    if not witnesses:
+def propose_center(node: ChartNode) -> tuple[str, ...] | None:
+    """Heuristic: smallest coordinate subspace containing the sampled common
+    zeros ``principality_status`` kept on the chart."""
+    if not node.zeros:
         return None
     zero_everywhere = [
         name
         for name in node.universe.params
-        if all(not w[name] for w in witnesses)
+        if all(not w[name] for w in node.zeros)
     ]
     if len(zero_everywhere) < 2:
         return None

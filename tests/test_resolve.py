@@ -1,12 +1,14 @@
+import functools
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from eigenbouquet import cli, family, resolve
-from eigenbouquet.algebra import Polynomial, Scalar, VarUniverse, parse_polynomial
+from eigenbouquet.algebra import Polynomial, Scalar, VarUniverse, ideal_contains_one, parse_polynomial
 from eigenbouquet.bouquet import fitting_minors, generic_rank, wedge_quadratics
 from eigenbouquet.family import MatrixFamily, check_structure
 from eigenbouquet.resolve import (
@@ -354,8 +356,10 @@ def assert_distinct_divisors(root):
 
 class TestProposeCenter:
     def test_origin_center(self):
+        # the proposal reads the zeros grading kept on the chart
         fam, system, ideal = kupa_setup()
         root = root_chart(ideal.gens, fam.universe)
+        principality_status(root)
         assert propose_center(root) == ("x", "y")
 
     def test_no_proposal_when_resolved(self):
@@ -381,11 +385,52 @@ def _assert_sampler_matches(gens, universe, seed):
     return expected
 
 
+def _planted_generators(trial):
+    """Products of linear forms through pool points, over Q and Q(i): the
+    generators, their universe, the pool seed and the planted points."""
+    rng = random.Random(500 + trial)
+    names = ("x", "y", "z")[: 1 + trial % 3]
+    universe = VarUniverse(names)
+    seed = rng.randint(0, 10**6)
+    pool = sample_points(universe, seed)
+    planted = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+    xs = [Polynomial.variable(universe, n) for n in names]
+
+    def product_through_planted():
+        out = Polynomial.constant(universe, 1)
+        for pt in planted:
+            form = Polynomial.zero(universe)
+            for x, n in zip(xs, names):
+                a = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) or Fraction(1)
+                form = form + (x - Polynomial.constant(universe, pt[n])).scale(a)
+            out = out * form
+        return out
+
+    gens = [product_through_planted() for _ in range(rng.randint(1, 3))]
+    gaussian = Polynomial.constant(universe, Scalar(0, Fraction(1, rng.randint(1, 5))))
+    gens.append(product_through_planted() + gaussian * product_through_planted())
+    gens.append(product_through_planted().scale(Scalar(1, 2)))
+    return gens, universe, seed, planted
+
+
+def _graded_benchmark_charts(seed):
+    """(job name, chart) for every chart the benchmark jobs resolve at seed."""
+    for job in bench_jobs():
+        if "resolve" not in job.stages:
+            continue
+        state = cli.RunState(cli.JobConfig.from_dict(dict(job.config, seed=seed)))
+        cli.stage_resolve(cli.stage_analyze(state))
+        if state.outcome is not None:
+            for node in _charts(state.outcome.root):
+                yield job.name, node
+
+
 class TestSampler:
-    @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("u", "v", "w")])
-    @pytest.mark.parametrize("seed", [42, 43, 1760, 7])
+    @pytest.mark.parametrize("names", [("x",), ("x", "y"), ("u", "v", "w"), ("a", "b", "c", "d")])
+    @pytest.mark.parametrize("seed", [42, 43, 1760, 7, 38, 10**9])
     def test_pool_matches_fraction_construction(self, names, seed):
-        # every witness a report prints is a point of this pool
+        # every witness a report prints is a point of this pool; the pool's
+        # inlined draw consumes random bits as randint does
         universe = VarUniverse(names)
         for count in (5, resolve.SAMPLE_COUNT):  # 5 cuts into the axis points at 3 params
             pool = [
@@ -395,72 +440,99 @@ class TestSampler:
             assert pool == sample_points(universe, seed, count)
 
     @pytest.mark.parametrize("seed", [42, 7, 38])
-    def test_benchmark_charts_match_per_point_scan(self, seed, monkeypatch):
-        for job in bench_jobs():
-            if "resolve" not in job.stages:
-                continue
-            state = cli.RunState(cli.JobConfig.from_dict(dict(job.config, seed=seed)))
-            cli.stage_resolve(cli.stage_analyze(state))
-            if state.outcome is None:
-                continue
-            for node in _charts(state.outcome.root):
-                # the one pool principality_status and propose_center draw
-                gens = [g for g in node.weak_gens if not g.is_zero()]
-                expected = _assert_sampler_matches(gens, node.universe, seed + len(node.path))
-                if node.status != UNRESOLVED:
-                    continue
-                center = propose_center(node, seed)
-                with monkeypatch.context() as patch:
-                    patch.setattr(resolve, "_common_zeros", lambda *args: iter(expected))
-                    assert propose_center(node, seed) == center, (job.name, node.path)
+    def test_benchmark_charts_match_per_point_scan(self, seed):
+        no_charts = 0
+        for name, node in _graded_benchmark_charts(seed):
+            # the pool principality_status grades the chart on
+            gens = [g for g in node.weak_gens if not g.is_zero()]
+            pool_seed = seed + len(node.path)
+            expected = _assert_sampler_matches(gens, node.universe, pool_seed)
+            if node.groebner_status == "no":
+                # a "no" chart is sampled on the reduced basis: it generates
+                # the same ideal, so it has the same real zeros
+                basis = ideal_contains_one(gens).basis
+                assert list(resolve._common_zeros(basis, node.universe, pool_seed)) == expected, (name, node.path)
+                no_charts += 1
+            # propose_center reads these
+            assert node.zeros == expected[: resolve.KEPT_ZEROS], (name, node.path)
+        assert no_charts
 
     def test_propose_center_samples_the_grading_pool(self, monkeypatch):
-        # kupa's root and, after its center, both charts: each proposal draws
-        # the pool principality_status graded the chart on
+        # kupa's root and, after its center, both charts: each proposal reads
+        # zeros of the pool principality_status graded the chart on, and
+        # draws none itself
         state = cli.RunState(cli.JobConfig.from_dict(dict(cli.FIXTURES["kupa"], seed=11)))
         cli.stage_resolve(cli.stage_analyze(state))
-        seeds = []
-        sample = resolve._common_zeros
-
-        def recording(gens, universe, seed):
-            seeds.append(seed)
-            return sample(gens, universe, seed)
-
-        monkeypatch.setattr(resolve, "_common_zeros", recording)
+        calls = []
+        monkeypatch.setattr(resolve, "_common_zeros", lambda *args: calls.append(args))
         charts = list(_charts(state.outcome.root))
         assert len(charts) == 3
+        assert charts[0].zeros
         for node in charts:
-            propose_center(node, 11)
-        assert seeds == [11 + len(node.path) for node in charts]
+            gens = [g for g in node.weak_gens if not g.is_zero()]
+            scan = common_zeros_per_point(gens, node.universe, 11 + len(node.path))
+            assert node.zeros == list(islice(scan, resolve.KEPT_ZEROS)), node.path
+            propose_center(node)
+        assert calls == []
+
+    def test_one_pool_per_key_per_run(self, monkeypatch):
+        # sym3_quad at seed 42 samples its root on the seed-42 pool and its
+        # charts on the seed-43 pool; its Unresolved leaves get proposals
+        (job,) = [job for job in bench_jobs() if job.name == "sym3_quad"]
+        cfg = cli.JobConfig.from_dict(dict(job.config, seed=42))
+        draws, proposed, proposal_samples = [], [], []
+        in_proposal = False
+        draw, sample, propose = resolve._pool_numerators, resolve._common_zeros, cli.propose_center
+
+        def recording_draw(names, seed, *args):
+            draws.append((len(names), seed))
+            return draw(names, seed, *args)
+
+        def recording_sample(*args):
+            if in_proposal:
+                proposal_samples.append(args)
+            return sample(*args)
+
+        def recording_propose(node, *args):
+            nonlocal in_proposal
+            proposed.append(node.path)
+            in_proposal = True
+            try:
+                return propose(node, *args)
+            finally:
+                in_proposal = False
+
+        monkeypatch.setattr(resolve, "_pool_numerators", recording_draw)
+        monkeypatch.setattr(resolve, "_common_zeros", recording_sample)
+        monkeypatch.setattr(cli, "propose_center", recording_propose)
+        for _ in range(2):  # no pool outlives its run
+            draws.clear()
+            code, report = cli.run_job(cfg, job.stages)
+            assert code == job.expected_exit
+            assert draws == [(2, 42), (2, 43)]
+        assert proposed and proposal_samples == []
 
     @pytest.mark.parametrize("trial", range(12))
-    def test_planted_zeros_match_per_point_scan(self, trial):
-        # products of linear forms through pool points, over Q and Q(i)
-        rng = random.Random(500 + trial)
-        names = ("x", "y", "z")[: 1 + trial % 3]
-        universe = VarUniverse(names)
-        seed = rng.randint(0, 10**6)
-        pool = sample_points(universe, seed)
-        planted = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
-        xs = [Polynomial.variable(universe, n) for n in names]
-
-        def product_through_planted():
-            out = Polynomial.constant(universe, 1)
-            for pt in planted:
-                form = Polynomial.zero(universe)
-                for x, n in zip(xs, names):
-                    a = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) or Fraction(1)
-                    form = form + (x - Polynomial.constant(universe, pt[n])).scale(a)
-                out = out * form
-            return out
-
-        gens = [product_through_planted() for _ in range(rng.randint(1, 3))]
-        gaussian = Polynomial.constant(universe, Scalar(0, Fraction(1, rng.randint(1, 5))))
-        gens.append(product_through_planted() + gaussian * product_through_planted())
-        gens.append(product_through_planted().scale(Scalar(1, 2)))
+    def test_planted_zeros_match_per_point_scan(self, trial, monkeypatch):
+        gens, universe, seed, planted = _planted_generators(trial)
         zeros = list(common_zeros_per_point(gens, universe, seed))
         assert all(pt in zeros for pt in planted)
         assert list(resolve._common_zeros(gens, universe, seed)) == zeros
+        # The same set graded as a chart. A budget of 400 steps ends every
+        # set "no" but trial 8's three cubics in x, y, z over Q(i), which it
+        # ends "inconclusive" in a tenth of a second (the default budget lets
+        # that run go on for minutes): that chart is sampled on its weak
+        # generators, every other one on its reduced basis.
+        contains_one = functools.partial(ideal_contains_one, step_budget=400)
+        monkeypatch.setattr(resolve, "ideal_contains_one", contains_one)
+        membership = contains_one(gens)
+        assert membership.status == ("inconclusive" if trial == 8 else "no")
+        if membership.status == "no":
+            assert list(resolve._common_zeros(membership.basis, universe, seed)) == zeros
+        node = ChartNode(path=(), universe=universe, to_base={}, pulled_minors=[], weak_gens=gens)
+        principality_status(node, seed)
+        assert node.groebner_status == membership.status
+        assert node.zeros == zeros[: resolve.KEPT_ZEROS]
 
     def test_unassigned_variable_raises(self):
         universe = VarUniverse(("x", "y"), ("X",))
