@@ -21,7 +21,9 @@ product keeps a cancelled sum's slot and drops the zeros at the end.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul
 from types import MappingProxyType
 
 from .scalars import Scalar, _gaussian, as_scalar
@@ -328,13 +330,15 @@ class Polynomial:
         if not sup <= assignment.keys():
             raise KeyError(f"unassigned variable {min(sup - assignment.keys(), key=self.universe.index)!r}")
         vals = {self.universe.index(name): as_scalar(v) for name, v in assignment.items() if name in sup}
-        return _coefficient(*self._evaluate(*_integral(vals)))
+        numerators, den = _integral(vals)
+        values, scale = self._evaluate({k: [v] for k, v in numerators.items()}, den, 1)
+        return _coefficient(values[0], scale)
 
     def eval_complex(self, assignment: dict):
         """Float evaluation at real values, numbers or float arrays of one
         shape (then elementwise, into a complex array). Each point rounds as
         Python's complex arithmetic on (v, 0) alone would round it."""
-        import numpy as np  # here: imported with the package, it adds 0.6 MB to peak RSS
+        import numpy as np  # here: only the float layer calls this; analyze and resolve load no numpy
         names = self.universe.names
         re = im = 0.0
         for c, _, powers in self._powers():
@@ -351,23 +355,24 @@ class Polynomial:
 
     def eval_integer(self, numerators: dict, den: int, count: int):
         """Exact values at count rational points x = numerators[x] / den,
-        numerators mapping each variable to an object array of ints: returns
-        an object array of ints (Scalars over Q(i)) and its denominator."""
-        import numpy as np
+        numerators mapping each variable to a list of ints: returns a list
+        of ints (Scalars over Q(i)) and its denominator."""
         at = {k: numerators[name] for k, name in enumerate(self.universe.names) if name in numerators}
-        total, scale = self._evaluate(at, den)
-        return np.broadcast_to(np.asarray(total, dtype=object), (count,)), scale
+        return self._evaluate(at, den, count)
 
-    def _evaluate(self, numerators: dict[int, object], den: int) -> tuple:
-        """(v, s), the value at x_k = numerators[k] / den being v / s: each
-        term over s = self.den * den**degree, summed in stored order."""
+    def _evaluate(self, columns: dict[int, list], den: int, count: int) -> tuple[list, int]:
+        """(values, s), the value at point i, x_k = columns[k][i] / den, being
+        values[i] / s: each term over s = self.den * den**degree, summed in
+        stored order. Column by column: each factor and sum is one map over
+        all points."""
         degree = max(self.total_degree(), 0)
-        total = 0
+        total = [0] * count
         for term, d, powers in self._powers():
-            term = term * den ** (degree - d)
+            column = repeat(term * den ** (degree - d), count)
             for k, p in powers:
-                term = term * numerators[k] ** p
-            total = total + term
+                x = columns[k]
+                column = map(mul, column, x if p == 1 else map(pow, x, repeat(p)))
+            total = list(map(add, total, column))
         return total, self.den * den ** degree
 
     def to_string(self) -> str:

@@ -16,6 +16,7 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import ExponentOverflow, Polynomial
 from .bouquet import (
@@ -25,27 +26,24 @@ from .bouquet import (
     generic_rank,
     wedge_quadratics,
 )
-from .family import MatrixFamily, StructureViolation, analyze_spectrum, check_structure
-from .frames import (
+from .family import (
+    MatrixFamily,
+    SplitFamily,
+    StructureViolation,
+    analyze_spectrum,
+    check_structure,
+    split_and_double,
+)
+from .grading import (
     DEFAULT_ANGLE_TOL,
+    DEFAULT_CLUSTER_TOL,
     DEFAULT_RESIDUAL_TOL,
-    FrameReport,
-    GridSpec,
+    DecompositionError,
+    ExtrapolationError,
+    JacobiNonConvergence,
     LabelingError,
     NonHermitianFamily,
     UnresolvedChart,
-    common_denominator,
-    family_matrix,
-    local_frame_and_eigenvalues,
-    plucker_section,
-)
-from .oracle import DEFAULT_CLUSTER_TOL, ExtrapolationError, JacobiNonConvergence, eigh_jacobi, gap_groups
-from .realnormal import (
-    ArcpReport,
-    DecompositionError,
-    SplitFamily,
-    arcp_over_grid,
-    split_and_double,
 )
 from .report import canonical_json, emit_report
 from .resolve import (
@@ -61,6 +59,10 @@ from .resolve import (
     run_sequence,
     weak_transform,
 )
+
+if TYPE_CHECKING:
+    from .frames import FrameReport
+    from .realnormal import ArcpReport
 
 EXIT_PASS = 0
 EXIT_INVARIANT = 1
@@ -89,6 +91,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _listed(value, what: str):
+    """A JSON array as given: a string in its place would be read as its
+    characters, one name or entry each."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer: a bool or a fraction is refused, not read as 1 or rounded."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class JobConfig:
     fld: str
@@ -110,6 +128,8 @@ class JobConfig:
     def __post_init__(self):
         if self.grid_points < 1:
             raise ConfigError(f"grid points_per_axis must be at least 1, got {self.grid_points}")
+        if self.depth_cap < 0:
+            raise ConfigError(f"depth_cap must be nonnegative, got {self.depth_cap}")
         if not self.grid_lo < self.grid_hi:
             raise ConfigError(f"grid lo {self.grid_lo} must be below hi {self.grid_hi}")
         for name in ("cluster", "angle", "residual"):
@@ -120,34 +140,38 @@ class JobConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "JobConfig":
         try:
-            matrix = tuple(tuple(str(x) for x in row) for row in data["matrix"])
+            rows = _listed(data["matrix"], "matrix")
+            matrix = tuple(tuple(str(x) for x in _listed(row, "a matrix row")) for row in rows)
             n = len(matrix)
             if any(len(row) != n for row in matrix) or n == 0:
                 raise ConfigError("matrix must be square and nonempty")
-            fibers = tuple(data["fibers"]) if data.get("fibers") else None
+            fibers = tuple(_listed(data["fibers"], "fibers")) if data.get("fibers") else None
             if fibers is not None and len(fibers) != n:
                 raise ConfigError(f"fibers must name one variable per matrix row: {n} rows, {len(fibers)} names")
             resolution = tuple(
-                CenterSpec(tuple(step.get("path", ())), tuple(step["center"]))
-                for step in data.get("resolution", ())
+                CenterSpec(
+                    tuple(_listed(step.get("path", ()), "a resolution path")),
+                    tuple(_listed(step["center"], "a resolution center")),
+                )
+                for step in _listed(data.get("resolution", ()), "resolution")
             )
             grid = data.get("grid", {})
             tol = data.get("tolerances", {})
             return cls(
                 fld=data.get("field", "rational"),
                 structure=data["structure"],
-                params=tuple(data["params"]),
+                params=tuple(_listed(data["params"], "params")),
                 matrix=matrix,
                 fibers=fibers,
                 resolution=resolution,
-                grid_points=int(grid.get("points_per_axis", 21)),
+                grid_points=_integer(grid.get("points_per_axis", 21), "grid points_per_axis"),
                 grid_lo=Fraction(str(grid.get("lo", -1))),
                 grid_hi=Fraction(str(grid.get("hi", 1))),
                 tol_cluster=float(tol.get("cluster", DEFAULT_CLUSTER_TOL)),
                 tol_angle=float(tol.get("angle", DEFAULT_ANGLE_TOL)),
                 tol_residual=float(tol.get("residual", DEFAULT_RESIDUAL_TOL)),
-                seed=int(data.get("seed", 42)),
-                depth_cap=int(data.get("depth_cap", DEFAULT_DEPTH_CAP)),
+                seed=_integer(data.get("seed", 42), "seed"),
+                depth_cap=_integer(data.get("depth_cap", DEFAULT_DEPTH_CAP), "depth_cap"),
                 report_path=data.get("report"),
             )
         except ConfigError:
@@ -427,6 +451,10 @@ def stage_frames(state: RunState) -> RunState:
         return state
     if state.outcome is None or state.outcome.verdict != "Resolved":
         raise UnresolvedChart("frames require a resolved chart tree")
+    # the float layer: imported here so that analyze and resolve load no numpy
+    from .frames import GridSpec, local_frame_and_eigenvalues, plucker_section
+    from .realnormal import arcp_over_grid
+
     primary = analysis.primary
     grid = GridSpec(
         (cfg.grid_points,) * len(analysis.resolution_universe.params),
@@ -495,6 +523,12 @@ def stage_check(state: RunState) -> RunState:
         inv.append(_invariant("weak_transform_exactness", count, failures))
 
     if cfg.structure in {"symmetric", "hermitian"} or cfg.fld == "gaussian":
+        # the float layer: imported here so that analyze and resolve load no numpy
+        import numpy as np
+
+        from .frames import common_denominator, family_matrix
+        from .oracle import eigh_jacobi, gap_groups
+
         rng = random.Random(cfg.seed)
         summary = analysis.summary
         names = analysis.family.universe.params
@@ -509,7 +543,7 @@ def stage_check(state: RunState) -> RunState:
         off = [k for k in range(len(drawn)) if not values or any(v[k] != 0 for v in values)]
         bad = 0
         if off:
-            base = {name: (numerators[name][off] / den).astype(float) for name in names}
+            base = {name: np.array([numerators[name][k] / den for k in off]) for name in names}
             matrices = family_matrix(analysis.family, base, len(off))
             for members, bounds in gap_groups(eigh_jacobi(matrices).eigenvalues, cfg.tol_cluster):
                 bad += len(members) if len(bounds) - 1 != summary.generic_distinct_eigenvalues else 0

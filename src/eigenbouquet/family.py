@@ -5,12 +5,15 @@ structure tag. The declared structure is verified as exact polynomial
 identities at load time. The spectral summary carries the characteristic
 polynomial, its squarefree part over the parameter function field, the
 generic count of distinct eigenvalues, the discriminant ideal and the ideal
-of matrix coefficients.
+of matrix coefficients. A rational normal or skew family splits exactly
+into its symmetric and skew halves and the symmetric doubling of the skew
+half; ``realnormal`` reads the halves' eigenstructure on float grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .algebra import (
     Polynomial,
@@ -130,6 +133,55 @@ def check_structure(family: MatrixFamily) -> MatrixFamily:
                     fail((r, c), residual)
     family.verified = True
     return family
+
+
+@dataclass
+class SplitFamily:
+    original: MatrixFamily
+    sym: MatrixFamily  # (L + L^T) / 2
+    skew: MatrixFamily  # (L - L^T) / 2
+    doubled: MatrixFamily  # symmetric 2n x 2n block matrix [[0, -B], [B, 0]]
+
+    @property
+    def n(self) -> int:
+        return self.original.n
+
+
+def _doubled_fiber_names(universe: VarUniverse) -> tuple[str, ...]:
+    fibers = universe.fibers
+    return tuple(f"{f}a" for f in fibers) + tuple(f"{f}b" for f in fibers)
+
+
+def split_and_double(family: MatrixFamily) -> SplitFamily:
+    """Exact halves A, B and the symmetric doubling of B, of a rational
+    normal or skew family. The halves and the doubling are symmetric or
+    skew by construction, so they come out verified."""
+    if family.structure not in {"normal", "skew"} or family.fld != "rational":
+        raise ValueError("splitting applies to real normal families")
+    if not family.verified:
+        check_structure(family)
+    n = family.n
+    universe = family.universe
+    half = Fraction(1, 2)
+    sym_entries = [
+        [(family.entries[r][c] + family.entries[c][r]).scale(half) for c in range(n)]
+        for r in range(n)
+    ]
+    skew_entries = [
+        [(family.entries[r][c] - family.entries[c][r]).scale(half) for c in range(n)]
+        for r in range(n)
+    ]
+    doubled_universe = VarUniverse(universe.params, _doubled_fiber_names(universe))
+    zero = Polynomial.zero(doubled_universe)
+    doubled_entries = [[zero for _ in range(2 * n)] for _ in range(2 * n)]
+    for r in range(n):
+        for c in range(n):
+            doubled_entries[r][n + c] = (-skew_entries[r][c]).in_universe(doubled_universe)
+            doubled_entries[n + r][c] = skew_entries[r][c].in_universe(doubled_universe)
+    sym = MatrixFamily(n, universe, sym_entries, "symmetric", verified=True)
+    skew = MatrixFamily(n, universe, skew_entries, "skew", verified=True)
+    doubled = MatrixFamily(2 * n, doubled_universe, doubled_entries, "symmetric", verified=True)
+    return SplitFamily(family, sym, skew, doubled)
 
 
 @dataclass

@@ -27,10 +27,17 @@ import numpy as np
 
 from .bouquet import FittingIdeal, QuadSystem
 from .family import MatrixFamily
-from .oracle import (
+from .grading import (
+    DEFAULT_ANGLE_TOL,
     DEFAULT_CLUSTER_TOL,
+    DEFAULT_RESIDUAL_TOL,
     ExtrapolationError,
     JacobiNonConvergence,
+    LabelingError,
+    NonHermitianFamily,
+    UnresolvedChart,
+)
+from .oracle import (
     _frobenius,
     cluster_frames,
     eigh_jacobi,
@@ -45,22 +52,8 @@ from .oracle import (
 from .resolve import GOOD_STATUSES, ChartNode
 
 EXTRAPOLATION_RADII = tuple(2.0 ** -k for k in range(3, 9))
-DEFAULT_ANGLE_TOL = 1e-8
-DEFAULT_RESIDUAL_TOL = 1e-8
 QUAD_VANISH_TOL = 1e-7
 GRAM_TOL = 1e-10  # bound on an assembled frame's deviation from orthonormality
-
-
-class UnresolvedChart(ValueError):
-    pass
-
-
-class NonHermitianFamily(ValueError):
-    """Frames over the gaussian field need a hermitian family."""
-
-
-class LabelingError(RuntimeError):
-    """A grid point has no component of a tracked component's dimension."""
 
 
 def family_matrix(fam: MatrixFamily, base: dict, count: int) -> np.ndarray:
@@ -104,7 +97,9 @@ class PluckerSection:
         factors = {key: scale / weak[idx][1] for key, (idx, scale) in table.items()}
         common = math.lcm(*(f.denominator for f in factors.values()))
         keys = sorted(table)
-        coords = {key: weak[table[key][0]][0] * int(factors[key] * common) for key in keys}
+        coords = {
+            key: np.array(weak[table[key][0]][0], dtype=object) * int(factors[key] * common) for key in keys
+        }
         best = np.argmax(np.abs(np.array([coords[key] for key in keys])), axis=0)
         for p, b in enumerate(best):
             if coords[keys[b]][p] == 0:
@@ -128,12 +123,12 @@ class PluckerSection:
 
 
 def common_denominator(points: list[dict], names) -> tuple[dict, int]:
-    """Each coordinate's integers over the points' least common denominator.
-    An int, a Fraction or a float is read as the exact rational it is."""
+    """Each coordinate's integers over the points' least common denominator,
+    as lists (``Polynomial.eval_integer``'s columns). An int, a Fraction or a
+    float is read as the exact rational it is."""
     ratios = {n: [p[n].as_integer_ratio() for p in points] for n in names}
     den = math.lcm(*(d for pairs in ratios.values() for _, d in pairs))
-    scaled = {n: [a * (den // d) for a, d in pairs] for n, pairs in ratios.items()}
-    return {n: np.array(v, dtype=object) for n, v in scaled.items()}, den
+    return {n: [a * (den // d) for a, d in pairs] for n, pairs in ratios.items()}, den
 
 
 def _replacement_sign(cols: list[int], k: int, m: int) -> int:
@@ -188,10 +183,10 @@ def _spectra_at(section: PluckerSection, points: list[dict], where):
     base = {}
     for name, poly in chart.to_base.items():
         values, scale = poly.eval_integer(numerators, den, count)
-        base[name] = (values / scale).astype(float)
+        base[name] = (np.array(values, dtype=object) / scale).astype(float)
     on_disc = np.ones(count, dtype=bool)
     for g in chart.pulled_minors:
-        on_disc &= g.eval_integer(numerators, den, count)[0] == 0
+        on_disc &= np.array(g.eval_integer(numerators, den, count)[0], dtype=object) == 0
     matrices = family_matrix(section.family, base, count)
     off = np.flatnonzero(~on_disc)
     try:

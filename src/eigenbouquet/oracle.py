@@ -21,18 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_CLUSTER_TOL = 1e-6
+from .grading import DEFAULT_CLUSTER_TOL, ExtrapolationError, JacobiNonConvergence
+
 JACOBI_SWEEP_CAP = 60
 JACOBI_OFF_TOL = 1e-13
 RICHARDSON_ORDER = 2
-
-
-class JacobiNonConvergence(RuntimeError):
-    member = 0  # index of the failing matrix in its stack
-
-
-class ExtrapolationError(RuntimeError):
-    pass
 
 
 class SpectralSample(NamedTuple):

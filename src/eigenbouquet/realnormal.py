@@ -19,36 +19,15 @@ solved as one Jacobi stack per shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Polynomial, VarUniverse
-from .family import MatrixFamily, check_structure
+from .family import SplitFamily
 from .frames import GRAM_TOL, family_matrix
-from .oracle import (
-    DEFAULT_CLUSTER_TOL, _frobenius, cluster_frames, eigh_jacobi, gather, normal_spectrum, orthonormalize
-)
+from .grading import DEFAULT_CLUSTER_TOL, DecompositionError
+from .oracle import _frobenius, cluster_frames, eigh_jacobi, gather, normal_spectrum, orthonormalize
 
 KERNEL_TOL = 1e-9
-
-
-class DecompositionError(ArithmeticError):
-    """The invariant planes and real eigenspaces do not fill the space."""
-
-    member = 0  # index of the failing matrix in its stack
-
-
-@dataclass
-class SplitFamily:
-    original: MatrixFamily
-    sym: MatrixFamily  # (L + L^T) / 2
-    skew: MatrixFamily  # (L - L^T) / 2
-    doubled: MatrixFamily  # symmetric 2n x 2n block matrix [[0, -B], [B, 0]]
-
-    @property
-    def n(self) -> int:
-        return self.original.n
 
 
 def doubled_matrix(b: np.ndarray) -> np.ndarray:
@@ -56,43 +35,6 @@ def doubled_matrix(b: np.ndarray) -> np.ndarray:
     zero = np.zeros_like(b)
     # zero - b keeps zero entries +0.0, as evaluating the doubled family does
     return np.block([[zero, zero - b], [b, zero]])
-
-
-def _doubled_fiber_names(universe: VarUniverse) -> tuple[str, ...]:
-    fibers = universe.fibers
-    return tuple(f"{f}a" for f in fibers) + tuple(f"{f}b" for f in fibers)
-
-
-def split_and_double(family: MatrixFamily) -> SplitFamily:
-    """Exact halves A, B and the symmetric doubling of B, of a rational
-    normal or skew family. The halves and the doubling are symmetric or
-    skew by construction, so they come out verified."""
-    if family.structure not in {"normal", "skew"} or family.fld != "rational":
-        raise ValueError("splitting applies to real normal families")
-    if not family.verified:
-        check_structure(family)
-    n = family.n
-    universe = family.universe
-    half = Fraction(1, 2)
-    sym_entries = [
-        [(family.entries[r][c] + family.entries[c][r]).scale(half) for c in range(n)]
-        for r in range(n)
-    ]
-    skew_entries = [
-        [(family.entries[r][c] - family.entries[c][r]).scale(half) for c in range(n)]
-        for r in range(n)
-    ]
-    doubled_universe = VarUniverse(universe.params, _doubled_fiber_names(universe))
-    zero = Polynomial.zero(doubled_universe)
-    doubled_entries = [[zero for _ in range(2 * n)] for _ in range(2 * n)]
-    for r in range(n):
-        for c in range(n):
-            doubled_entries[r][n + c] = (-skew_entries[r][c]).in_universe(doubled_universe)
-            doubled_entries[n + r][c] = skew_entries[r][c].in_universe(doubled_universe)
-    sym = MatrixFamily(n, universe, sym_entries, "symmetric", verified=True)
-    skew = MatrixFamily(n, universe, skew_entries, "skew", verified=True)
-    doubled = MatrixFamily(2 * n, doubled_universe, doubled_entries, "symmetric", verified=True)
-    return SplitFamily(family, sym, skew, doubled)
 
 
 # -- the decomposition, on stacks ---------------------------------------

@@ -22,7 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, compress, count, islice
+from operator import not_
 
 from .algebra import (
     Polynomial,
@@ -248,22 +249,22 @@ def _common_zeros(gens: list[Polynomial], universe: VarUniverse, seed: int, pool
 
     ``pools`` maps (parameter count, seed) to a drawn pool and its columns;
     the charts of one run share it, so each pool is drawn once per run."""
-    import numpy as np
     names = universe.params
     pools = {} if pools is None else pools
     key = (len(names), seed)
     if key not in pools:
         pool = _pool_numerators(names, seed)
-        pools[key] = pool, [np.array(col, dtype=object) for col in zip(*pool)]
-    pool, columns = pools[key]
-    alive = np.arange(len(pool))
+        pools[key] = pool, [list(col) for col in zip(*pool)]
+    alive, columns = pools[key]
     for g in gens:
-        if not alive.size:
+        if not alive:
             return
-        values = g.eval_integer({n: col[alive] for n, col in zip(names, columns)}, POOL_DEN, alive.size)[0]
-        alive = alive[values == 0]
-    for i in alive.tolist():
-        yield {n: Fraction(v, POOL_DEN) for n, v in zip(names, pool[i])}
+        values = g.eval_integer(dict(zip(names, columns)), POOL_DEN, len(alive))[0]
+        vanish = list(map(not_, values))
+        alive = list(compress(alive, vanish))
+        columns = [list(compress(col, vanish)) for col in columns]
+    for point in alive:
+        yield {n: Fraction(v, POOL_DEN) for n, v in zip(names, point)}
 
 
 def principality_status(node: ChartNode, seed: int = 42, pools: dict | None = None) -> str:

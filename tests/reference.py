@@ -55,7 +55,7 @@ from eigenbouquet.algebra import (
 from eigenbouquet.algebra.groebner import DEFAULT_DEGREE_CAP, DEFAULT_STEP_BUDGET
 from eigenbouquet.algebra.parser import ParseError, UnknownVariable
 from eigenbouquet.bouquet import QuadSystem, _real_doubled_universe, quad_monomials, quad_pairs
-from eigenbouquet.family import MatrixFamily, check_structure
+from eigenbouquet.family import MatrixFamily, SplitFamily, check_structure
 from eigenbouquet.frames import (
     EXTRAPOLATION_RADII,
     GRAM_TOL,
@@ -90,7 +90,6 @@ from eigenbouquet.realnormal import (
     ArcpPlane,
     ArcpReport,
     DecompositionError,
-    SplitFamily,
     _eigenvalue_match_error,
     doubled_matrix,
 )

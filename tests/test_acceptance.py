@@ -23,18 +23,14 @@ from eigenbouquet.bouquet import (
     wedge_quadratics,
 )
 from eigenbouquet.cli import FIXTURES, JobConfig, cmd_dispatch
-from eigenbouquet.family import MatrixFamily, check_structure
+from eigenbouquet.family import MatrixFamily, check_structure, split_and_double
 from eigenbouquet.frames import (
     GridSpec,
     family_matrix,
     local_frame_and_eigenvalues,
     plucker_section,
 )
-from eigenbouquet.realnormal import (
-    arcp_extract,
-    complexified_eigenvalues,
-    split_and_double,
-)
+from eigenbouquet.realnormal import arcp_extract, complexified_eigenvalues
 from eigenbouquet.resolve import CenterSpec, run_sequence
 from reference import (
     expected_quadratic_dim,

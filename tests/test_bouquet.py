@@ -17,7 +17,7 @@ from eigenbouquet.bouquet import (
     wedge_quadratics,
 )
 from eigenbouquet.family import MatrixFamily, check_structure
-from eigenbouquet.realnormal import split_and_double
+from eigenbouquet.family import split_and_double
 from reference import (
     bareiss_det,
     bench_jobs,

@@ -118,19 +118,38 @@ class TestDispatch:
     def test_unknown_demo(self):
         assert run_cli(["demo", "nope"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"fibers": ["X"]},  # fewer fiber names than matrix rows
-            {"fibers": ["X", "Y", "Z"]},  # more fiber names than matrix rows
-            {"resolution": {"a": 1}},  # an object where the list of centers goes
-        ],
-    )
-    def test_malformed_config_exit_2(self, change, tmp_path, capsys):
+    MALFORMED = [
+        ({"fibers": ["X"]}, "fibers must name one variable per matrix row"),
+        ({"fibers": ["X", "Y", "Z"]}, "fibers must name one variable per matrix row"),
+        # an object or a string where a list goes: never read as its keys
+        # or characters
+        ({"resolution": {"a": 1}}, "resolution must be a list"),
+        ({"matrix": [["x", "y"], "yx"]}, "a matrix row must be a list"),
+        ({"matrix": "x", "fibers": None}, "matrix must be a list"),
+        ({"params": "xy"}, "params must be a list"),
+        ({"fibers": "XY"}, "fibers must be a list"),
+        ({"resolution": [{"path": [], "center": "xy"}]}, "a resolution center must be a list"),
+        ({"resolution": [{"path": "", "center": ["x", "y"]}]}, "a resolution path must be a list"),
+        # a bool is not read as 1, nor a fraction rounded
+        ({"grid": {"points_per_axis": True}}, "points_per_axis must be an integer"),
+        ({"grid": {"points_per_axis": 2.5}}, "points_per_axis must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"depth_cap": 1.5}, "depth_cap must be an integer"),
+        ({"depth_cap": -3}, "depth_cap must be nonnegative"),
+    ]
+
+    @pytest.mark.parametrize("change, message", MALFORMED, ids=[f"change{k}" for k in range(len(MALFORMED))])
+    def test_malformed_config_exit_2(self, change, message, tmp_path, capsys):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps(dict(FIXTURES["kupa"], **change)))
         assert run_cli(["check", "--config", str(cfg)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_negative_depth_cap_flag_exit_2(self, capsys):
+        assert run_cli(["demo", "kupa", "--depth-cap", "-3"]) == EXIT_CONFIG
+        assert "depth_cap must be nonnegative" in capsys.readouterr().err
 
 
 class TestTolerances:
@@ -454,3 +473,55 @@ class TestConsoleEntry:
         )
         assert out.returncode == 0
         assert "verdict: pass" in out.stdout
+
+
+class TestFloatLayerLoading:
+    """analyze and resolve are exact: in a fresh interpreter they load no numpy
+    and no float module, over Q, over Q(i) and through the real normal split.
+    A check stage loads the float layer it cross-checks with."""
+
+    DATA = Path(__file__).resolve().parent / "data"
+    FLOAT_MODULES = ["eigenbouquet.frames", "eigenbouquet.oracle", "eigenbouquet.realnormal", "numpy"]
+    SYM4_GENERIC = {
+        "structure": "symmetric",
+        "params": ["x", "y"],
+        "matrix": [
+            ["x", "y", "1", "0"],
+            ["y", "-x", "0", "1"],
+            ["1", "0", "x+y", "y"],
+            ["0", "1", "y", "x-y"],
+        ],
+        "resolution": [{"path": [], "center": ["x", "y"]}],
+    }
+    SCRIPT = (
+        "import json, sys\n"
+        "from eigenbouquet import cli\n"
+        "stages, configs = json.loads(sys.argv[1])\n"
+        "codes = [cli.run_job(cli.JobConfig.from_dict(c), tuple(stages))[0] for c in configs]\n"
+        "floats = sorted(m for m in sys.modules if m in %r)\n"
+        "print(json.dumps([codes, floats]))\n"
+    )
+
+    def _run(self, stages, configs):
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT % (self.FLOAT_MODULES,), json.dumps([stages, configs])],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(out.stdout)
+
+    def _config(self, name):
+        return json.loads((self.DATA / f"{name}.json").read_text())
+
+    def test_exact_stages_load_no_numpy(self):
+        configs = [self.SYM4_GENERIC, self._config("hermitian_vortex"), self._config("normal_rotation_center")]
+        codes, floats = self._run(["analyze", "resolve"], configs)
+        assert codes == [EXIT_PASS] * 3
+        assert floats == []
+
+    def test_check_loads_the_float_layer(self):
+        check = ["analyze", "resolve", "frames", "check"]
+        codes, floats = self._run(check, [self._config("normal_rotation_center")])
+        assert codes == [EXIT_PASS]
+        assert floats == self.FLOAT_MODULES

@@ -300,7 +300,7 @@ class TestWorkDoneOnce:
     def test_kupa_demo_counts(self, monkeypatch):
         log: dict[str, list] = {}
         frame_runs, extrapolations = [], []
-        count_calls(monkeypatch, log, "eigh_jacobi", [oracle, frames, cli])
+        count_calls(monkeypatch, log, "eigh_jacobi", [oracle, frames])
         count_calls(monkeypatch, log, "principal_angles", [oracle, frames])
         count_calls(monkeypatch, log, "polar_factor", [oracle, frames])
         count_calls(monkeypatch, log, "family_matrix", [frames], size=lambda fam, base, count: count)
@@ -310,7 +310,7 @@ class TestWorkDoneOnce:
             monkeypatch, log, "recover_quadratics", [frames.PluckerSection], size=lambda s, pts: len(pts)
         )
 
-        real_frames = cli.local_frame_and_eigenvalues
+        real_frames = frames.local_frame_and_eigenvalues
 
         def counting_frames(section, grid, **kwargs):
             before = {k: len(v) for k, v in log.items()}
@@ -347,7 +347,7 @@ class TestWorkDoneOnce:
 
             monkeypatch.setattr(cli, name, counting)
 
-        monkeypatch.setattr(cli, "local_frame_and_eigenvalues", counting_frames)
+        monkeypatch.setattr(frames, "local_frame_and_eigenvalues", counting_frames)
         monkeypatch.setattr(frames, "extrapolate_along_curve", counting_extrapolate)
         counting_stage("stage_frames")
         counting_stage("stage_check")
@@ -657,7 +657,7 @@ class TestFrameStackWalk:
 
         for name in ("extract_bouquets", "_label_angles", "_aligned_frames"):
             recording(frames, name)
-        recording(cli, "local_frame_and_eigenvalues")
+        recording(frames, "local_frame_and_eigenvalues")
         cfg = cli.JobConfig.from_dict(dict(config, seed=seed))
         assert cli.run_job(cfg, ("analyze", "resolve", "frames"))[0] == cli.EXIT_PASS
         runs = [seen[name] for name in ("local_frame_and_eigenvalues", "extract_bouquets", "_label_angles")]

@@ -171,12 +171,10 @@ class TestMethodsMatchReference:
             arrays = {n: np.array([rng.uniform(-3, 3) for _ in range(6)]) for n in names}
             assert a.eval_complex(arrays).tobytes() == ra.eval_complex(arrays).tobytes()
             den = rng.choice((1, 6, 840))
-            numerators = {
-                n: np.array([rng.randint(-2 * den, 2 * den) for _ in range(5)], dtype=object) for n in names
-            }
+            numerators = {n: [rng.randint(-2 * den, 2 * den) for _ in range(5)] for n in names}
             (values, scale), (ref_values, ref_scale) = (
                 a.eval_integer(numerators, den, 5),
-                ra.eval_integer(numerators, den, 5),
+                ra.eval_integer({n: np.array(col, dtype=object) for n, col in numerators.items()}, den, 5),
             )
             assert scale == ref_scale
             # ints, and Gaussian integers where not real: the reference gives an

@@ -8,14 +8,13 @@ import pytest
 
 from eigenbouquet import cli, realnormal
 from eigenbouquet.algebra import parse_polynomial
-from eigenbouquet.family import MatrixFamily, check_structure
+from eigenbouquet.family import MatrixFamily, check_structure, split_and_double
 from eigenbouquet.frames import family_matrix
 from eigenbouquet.realnormal import (
     DecompositionError,
     arcp_extract,
     complexified_eigenvalues,
     doubled_matrix,
-    split_and_double,
 )
 from reference import (
     arcp_extract_per_point,
@@ -371,7 +370,7 @@ class TestStackedPlaneCheck:
             extracted.append((l_mats, real_extract(l_mats, cluster_tol)))
             return extracted[-1][1]
 
-        monkeypatch.setattr(cli, "arcp_over_grid", recording_grid)
+        monkeypatch.setattr(realnormal, "arcp_over_grid", recording_grid)
         monkeypatch.setattr(realnormal, "arcp_extract", recording_extract)
         cfg = cli.JobConfig.from_dict({**config, "resolution": [], "grid": {"points_per_axis": 21}})
         code, _ = cli.run_job(cfg, ("analyze", "resolve", "frames"))
