@@ -14,7 +14,7 @@ _RESERVED = {"i"}
 
 
 def _valid_name(name: str) -> bool:
-    if not name or name in _RESERVED:
+    if not isinstance(name, str) or not name or name in _RESERVED:
         return False
     if not (name[0].isalpha() or name[0] == "_"):
         return False
@@ -62,3 +62,9 @@ class VarUniverse:
         while f"{stem}{k}" in taken:
             k += 1
         return f"{stem}{k}"
+
+    def derived_fibers(self, *suffixes: str) -> "VarUniverse":
+        """The parameters over fibers named fiber + suffix, one suffix after
+        the other; a name a parameter holds gets a number appended."""
+        names = (f + s for s in suffixes for f in self.fibers)
+        return VarUniverse(self.params, tuple(self.fresh_param_name(n) if n in self.params else n for n in names))

@@ -32,7 +32,7 @@ from .algebra import (
     monic,
     primitive_normalize,
 )
-from .family import MatrixFamily, check_structure
+from .family import MatrixFamily
 
 
 class ScalarOperator(Exception):
@@ -65,12 +65,6 @@ class QuadSystem:
         return quad_monomials(self.fiber_dim)
 
 
-def _real_doubled_universe(universe: VarUniverse) -> VarUniverse:
-    fibers = universe.fibers
-    doubled = tuple(f"{f}_re" for f in fibers) + tuple(f"{f}_im" for f in fibers)
-    return VarUniverse(universe.params, doubled)
-
-
 def wedge_quadratics(family: MatrixFamily) -> QuadSystem:
     """Expand (Mv)_i v_j - (Mv)_j v_i into the fiber monomial basis.
 
@@ -80,11 +74,9 @@ def wedge_quadratics(family: MatrixFamily) -> QuadSystem:
     The coefficient of V_a V_b in a quadratic form is its second derivative
     in V_a and V_b, halved when a = b.
     """
-    if not family.verified:
-        check_structure(family)
     n = family.n
     gaussian = family.fld == "gaussian"
-    target = _real_doubled_universe(family.universe) if gaussian else family.universe
+    target = family.universe.derived_fibers("_re", "_im") if gaussian else family.universe
     fibers, half = target.fibers, Fraction(1, 2)
     v = [Polynomial.variable(target, f) for f in fibers]
     if gaussian:

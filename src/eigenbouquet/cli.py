@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import ExponentOverflow, Polynomial
+from .algebra import ExponentOverflow
 from .bouquet import (
     FittingIdeal,
     QuadSystem,
@@ -31,7 +31,6 @@ from .family import (
     SplitFamily,
     StructureViolation,
     analyze_spectrum,
-    check_structure,
     split_and_double,
 )
 from .grading import (
@@ -48,16 +47,13 @@ from .grading import (
 from .report import canonical_json, emit_report
 from .resolve import (
     DEFAULT_DEPTH_CAP,
-    GOOD_STATUSES,
     CenterError,
     CenterSpec,
     ChartNode,
     DegenerateChart,
     ResolutionOutcome,
-    principality_status,
     propose_center,
     run_sequence,
-    weak_transform,
 )
 
 if TYPE_CHECKING:
@@ -105,6 +101,13 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A JSON number: a bool is refused, not read as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -155,6 +158,9 @@ class JobConfig:
                 )
                 for step in _listed(data.get("resolution", ()), "resolution")
             )
+            report = data.get("report")
+            if not isinstance(report, (str, type(None))):
+                raise ConfigError(f"report must be a file name, got {report!r}")
             grid = data.get("grid", {})
             tol = data.get("tolerances", {})
             return cls(
@@ -167,12 +173,12 @@ class JobConfig:
                 grid_points=_integer(grid.get("points_per_axis", 21), "grid points_per_axis"),
                 grid_lo=Fraction(str(grid.get("lo", -1))),
                 grid_hi=Fraction(str(grid.get("hi", 1))),
-                tol_cluster=float(tol.get("cluster", DEFAULT_CLUSTER_TOL)),
-                tol_angle=float(tol.get("angle", DEFAULT_ANGLE_TOL)),
-                tol_residual=float(tol.get("residual", DEFAULT_RESIDUAL_TOL)),
+                tol_cluster=_real(tol.get("cluster", DEFAULT_CLUSTER_TOL), "cluster tolerance"),
+                tol_angle=_real(tol.get("angle", DEFAULT_ANGLE_TOL), "angle tolerance"),
+                tol_residual=_real(tol.get("residual", DEFAULT_RESIDUAL_TOL), "residual tolerance"),
                 seed=_integer(data.get("seed", 42), "seed"),
                 depth_cap=_integer(data.get("depth_cap", DEFAULT_DEPTH_CAP), "depth_cap"),
-                report_path=data.get("report"),
+                report_path=report,
             )
         except ConfigError:
             raise
@@ -207,14 +213,13 @@ class JobConfig:
 
 def build_family(cfg: JobConfig) -> MatrixFamily:
     try:
-        fam = MatrixFamily.from_strings(
+        return MatrixFamily.from_strings(
             [list(row) for row in cfg.matrix],
             list(cfg.params),
             cfg.structure,
             cfg.fld,
             list(cfg.fibers) if cfg.fibers else None,
         )
-        return check_structure(fam)
     except StructureViolation:
         raise
     except ValueError as err:
@@ -237,15 +242,12 @@ class Bundle:
 class Analysis:
     family: MatrixFamily
     summary: object
-    bundles: list[Bundle]
+    bundle: Bundle
     split: SplitFamily | None  # realnormal reduction, when active
-    resolution_gens: list[Polynomial]
-    resolution_universe: object
-    scalar: bool
 
     @property
-    def primary(self) -> Bundle:
-        return self.bundles[-1]
+    def scalar(self) -> bool:
+        return self.bundle.ideal is None
 
 
 def _make_bundle(name: str, fam: MatrixFamily, seed: int) -> Bundle:
@@ -265,51 +267,24 @@ def _make_bundle(name: str, fam: MatrixFamily, seed: int) -> Bundle:
 
 
 def analyze(cfg: JobConfig) -> Analysis:
-    """Bundles first, so the minor budget refuses a family before the
-    characteristic polynomial and discriminant are computed."""
+    """The bundle first, so the minor budget refuses a family before the
+    characteristic polynomial and discriminant are computed. A rational
+    normal or skew family runs on its symmetric half when its skew half is
+    zero, else on the doubled skew half, whose eigen-bouquet is the
+    family's only when the symmetric half is scalar."""
     fam = build_family(cfg)
     split = None
     if cfg.fld == "rational" and cfg.structure in {"normal", "skew"}:
         split = split_and_double(fam)
-        sym_bundle = _make_bundle("sym", split.sym, cfg.seed)
         if all(p.is_zero() for row in split.skew.entries for p in row):
-            bundles, split = [sym_bundle], None
+            bundle, split = _make_bundle("sym", split.sym, cfg.seed), None
+        elif generic_rank(wedge_quadratics(split.sym), seed=cfg.seed):
+            raise ConfigError("a real normal family with a nonzero skew half needs a scalar symmetric half")
         else:
-            doubled_bundle = _make_bundle("doubled", split.doubled, cfg.seed)
-            bundles = [doubled_bundle] if sym_bundle.ideal is None else [sym_bundle, doubled_bundle]
+            bundle = _make_bundle("doubled", split.doubled, cfg.seed)
     else:
-        bundles = [_make_bundle("main", fam, cfg.seed)]
-    gens, universe = _resolution_gens(bundles)
-    scalar = split is None and bundles[0].ideal is None
-    return Analysis(fam, analyze_spectrum(fam), bundles, split, gens, universe, scalar)
-
-
-def _resolution_gens(bundles: list[Bundle]):
-    """Product of the bundles' Fitting generator sets, in the last universe."""
-    active = [b for b in bundles if b.ideal is not None]
-    if not active:
-        return [], None
-    universe = active[-1].system.fiber_universe
-    gen_sets = [[g.in_universe(universe) for g in b.ideal.gens] for b in active]
-    gens = gen_sets[0]
-    for other in gen_sets[1:]:
-        gens = [a * b for a in gens for b in other]
-    return gens, universe
-
-
-def derive_chart_for(node: ChartNode, gens: list[Polynomial], seed: int) -> ChartNode:
-    """Same chart coordinates, weak-transform data of a specific generator set."""
-    pulled = [g.substitute(dict(node.to_base), node.universe) for g in gens]
-    twin = ChartNode(
-        path=node.path,
-        universe=node.universe,
-        to_base=dict(node.to_base),
-        exceptional=list(node.exceptional),
-        pulled_minors=pulled,
-    )
-    weak_transform(twin)
-    principality_status(twin, seed)
-    return twin
+        bundle = _make_bundle("main", fam, cfg.seed)
+    return Analysis(fam, analyze_spectrum(fam), bundle, split)
 
 
 # -- report assembly ----------------------------------------------------
@@ -391,7 +366,7 @@ def stage_analyze(state: RunState) -> RunState:
     analysis = analyze(cfg)
     state.analysis = analysis
     summary = analysis.summary
-    fitting = analysis.primary.ideal
+    bundle = analysis.bundle
     state.report["config"] = cfg.to_dict()
     state.report["spectral"] = {
         "eigenvalue_count": summary.generic_distinct_eigenvalues,
@@ -400,12 +375,11 @@ def stage_analyze(state: RunState) -> RunState:
         "disc_gens": _poly_list(summary.disc_gens),
         "coeff_ideal_gens": _poly_list(summary.coeff_ideal_gens),
         "bundles": {
-            b.name: {
-                "quadratic_rank": b.system.generic_rank,
-                "fitting_gens": _poly_list(b.ideal.gens) if b.ideal else [],
-                "scalar": b.ideal is None,
+            bundle.name: {
+                "quadratic_rank": bundle.system.generic_rank,
+                "fitting_gens": _poly_list(bundle.ideal.gens) if bundle.ideal else [],
+                "scalar": bundle.ideal is None,
             }
-            for b in analysis.bundles
         },
     }
     if analysis.scalar:
@@ -420,8 +394,8 @@ def stage_resolve(state: RunState) -> RunState:
         state.report["resolution"] = {"verdict": "ScalarOperator", "charts": None, "warnings": []}
         return state
     outcome = run_sequence(
-        analysis.resolution_gens,
-        analysis.resolution_universe,
+        analysis.bundle.ideal.gens,
+        analysis.bundle.system.fiber_universe,
         list(cfg.resolution),
         seed=cfg.seed,
         depth_cap=cfg.depth_cap,
@@ -455,23 +429,10 @@ def stage_frames(state: RunState) -> RunState:
     from .frames import GridSpec, local_frame_and_eigenvalues, plucker_section
     from .realnormal import arcp_over_grid
 
-    primary = analysis.primary
-    grid = GridSpec(
-        (cfg.grid_points,) * len(analysis.resolution_universe.params),
-        cfg.grid_lo,
-        cfg.grid_hi,
-    )
+    bundle = analysis.bundle
+    grid = GridSpec((cfg.grid_points,) * len(cfg.params), cfg.grid_lo, cfg.grid_hi)
     for leaf in state.outcome.leaves():
-        twin = (
-            derive_chart_for(leaf, [g for g in primary.ideal.gens], cfg.seed)
-            if len(analysis.bundles) > 1
-            else leaf
-        )
-        if twin.status not in GOOD_STATUSES:
-            raise UnresolvedChart(
-                f"bundle {primary.name!r} is not principal on chart {leaf.path!r}"
-            )
-        section = plucker_section(twin, primary.system, primary.ideal)
+        section = plucker_section(leaf, bundle.system, bundle.ideal)
         report = local_frame_and_eigenvalues(
             section,
             grid,

@@ -1,8 +1,8 @@
 """Polynomial matrix families: structure checks and spectral data.
 
 A MatrixFamily is an n x n grid of parameter polynomials with a declared
-structure tag. The declared structure is verified as exact polynomial
-identities at load time. The spectral summary carries the characteristic
+structure tag, verified as exact polynomial identities when the family is
+built. The spectral summary carries the characteristic
 polynomial, its squarefree part over the parameter function field, the
 generic count of distinct eigenvalues, the discriminant ideal and the ideal
 of matrix coefficients. A rational normal or skew family splits exactly
@@ -45,7 +45,6 @@ class MatrixFamily:
     entries: list[list[Polynomial]]
     structure: str
     fld: str = "rational"
-    verified: bool = False
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
@@ -64,6 +63,7 @@ class MatrixFamily:
                 for p in row:
                     if p != p.conjugate():
                         raise ValueError("rational-field family has complex coefficients")
+        check_structure(self)
 
     @classmethod
     def from_strings(
@@ -131,7 +131,6 @@ def check_structure(family: MatrixFamily) -> MatrixFamily:
                 residual = left - right
                 if not residual.is_zero():
                     fail((r, c), residual)
-    family.verified = True
     return family
 
 
@@ -142,24 +141,12 @@ class SplitFamily:
     skew: MatrixFamily  # (L - L^T) / 2
     doubled: MatrixFamily  # symmetric 2n x 2n block matrix [[0, -B], [B, 0]]
 
-    @property
-    def n(self) -> int:
-        return self.original.n
-
-
-def _doubled_fiber_names(universe: VarUniverse) -> tuple[str, ...]:
-    fibers = universe.fibers
-    return tuple(f"{f}a" for f in fibers) + tuple(f"{f}b" for f in fibers)
-
 
 def split_and_double(family: MatrixFamily) -> SplitFamily:
     """Exact halves A, B and the symmetric doubling of B, of a rational
-    normal or skew family. The halves and the doubling are symmetric or
-    skew by construction, so they come out verified."""
+    normal or skew family."""
     if family.structure not in {"normal", "skew"} or family.fld != "rational":
         raise ValueError("splitting applies to real normal families")
-    if not family.verified:
-        check_structure(family)
     n = family.n
     universe = family.universe
     half = Fraction(1, 2)
@@ -171,16 +158,16 @@ def split_and_double(family: MatrixFamily) -> SplitFamily:
         [(family.entries[r][c] - family.entries[c][r]).scale(half) for c in range(n)]
         for r in range(n)
     ]
-    doubled_universe = VarUniverse(universe.params, _doubled_fiber_names(universe))
+    doubled_universe = universe.derived_fibers("a", "b")
     zero = Polynomial.zero(doubled_universe)
     doubled_entries = [[zero for _ in range(2 * n)] for _ in range(2 * n)]
     for r in range(n):
         for c in range(n):
             doubled_entries[r][n + c] = (-skew_entries[r][c]).in_universe(doubled_universe)
             doubled_entries[n + r][c] = skew_entries[r][c].in_universe(doubled_universe)
-    sym = MatrixFamily(n, universe, sym_entries, "symmetric", verified=True)
-    skew = MatrixFamily(n, universe, skew_entries, "skew", verified=True)
-    doubled = MatrixFamily(2 * n, doubled_universe, doubled_entries, "symmetric", verified=True)
+    sym = MatrixFamily(n, universe, sym_entries, "symmetric")
+    skew = MatrixFamily(n, universe, skew_entries, "skew")
+    doubled = MatrixFamily(2 * n, doubled_universe, doubled_entries, "symmetric")
     return SplitFamily(family, sym, skew, doubled)
 
 
@@ -206,8 +193,6 @@ def reduced_char_poly(family: MatrixFamily) -> tuple[Polynomial, Polynomial, int
     and exact division lands back in the polynomial ring. The squarefree
     part is normalized monic in the auxiliary variable.
     """
-    if not family.verified:
-        raise ValueError("verify the structure before spectral analysis")
     universe, aux = _char_universe(family)
     t = Polynomial.variable(universe, aux)
     n = family.n

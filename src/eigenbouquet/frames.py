@@ -177,16 +177,16 @@ def _spectra_at(section: PluckerSection, points: list[dict], where):
     """Base points, discriminant mask, family matrices, and the points off
     the discriminant with their stacked Jacobi spectra; where(i) names point
     i if its solve fails. One integer batch at the exact points gives the
-    base points, each rounded once, and the zero test of the pulled minors."""
+    base points, each rounded once, and the zero test of the local
+    generator, the pulled minors' gcd: away from the weak generators'
+    common zeros it vanishes where they all do."""
     chart, count = section.chart, len(points)
     numerators, den = common_denominator(points, chart.universe.params)
     base = {}
     for name, poly in chart.to_base.items():
         values, scale = poly.eval_integer(numerators, den, count)
         base[name] = (np.array(values, dtype=object) / scale).astype(float)
-    on_disc = np.ones(count, dtype=bool)
-    for g in chart.pulled_minors:
-        on_disc &= np.array(g.eval_integer(numerators, den, count)[0], dtype=object) == 0
+    on_disc = np.array(chart.local_generator.eval_integer(numerators, den, count)[0], dtype=object) == 0
     matrices = family_matrix(section.family, base, count)
     off = np.flatnonzero(~on_disc)
     try:

@@ -54,8 +54,8 @@ from eigenbouquet.algebra import (
 )
 from eigenbouquet.algebra.groebner import DEFAULT_DEGREE_CAP, DEFAULT_STEP_BUDGET
 from eigenbouquet.algebra.parser import ParseError, UnknownVariable
-from eigenbouquet.bouquet import QuadSystem, _real_doubled_universe, quad_monomials, quad_pairs
-from eigenbouquet.family import MatrixFamily, SplitFamily, check_structure
+from eigenbouquet.bouquet import QuadSystem, quad_monomials, quad_pairs
+from eigenbouquet.family import MatrixFamily, SplitFamily
 from eigenbouquet.frames import (
     EXTRAPOLATION_RADII,
     GRAM_TOL,
@@ -249,8 +249,6 @@ def wedge_quadratics_reference(family: MatrixFamily) -> QuadSystem:
     """The two-builder quadratic system: (Mv)_i v_j - (Mv)_j v_i expanded
     entry by entry, over Q directly and over Q(i) by a hand-written real and
     imaginary split."""
-    if not family.verified:
-        check_structure(family)
     n = family.n
     universe = family.universe
     if family.fld == "gaussian":
@@ -278,7 +276,7 @@ def wedge_quadratics_reference(family: MatrixFamily) -> QuadSystem:
 def _wedge_quadratics_gaussian_reference(family: MatrixFamily) -> QuadSystem:
     """Real/imaginary split over doubled real fiber coordinates."""
     n = family.n
-    target = _real_doubled_universe(family.universe)
+    target = family.universe.derived_fibers("_re", "_im")
     nn = 2 * n
     zero = Polynomial.zero(target)
 
@@ -444,7 +442,7 @@ def plane_invariant_checks(
     """Residuals of the four doubled-operator plane identities at an eigenpair."""
     if abs(b_value) <= KERNEL_TOL:
         raise ValueError("checks require a nonzero eigenvalue")
-    n = split.n
+    n = split.original.n
     b_mat = family_matrix(split.skew, point, 1)[0]
     b2 = doubled_matrix(b_mat)
     scale = 1.0 + float(np.linalg.norm(b2))

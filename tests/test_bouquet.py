@@ -306,10 +306,9 @@ class TestReachableMinors:
 
     @pytest.mark.parametrize("job", bench_jobs(), ids=lambda job: job.name)
     def test_benchmark_families(self, job):
-        analysis = cli.analyze(cli.JobConfig.from_dict(job.config))
-        for bundle in analysis.bundles:
-            if bundle.ideal is not None:
-                assert_all_minors(bundle.system, bundle.ideal)
+        bundle = cli.analyze(cli.JobConfig.from_dict(job.config)).bundle
+        if bundle.ideal is not None:
+            assert_all_minors(bundle.system, bundle.ideal)
 
 
 SYM5_GENERIC = Path(__file__).resolve().parent / "data" / "sym5_generic.json"
@@ -321,7 +320,7 @@ class TestFittingScale:
         """The n = 5 family's ideal in seconds; a seeded sample of its table
         against the reference Bareiss minors."""
         config = json.loads(SYM5_GENERIC.read_text())
-        bundle = cli.analyze(cli.JobConfig.from_dict(config)).primary
+        bundle = cli.analyze(cli.JobConfig.from_dict(config)).bundle
         ideal, matrix = bundle.ideal, bundle.system.coeff_matrix
         assert len(ideal.gens) == 1461
         assert len(ideal.minor_table) == 2712
@@ -349,7 +348,7 @@ class TestFittingScale:
     def test_no_garbage_cycle(self):
         """Nothing the expansion builds waits for the cyclic collector."""
         job = next(job for job in bench_jobs() if job.name == "sym4_generic")
-        system = cli.analyze(cli.JobConfig.from_dict(job.config)).primary.system
+        system = cli.analyze(cli.JobConfig.from_dict(job.config)).bundle.system
         gc.collect()
         gc.disable()
         try:

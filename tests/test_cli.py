@@ -18,10 +18,15 @@ from eigenbouquet.cli import (
     cmd_dispatch,
 )
 from eigenbouquet.report import canonical_json
+from reference import bench_jobs
 
 
 def run_cli(args):
     return cmd_dispatch(list(args))
+
+
+def bench_job(name):
+    return next(job.config for job in bench_jobs() if job.name == name)
 
 
 class TestDispatch:
@@ -137,6 +142,18 @@ class TestDispatch:
         ({"seed": "7"}, "seed must be an integer"),
         ({"depth_cap": 1.5}, "depth_cap must be an integer"),
         ({"depth_cap": -3}, "depth_cap must be nonnegative"),
+        # a name that is not a string is not a variable name
+        ({"params": [5]}, "invalid variable name 5"),
+        ({"fibers": [5, 6]}, "invalid variable name 5"),
+        # a report goes to a named file, never to a file descriptor
+        ({"report": 5}, "report must be a file name"),
+        ({"report": True}, "report must be a file name"),
+        ({"report": ["a"]}, "report must be a file name"),
+        # nor is a bool read as a tolerance of 1.0
+        (
+            {"params": ["x"], "matrix": [["x", "0"], ["0", "2"]], "resolution": [], "tolerances": {"cluster": True}},
+            "cluster tolerance must be a number",
+        ),
     ]
 
     @pytest.mark.parametrize("change, message", MALFORMED, ids=[f"change{k}" for k in range(len(MALFORMED))])
@@ -277,28 +294,71 @@ class TestCheckSubcommand:
         assert got == [(names[kind], count, 0) for kind, count in invariants]
 
 
-class TestProductResolution:
-    def test_derived_charts_factor_the_local_generator(self):
-        # resolve the product of two generator sets, then recover each
-        # factor's weak transform on the same charts
-        from eigenbouquet.algebra import VarUniverse, parse_polynomial
-        from eigenbouquet.cli import derive_chart_for
-        from eigenbouquet.resolve import CenterSpec, run_sequence
+class TestDerivedFiberNames:
+    RENAMED = [
+        # the gaussian builder's real fiber coordinates are V1_re, V2_re, V1_im, V2_im
+        (
+            "hermitian_vortex",
+            {
+                "field": "gaussian",
+                "structure": "hermitian",
+                "params": ["V1_re", "y"],
+                "matrix": [["0", "V1_re - i*y"], ["V1_re + i*y", "0"]],
+                "resolution": [{"path": [], "center": ["V1_re", "y"]}],
+            },
+        ),
+        # the doubled skew half's fibers are V1a, V2a, V1b, V2b
+        ("normal_rotation", {"structure": "normal", "params": ["V1a", "y"], "matrix": [["V1a", "y"], ["-y", "V1a"]]}),
+    ]
 
-        u = VarUniverse(("x", "y"))
-        gens_a = [parse_polynomial("x*y", u), parse_polynomial("x^2 - y^2", u)]
-        gens_b = [parse_polynomial("x^2 + y^2", u)]
-        product = [a * b for a in gens_a for b in gens_b]
-        outcome = run_sequence(product, u, [CenterSpec((), ("x", "y"))])
-        assert outcome.verdict == "Resolved"
-        for leaf in outcome.leaves():
-            twin_a = derive_chart_for(leaf, gens_a, seed=1)
-            twin_b = derive_chart_for(leaf, gens_b, seed=1)
-            combined = twin_a.local_generator * twin_b.local_generator
-            # gcd of pairwise products is the product of the gcds
-            assert leaf.local_generator == combined
-            assert twin_a.status == "ResolvedCertified"
-            assert twin_b.status == "ResolvedCertified"
+    @pytest.mark.parametrize("job, renamed", RENAMED, ids=["gaussian", "doubled"])
+    def test_parameter_named_like_a_derived_fiber(self, job, renamed, tmp_path):
+        """Derived fiber names step around the parameters: the job runs as
+        it does with its own parameter name x."""
+        reports = []
+        for config in (bench_job(job), renamed):
+            cfg, path = tmp_path / "job.json", tmp_path / "out.json"
+            cfg.write_text(json.dumps(config))
+            assert run_cli(["check", "--config", str(cfg), "--report", str(path)]) == EXIT_PASS
+            reports.append(json.loads(path.read_text()))
+        original, report = reports
+        assert [f["eigenvalues"] for f in report["frames"]] == [f["eigenvalues"] for f in original["frames"]]
+        assert report["verdict"] == original["verdict"] == "pass"
+
+
+class TestRealNormalPastTwo:
+    """A real normal family runs on one bundle: its symmetric half when the
+    skew half is zero, else the doubled skew half with a scalar symmetric
+    half. Past n = 2 either the symmetric half is not scalar or the doubled
+    bundle is past the minor budget: refused with exit 2 before any Fitting
+    minor."""
+
+    FAMILIES = [
+        ("skew", [["0", "x", "y"], ["-x", "0", "1"], ["-y", "-1", "0"]], "771325555 sub-minors"),
+        ("normal", [["x", "y", "0"], ["-y", "x", "0"], ["0", "0", "y"]], "needs a scalar symmetric half"),
+        (
+            "normal",
+            [
+                ["x", "y", "0", "0", "0"],
+                ["-y", "x", "0", "0", "0"],
+                ["0", "0", "y", "1", "0"],
+                ["0", "0", "-1", "y", "0"],
+                ["0", "0", "0", "0", "x"],
+            ],
+            "needs a scalar symmetric half",
+        ),
+    ]
+
+    @pytest.mark.parametrize("structure, matrix, message", FAMILIES, ids=["skew3", "normal3", "normal5"])
+    def test_refused_without_fitting_minors(self, structure, matrix, message, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = cli.fitting_minors
+        monkeypatch.setattr(cli, "fitting_minors", lambda system: calls.append(system) or real(system))
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"structure": structure, "params": ["x", "y"], "matrix": matrix}))
+        assert run_cli(["analyze", "--config", str(cfg)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert calls == []
 
 
 class TestRunErrors:

@@ -24,38 +24,37 @@ def kupa_family():
 
 
 class TestCheckStructure:
+    """A family is checked when built: a violation raises from the
+    constructor, and check_structure passes a built family through."""
+
     def test_symmetric_accepted(self):
-        fam = check_structure(kupa_family())
-        assert fam.verified
+        fam = kupa_family()
+        assert check_structure(fam) is fam
 
     def test_normal_rejected_with_residual(self):
-        fam = MatrixFamily.from_strings(
-            [["x", "y"], ["0", "x"]], ["x", "y"], "normal"
-        )
         with pytest.raises(StructureViolation) as err:
-            check_structure(fam)
+            MatrixFamily.from_strings([["x", "y"], ["0", "x"]], ["x", "y"], "normal")
         assert err.value.position == (0, 0)
-        u = fam.universe
-        assert err.value.residual == parse_polynomial("y^2", u)
+        residual = err.value.residual
+        assert residual == parse_polynomial("y^2", residual.universe)
 
     def test_skew_accepted_any_polynomial(self):
         fam = MatrixFamily.from_strings(
             [["0", "x^2 - 3*y"], ["-x^2 + 3*y", "0"]], ["x", "y"], "skew"
         )
-        assert check_structure(fam).verified
+        assert check_structure(fam) is fam
 
     def test_hermitian_gaussian(self):
         fam = MatrixFamily.from_strings(
             [["x", "i*y"], ["-i*y", "x"]], ["x", "y"], "hermitian", fld="gaussian"
         )
-        assert check_structure(fam).verified
+        assert check_structure(fam) is fam
 
     def test_hermitian_violation(self):
-        fam = MatrixFamily.from_strings(
-            [["x", "i*y"], ["i*y", "x"]], ["x", "y"], "hermitian", fld="gaussian"
-        )
         with pytest.raises(StructureViolation):
-            check_structure(fam)
+            MatrixFamily.from_strings(
+                [["x", "i*y"], ["i*y", "x"]], ["x", "y"], "hermitian", fld="gaussian"
+            )
 
 
 class TestReducedCharPoly:

@@ -42,10 +42,8 @@ def exact_polynomials(state):
     groups = {
         "entries": [p for row in analysis.family.entries for p in row],
         "char_poly": [summary.char_poly, summary.reduced_char_poly, *summary.disc_gens],
-        "quadratic_system": [
-            p for b in analysis.bundles for row in b.system.coeff_matrix for p in row
-        ],
-        "fitting_gens": [g for b in analysis.bundles for g in b.ideal.gens],
+        "quadratic_system": [p for row in analysis.bundle.system.coeff_matrix for p in row],
+        "fitting_gens": list(analysis.bundle.ideal.gens),
         "pulled_minors": [],
         "weak_gens": [],
         "chart_maps": [],
@@ -64,8 +62,8 @@ def test_rational_runs_hold_only_fractions(config):
         assert polys, group
         kinds = {type(c) for p in polys for c in p.terms.values()}
         assert kinds == {Fraction}, group
-    for b in state.analysis.bundles:
-        assert all(type(s) is Fraction for _, s in b.ideal.minor_table.values())
+    table = state.analysis.bundle.ideal.minor_table
+    assert all(type(s) is Fraction for _, s in table.values())
 
 
 def test_gaussian_run_wraps_only_non_real_coefficients():
